@@ -3,20 +3,19 @@
 
 Replays the same workload as ``bench_replay_core.py`` -- several
 applications, each as (original + ideal-overlapped) variants across a
-platform grid covering the paper's replay regimes -- through all four
+platform grid covering the paper's replay regimes -- through three
 engines:
 
 * ``legacy``: the embedded pre-refactor replica (the speedup baseline),
-* ``event``: the exact default backend (the *accuracy* reference),
-* ``compiled``: the exact segment-fusing backend, and
+* ``event``: the exact default backend (the *accuracy* reference), and
 * ``adaptive``: the window-classifying fast-forward backend
   (``replay_backend="adaptive"``), the subject under test.
 
-Unlike the exact backends, the adaptive backend's contract is a *bounded*
-relative error, so this harness measures both sides of the trade: the
-aggregate wall-time speedups over the legacy and compiled engines, and
-the per-cell relative error of every simulated total time against the
-event backend.  ``--min-speedup`` (adaptive over legacy) and
+Unlike the exact event backend, the adaptive backend's contract is a
+*bounded* relative error, so this harness measures both sides of the
+trade: the aggregate wall-time speedups over the legacy and event
+engines, and the per-cell relative error of every simulated total time
+against the event backend.  ``--min-speedup`` (adaptive over legacy) and
 ``--max-error`` (worst observed per-cell relative error) turn the run
 into the CI gate that keeps the trade honest: the backend may not get
 faster by getting wronger.
@@ -52,7 +51,6 @@ from bench_replay_core import (
     DEFAULT_APPS,
     LegacyReplayEngine,
     _build_workload,
-    _compiled_engine,
     _fast_engine,
     _run_engine,
 )
@@ -92,9 +90,6 @@ def main(argv=None) -> int:
                         help="fail unless the adaptive backend beats the "
                              "legacy engine by at least this aggregate "
                              "factor (CI perf guard)")
-    parser.add_argument("--min-speedup-compiled", type=float, default=None,
-                        help="fail unless the adaptive backend also beats "
-                             "the compiled backend by this factor")
     parser.add_argument("--max-error", type=float, default=None,
                         help="fail if any cell's relative error against the "
                              "event backend exceeds this bound (CI accuracy "
@@ -120,24 +115,20 @@ def main(argv=None) -> int:
         },
         "apps": {},
     }
-    total_legacy = total_event = total_compiled = total_adaptive = 0.0
+    total_legacy = total_event = total_adaptive = 0.0
     worst_error = 0.0
     total_cells = exact_cells = 0
     for name, variants in workload.items():
-        legacy_seconds = event_seconds = float("inf")
-        compiled_seconds = adaptive_seconds = float("inf")
+        legacy_seconds = event_seconds = adaptive_seconds = float("inf")
         for _ in range(max(1, args.repeat)):
             # Interleave the engines inside every repeat so machine drift
-            # hits all four comparably.
+            # hits all three comparably.
             seconds, _, legacy_times = _run_engine(
                 LegacyReplayEngine, variants, platforms)
             legacy_seconds = min(legacy_seconds, seconds)
             seconds, _, event_times = _run_engine(
                 _fast_engine, variants, platforms)
             event_seconds = min(event_seconds, seconds)
-            seconds, _, compiled_times = _run_engine(
-                _compiled_engine, variants, platforms)
-            compiled_seconds = min(compiled_seconds, seconds)
             seconds, _, adaptive_times = _run_engine(
                 _adaptive_engine, variants, platforms)
             adaptive_seconds = min(adaptive_seconds, seconds)
@@ -152,55 +143,48 @@ def main(argv=None) -> int:
         exact_cells += sum(1 for error in errors if error == 0.0)
         total_legacy += legacy_seconds
         total_event += event_seconds
-        total_compiled += compiled_seconds
         total_adaptive += adaptive_seconds
         speedup_legacy = (legacy_seconds / adaptive_seconds
                           if adaptive_seconds else float("inf"))
-        speedup_compiled = (compiled_seconds / adaptive_seconds
-                            if adaptive_seconds else float("inf"))
+        speedup_event = (event_seconds / adaptive_seconds
+                         if adaptive_seconds else float("inf"))
         report["apps"][name] = {
             "cells": len(errors),
             "exact_cells": sum(1 for error in errors if error == 0.0),
             "legacy_seconds": legacy_seconds,
             "event_seconds": event_seconds,
-            "compiled_seconds": compiled_seconds,
             "adaptive_seconds": adaptive_seconds,
             "speedup_vs_legacy": speedup_legacy,
-            "speedup_vs_compiled": speedup_compiled,
+            "speedup_vs_event": speedup_event,
             "max_relative_error": app_worst,
         }
         rows.append([name, len(errors),
                      f"{legacy_seconds:.3f}", f"{event_seconds:.3f}",
-                     f"{compiled_seconds:.3f}", f"{adaptive_seconds:.3f}",
-                     f"{speedup_legacy:.2f}x", f"{speedup_compiled:.2f}x",
+                     f"{adaptive_seconds:.3f}",
+                     f"{speedup_legacy:.2f}x", f"{speedup_event:.2f}x",
                      f"{app_worst:.2e}"])
 
     aggregate_legacy = (total_legacy / total_adaptive
                         if total_adaptive else float("inf"))
     aggregate_event = (total_event / total_adaptive
                        if total_adaptive else float("inf"))
-    aggregate_compiled = (total_compiled / total_adaptive
-                          if total_adaptive else float("inf"))
     report["aggregate"] = {
         "cells": total_cells,
         "exact_cells": exact_cells,
         "legacy_seconds": total_legacy,
         "event_seconds": total_event,
-        "compiled_seconds": total_compiled,
         "adaptive_seconds": total_adaptive,
         "speedup_vs_legacy": aggregate_legacy,
         "speedup_vs_event": aggregate_event,
-        "speedup_vs_compiled": aggregate_compiled,
         "max_relative_error": worst_error,
     }
     print(format_table(
-        ["app", "cells", "legacy s", "event s", "compiled s", "adaptive s",
-         "vs legacy", "vs compiled", "max rel err"],
+        ["app", "cells", "legacy s", "event s", "adaptive s",
+         "vs legacy", "vs event", "max rel err"],
         rows, title="adaptive backend: wall time and accuracy "
                     "(timeline-free sweep workload)"))
     print(f"\naggregate speedup: adaptive {aggregate_legacy:.2f}x over "
-          f"legacy, {aggregate_event:.2f}x over event, "
-          f"{aggregate_compiled:.2f}x over compiled "
+          f"legacy, {aggregate_event:.2f}x over event "
           f"({total_legacy:.3f} s -> {total_adaptive:.3f} s); "
           f"max relative error {worst_error:.2e} over {total_cells} cells "
           f"({exact_cells} bit-exact)")
@@ -213,12 +197,6 @@ def main(argv=None) -> int:
     if args.min_speedup is not None and aggregate_legacy < args.min_speedup:
         print(f"PERF GATE FAILED: adaptive speedup over legacy "
               f"{aggregate_legacy:.2f}x < required {args.min_speedup:.2f}x")
-        failed = True
-    if (args.min_speedup_compiled is not None
-            and aggregate_compiled < args.min_speedup_compiled):
-        print(f"PERF GATE FAILED: adaptive speedup over compiled "
-              f"{aggregate_compiled:.2f}x < required "
-              f"{args.min_speedup_compiled:.2f}x")
         failed = True
     if args.max_error is not None and worst_error > args.max_error:
         print(f"ACCURACY GATE FAILED: max relative error {worst_error:.2e} "

@@ -1,22 +1,18 @@
 #!/usr/bin/env python
-"""Replay-core benchmark: the replay backends vs the pre-refactor engine.
+"""Replay-core benchmark: the event backend vs the pre-refactor engine.
 
 Replays a sweep-style workload -- several applications, each as (original +
 ideal-overlapped) variants across a platform grid covering the paper's
-replay regimes -- through three engines:
+replay regimes -- through two engines:
 
 * ``legacy``: an embedded replica of the replay core exactly as it stood
   before the fast-path refactor (dict-based events with eager name strings,
   generic ``Timeout`` construction, per-record ``isinstance`` dispatch,
-  unconditional timeline interval recording),
+  unconditional timeline interval recording), and
 * ``event``: the current default backend on its sweep configuration
-  (``collect_timeline=False``, prepared traces, opcode dispatch), and
-* ``compiled``: the segment-fusing backend (``replay_backend="compiled"``):
-  fused CPU/overhead segments replayed off a flat array with one timeout
-  per segment, plus a collapsing network fabric that grants uncontended
-  transfers inline instead of running a per-hop acquisition chain.
+  (``collect_timeline=False``, prepared traces, opcode dispatch).
 
-All three engines produce bit-identical simulated times (asserted on every
+Both engines produce bit-identical simulated times (asserted on every
 cell; the golden tests in ``tests/dimemas/test_replay_golden.py`` pin the
 full result surface), so the comparison isolates pure interpreter cost.
 The results -- wall time and events/second per application plus the
@@ -647,14 +643,9 @@ def _fast_engine(trace, platform):
     return ReplayEngine(trace, platform, collect_timeline=False)
 
 
-def _compiled_engine(trace, platform):
-    return ReplayEngine(trace, platform.with_replay_backend("compiled"),
-                        collect_timeline=False)
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
-        description="replay backends vs the embedded legacy engine")
+        description="event backend vs the embedded legacy engine")
     parser.add_argument("--ranks", type=int, default=16)
     parser.add_argument("--iterations", type=int, default=4)
     parser.add_argument("--samples", type=int, default=6,
@@ -664,7 +655,7 @@ def main(argv=None) -> int:
                         help="replays of the whole grid per engine "
                              "(best-of is reported)")
     parser.add_argument("--min-speedup", type=float, default=None,
-                        help="fail unless the compiled backend beats the "
+                        help="fail unless the event backend beats the "
                              "legacy engine by at least this aggregate "
                              "factor (CI perf guard)")
     parser.add_argument("--output", default="BENCH_replay_core.json",
@@ -688,90 +679,64 @@ def main(argv=None) -> int:
         },
         "apps": {},
     }
-    total_legacy = total_fast = total_compiled = 0.0
-    total_events_fast = total_events_compiled = 0
+    total_legacy = total_fast = 0.0
+    total_events_fast = 0
     for name, variants in workload.items():
-        legacy_seconds = fast_seconds = compiled_seconds = float("inf")
+        legacy_seconds = fast_seconds = float("inf")
         for _ in range(max(1, args.repeat)):
             # Interleave the engines inside every repeat so machine drift
-            # hits all three comparably.
+            # hits both comparably.
             seconds, legacy_events, legacy_times = _run_engine(
                 LegacyReplayEngine, variants, platforms)
             legacy_seconds = min(legacy_seconds, seconds)
             seconds, fast_events, fast_times = _run_engine(
                 _fast_engine, variants, platforms)
             fast_seconds = min(fast_seconds, seconds)
-            seconds, compiled_events, compiled_times = _run_engine(
-                _compiled_engine, variants, platforms)
-            compiled_seconds = min(compiled_seconds, seconds)
         if legacy_times != fast_times:
             raise SystemExit(
                 f"{name}: fast engine diverged from the legacy engine "
                 f"({fast_times} != {legacy_times})")
-        if legacy_times != compiled_times:
-            raise SystemExit(
-                f"{name}: compiled backend diverged from the legacy engine "
-                f"({compiled_times} != {legacy_times})")
         records = sum(len(rank) for _, trace in variants for rank in trace)
         speedup = legacy_seconds / fast_seconds if fast_seconds else float("inf")
-        speedup_compiled = (legacy_seconds / compiled_seconds
-                            if compiled_seconds else float("inf"))
         total_legacy += legacy_seconds
         total_fast += fast_seconds
-        total_compiled += compiled_seconds
         total_events_fast += fast_events
-        total_events_compiled += compiled_events
         report["apps"][name] = {
             "records_replayed": records * len(platforms),
             "events_legacy": legacy_events,
             "events_fast": fast_events,
-            "events_compiled": compiled_events,
             "legacy_seconds": legacy_seconds,
             "fast_seconds": fast_seconds,
-            "compiled_seconds": compiled_seconds,
             "events_per_second_legacy": legacy_events / legacy_seconds,
             "events_per_second_fast": fast_events / fast_seconds,
-            "events_per_second_compiled": compiled_events / compiled_seconds,
             "speedup": speedup,
-            "speedup_compiled": speedup_compiled,
         }
         rows.append([name, records * len(platforms),
                      f"{legacy_seconds:.3f}", f"{fast_seconds:.3f}",
-                     f"{compiled_seconds:.3f}", f"{speedup:.2f}x",
-                     f"{speedup_compiled:.2f}x"])
+                     f"{speedup:.2f}x"])
 
     aggregate_speedup = total_legacy / total_fast if total_fast else float("inf")
-    aggregate_compiled = (total_legacy / total_compiled
-                          if total_compiled else float("inf"))
-    compiled_over_fast = (total_fast / total_compiled
-                          if total_compiled else float("inf"))
     report["aggregate"] = {
         "legacy_seconds": total_legacy,
         "fast_seconds": total_fast,
-        "compiled_seconds": total_compiled,
         "events_per_second_fast": total_events_fast / total_fast,
-        "events_per_second_compiled": total_events_compiled / total_compiled,
         "speedup": aggregate_speedup,
-        "speedup_compiled": aggregate_compiled,
-        "compiled_over_fast": compiled_over_fast,
     }
     print(format_table(
-        ["app", "records", "legacy s", "event s", "compiled s",
-         "event x", "compiled x"],
-        rows, title="replay core: legacy engine vs event vs compiled "
-                    "backends (timeline-free sweep workload)"))
-    print(f"\naggregate speedup: event {aggregate_speedup:.2f}x, compiled "
-          f"{aggregate_compiled:.2f}x over legacy ({total_legacy:.3f} s -> "
-          f"{total_fast:.3f} s -> {total_compiled:.3f} s; simulated times "
+        ["app", "records", "legacy s", "event s", "event x"],
+        rows, title="replay core: legacy engine vs event backend "
+                    "(timeline-free sweep workload)"))
+    print(f"\naggregate speedup: event {aggregate_speedup:.2f}x over legacy "
+          f"({total_legacy:.3f} s -> {total_fast:.3f} s; simulated times "
           f"bit-identical on every cell)")
 
     path = Path(args.output)
     path.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
     print(f"wrote {path}")
-    if args.min_speedup is not None and aggregate_compiled < args.min_speedup:
+    if args.min_speedup is not None and aggregate_speedup < args.min_speedup:
         raise SystemExit(
-            f"perf guard: compiled backend aggregate speedup "
-            f"{aggregate_compiled:.2f}x over legacy is below the "
+            f"perf guard: event backend aggregate speedup "
+            f"{aggregate_speedup:.2f}x over legacy is below the "
             f"--min-speedup floor {args.min_speedup:.2f}x")
     return 0
 

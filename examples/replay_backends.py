@@ -1,20 +1,20 @@
 #!/usr/bin/env python
-"""Replay backends: the event engine vs the compiled fast path.
+"""Replay backends: the event engine vs the adaptive fast-forward.
 
 The replay engine ships two backends selected by the ``replay_backend``
 platform knob:
 
 * ``event`` (the default): every CPU burst, MPI-overhead charge and
   transfer hop is its own discrete event, and
-* ``compiled``: traces are pre-compiled into fused compute segments
-  (one timeout per segment) and uncontended transfers are granted inline
-  instead of running a per-hop acquisition chain.
+* ``adaptive``: a window classifier inspects each (trace, platform) cell
+  and fast-forwards it with closed-form per-rank time recurrences,
+  running the event walk itself for cells it cannot fast-forward.
 
-Both backends produce bit-identical simulated results -- the compiled
-backend only removes interpreter overhead, never model fidelity -- so the
-choice is purely a wall-time one.  This example replays the same sweep
-through both backends, checks the results match exactly, and reports the
-wall-time difference.
+On the paper's default platform (one input and one output link per node)
+the adaptive backend's contended fast-forward reproduces the event
+backend bit for bit, so the choice is a wall-time one.  This example
+replays the same sweep through both backends, checks the results match
+exactly, and reports the wall-time difference.
 
 Run with::
 
@@ -57,7 +57,8 @@ def main(argv=None) -> None:
     ranks, iterations, samples = (4, 2, 3) if args.smoke else (16, 4, 6)
 
     # The paper-style workload: an application plus its ideally overlapped
-    # variant, swept across a log-spaced bandwidth grid.
+    # variant, swept across a log-spaced bandwidth grid on the default
+    # platform.
     environment = OverlapStudyEnvironment(chunking=FixedCountChunking(count=8))
     app = create_application("sweep3d", num_ranks=ranks, iterations=iterations)
     original = environment.trace(app)
@@ -67,29 +68,29 @@ def main(argv=None) -> None:
                  for bandwidth in geometric_bandwidths(10.0, 10000.0, samples)]
 
     event_seconds, event_times = replay_grid(traces, platforms, "event")
-    compiled_seconds, compiled_times = replay_grid(traces, platforms, "compiled")
+    adaptive_seconds, adaptive_times = replay_grid(traces, platforms, "adaptive")
 
-    assert event_times == compiled_times, \
-        "the compiled backend must be bit-identical to the event backend"
+    assert event_times == adaptive_times, \
+        "the adaptive backend must be bit-identical to the event backend here"
     cells = len(traces) * len(platforms)
     print(f"sweep3d, {ranks} ranks, {cells} sweep cells, "
           f"simulated times bit-identical across backends")
     print(f"  event backend:    {event_seconds:7.3f} s")
-    print(f"  compiled backend: {compiled_seconds:7.3f} s "
-          f"({event_seconds / compiled_seconds:.2f}x)")
+    print(f"  adaptive backend: {adaptive_seconds:7.3f} s "
+          f"({event_seconds / adaptive_seconds:.2f}x)")
 
     # The same knob through the experiment API: one builder call (or
-    # ``repro-overlap run --replay-backend compiled`` on the CLI).
+    # ``repro-overlap run --replay-backend adaptive`` on the CLI).
     spec = (Experiment.for_app("sweep3d", num_ranks=ranks,
                                iterations=iterations)
             .patterns("ideal")
             .chunk_count(8)
             .bandwidths([platform.bandwidth_mbps for platform in platforms])
-            .replay_backend("compiled")
+            .replay_backend("adaptive")
             .build())
     result = run_experiment(spec)
     print()
-    print(f"experiment API with .replay_backend('compiled'): "
+    print(f"experiment API with .replay_backend('adaptive'): "
           f"{len(result.to_rows())} rows")
 
 

@@ -316,19 +316,18 @@ def _add_platform_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--intranode-latency", type=float, default=1.0e-6,
                         help="intra-node latency in seconds")
     parser.add_argument("--replay-backend", default="event",
-                        choices=["event", "compiled", "adaptive"],
+                        choices=["event", "adaptive"],
                         help="replay implementation: 'event' walks every "
-                             "record through the DES, 'compiled' "
-                             "batch-advances contention-free stretches "
-                             "(bit-identical results, faster), 'adaptive' "
-                             "fast-forwards contention-free windows in "
-                             "closed form (bit-identical where proven, "
-                             "bounded-error elsewhere, fastest)")
+                             "record through the DES, 'adaptive' "
+                             "fast-forwards windows in closed form "
+                             "(bit-identical where proven, bounded-error "
+                             "elsewhere, faster) and runs the event walk "
+                             "where it cannot")
     parser.add_argument("--max-relative-error", type=float, default=0.01,
                         help="relative-error bound for the 'adaptive' "
                              "backend's contended windows; 0 forbids "
-                             "approximation (exact fallback); ignored by "
-                             "the exact backends")
+                             "approximation (event-walk fallback); "
+                             "ignored by the 'event' backend")
 
 
 # -- spec construction from flags ---------------------------------------------

@@ -469,7 +469,7 @@ class SweepExecutor:
             # Warm the preparation cache up front so the first task of a
             # variant is not charged for the normalisation of all of them.
             # Store-backed runs hash the content first: the digest-keyed
-            # memo then shares one compiled stream across every Trace
+            # memo then shares one prepared stream across every Trace
             # object with equal content, so a resumed or repeated sweep in
             # the same process never recompiles a trace it has seen.
             for task in flat_tasks:

@@ -164,53 +164,6 @@ class Environment:
                        (self._now + delay, PRIORITY_NORMAL, next(self._eid), event))
         return event
 
-    def schedule_timeout_at(self, when: float, value: Any = None) -> Timeout:
-        """A :class:`Timeout` at the *absolute* simulation time ``when``.
-
-        Fused replay segments precompute the exact wake-up instant by
-        walking ``t = t + duration`` per collapsed record; scheduling the
-        result as a delay would recompute ``when`` as
-        ``now + (when - now)``, which is not the same float.  Scheduling at
-        the absolute time keeps the batch-advanced rank bit-identical to
-        the per-record walk.
-        """
-        if when < self._now:
-            raise ValueError(
-                f"cannot schedule an event in the past "
-                f"(when={when!r}, now={self._now!r})")
-        event = Timeout.__new__(Timeout)
-        event.env = self
-        event._name = None
-        event.callbacks = []
-        event._value = value
-        event._ok = True
-        event._defused = False
-        event._delay = when - self._now  # display only; the queue uses `when`
-        heapq.heappush(self._queue,
-                       (when, PRIORITY_NORMAL, next(self._eid), event))
-        return event
-
-    def schedule_bootstrap(self, callback, value: Any = None) -> Event:
-        """An already-succeeded event at ``(now, PRIORITY_URGENT)``.
-
-        Occupies exactly the queue slot an :class:`Initialize` of a process
-        started now would occupy, so event-eliding fast paths (the compiled
-        network fabric) can defer their side effects to the same position
-        in the processing order as the generator-based implementation --
-        the requirement for bit-identical replays.  ``callback`` runs when
-        the event is popped; ``value`` is available as ``event._value``.
-        """
-        event = Event.__new__(Event)
-        event.env = self
-        event._name = None
-        event.callbacks = [callback]
-        event._value = value
-        event._ok = True
-        event._defused = False
-        heapq.heappush(self._queue,
-                       (self._now, PRIORITY_URGENT, next(self._eid), event))
-        return event
-
     def advance_to(self, when: float) -> float:
         """Batch time advance: jump the clock to ``when`` without events.
 

@@ -47,13 +47,13 @@ PLATFORM_FIELDS = {
     # Stored in the compact string form ("decomposed:bcast=ring"); Platform
     # parses it back into a CollectiveSpec.
     "collective_model": str,
-    # "event", "compiled" or "adaptive".  The exact backends are
-    # bit-identical, so result-cache keys ignore the knob for them; the
-    # approximate "adaptive" backend is keyed, together with its error
-    # bound (see repro.store.keys.platform_fingerprint).
+    # "event" or "adaptive".  Result-cache keys ignore the knob for the
+    # exact "event" backend; the approximate "adaptive" backend is keyed,
+    # together with its error bound (see
+    # repro.store.keys.platform_fingerprint).
     "replay_backend": str,
     # Relative-error bound the "adaptive" backend enforces on contended
-    # windows; ignored by the exact backends.
+    # windows; ignored by the "event" backend.
     "max_relative_error": float,
 }
 

@@ -21,9 +21,6 @@ from __future__ import annotations
 from typing import Dict, Optional
 
 from repro.des import Environment
-from repro.des.events import PENDING, PRIORITY_URGENT
-from repro.des.resources import InfiniteResource, Request, Resource
-from repro.dimemas.collectives.base import ANALYTICAL
 from repro.dimemas.messages import Message
 from repro.dimemas.platform import Platform
 from repro.dimemas.topology import NetworkModel, build_network_model
@@ -187,356 +184,3 @@ class NetworkFabric:
                 tag=message.tag, send_time=message.transfer_start,
                 recv_time=message.arrival_time)
 
-
-# ---------------------------------------------------------------------------
-# Compiled backend: event-eliding transfers
-# ---------------------------------------------------------------------------
-#
-# The compiled fabric removes per-message DES bookkeeping while keeping every
-# *side effect* (resource acquisition/release, statistics, event triggers) at
-# the same (time, priority, relative-order) position in the processing order
-# as the generator-based fabric above.  Event ids are assigned in push order,
-# so eliding an event that has no observable effect of its own (a process's
-# Initialize, a grant round-trip whose pop only resumes the owner, the
-# process-completion event nobody waits on) can never reorder the remaining
-# events.  A transfer whose whole acquisition is elided ("collapsed") pushes
-# its wire timeout at its bootstrap pop instead of at its last grant pop;
-# that is only safe when no observable event can land between those two
-# positions, which the fabric establishes one of two ways:
-#
-# * the *strict* guard: no other same-time urgent event is pending at all,
-#   so the window between the two positions is empty; or
-# * the *relaxed* guard (contention-free platforms with analytical
-#   collectives, past t=0): every limited resource of the hop is free and
-#   wanted by nobody else (``_interest``), no other transfer is mid-
-#   acquisition at this instant (``_acquiring``), and no intranode transfer
-#   is pending (``_pending_intranode``).  Under those conditions the other
-#   pending urgent events can neither change the outcome of this grant
-#   chain nor push a timeout inside the elided window, so the collapse is
-#   unobservable.
-
-
-class _FastTransfer:
-    """Completion state of one fast-path transfer (single hop or intranode)."""
-
-    __slots__ = ("fabric", "message", "duration", "grants", "hop",
-                 "intranode", "collective")
-
-    def __init__(self, fabric, message, duration, grants, hop, intranode,
-                 collective):
-        self.fabric = fabric
-        self.message = message
-        self.duration = duration
-        self.grants = grants
-        self.hop = hop
-        self.intranode = intranode
-        self.collective = collective
-
-    def _complete(self, _event) -> None:
-        # Mirrors the tail of NetworkFabric._transfer exactly: releases in
-        # acquisition order, then the hop record, then arrival bookkeeping,
-        # the arrived trigger, the global record and the timeline line.
-        fabric = self.fabric
-        env = fabric.env
-        statistics = fabric.statistics
-        message = self.message
-        hop = self.hop
-        if hop is not None:
-            for resource, request in self.grants:
-                resource.release(request)
-            statistics.record_hop(hop.name, 0.0)
-            if fabric._relaxed:
-                fabric._drop_interest((hop,))
-        message.arrival_time = env._now
-        message.arrived.succeed(env._now)
-        statistics.record(message.size, 0.0, self.duration, self.intranode,
-                          self.collective)
-        if fabric.timeline is not None and not self.collective:
-            fabric.timeline.add_communication(
-                src=message.src, dst=message.dst, size=message.size,
-                tag=message.tag, send_time=message.transfer_start,
-                recv_time=message.arrival_time)
-
-
-class _TransferChain:
-    """Slotted replacement for a ``_transfer`` generator process.
-
-    Walks the route with the exact processing-order positions of the
-    generic generator -- first request at the bootstrap pop, each next
-    request at the previous grant's pop, the wire timeout at the last
-    grant's pop, releases / hop record / next hop (or completion) at the
-    timeout's pop -- but without generator frames or Process wrappers.
-
-    In relaxed mode the chain also maintains the fabric's ``_acquiring``
-    count of transfers that are mid-acquisition *at the current instant*:
-    it leaves the count while queued on a busy resource and re-enters it
-    when the queued grant pops.  Collapses are blocked while the count is
-    non-zero, which pins the relative push order of same-instant wire
-    timeouts (acquisition-completion order) even on exact-time ties.
-    """
-
-    __slots__ = ("fabric", "message", "collective", "route", "hop_index",
-                 "grants", "requested_at", "queue_time", "duration",
-                 "hop_queue", "hop_duration")
-
-    def __init__(self, fabric, message, collective, route):
-        self.fabric = fabric
-        self.message = message
-        self.collective = collective
-        self.route = route
-        self.hop_index = 0
-        self.queue_time = 0.0
-        self.duration = 0.0
-
-    def start(self) -> None:
-        self._begin_hop()
-
-    def _begin_hop(self) -> None:
-        fabric = self.fabric
-        self.requested_at = fabric.env._now
-        self.grants = []
-        if fabric._relaxed:
-            fabric._acquiring += 1
-        self._advance()
-
-    def _advance(self) -> None:
-        hop = self.route[self.hop_index]
-        resources = hop.resources
-        grants = self.grants
-        index = len(grants)
-        if index < len(resources):
-            resource = resources[index]
-            request = resource.request()
-            grants.append((resource, request))
-            if request._value is PENDING:
-                # Queued: the grant arrives at a future processing
-                # position, so this chain stops acquiring *at the current
-                # instant* until that grant pops.
-                fabric = self.fabric
-                if fabric._relaxed:
-                    fabric._acquiring -= 1
-                request.callbacks.append(self._granted_after_wait)
-            else:
-                request.callbacks.append(self._granted)
-            return
-        # Every resource of the hop is held: start the wire time.  This
-        # runs at the last grant's pop, exactly where the generator resumes.
-        fabric = self.fabric
-        env = fabric.env
-        if fabric._relaxed:
-            fabric._acquiring -= 1
-        message = self.message
-        self.hop_queue = env._now - self.requested_at
-        if message.transfer_start is None:
-            message.transfer_start = env._now
-        self.hop_duration = hop.transfer_time(message.size)
-        env.schedule_timeout(self.hop_duration).callbacks.append(
-            self._finish_hop)
-
-    def _granted(self, _event) -> None:
-        self._advance()
-
-    def _granted_after_wait(self, _event) -> None:
-        fabric = self.fabric
-        if fabric._relaxed:
-            fabric._acquiring += 1
-        self._advance()
-
-    def _finish_hop(self, _event) -> None:
-        fabric = self.fabric
-        hop = self.route[self.hop_index]
-        for resource, request in self.grants:
-            resource.release(request)
-        self.queue_time += self.hop_queue
-        self.duration += self.hop_duration
-        fabric.statistics.record_hop(hop.name, self.hop_queue)
-        self.hop_index += 1
-        if self.hop_index < len(self.route):
-            self._begin_hop()
-            return
-        env = fabric.env
-        message = self.message
-        if fabric._relaxed:
-            fabric._drop_interest(self.route)
-        message.arrival_time = env._now
-        message.arrived.succeed(env._now)
-        fabric.statistics.record(message.size, self.queue_time,
-                                 self.duration, False, self.collective)
-        if fabric.timeline is not None and not self.collective:
-            fabric.timeline.add_communication(
-                src=message.src, dst=message.dst, size=message.size,
-                tag=message.tag, send_time=message.transfer_start,
-                recv_time=message.arrival_time)
-
-
-def _grab_free_slots(resources, interest=None):
-    """Synchronously acquire every resource, or ``None`` if any is busy.
-
-    Builds the same granted :class:`Request` tokens ``Resource.request``
-    would (so ``release`` works unchanged) but skips the grant event -- the
-    caller only takes this path when the grant chain would have popped
-    back-to-back anyway, making the round-trips pure bookkeeping.
-
-    When ``interest`` (the fabric's posted-transfer interest counts) is
-    given, a limited resource additionally fails unless the requesting
-    transfer is the *only* in-flight transfer interested in it.
-    """
-    grants = []
-    for resource in resources:
-        kind = type(resource)
-        if kind is Resource:
-            if (len(resource._users) >= resource._capacity
-                    or (interest is not None
-                        and interest.get(resource, 0) > 1)):
-                for held, token in grants:
-                    held.release(token)
-                return None
-        elif kind is not InfiniteResource:
-            # Unknown resource flavour: let the generic path handle it.
-            for held, token in grants:
-                held.release(token)
-            return None
-        request = Request.__new__(Request)
-        request.env = resource.env
-        request._name = None
-        request.callbacks = None  # processed: the grant already happened
-        request._value = resource
-        request._ok = True
-        request._defused = False
-        request.resource = resource
-        if kind is Resource:
-            resource._users.append(request)
-        else:
-            resource._count += 1
-        grants.append((resource, request))
-    return grants
-
-
-class CompiledNetworkFabric(NetworkFabric):
-    """The fabric of the ``compiled`` replay backend.
-
-    Transfers start from a bootstrap event at the exact queue position of
-    the generic fabric's process-Initialize event.  When the bootstrap
-    pops with a single-hop route and either the strict or the relaxed
-    collapse guard holds (see the module comment above), the whole
-    acquisition collapses into synchronous calls and one completion
-    timeout.  Otherwise a :class:`_TransferChain` walks the route from
-    the same position with every side effect at its generic processing-
-    order slot.  Either way results are bit-identical to
-    :class:`NetworkFabric` (pinned by the backend golden tests).
-
-    The relaxed guard is enabled only on platforms where every urgent
-    event at a transfer instant belongs to the network fabric itself:
-    CPU contention off (no CPU grant chains resuming ranks mid-instant)
-    and analytical collectives (no phase processes bootstrapping at
-    t > 0).  Under it, ``_interest`` counts in-flight transfers per
-    limited resource (registered when a transfer is posted, dropped at
-    its completion), ``_acquiring`` counts transfers mid-acquisition at
-    the current instant and ``_pending_intranode`` counts posted-but-not-
-    begun intranode transfers (whose wire timeouts the generic backend
-    pushes at their bootstrap pop; collapsing across them could flip
-    exact-time timeout ties).
-    """
-
-    def __init__(self, env: Environment, platform: Platform, num_ranks: int,
-                 timeline: Optional[Timeline] = None):
-        NetworkFabric.__init__(self, env, platform, num_ranks, timeline)
-        self._interest: Dict[object, int] = {}
-        self._acquiring = 0
-        self._pending_intranode = 0
-        self._relaxed = (not platform.cpu_contention
-                         and platform.collective_model.kind == ANALYTICAL)
-
-    def start_transfer(self, message: Message) -> None:
-        self._post(message, False)
-
-    def transfer_event(self, src: int, dst: int, size: int):
-        message = Message(self.env, src=src, dst=dst, tag=-1, size=size)
-        self._post(message, True)
-        return message.arrived
-
-    def _post(self, message: Message, collective: bool) -> None:
-        platform = self.platform
-        src_node = platform.node_of(message.src)
-        dst_node = platform.node_of(message.dst)
-        if src_node == dst_node:
-            route = None
-            if self._relaxed:
-                self._pending_intranode += 1
-        else:
-            route = self.model.route(src_node, dst_node)
-            if self._relaxed:
-                self._add_interest(route)
-        self.env.schedule_bootstrap(
-            self._begin_collective if collective else self._begin_p2p,
-            (message, route))
-
-    # -- interest tracking (relaxed mode only) ------------------------------
-    def _add_interest(self, route) -> None:
-        interest = self._interest
-        for hop in route:
-            for resource in hop.resources:
-                if type(resource) is InfiniteResource:
-                    continue
-                interest[resource] = interest.get(resource, 0) + 1
-
-    def _drop_interest(self, hops) -> None:
-        interest = self._interest
-        for hop in hops:
-            for resource in hop.resources:
-                if type(resource) is InfiniteResource:
-                    continue
-                remaining = interest[resource] - 1
-                if remaining:
-                    interest[resource] = remaining
-                else:
-                    del interest[resource]
-
-    # -- bootstrap callbacks ------------------------------------------------
-    def _begin_p2p(self, event) -> None:
-        message, route = event._value
-        self._begin(message, route, False)
-
-    def _begin_collective(self, event) -> None:
-        message, route = event._value
-        self._begin(message, route, True)
-
-    def _begin(self, message: Message, route, collective: bool) -> None:
-        env = self.env
-        now = env._now
-        if route is None:
-            # Intranode: the generic path touches no shared resource
-            # between its bootstrap and its timeout, so collapsing is
-            # unconditionally order-preserving.
-            if self._relaxed:
-                self._pending_intranode -= 1
-            message.transfer_start = now
-            duration = self.platform.transfer_time(message.size,
-                                                   intranode=True)
-            completion = _FastTransfer(self, message, duration, (), None,
-                                       True, collective)
-            env.schedule_timeout(duration).callbacks.append(
-                completion._complete)
-            return
-        if len(route) == 1:
-            hop = route[0]
-            queue = env._queue
-            if (not queue or queue[0][0] > now
-                    or queue[0][1] != PRIORITY_URGENT):
-                # Strict guard: the elided window is empty outright, so no
-                # interest check is needed.
-                grants = _grab_free_slots(hop.resources)
-            elif (self._relaxed and now > 0.0 and self._acquiring == 0
-                    and self._pending_intranode == 0):
-                grants = _grab_free_slots(hop.resources, self._interest)
-            else:
-                grants = None
-            if grants is not None:
-                message.transfer_start = now
-                duration = hop.transfer_time(message.size)
-                completion = _FastTransfer(self, message, duration,
-                                           grants, hop, False, collective)
-                env.schedule_timeout(duration).callbacks.append(
-                    completion._complete)
-                return
-        _TransferChain(self, message, collective, route).start()

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Union
 
@@ -51,22 +52,23 @@ class Platform:
       environment quantify the cost of the extra partial sends/receives the
       overlap mechanism introduces;
     * ``replay_backend`` selects the replay implementation: ``event`` (the
-      default) walks every record through the generic DES, ``compiled``
-      batch-advances contention-free stretches (fused CPU-burst segments,
-      event-elided uncontended transfers), and ``adaptive`` fast-forwards
-      entire contention-free windows with closed-form per-rank time
-      recurrences, entering the DES only when decomposed collectives or
-      CPU contention force real event interleaving.  ``event`` and
-      ``compiled`` produce bit-identical results and are excluded from
-      result-cache keys; ``adaptive`` may approximate queueing order on
-      contended networks (bounded by ``max_relative_error``) and therefore
-      *is* part of the cache key;
+      default) walks every record through the generic DES, and
+      ``adaptive`` fast-forwards entire windows with closed-form per-rank
+      time recurrences, running the ``event`` walk for cells it cannot
+      fast-forward (decomposed collectives, CPU contention, defective
+      traces).  ``event`` results are keyed without the knob; ``adaptive``
+      may approximate queueing order on contended networks (bounded by
+      ``max_relative_error``) and therefore *is* part of the cache key;
     * ``max_relative_error`` bounds the relative divergence the
       ``adaptive`` backend is allowed on elapsed-time scalars versus the
       exact ``event`` backend.  Windows the classifier proves
       contention-free are replayed exactly regardless of this knob; it
       only governs (and keys) the approximate fast-forward of contended
-      windows.  Ignored by the exact backends.
+      windows.  Ignored by the ``event`` backend.
+
+    Every numeric field must be finite: a ``nan`` or ``inf`` would replay
+    to a non-finite total time (or silently change the adaptive backend's
+    path) instead of failing where it was set.
     """
 
     name: str = "default"
@@ -104,6 +106,13 @@ class Platform:
             raise ConfigurationError(
                 f"collective_model must be a CollectiveSpec or its string "
                 f"form, got {self.collective_model!r}")
+        # getattr per field, not vars(self): reading __dict__ would give
+        # every instance a materialised dict, and sweeps keep thousands.
+        for field_name in self.__dataclass_fields__:
+            value = getattr(self, field_name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigurationError(
+                    f"{field_name} must be a finite number, got {value!r}")
         if self.relative_cpu_speed <= 0:
             raise ConfigurationError("relative_cpu_speed must be positive")
         if self.mpi_overhead < 0:
@@ -118,9 +127,9 @@ class Platform:
             raise ConfigurationError("eager_threshold must be non-negative")
         if self.processors_per_node < 1:
             raise ConfigurationError("processors_per_node must be >= 1")
-        if self.replay_backend not in ("event", "compiled", "adaptive"):
+        if self.replay_backend not in ("event", "adaptive"):
             raise ConfigurationError(
-                f"replay_backend must be 'event', 'compiled' or 'adaptive', "
+                f"replay_backend must be 'event' or 'adaptive', "
                 f"got {self.replay_backend!r}")
         if self.max_relative_error < 0:
             raise ConfigurationError("max_relative_error must be non-negative")

@@ -39,7 +39,7 @@ from repro.dimemas.collectives import build_collective_model
 from repro.dimemas.collectives.analytical import collective_duration
 from repro.dimemas.matching import MessageMatcher
 from repro.dimemas.messages import Message
-from repro.dimemas.network import CompiledNetworkFabric, NetworkFabric
+from repro.dimemas.network import NetworkFabric
 from repro.dimemas.platform import Platform
 from repro.dimemas.results import RankStats
 from repro.dimemas.windows import WindowPlan, classify
@@ -51,7 +51,6 @@ from repro.tracing.timebase import TimeBase
 from repro.tracing.trace import (
     OP_COLLECTIVE,
     OP_CPU,
-    OP_FUSED,
     OP_RECV,
     OP_SEND,
     OP_WAIT,
@@ -288,10 +287,7 @@ class ReplayEngine:
         self.env = Environment()
         timeline_class = Timeline if collect_timeline else NullRecorder
         self.timeline = timeline_class(num_ranks=trace.num_ranks, name=self.label)
-        fabric_class = (CompiledNetworkFabric
-                        if platform.replay_backend in ("compiled", "adaptive")
-                        else NetworkFabric)
-        self.network = fabric_class(
+        self.network = NetworkFabric(
             self.env, platform, trace.num_ranks,
             self.timeline if collect_timeline else None)
         self.matcher = MessageMatcher(self.env, platform, self.network)
@@ -312,8 +308,7 @@ class ReplayEngine:
     def run(self) -> Tuple[float, List[RankStats], Timeline, Dict[str, float]]:
         """Run the replay and return (total_time, stats, timeline, network stats)."""
         prepared = self.trace.prepared()
-        backend = self.platform.replay_backend
-        if backend == "adaptive":
+        if self.platform.replay_backend == "adaptive":
             plan = classify(self.trace, self.platform)
             self.window_plan = plan
             if plan.fast_forward:
@@ -331,9 +326,8 @@ class ReplayEngine:
                                     else self.platform.max_relative_error),
                 }
                 return self._finalize()
-            # Not fast-forwardable: the exact compiled path below replays
-            # the cell (and, for defective traces, raises the exact errors
-            # the event backend would).
+            # Not fast-forwardable: the event walk below replays the cell
+            # (and, for defective traces, raises its exact errors).
             self.adaptive_summary = {
                 "backend": "adaptive",
                 "mode": "des-fallback",
@@ -346,20 +340,9 @@ class ReplayEngine:
                 "max_relative_error": self.platform.max_relative_error,
                 "error_bound": 0.0,
             }
-        if backend != "event" and not self.platform.cpu_contention:
-            # Segment-fused rank walk.  With CPU contention the bursts go
-            # through a shared Resource, whose wake-up instants depend on
-            # the other ranks -- they cannot be precomputed, so contended
-            # platforms keep the per-record walk (the compiled fabric still
-            # applies).
-            fused = prepared.fused_ops()
-            rank_loop, streams = self._rank_process_compiled, fused
-        else:
-            rank_loop, streams = self._rank_process, prepared.ops
-        for rank_trace in self.trace:
-            process = self.env.process(
-                rank_loop(rank_trace.rank, streams[rank_trace.rank]),
-                name=f"rank{rank_trace.rank}")
+        for rank, rank_ops in enumerate(prepared.ops):
+            process = self.env.process(self._rank_process(rank, rank_ops),
+                                       name=f"rank{rank}")
             self._processes.append(process)
         self.env.run()
         self._check_finished()
@@ -1287,150 +1270,3 @@ class ReplayEngine:
         self.matcher.messages_matched = matched
         env.advance_to(max(finish_t, default=0.0))
         return contended
-
-    def _rank_process_compiled(self, rank: int, ops):
-        # The compiled twin of :meth:`_rank_process`: walks the
-        # segment-fused entry stream (uniform ``(opcode, payload, position,
-        # overhead_folded)`` tuples, see PreparedTrace.fused_ops), so a
-        # maximal run of CPU bursts -- plus the MPI-overhead charge of the
-        # record that follows it -- costs ONE timeout instead of one per
-        # record.  The wake-up instant and every statistic are accumulated
-        # in the exact float-expression order of the per-record loop, so
-        # results are bit-identical (pinned by the backend golden tests).
-        # Only selected when CPU contention is off; OP_CPU never appears in
-        # the fused stream (every burst lives inside a segment).
-        env = self.env
-        stats = self.stats[rank]
-        collect = self.collect_timeline
-        add_interval = self.timeline.add_interval
-        timeout = env.schedule_timeout
-        timeout_at = env.schedule_timeout_at
-        post_send = self.matcher.post_send
-        post_recv = self.matcher.post_recv
-        enter_collective = self.coordinator.enter
-        progress = self._progress
-        platform = self.platform
-        mpi_overhead = platform.mpi_overhead
-        duration_denominator = (self.timebase.instructions_per_second
-                                * platform.relative_cpu_speed)
-        state_running = ThreadState.RUNNING
-        requests: Dict[int, Tuple[str, Message, int]] = {}
-        collective_index = 0
-        final_position = 0
-
-        for op, payload, index, overhead_folded in ops:
-            progress[rank] = index
-            if op == OP_FUSED:
-                # Precompute the wake-up instant by walking the bursts in
-                # the per-record float order, sleep once, then account the
-                # per-record deltas with the same expressions.
-                start = env._now
-                bursts = payload.instructions
-                if len(bursts) == 1:
-                    # The dominant shape: real traces interleave compute
-                    # with communication, so maximal runs are usually one
-                    # burst (plus a folded overhead charge).  Same float
-                    # expressions as the general walk below.
-                    t = start + bursts[0] / duration_denominator
-                    fold = payload.trailing_overhead and mpi_overhead > 0.0
-                    end = t + mpi_overhead if fold else t
-                    yield timeout_at(end)
-                    stats.compute_time += t - start
-                    if collect:
-                        add_interval(rank, start, t, state_running)
-                else:
-                    t = start
-                    for instructions in bursts:
-                        t = t + instructions / duration_denominator
-                    fold = payload.trailing_overhead and mpi_overhead > 0.0
-                    end = t + mpi_overhead if fold else t
-                    # Absolute-time scheduling: now + (end - now) != end
-                    # in floats, and the wake-up instant must equal the
-                    # generic walk's bit for bit.
-                    yield timeout_at(end)
-                    t2 = start
-                    for instructions in bursts:
-                        t3 = t2 + instructions / duration_denominator
-                        stats.compute_time += t3 - t2
-                        if collect:
-                            add_interval(rank, t2, t3, state_running)
-                        t2 = t3
-                if fold:
-                    stats.mpi_overhead_time += end - t
-                    if collect:
-                        add_interval(rank, t, end, state_running)
-                final_position = payload.end
-                continue
-            final_position = index + 1
-            if mpi_overhead > 0.0 and not overhead_folded:
-                start = env._now
-                yield timeout(mpi_overhead)
-                stats.mpi_overhead_time += env._now - start
-                if collect:
-                    add_interval(rank, start, env._now, state_running)
-            record = payload
-            if op == OP_SEND:
-                message = post_send(rank, record)
-                stats.bytes_sent += record.size
-                stats.messages_sent += 1
-                if record.blocking:
-                    start = env._now
-                    yield message.send_complete
-                    stats.send_wait_time += env._now - start
-                    if collect:
-                        add_interval(rank, start, env._now, ThreadState.SEND_WAIT)
-                else:
-                    requests[record.request] = ("send", message, index)
-            elif op == OP_RECV:
-                message = post_recv(rank, record)
-                stats.bytes_received += record.size
-                stats.messages_received += 1
-                if record.blocking:
-                    start = env._now
-                    yield message.arrived
-                    stats.recv_wait_time += env._now - start
-                    if collect:
-                        add_interval(rank, start, env._now, ThreadState.RECV_WAIT)
-                else:
-                    requests[record.request] = ("recv", message, index)
-            elif op == OP_WAIT:
-                events = []
-                for request_id in record.requests:
-                    try:
-                        side, message, _ = requests.pop(request_id)
-                    except KeyError:
-                        raise SimulationError(format_defect(
-                            "TL302", rank, index,
-                            f"waits on unknown request {request_id}")) from None
-                    events.append(message.send_complete if side == "send"
-                                  else message.arrived)
-                if not events:
-                    continue
-                start = env._now
-                yield _WaitAll(env, events)
-                stats.request_wait_time += env._now - start
-                if collect:
-                    add_interval(rank, start, env._now, ThreadState.REQUEST_WAIT)
-            elif op == OP_COLLECTIVE:
-                start = env._now
-                instance = enter_collective(rank, record, collective_index,
-                                            index)
-                collective_index += 1
-                stats.collectives += 1
-                yield instance.all_arrived
-                completions = instance.completions
-                if completions is None:
-                    remaining = instance.finish_time - env._now
-                    if remaining > 0:
-                        yield timeout(remaining)
-                else:
-                    yield completions[rank]
-                stats.collective_time += env._now - start
-                if collect:
-                    add_interval(rank, start, env._now, ThreadState.COLLECTIVE)
-            else:
-                raise SimulationError(f"rank {rank}: unknown record {record!r}")
-        if requests:
-            self._leftover_requests(rank, requests)
-        self._progress[rank] = final_position
-        stats.finish_time = env._now

@@ -14,7 +14,7 @@ is the pre-replay pass that decides both, over the prepared record streams
   interleave), no CPU contention (a shared CPU resource's wake-up order is
   a global property of the DES), no unknown records, cross-rank agreement
   on collective counts and parameters (a disagreeing trace must fail
-  through the real engine so it raises the exact same error), and a clean
+  through the event walk so it raises the exact same error), and a clean
   run of the static matcher from :mod:`repro.analysis.tracelint` -- the
   zero-time symbolic replay is exact for progress semantics, so a trace it
   proves matchable cannot deadlock under fast-forwarding.
@@ -54,8 +54,8 @@ class WindowPlan:
     """The classifier's verdict for one (trace, platform) cell.
 
     ``fast_forward`` is the operative bit: the adaptive engine fast-forwards
-    when it is set and falls back to the exact compiled/event path (with
-    ``reason`` explaining why) when it is not.  ``proven_exact`` asserts the
+    when it is set and falls back to the event walk (with ``reason``
+    explaining why) when it is not.  ``proven_exact`` asserts the
     fast-forwarded result is bit-identical to the event backend: every
     window is contention-free, so the closed-form recurrences replicate the
     DES float-for-float.

@@ -153,13 +153,13 @@ class Experiment:
         return self
 
     def replay_backend(self, backend: str) -> "Experiment":
-        """Select the replay backend (``event``, ``compiled`` or ``adaptive``).
+        """Select the replay backend (``event`` or ``adaptive``).
 
-        ``event`` and ``compiled`` are bit-identical; ``compiled``
-        batch-advances contention-free stretches for wall-time speed.
-        ``adaptive`` fast-forwards contention-free windows in closed form
-        and approximates contended ones within
-        :meth:`max_relative_error` (proven-exact cells stay bit-identical).
+        ``event`` walks every record through the DES.  ``adaptive``
+        fast-forwards contention-free windows in closed form, approximates
+        contended ones within :meth:`max_relative_error` (proven-exact
+        cells stay bit-identical) and runs the ``event`` walk for cells it
+        cannot fast-forward.
         """
         return self.platform(replay_backend=backend)
 
@@ -167,8 +167,8 @@ class Experiment:
         """Relative-error bound for the ``adaptive`` backend.
 
         ``0.0`` forbids approximate fast-forwarding entirely: cells with
-        contended windows fall back to the exact DES path.  Ignored by the
-        exact backends.
+        contended windows fall back to the ``event`` walk.  Ignored by the
+        ``event`` backend.
         """
         return self.platform(max_relative_error=bound)
 

@@ -15,12 +15,11 @@ those inputs:
 * the serialized platform point -- every simulation-relevant
   :data:`~repro.dimemas.config.PLATFORM_FIELDS` field (topology and
   collective-model specs in their compact string forms), *excluding* the
-  cosmetic ``name`` label and -- for the exact backends -- the
-  ``replay_backend`` / ``max_relative_error`` knobs (``event`` and
-  ``compiled`` are bit-identical, so the choice cannot affect simulated
-  numbers).  The approximate ``adaptive`` backend *is* keyed together
-  with its error bound, so approximate results can never be served from
-  -- or poison -- the exact-result cache; and
+  cosmetic ``name`` label and -- for the exact ``event`` backend -- the
+  ``replay_backend`` / ``max_relative_error`` knobs.  The approximate
+  ``adaptive`` backend *is* keyed together with its error bound, so
+  approximate results can never be served from -- or poison -- the
+  exact-result cache; and
 * a simulator version salt, so any release that could change simulated
   numbers invalidates the whole store instead of serving stale results.
 
@@ -62,15 +61,12 @@ def platform_fingerprint(platform: Platform) -> Dict[str, Any]:
     """The simulation-relevant fields of a platform, canonically serialized.
 
     Every :data:`PLATFORM_FIELDS` entry except ``name`` participates,
-    with one backend-dependent wrinkle: for the exact backends
-    (``event``/``compiled``) the ``replay_backend`` and
-    ``max_relative_error`` knobs are skipped -- those backends produce
-    bit-identical results by contract (pinned by the backend golden
-    tests), so a sweep run with ``compiled`` shares its cache with an
-    ``event`` run of the same physics.  The approximate ``adaptive``
-    backend keeps both knobs in the fingerprint: its numbers may differ
-    from the exact ones (and between error bounds), so its cells must
-    never alias an exact cell's address.
+    with one backend-dependent wrinkle: for the exact ``event`` backend the
+    ``replay_backend`` and ``max_relative_error`` knobs are skipped, so an
+    ``event`` cell's key ignores the error bound that backend never reads.
+    The approximate ``adaptive`` backend keeps both knobs in the
+    fingerprint: its numbers may differ from the exact ones (and between
+    error bounds), so its cells must never alias an exact cell's address.
     """
     approximate = platform.replay_backend == "adaptive"
     fingerprint: Dict[str, Any] = {}

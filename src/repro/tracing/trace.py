@@ -29,11 +29,6 @@ OP_SEND = 1
 OP_RECV = 2
 OP_WAIT = 3
 OP_COLLECTIVE = 4
-#: A fused segment: a maximal run of consecutive CPU bursts (plus the MPI
-#: overhead charge of the record that follows the run, when one exists)
-#: collapsed into one array-backed unit the compiled replay backend
-#: advances with a single timeout (see :class:`FusedSegment`).
-OP_FUSED = 5
 #: Records of a type the replay engine does not know (surface at replay).
 OP_UNKNOWN = -1
 
@@ -47,38 +42,6 @@ RECORD_OPCODES: Dict[type, int] = {
 }
 
 
-class FusedSegment:
-    """A maximal run of conflict-free records compiled to plain arrays.
-
-    The compiled replay backend advances a whole segment with **one**
-    timeout: ``instructions`` holds the per-burst instruction counts in
-    record order (the replay walks ``t = t + instructions / denominator``
-    per entry, exactly the float-expression order of the per-record loop,
-    so the wake-up instant and the accumulated ``compute_time`` stay
-    bit-identical); ``trailing_overhead`` records whether a non-CPU record
-    follows the run, in which case its ``mpi_overhead`` charge (when the
-    platform charges one) is folded into the same timeout and the follower
-    entry carries ``overhead_folded=True``.
-
-    ``start``/``end`` are the original record positions covered by the
-    bursts (half-open), kept for progress/deadlock reporting.
-    """
-
-    __slots__ = ("instructions", "start", "end", "trailing_overhead")
-
-    def __init__(self, instructions: Tuple[float, ...], start: int, end: int,
-                 trailing_overhead: bool):
-        self.instructions = instructions
-        self.start = start
-        self.end = end
-        self.trailing_overhead = trailing_overhead
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"FusedSegment(records={self.start}..{self.end}, "
-                f"bursts={len(self.instructions)}, "
-                f"trailing_overhead={self.trailing_overhead})")
-
-
 @dataclass
 class PreparedTrace:
     """A trace normalised for replay: opcode-tagged record streams.
@@ -88,11 +51,6 @@ class PreparedTrace:
     :class:`Trace` object and cached (:meth:`Trace.prepared`), so a sweep
     that replays the same trace on dozens of platforms normalises it once
     instead of once per task.
-
-    :meth:`fused_ops` additionally compiles the segment-fused form used by
-    the ``compiled`` replay backend; it is built lazily (the default
-    ``event`` backend never pays for it) and cached on the instance, so it
-    is shared through the same digest-keyed memo as the plain streams.
     """
 
     ops: List[List[Tuple[int, Record]]]
@@ -105,64 +63,11 @@ class PreparedTrace:
                for rank_trace in trace.ranks]
         return cls(ops=ops)
 
-    # -- segment fusion ----------------------------------------------------
-    def fused_ops(self) -> List[List[Tuple[int, Any, int, bool]]]:
-        """The segment-fused entry streams of every rank, built lazily.
-
-        Entries are uniform 4-tuples ``(opcode, payload, position,
-        overhead_folded)``: ``payload`` is the original record (or the
-        :class:`FusedSegment` for ``OP_FUSED``), ``position`` the original
-        record index (segment start for fused entries), and
-        ``overhead_folded`` marks a record whose MPI-overhead charge the
-        preceding segment already accounted for.
-        """
-        fused = getattr(self, "_fused", None)
-        if fused is None:
-            fused = [_fuse_rank_ops(rank_ops) for rank_ops in self.ops]
-            self._fused = fused
-        return fused
-
-
-def _fuse_rank_ops(rank_ops) -> List[Tuple[int, Any, int, bool]]:
-    """Collapse maximal runs of CPU bursts of one rank into fused segments.
-
-    Only ``OP_CPU`` records can be fused: they have no cross-rank side
-    effects, so (absent CPU contention, which the replay engine checks
-    before selecting this stream) their wake-up instants are a pure local
-    computation.  The record following a run is emitted with
-    ``overhead_folded=True`` so its per-call MPI overhead rides on the
-    segment's single timeout instead of a second one.
-    """
-    entries: List[Tuple[int, Any, int, bool]] = []
-    index = 0
-    total = len(rank_ops)
-    while index < total:
-        op, record = rank_ops[index]
-        if op != OP_CPU:
-            entries.append((op, record, index, False))
-            index += 1
-            continue
-        run_end = index + 1
-        while run_end < total and rank_ops[run_end][0] == OP_CPU:
-            run_end += 1
-        trailing = run_end < total
-        segment = FusedSegment(
-            instructions=tuple(rank_ops[k][1].instructions
-                               for k in range(index, run_end)),
-            start=index, end=run_end, trailing_overhead=trailing)
-        entries.append((OP_FUSED, segment, index, False))
-        if trailing:
-            next_op, next_record = rank_ops[run_end]
-            entries.append((next_op, next_record, run_end, True))
-            run_end += 1
-        index = run_end
-    return entries
-
 
 # -- digest-keyed preparation sharing ------------------------------------------
-# Compiled record streams shared *by content* across Trace objects.  A sweep
+# Prepared record streams shared *by content* across Trace objects.  A sweep
 # worker (or a long-running experiment process) that deserialises the same
-# trace content repeatedly -- one Trace object per run -- reuses the compiled
+# trace content repeatedly -- one Trace object per run -- reuses the prepared
 # stream instead of recompiling it, as long as the content digest is known
 # (either computed via :meth:`Trace.digest` or adopted from the producer of
 # the serialized form via :meth:`Trace.adopt_digest`).  Records are never
@@ -320,7 +225,7 @@ class Trace:
         determine replay results -- and *not* from ``metadata`` (labels,
         provenance) or object identity: two traces with equal records hash
         equally no matter how they were built.  The digest is cached on the
-        instance, and computing it registers this trace's compiled record
+        instance, and computing it registers this trace's prepared record
         stream in a process-wide content-keyed memo, so later objects with
         the same content (e.g. re-deserialised sweep variants) skip
         recompilation (see :meth:`adopt_digest`).
@@ -343,7 +248,7 @@ class Trace:
 
         Sweep workers receive serialized traces whose digest the parent
         process already computed; adopting it (instead of re-hashing) lets
-        :meth:`prepared` reuse a content-identical compiled stream and makes
+        :meth:`prepared` reuse a content-identical prepared stream and makes
         the later :meth:`digest` call free.  The caller asserts the digest
         matches the content -- adopt only digests produced by
         :meth:`digest` on an equal trace.

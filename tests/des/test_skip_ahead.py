@@ -1,96 +1,27 @@
-"""Edge cases of the drain-loop skip-ahead and the absolute-time/bootstrap
-scheduling primitives the compiled replay backend is built on."""
+"""Edge cases of the drain-loop skip-ahead for plain timeouts."""
 
 import pytest
 
-from repro.des import Environment, Timeout
+from repro.des import Environment
 from repro.des.exceptions import EmptySchedule
 
 
-class TestScheduleTimeoutAt:
-    def test_fires_at_the_exact_absolute_time(self):
-        env = Environment()
-        env.schedule_timeout(0.1)
-        env.run()
-        fired = []
-        env.schedule_timeout_at(0.3).callbacks.append(
-            lambda event: fired.append(env.now))
-        env.run()
-        assert fired == [0.3]
-
-    def test_matches_a_per_record_timeout_walk_bit_exactly(self):
-        # The compiled backend walks `t = t + duration` per fused record and
-        # schedules the segment end at the absolute `t`.  The clock must
-        # land on exactly the float the per-record chain of relative
-        # timeouts would produce.
-        durations = [0.1, 0.2, 0.3, 1e-7, 0.30000000000000004]
-
-        env_chain = Environment()
-
-        def chain():
-            for duration in durations:
-                yield env_chain.timeout(duration)
-
-        env_chain.process(chain())
-        env_chain.run()
-
-        env_fused = Environment()
-        t = env_fused.now
-        for duration in durations:
-            t = t + duration
-        env_fused.schedule_timeout_at(t)
-        env_fused.run()
-        assert env_fused.now == env_chain.now
-
-    def test_past_time_rejected(self):
-        env = Environment()
-        env.schedule_timeout(1.0)
-        env.run()
-        with pytest.raises(ValueError, match="in the past"):
-            env.schedule_timeout_at(0.5)
-
-    def test_now_is_allowed(self):
-        env = Environment()
-        env.schedule_timeout(1.0)
-        env.run()
-        event = env.schedule_timeout_at(env.now)
-        env.run()
-        assert event.processed
-
-    def test_is_a_plain_timeout(self):
-        # The drain loop's skip-ahead keys on `type(event) is Timeout`;
-        # a fused-segment wake-up must take that fast path.
-        env = Environment()
-        assert type(env.schedule_timeout_at(0.0)) is Timeout
-
-
-class TestSimultaneousEventsAtFusedBoundary:
-    def test_push_order_preserved_at_the_same_instant(self):
-        # A fused-segment timeout ending at T and ordinary events at T are
-        # processed in push (eid) order, exactly as without skip-ahead.
-        env = Environment()
-        order = []
-        env.schedule_timeout(1.0).callbacks.append(
-            lambda event: order.append("fused-end"))
-        env.schedule_timeout_at(1.0).callbacks.append(
-            lambda event: order.append("absolute"))
-        env.schedule_timeout(1.0).callbacks.append(
-            lambda event: order.append("relative"))
-        env.run()
-        assert order == ["fused-end", "absolute", "relative"]
-
+class TestSimultaneousEventsDuringSkip:
     def test_urgent_event_pushed_during_skip_overtakes_normal(self):
         # A callback running inside the skip-ahead path can push an URGENT
-        # event at the current instant; it must still overtake NORMAL
-        # events already queued for that instant.
+        # event at the current instant (here a process start, whose
+        # initialisation is urgent); it must still overtake NORMAL events
+        # already queued for that instant.
         env = Environment()
         order = []
+
+        def urgent():
+            order.append("urgent")
+            yield env.timeout(0.0)
 
         def push_urgent(event):
             order.append("timeout")
-            bootstrap = env.schedule_bootstrap(
-                lambda ev: order.append("urgent"))
-            assert bootstrap.triggered
+            env.process(urgent())
 
         env.schedule_timeout(1.0).callbacks.append(push_urgent)
         env.schedule_timeout(1.0).callbacks.append(
@@ -144,27 +75,3 @@ class TestEmptyQueueAfterSkip:
         env.schedule_timeout(1.0)
         with pytest.raises(EmptySchedule, match="until"):
             env.run(until=stop)
-
-
-class TestScheduleBootstrap:
-    def test_callback_sees_the_value_and_runs_at_now(self):
-        env = Environment()
-        env.schedule_timeout(1.0)
-        env.run()
-        seen = []
-        env.schedule_bootstrap(
-            lambda event: seen.append((env.now, event._value)), value=("a", 1))
-        env.run()
-        assert seen == [(1.0, ("a", 1))]
-
-    def test_pops_before_normal_events_queued_earlier(self):
-        # The bootstrap slot must match an Initialize of a process started
-        # now: urgent, so it overtakes same-instant NORMAL events even if
-        # they were pushed first.
-        env = Environment()
-        order = []
-        env.schedule_timeout(0.0).callbacks.append(
-            lambda event: order.append("normal"))
-        env.schedule_bootstrap(lambda event: order.append("bootstrap"))
-        env.run()
-        assert order == ["bootstrap", "normal"]

@@ -2,8 +2,12 @@
 
 import pytest
 
+from repro.dimemas.config import PLATFORM_FIELDS
 from repro.dimemas.platform import Platform
 from repro.errors import ConfigurationError
+
+NUMERIC_FIELDS = sorted(name for name, kind in PLATFORM_FIELDS.items()
+                        if kind in (int, float))
 
 
 class TestPlatformValidation:
@@ -18,6 +22,13 @@ class TestPlatformValidation:
     def test_invalid_parameters_rejected(self, kwargs):
         with pytest.raises(ConfigurationError):
             Platform(**kwargs)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("field", NUMERIC_FIELDS)
+    def test_non_finite_numbers_rejected(self, field, value):
+        with pytest.raises(ConfigurationError,
+                           match=f"{field} must be a finite number"):
+            Platform(**{field: value})
 
     def test_defaults_are_valid(self):
         platform = Platform()

@@ -1,10 +1,11 @@
 """Acceptance tests of the adaptive replay backend.
 
 The adaptive backend (``replay_backend="adaptive"``) classifies a cell's
-replay into windows, fast-forwards the contention-free ones with
-closed-form per-rank time recurrences and enters the event queue only
-where contention forces real interleaving.  Its contract is weaker than
-the compiled backend's bit-identity, and these tests pin exactly that
+replay into windows and fast-forwards them with closed-form per-rank time
+recurrences; cells it cannot fast-forward (decomposed collectives, CPU
+contention, defective traces, contended cells under a zero error bound)
+run the event backend's own walk.  Its contract is weaker than
+bit-identity to the event backend, and these tests pin exactly that
 contract:
 
 * every cell's total time is within the configured
@@ -12,6 +13,10 @@ contract:
 * on *proven* contention-free cells (no finite buses or links, or an
   ideal network) the results are bit-identical: total time, per-rank
   statistics and timeline intervals match the event backend exactly;
+* a matrix of platform corners, collective models and overlap
+  mechanisms -- fast-forwarded and DES-fallback alike -- matches the
+  event backend bit for bit, and defective traces raise the event
+  backend's errors;
 * parallel sweeps (``jobs>1``) are deterministic and identical to the
   serial run.
 
@@ -34,7 +39,10 @@ from repro.core.patterns import ComputationPattern
 from repro.dimemas.platform import Platform
 from repro.dimemas.replay import ReplayEngine
 from repro.dimemas.simulator import DimemasSimulator
+from repro.errors import ConfigurationError, SimulationError
 from repro.experiments import Experiment, run_experiment
+from repro.tracing.records import CpuBurst, RecvRecord, SendRecord, WaitRecord
+from repro.tracing.trace import RankTrace, Trace
 
 ALL_APPS = tuple(sorted(APPLICATIONS))
 TOPOLOGIES = ("flat", "tree:radix=2", "torus:torus_width=2")
@@ -182,6 +190,170 @@ class TestProvenWindowsExact:
     def test_ideal_network_bit_exact(self, app):
         engine = _assert_bit_exact(_trace(app), Platform.ideal_network())
         assert engine.adaptive_summary["proven_exact"] is True
+
+
+class TestPlatformCorners:
+    """Corners the adaptive walk fast-forwards: bit-identical to event."""
+
+    def _assert_fast_forward_exact(self, trace, platform):
+        engine = _assert_bit_exact(trace, platform)
+        assert engine.adaptive_summary["mode"] == "fast-forward"
+
+    def test_mpi_overhead(self):
+        self._assert_fast_forward_exact(
+            _trace("nas-bt", overlap="ideal"),
+            Platform(bandwidth_mbps=100.0, mpi_overhead=2.0e-5))
+
+    def test_rendezvous_protocol(self):
+        self._assert_fast_forward_exact(
+            _trace("nas-cg"),
+            Platform(bandwidth_mbps=100.0, eager_threshold=0))
+
+    def test_contended_buses_and_links(self):
+        self._assert_fast_forward_exact(
+            _trace("sweep3d"),
+            Platform(bandwidth_mbps=25.0, num_buses=1, input_links=1,
+                     output_links=1))
+
+    def test_ideal_network(self):
+        self._assert_fast_forward_exact(
+            _trace("nas-cg"), Platform.ideal_network())
+
+    def test_equal_intranode_timing(self):
+        # Intranode and internode transfers of the same size complete at
+        # the same instant: adversarial for any reordering of same-time
+        # completions.
+        self._assert_fast_forward_exact(
+            _trace("sweep3d"),
+            Platform(bandwidth_mbps=100.0, latency=1.0e-6,
+                     processors_per_node=2,
+                     intranode_bandwidth_mbps=100.0,
+                     intranode_latency=1.0e-6))
+
+
+class TestDesFallbackCorners:
+    """Cells adaptive cannot fast-forward run the event walk itself."""
+
+    def _assert_fallback_exact(self, trace, platform):
+        engine = _assert_bit_exact(trace, platform)
+        assert engine.adaptive_summary["mode"] == "des-fallback"
+        return engine.adaptive_summary["fallback_reason"]
+
+    def test_decomposed_collectives_on_a_torus(self):
+        reason = self._assert_fallback_exact(
+            _trace("nas-cg", overlap="ideal"),
+            Platform(bandwidth_mbps=100.0, collective_model="decomposed",
+                     topology="torus:torus_width=2"))
+        assert "decomposed collectives" in reason
+
+    def test_cpu_contention_with_intranode_traffic(self):
+        reason = self._assert_fallback_exact(
+            _trace("nas-bt"),
+            Platform(bandwidth_mbps=100.0, processors_per_node=4,
+                     cpu_contention=True, intranode_bandwidth_mbps=1000.0))
+        assert "CPU contention" in reason
+
+    def test_zero_error_bound_on_a_contended_cell(self):
+        reason = self._assert_fallback_exact(
+            _trace("sweep3d"),
+            Platform(bandwidth_mbps=25.0, num_buses=1, input_links=1,
+                     output_links=1, max_relative_error=0.0))
+        assert reason.startswith("max_relative_error=0")
+
+
+class TestAcrossCollectiveModels:
+    """``analytical`` collectives fast-forward; ``decomposed`` ones route
+    collective traffic through the fabric and run the event walk.  Both
+    must match the event backend bit for bit."""
+
+    @pytest.mark.parametrize("model, mode", [("analytical", "fast-forward"),
+                                             ("decomposed", "des-fallback")])
+    @pytest.mark.parametrize("app", ("nas-bt", "nas-cg", "sweep3d"))
+    def test_collective_models_bit_exact(self, app, model, mode):
+        engine = _assert_bit_exact(
+            _trace(app), Platform(bandwidth_mbps=100.0, collective_model=model))
+        assert engine.adaptive_summary["mode"] == mode
+
+
+class TestDesFallbackAcrossMechanisms:
+    """Overlapped traces of every pattern and mechanism, on both DES-fallback
+    causes that a well-formed trace can hit: CPU contention with mixed
+    intra- and internode traffic, and decomposed collectives on a tree."""
+
+    FALLBACK_PLATFORMS = (
+        Platform(bandwidth_mbps=250.0, processors_per_node=2,
+                 cpu_contention=True, intranode_bandwidth_mbps=1000.0),
+        Platform(bandwidth_mbps=250.0, topology="tree:radix=2",
+                 collective_model="decomposed"),
+    )
+
+    @pytest.mark.parametrize("mechanism", MECHANISMS)
+    @pytest.mark.parametrize("pattern", ["real", "ideal"])
+    def test_mechanism_variants_bit_exact(self, pattern, mechanism):
+        trace = _trace("nas-bt", overlap=pattern, mechanism=mechanism)
+        for platform in self.FALLBACK_PLATFORMS:
+            engine = _assert_bit_exact(trace, platform)
+            assert engine.adaptive_summary["mode"] == "des-fallback"
+
+
+class TestLeftoverRequests:
+    """A non-blocking request never waited on is a malformed trace; both
+    backends must name the rank and the dangling request ids."""
+
+    def _trace_with_dangling_request(self):
+        return Trace(ranks=[
+            RankTrace(rank=0, records=[
+                CpuBurst(instructions=1.0e6),
+                SendRecord(dst=1, size=1000, tag=0, blocking=False, request=7),
+                SendRecord(dst=1, size=1000, tag=1, blocking=False, request=9),
+                CpuBurst(instructions=1.0e6),
+            ]),
+            RankTrace(rank=1, records=[
+                RecvRecord(src=0, size=1000, tag=0),
+                RecvRecord(src=0, size=1000, tag=1),
+            ]),
+        ], mips=1000.0, metadata={"name": "dangling"})
+
+    @pytest.mark.parametrize("backend", ["event", "adaptive"])
+    def test_dangling_requests_raise(self, backend):
+        platform = Platform(bandwidth_mbps=100.0, replay_backend=backend)
+        engine = ReplayEngine(self._trace_with_dangling_request(), platform)
+        with pytest.raises(SimulationError,
+                           match=r"TL301 dangling-request at rank 0, "
+                                 r"record 1: .*7, 9"):
+            engine.run()
+
+    @pytest.mark.parametrize("backend", ["event", "adaptive"])
+    def test_waited_requests_do_not_raise(self, backend):
+        trace = Trace(ranks=[
+            RankTrace(rank=0, records=[
+                SendRecord(dst=1, size=1000, tag=0, blocking=False, request=7),
+                WaitRecord(requests=[7]),
+            ]),
+            RankTrace(rank=1, records=[RecvRecord(src=0, size=1000, tag=0)]),
+        ], mips=1000.0, metadata={"name": "waited"})
+        ReplayEngine(trace, Platform(bandwidth_mbps=100.0,
+                                     replay_backend=backend)).run()
+
+
+class TestReplayBackendKnob:
+    def test_invalid_backend_rejected(self):
+        with pytest.raises(ConfigurationError, match="replay_backend"):
+            Platform(replay_backend="bytecode")
+
+    def test_with_replay_backend_round_trip(self):
+        platform = Platform(bandwidth_mbps=100.0)
+        assert platform.replay_backend == "event"
+        adaptive = platform.with_replay_backend("adaptive")
+        assert adaptive.replay_backend == "adaptive"
+        assert adaptive.bandwidth_mbps == platform.bandwidth_mbps
+
+    def test_builder_sets_the_backend(self):
+        spec = (Experiment.for_app("sancho-loop", num_ranks=4, iterations=2)
+                .bandwidths(100.0)
+                .replay_backend("adaptive")
+                .build())
+        assert spec.platform_dict()["replay_backend"] == "adaptive"
 
 
 class TestAdaptiveMetadata:

@@ -71,6 +71,13 @@ class TestCli:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_non_finite_platform_number_is_a_clear_error(self, capsys):
+        code = main(["study", "--app", "sancho-loop", "--ranks", "4",
+                     "--iterations", "1", "--bandwidth", "nan"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "error: bandwidth_mbps must be a finite number, got nan" in err
+
 
 class TestCliTopologies:
     def _trace(self, tmp_path):

@@ -4,6 +4,7 @@ cell digest, and nothing cosmetic may."""
 import pytest
 
 from repro.dimemas.platform import Platform
+from repro.errors import ConfigurationError
 from repro.store import (
     ORIGINAL_VARIANT,
     CellKey,
@@ -93,20 +94,21 @@ class TestKeySensitivity:
 
 
 class TestReplayBackendKeying:
-    """The exact backends share cache entries; the approximate one does not.
+    """The exact backend is keyed without the knobs; the approximate one is not.
 
-    ``event`` and ``compiled`` are bit-identical by contract, so the backend
-    choice must not fragment the cache.  ``adaptive`` results carry an error
-    bound, so they must be keyed separately -- both from the exact backends
-    and from adaptive runs with a different bound.
+    ``adaptive`` results carry an error bound, so they must be keyed
+    separately -- both from the exact ``event`` backend and from adaptive
+    runs with a different bound.
     """
 
-    def test_exact_backends_share_a_digest(self):
-        assert digest_of(Platform(replay_backend="event")) == \
-            digest_of(Platform(replay_backend="compiled"))
+    def test_compiled_backend_is_rejected(self):
+        with pytest.raises(ConfigurationError,
+                           match=r"replay_backend must be 'event' or "
+                                 r"'adaptive', got 'compiled'"):
+            Platform(replay_backend="compiled")
 
     def test_exact_fingerprint_omits_the_backend_knobs(self):
-        fingerprint = platform_fingerprint(Platform(replay_backend="compiled"))
+        fingerprint = platform_fingerprint(Platform(replay_backend="event"))
         assert "replay_backend" not in fingerprint
         assert "max_relative_error" not in fingerprint
 

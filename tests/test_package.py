@@ -1,10 +1,29 @@
 """Smoke tests of the public package surface."""
 
 import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import repro
+
+#: Imports every top-level ``repro`` package and module, each one first in
+#: a process whose ``repro.*`` modules were all purged, so an import cycle
+#: that a warm ``sys.modules`` would hide still fails.
+_COLD_IMPORTS = """
+import importlib, pkgutil, sys
+import repro
+names = sorted(info.name for info in pkgutil.iter_modules(repro.__path__))
+for name in names:
+    for loaded in [key for key in sys.modules
+                   if key == "repro" or key.startswith("repro.")]:
+        del sys.modules[loaded]
+    importlib.import_module("repro." + name)
+print(" ".join(names))
+"""
 
 
 class TestPublicApi:
@@ -42,3 +61,20 @@ class TestPublicApi:
         environment = OverlapStudyEnvironment(platform=Platform(bandwidth_mbps=500.0))
         study = environment.study(SanchoLoop(num_ranks=2, iterations=1))
         assert study.original_result.total_time > 0
+
+
+class TestColdImports:
+    def test_every_top_level_module_imports_cold(self, tmp_path):
+        source_root = str(Path(repro.__file__).resolve().parents[1])
+        # Bytecode cached under tmp_path: each source compiles once, not
+        # once per purge, even where the caller disabled bytecode writes.
+        env = dict(os.environ, PYTHONPATH=source_root,
+                   PYTHONPYCACHEPREFIX=str(tmp_path))
+        env.pop("PYTHONDONTWRITEBYTECODE", None)
+        completed = subprocess.run(
+            [sys.executable, "-c", _COLD_IMPORTS], env=env,
+            capture_output=True, text=True, timeout=60)
+        assert completed.returncode == 0, completed.stderr
+        imported = completed.stdout.split()
+        assert len(imported) == 15
+        assert {"apps", "cli", "workloads", "__main__"} <= set(imported)
