@@ -7,18 +7,18 @@ platform grid covering the paper's replay regimes -- through three
 engines:
 
 * ``legacy``: the embedded pre-refactor replica (the speedup baseline),
-* ``event``: the exact default backend (the *accuracy* reference), and
+* ``event``: the default backend (the *accuracy* reference), and
 * ``adaptive``: the window-classifying fast-forward backend
   (``replay_backend="adaptive"``), the subject under test.
 
-Unlike the exact event backend, the adaptive backend's contract is a
-*bounded* relative error, so this harness measures both sides of the
-trade: the aggregate wall-time speedups over the legacy and event
+The adaptive backend's contract is exactness -- it replays the same run
+as the event backend -- so this harness measures its speed and checks
+that contract: the aggregate wall-time speedups over the legacy and event
 engines, and the per-cell relative error of every simulated total time
 against the event backend.  ``--min-speedup`` (adaptive over legacy) and
-``--max-error`` (worst observed per-cell relative error) turn the run
-into the CI gate that keeps the trade honest: the backend may not get
-faster by getting wronger.
+``--max-error`` (worst observed per-cell relative error; CI passes ``0``)
+turn the run into the CI gate: the backend may not get faster by getting
+wronger.
 
 The results are printed as a table and written to ``BENCH_adaptive.json``
 (committed, with a provenance stamp) so the speed/accuracy trajectory is
@@ -93,7 +93,7 @@ def main(argv=None) -> int:
     parser.add_argument("--max-error", type=float, default=None,
                         help="fail if any cell's relative error against the "
                              "event backend exceeds this bound (CI accuracy "
-                             "guard)")
+                             "guard; 0 demands bit-identical total times)")
     parser.add_argument("--output", default="BENCH_adaptive.json",
                         help="JSON file for the recorded trajectory")
     args = parser.parse_args(argv)

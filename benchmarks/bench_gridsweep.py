@@ -12,13 +12,12 @@ bandwidth grid of uncontended flat platforms, two ways:
   whole platform grid in a single structural walk over the trace, carrying
   one clock vector per rank (one lane per grid cell).
 
-Both paths promise bit-identical results on proven-window cells, so every
-cell's total time is additionally checked against the exact ``event``
-backend: the reported ``max_relative_error`` covers all cells and must be
-0 on this workload (the whole grid is contention-free by construction).
-``--min-speedup`` (grid over per-cell, aggregate wall time) and
-``--max-error`` turn the run into the CI gate that keeps the batching
-honest: evaluating lanes together may not change what any lane computes.
+Both paths promise results bit-identical to the ``event`` backend, so
+every cell's total time is additionally checked against it: the reported
+``max_relative_error`` covers all cells and must be 0.  ``--min-speedup``
+(grid over per-cell, aggregate wall time) and ``--max-error`` (CI passes
+``0``) turn the run into the CI gate that keeps the batching honest:
+evaluating lanes together may not change what any lane computes.
 
 The results are printed as a table and written to ``BENCH_gridsweep.json``
 (committed, with a provenance stamp) so the trajectory is recorded per PR.
@@ -145,7 +144,7 @@ def main(argv=None) -> int:
     parser.add_argument("--max-error", type=float, default=None,
                         help="fail if any cell's relative error against the "
                              "event backend exceeds this bound (CI accuracy "
-                             "guard)")
+                             "guard; 0 demands bit-identical total times)")
     parser.add_argument("--output", default="BENCH_gridsweep.json",
                         help="JSON file for the recorded trajectory")
     args = parser.parse_args(argv)

@@ -319,15 +319,9 @@ def _add_platform_arguments(parser: argparse.ArgumentParser) -> None:
                         choices=["event", "adaptive"],
                         help="replay implementation: 'event' walks every "
                              "record through the DES, 'adaptive' "
-                             "fast-forwards windows in closed form "
-                             "(bit-identical where proven, bounded-error "
-                             "elsewhere, faster) and runs the event walk "
+                             "fast-forwards windows in closed form (same "
+                             "results, faster) and runs the event walk "
                              "where it cannot")
-    parser.add_argument("--max-relative-error", type=float, default=0.01,
-                        help="relative-error bound for the 'adaptive' "
-                             "backend's contended windows; 0 forbids "
-                             "approximation (event-walk fallback); "
-                             "ignored by the 'event' backend")
 
 
 # -- spec construction from flags ---------------------------------------------
@@ -355,7 +349,6 @@ def _platform_options(args: argparse.Namespace) -> dict:
         "intranode_bandwidth_mbps": args.intranode_bandwidth,
         "intranode_latency": args.intranode_latency,
         "replay_backend": args.replay_backend,
-        "max_relative_error": args.max_relative_error,
     }
 
 

@@ -48,13 +48,10 @@ PLATFORM_FIELDS = {
     # parses it back into a CollectiveSpec.
     "collective_model": str,
     # "event" or "adaptive".  Result-cache keys ignore the knob for the
-    # exact "event" backend; the approximate "adaptive" backend is keyed,
-    # together with its error bound (see
+    # reference "event" backend and key "adaptive" results, whose network
+    # aggregates may differ in the last ulp (see
     # repro.store.keys.platform_fingerprint).
     "replay_backend": str,
-    # Relative-error bound the "adaptive" backend enforces on contended
-    # windows; ignored by the "event" backend.
-    "max_relative_error": float,
 }
 
 #: Backwards-compatible private alias.

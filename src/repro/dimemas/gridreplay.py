@@ -30,8 +30,7 @@ amortized across the grid.
 Cells that do not qualify -- contended windows, a diverging protocol
 class, a non-adaptive backend, a trace defect -- peel off into the
 existing per-cell path (:class:`DimemasSimulator`), which fast-forwards
-within the ``max_relative_error`` bound or falls back to the DES exactly
-as a per-cell sweep would.
+or falls back to the DES exactly as a per-cell sweep would.
 
 Network statistics are emitted in the canonical ``(src, dst, tag, pair
 index)`` order that the scalar adaptive path also uses on proven cells
@@ -624,8 +623,6 @@ def _vector_walk(trace: Trace, platforms: List[Platform], plans,
             "network_uncontended": plan.network_uncontended,
             "proven_exact": True,
             "contended_transfers": 0,
-            "max_relative_error": platform.max_relative_error,
-            "error_bound": 0.0,
             "grid_width": width,
         }
         timeline = NullRecorder(

@@ -56,15 +56,10 @@ class Platform:
       ``adaptive`` fast-forwards entire windows with closed-form per-rank
       time recurrences, running the ``event`` walk for cells it cannot
       fast-forward (decomposed collectives, CPU contention, defective
-      traces).  ``event`` results are keyed without the knob; ``adaptive``
-      may approximate queueing order on contended networks (bounded by
-      ``max_relative_error``) and therefore *is* part of the cache key;
-    * ``max_relative_error`` bounds the relative divergence the
-      ``adaptive`` backend is allowed on elapsed-time scalars versus the
-      exact ``event`` backend.  Windows the classifier proves
-      contention-free are replayed exactly regardless of this knob; it
-      only governs (and keys) the approximate fast-forward of contended
-      windows.  Ignored by the ``event`` backend.
+      traces).  Both replay the same run: ``adaptive`` results equal
+      ``event``'s, except that network aggregates may differ in the last
+      ulp (it sums them in a canonical order), which is why ``event``
+      results are keyed without the knob and ``adaptive`` ones with it.
 
     Every numeric field must be finite: a ``nan`` or ``inf`` would replay
     to a non-finite total time (or silently change the adaptive backend's
@@ -87,7 +82,6 @@ class Platform:
     topology: TopologySpec = TopologySpec()
     collective_model: CollectiveSpec = CollectiveSpec()
     replay_backend: str = "event"
-    max_relative_error: float = 0.01
 
     def __post_init__(self) -> None:
         if isinstance(self.topology, str):
@@ -131,8 +125,6 @@ class Platform:
             raise ConfigurationError(
                 f"replay_backend must be 'event' or 'adaptive', "
                 f"got {self.replay_backend!r}")
-        if self.max_relative_error < 0:
-            raise ConfigurationError("max_relative_error must be non-negative")
 
     # -- derived quantities -------------------------------------------------
     @property
@@ -211,10 +203,6 @@ class Platform:
     def with_replay_backend(self, replay_backend: str) -> "Platform":
         """A copy of this platform replayed through a different backend."""
         return replace(self, replay_backend=replay_backend)
-
-    def with_max_relative_error(self, max_relative_error: float) -> "Platform":
-        """A copy of this platform with a different adaptive error bound."""
-        return replace(self, max_relative_error=max_relative_error)
 
     @classmethod
     def ideal_network(cls, name: str = "ideal") -> "Platform":

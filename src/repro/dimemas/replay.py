@@ -184,7 +184,10 @@ class _FastMessage:
     :class:`~repro.dimemas.messages.Message` (whose lifecycle is built from
     DES events) with a plain record: posting flags and times, the computed
     arrival instant (``None`` until both required postings exist) and the
-    ranks blocked on this message.
+    ranks blocked on this message -- ``("r", rank)`` on the arrival,
+    ``("s", rank)`` on the send completion, plus, on contended cells, the
+    ``("sc", sender)`` slot where a rendezvous send's completion callback
+    sits among the arrival's callbacks.
     """
 
     __slots__ = ("src", "dst", "tag", "order", "size", "eager", "send_posted",
@@ -301,7 +304,7 @@ class ReplayEngine:
         #: Classifier verdict of the adaptive backend (None otherwise).
         self.window_plan: Optional[WindowPlan] = None
         #: How the adaptive backend ran this cell (None otherwise):
-        #: mode, window counts, achieved error bound.
+        #: mode, window counts, contended transfers.
         self.adaptive_summary: Optional[Dict[str, Any]] = None
 
     # -- public ------------------------------------------------------------
@@ -311,7 +314,7 @@ class ReplayEngine:
         if self.platform.replay_backend == "adaptive":
             plan = classify(self.trace, self.platform)
             self.window_plan = plan
-            if plan.fast_forward:
+            if plan.viable:
                 contended = self._run_adaptive(prepared)
                 self.adaptive_summary = {
                     "backend": "adaptive",
@@ -321,9 +324,6 @@ class ReplayEngine:
                     "network_uncontended": plan.network_uncontended,
                     "proven_exact": plan.proven_exact,
                     "contended_transfers": contended,
-                    "max_relative_error": self.platform.max_relative_error,
-                    "error_bound": (0.0 if plan.proven_exact
-                                    else self.platform.max_relative_error),
                 }
                 return self._finalize()
             # Not fast-forwardable: the event walk below replays the cell
@@ -337,8 +337,6 @@ class ReplayEngine:
                 "network_uncontended": plan.network_uncontended,
                 "proven_exact": True,
                 "contended_transfers": 0,
-                "max_relative_error": self.platform.max_relative_error,
-                "error_bound": 0.0,
             }
         for rank, rank_ops in enumerate(prepared.ops):
             process = self.env.process(self._rank_process(rank, rank_ops),
@@ -555,10 +553,11 @@ class ReplayEngine:
         :meth:`_rank_process`, and all of them are order-independent).
         On contended cells, transfers that cross a limited resource walk
         their route through a FIFO resource micro-model driven by the
-        same time-ordered heap -- faithful to the DES's sequential
-        acquisition and FIFO grants, with only same-instant tie order
-        approximated -- and the result carries the platform's
-        ``max_relative_error`` bound instead of exactness.
+        same time-ordered heap, and every continuation is paced through
+        it with the DES's event-creation order, so same-instant ties --
+        resource grants, wire ends, completion callbacks -- resolve as
+        the event backend resolves them, and every simulated time is the
+        event backend's, bit for bit.
         """
         plan = self.window_plan
         platform = self.platform
@@ -659,7 +658,7 @@ class ReplayEngine:
         # is scheduled with a sequence number allocated now, and every
         # cross-rank ordering decision happens in global (time, creation)
         # order, the event queue's order.
-        use_bound = plan.proven_windows != plan.num_windows
+        paced = plan.proven_windows != plan.num_windows
         #: True while a rank's next op already paid its mpi_overhead charge
         #: (the paced continuation resumes at the op itself).
         overhead_pending = [False] * num_ranks
@@ -701,20 +700,31 @@ class ReplayEngine:
             event_seq += 1
             heappush(heap, (t2, 1, event_seq, waiter))
 
-        def deliver(message: _FastMessage, side: str) -> None:
-            """Pop one side's completion notification: wake the matching
-            parked ranks, in park order (the DES callback order)."""
+        def wake_all(message: _FastMessage) -> None:
+            """Wake every rank parked on ``message``, in park order."""
             waiters = message.waiters
-            if not waiters:
-                return
-            keep = [entry for entry in waiters if entry[0] != side]
-            if len(keep) == len(waiters):
-                return
-            message.waiters = keep
+            message.waiters = []
             arrival = message.arrival
-            for entry in waiters:
-                if entry[0] == side:
-                    wake_rank(entry[1], arrival)
+            for _side, waiter in waiters:
+                wake_rank(waiter, arrival)
+
+        def arrived(message: _FastMessage) -> None:
+            """The DES ``arrived`` event pops: run its callbacks in
+            registration order.  Parked receivers resume, and a rendezvous
+            send's ``send_complete`` -- registered at the send posting, the
+            ``"sc"`` entry -- is scheduled at its own place among them, one
+            generation later.  Ranks parked on ``send_complete`` stay."""
+            nonlocal event_seq
+            message.r_notified = True
+            waiters = message.waiters
+            message.waiters = [entry for entry in waiters if entry[0] == "s"]
+            arrival = message.arrival
+            for side, waiter in waiters:
+                if side == "r":
+                    wake_rank(waiter, arrival)
+                elif side == "sc":
+                    event_seq += 1
+                    heappush(heap, (arrival, 1, event_seq, ("sc", message)))
 
         def finish_message(message: _FastMessage, arrival: float) -> None:
             """The transfer is complete: publish the arrival instant and
@@ -726,7 +736,7 @@ class ReplayEngine:
                     src=message.src, dst=message.dst, size=message.size,
                     tag=message.tag, send_time=message.transfer_start,
                     recv_time=arrival)
-            if use_bound:
+            if paced:
                 # The DES delivers completion as a chain of NORMAL events:
                 # the `arrived` notification pops one generation after the
                 # wire end, and the rendezvous sender's send_complete one
@@ -736,12 +746,8 @@ class ReplayEngine:
                 event_seq += 1
                 heappush(heap, (arrival, 1, event_seq, ("arr", message)))
                 return
-            waiters = message.waiters
-            if not waiters:
-                return
-            message.waiters = []
-            for _side, waiter in waiters:
-                wake_rank(waiter, arrival)
+            if message.waiters:
+                wake_all(message)
 
         def advance_transfer(task: _TransferTask, now: float) -> None:
             """One DES pop's worth of progress for a contended transfer.
@@ -865,7 +871,7 @@ class ReplayEngine:
             if src_node == dst_node:
                 duration = intranode_time(size, intranode=True)
                 message.transfer_start = start
-                if use_bound:
+                if paced:
                     record_stat(size, 0.0, duration, True)
                 else:
                     stat_buffer.append((message.src, message.dst, message.tag,
@@ -897,7 +903,7 @@ class ReplayEngine:
                     duration += hop_duration
                     ready = ready + hop_duration
                 message.transfer_start = start
-                if use_bound:
+                if paced:
                     for hop in route:
                         record_hop(hop.name, 0.0)
                     record_stat(size, 0.0, duration, False)
@@ -905,7 +911,7 @@ class ReplayEngine:
                     stat_buffer.append((message.src, message.dst, message.tag,
                                         message.order, size, duration, route))
                 arrival = ready
-            if use_bound:
+            if paced:
                 # Contended cell: pace even the closed-form completion
                 # through the heap (the DES delivers it as a wire-end
                 # timeout whose id was allocated at the transfer start),
@@ -929,20 +935,11 @@ class ReplayEngine:
                 if tag == "fin":  # deferred closed-form wire end
                     finish_message(payload[1], payload[2])
                 elif tag == "arr":  # the DES `arrived` event pop
-                    message = payload[1]
-                    message.r_notified = True
-                    deliver(message, "r")
-                    if not message.eager:
-                        # Rendezvous senders complete one generation later
-                        # still (matching registers send_complete.succeed
-                        # as an `arrived` callback).
-                        event_seq += 1
-                        heappush(heap, (entry[0], 1, event_seq,
-                                        ("sc", message)))
+                    arrived(payload[1])
                 else:  # "sc": the DES send_complete event pop
                     message = payload[1]
                     message.s_notified = True
-                    deliver(message, "s")
+                    wake_all(message)
                 continue
             t = entry[0]
             rank = payload
@@ -959,7 +956,7 @@ class ReplayEngine:
                     if collect:
                         add_interval(rank, t, t2, state_running)
                     pc += 1
-                    if use_bound:
+                    if paced:
                         # The burst is a NORMAL timeout in the DES: pace
                         # the continuation through the heap -- unless no
                         # other event can pop before it, in which case the
@@ -981,7 +978,7 @@ class ReplayEngine:
                         overhead_t[rank] += t2 - t
                         if collect:
                             add_interval(rank, t, t2, state_running)
-                        if use_bound:
+                        if paced:
                             # Pace the overhead charge too; the op itself
                             # runs at the wake-up.
                             event_seq += 1
@@ -1020,7 +1017,7 @@ class ReplayEngine:
                         if record.blocking:
                             if collect:
                                 add_interval(rank, t, t, state_send_wait)
-                            if use_bound:
+                            if paced:
                                 # The DES sender still parks one generation
                                 # on the (already succeeded) send_complete
                                 # event's pop.
@@ -1033,12 +1030,17 @@ class ReplayEngine:
                         else:
                             reqs[record.request] = ("send", message, pc)
                     else:
+                        if paced:
+                            # The DES registers send_complete.succeed as an
+                            # `arrived` callback right here: after every
+                            # receiver already parked, before later ones.
+                            message.waiters.append(("sc", rank))
                         if message.recv_posted:
                             resolve(message)
                         if record.blocking:
                             arrival = message.arrival
                             if arrival is None or (
-                                    use_bound and not message.s_notified):
+                                    paced and not message.s_notified):
                                 message.waiters.append(("s", rank))
                                 pending_states[rank] = ("send", message, t)
                                 pcs[rank] = pc
@@ -1075,7 +1077,7 @@ class ReplayEngine:
                     if record.blocking:
                         arrival = message.arrival
                         if arrival is None or (
-                                use_bound and not message.r_notified):
+                                paced and not message.r_notified):
                             message.waiters.append(("r", rank))
                             pending_states[rank] = ("recv", message, t)
                             pcs[rank] = pc
@@ -1106,7 +1108,7 @@ class ReplayEngine:
                             # may not be computed yet.
                             if side == "send" and message.eager:
                                 continue
-                            if message.arrival is None or (use_bound and not (
+                            if message.arrival is None or (paced and not (
                                     message.s_notified if side == "send"
                                     else message.r_notified)):
                                 park = ("s" if side == "send" else "r",
@@ -1133,7 +1135,7 @@ class ReplayEngine:
                         request_wait_t[rank] += t2 - t
                         if collect:
                             add_interval(rank, t, t2, state_request_wait)
-                        if use_bound:
+                        if paced:
                             # A fully satisfied wait still pops once in the
                             # DES (_WaitAll succeeds at construction, the
                             # process resumes at its pop).
@@ -1184,7 +1186,7 @@ class ReplayEngine:
                             event_seq += 1
                             heappush(heap, (exit_time, 1, event_seq, waiter))
                         instance.waiters = []
-                        if use_bound:
+                        if paced:
                             # On contended cells the departures are paced
                             # through the heap in the DES's resume order:
                             # every rank resumes at the all_arrived pop in
@@ -1238,7 +1240,7 @@ class ReplayEngine:
                 "replay deadlocked: " + "; ".join(details)
                 + f"; unmatched postings: {unmatched}")
 
-        if not use_bound:
+        if not paced:
             # Canonical network-statistics flush.  The first four elements
             # (src, dst, tag, pair index) are unique per transfer, so the
             # plain tuple sort never compares routes.

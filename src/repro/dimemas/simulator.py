@@ -43,8 +43,7 @@ class DimemasSimulator:
             metadata["label"] = label
         if engine.adaptive_summary is not None:
             # How the adaptive backend handled this cell: fast-forward or
-            # DES fallback, window counts, and the error bound the numbers
-            # carry (0.0 when every window was proven contention-free).
+            # DES fallback, window counts and contended transfers.
             metadata["adaptive"] = dict(engine.adaptive_summary)
         return SimulationResult(
             platform=platform,

@@ -88,6 +88,13 @@ class TopologySpec:
             raise ConfigurationError(
                 f"unknown topology kind {self.kind!r} "
                 f"(choose from {sorted(TOPOLOGIES)})")
+        # Same check as Platform's: a nan or inf factor would replay to a
+        # non-finite time (or raise mid-model) instead of failing here.
+        for field_name in self.__dataclass_fields__:
+            value = getattr(self, field_name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigurationError(
+                    f"{field_name} must be a finite number, got {value!r}")
         if self.radix < 2:
             raise ConfigurationError("topology radix must be >= 2")
         if self.bandwidth_scale <= 0 or self.link_scale <= 0:

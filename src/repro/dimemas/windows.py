@@ -1,11 +1,11 @@
 """Contention-free window classification for the adaptive replay backend.
 
 The ``adaptive`` backend fast-forwards a replay with closed-form per-rank
-time recurrences instead of discrete events.  That is only *exact* when no
-shared resource can be oversubscribed, and only *well-defined* when the
-trace's progress structure can be proven without replaying it.  This module
-is the pre-replay pass that decides both, over the prepared record streams
-(:meth:`repro.tracing.trace.Trace.prepared`):
+time recurrences instead of discrete events.  That needs no resource model
+when no shared resource can be oversubscribed, and is only *well-defined*
+when the trace's progress structure can be proven without replaying it.
+This module is the pre-replay pass that decides both, over the prepared
+record streams (:meth:`repro.tracing.trace.Trace.prepared`):
 
 * **Viability** -- the whole-trace conditions under which the closed-form
   recurrences reproduce the event backend's semantics: analytical
@@ -24,12 +24,14 @@ is the pre-replay pass that decides both, over the prepared record streams
   windows.  A window is *proven contention-free* when it moves no
   inter-node message (intra-node transfers bypass every network resource)
   or when the platform's network has no limited resource at all
-  (per-topology classification below).  Proven windows are replayed
-  bit-exactly by construction; contended windows are fast-forwarded with a
-  FIFO resource micro-model (faithful to the DES's sequential acquisition
-  and FIFO grants, with same-instant tie order approximated) whose
-  divergence the ``max_relative_error`` knob bounds (enforced by the
-  accuracy harness, ``benchmarks/bench_adaptive.py``).
+  (per-topology classification below).  A cell whose windows are all
+  proven is replayed with every rank advancing inline; a cell with a
+  contended window runs a FIFO resource micro-model and paces every
+  continuation through a time-ordered heap in the DES's event-creation
+  order, which reproduces its sequential acquisition, FIFO grants and
+  same-instant tie order.  Either way the result equals the event
+  backend's (checked by the differential tests and the accuracy harness,
+  ``benchmarks/bench_adaptive.py``).
 
 Classification is cheap (one pass plus the symbolic replay) and memoized
 per trace content, so a bandwidth sweep classifies each trace once, not
@@ -53,16 +55,15 @@ from repro.tracing.trace import OP_COLLECTIVE, OP_SEND, OP_UNKNOWN, Trace
 class WindowPlan:
     """The classifier's verdict for one (trace, platform) cell.
 
-    ``fast_forward`` is the operative bit: the adaptive engine fast-forwards
-    when it is set and falls back to the event walk (with ``reason``
-    explaining why) when it is not.  ``proven_exact`` asserts the
-    fast-forwarded result is bit-identical to the event backend: every
-    window is contention-free, so the closed-form recurrences replicate the
-    DES float-for-float.
+    ``viable`` is the operative bit: the adaptive engine fast-forwards when
+    it is set and falls back to the event walk (with ``reason`` explaining
+    why) when it is not.  ``proven_exact`` says every window is
+    contention-free, so the fast-forward needs no resource model and the
+    ranks advance inline (the cohort replay of
+    :mod:`repro.dimemas.gridreplay` batches only such cells).
     """
 
     viable: bool
-    fast_forward: bool
     reason: Optional[str]
     network_uncontended: bool
     num_windows: int
@@ -72,8 +73,9 @@ class WindowPlan:
 
     @property
     def proven_exact(self) -> bool:
-        """True when fast-forwarding provably equals the event backend."""
-        return self.fast_forward and self.proven_windows == self.num_windows
+        """True when the cell fast-forwards and every window is
+        contention-free."""
+        return self.viable and self.proven_windows == self.num_windows
 
 
 class _TraceFacts:
@@ -281,17 +283,18 @@ def network_uncontended(platform: Platform) -> bool:
 
 
 def classify(trace: Trace, platform: Platform) -> WindowPlan:
-    """Decide whether (and how exactly) this cell can be fast-forwarded."""
+    """Decide whether this cell can be fast-forwarded, and which of its
+    windows are proven contention-free."""
     if platform.collective_model.kind != ANALYTICAL:
         return WindowPlan(
-            viable=False, fast_forward=False,
+            viable=False,
             reason="decomposed collectives inject phase traffic that must "
                    "interleave through the DES",
             network_uncontended=False, num_windows=0, proven_windows=0,
             internode_messages=0, intranode_messages=0)
     if platform.cpu_contention:
         return WindowPlan(
-            viable=False, fast_forward=False,
+            viable=False,
             reason="CPU contention makes burst wake-ups a global property "
                    "of the DES",
             network_uncontended=False, num_windows=0, proven_windows=0,
@@ -300,7 +303,7 @@ def classify(trace: Trace, platform: Platform) -> WindowPlan:
                          platform.processors_per_node)
     if facts.defect is not None:
         return WindowPlan(
-            viable=False, fast_forward=False, reason=facts.defect,
+            viable=False, reason=facts.defect,
             network_uncontended=False, num_windows=0, proven_windows=0,
             internode_messages=0, intranode_messages=0)
     uncontended = network_uncontended(platform)
@@ -308,15 +311,8 @@ def classify(trace: Trace, platform: Platform) -> WindowPlan:
         proven = facts.num_windows
     else:
         proven = sum(1 for count in facts.window_internode if count == 0)
-    all_proven = proven == facts.num_windows
-    if all_proven or platform.max_relative_error > 0:
-        fast_forward, reason = True, None
-    else:
-        fast_forward = False
-        reason = ("max_relative_error=0 forbids approximate fast-forwarding "
-                  "of contended windows")
     return WindowPlan(
-        viable=True, fast_forward=fast_forward, reason=reason,
+        viable=True, reason=None,
         network_uncontended=uncontended,
         num_windows=facts.num_windows, proven_windows=proven,
         internode_messages=facts.internode_messages,

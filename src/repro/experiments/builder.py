@@ -156,21 +156,12 @@ class Experiment:
         """Select the replay backend (``event`` or ``adaptive``).
 
         ``event`` walks every record through the DES.  ``adaptive``
-        fast-forwards contention-free windows in closed form, approximates
-        contended ones within :meth:`max_relative_error` (proven-exact
-        cells stay bit-identical) and runs the ``event`` walk for cells it
-        cannot fast-forward.
+        replays the same run faster: it fast-forwards windows in closed
+        form, contended ones through a FIFO resource model paced in the
+        DES's event order, and runs the ``event`` walk for cells it cannot
+        fast-forward.
         """
         return self.platform(replay_backend=backend)
-
-    def max_relative_error(self, bound: float) -> "Experiment":
-        """Relative-error bound for the ``adaptive`` backend.
-
-        ``0.0`` forbids approximate fast-forwarding entirely: cells with
-        contended windows fall back to the ``event`` walk.  Ignored by the
-        ``event`` backend.
-        """
-        return self.platform(max_relative_error=bound)
 
     def collect_timelines(self, collect: bool = True) -> "Experiment":
         """Keep full per-replay results (timelines included) on the result."""

@@ -308,20 +308,12 @@ def run_experiment(spec: ExperimentSpec,
     if use_cache:
         cache_meta["hits"] = len(cached)
         cache_meta["misses"] = len(missing)
-    replay_meta: Dict[str, object] = {
-        "backend": plan.base_platform.replay_backend,
-    }
-    if plan.base_platform.replay_backend == "adaptive":
-        # The approximate backend's numbers carry an error bound; record it
-        # so a stored ExperimentResult can never be mistaken for exact.
-        replay_meta["max_relative_error"] = (
-            plan.base_platform.max_relative_error)
     metadata = {
         "mechanism": mechanism_label,
         "chunking": environment.chunking.describe(),
         "platform": plan.base_platform.name,
         "jobs": executor.jobs,
-        "replay": replay_meta,
+        "replay": {"backend": plan.base_platform.replay_backend},
         "replay_wall_seconds": wall_seconds,
         "cache": cache_meta,
         "lint": lint_meta,

@@ -15,11 +15,11 @@ those inputs:
 * the serialized platform point -- every simulation-relevant
   :data:`~repro.dimemas.config.PLATFORM_FIELDS` field (topology and
   collective-model specs in their compact string forms), *excluding* the
-  cosmetic ``name`` label and -- for the exact ``event`` backend -- the
-  ``replay_backend`` / ``max_relative_error`` knobs.  The approximate
-  ``adaptive`` backend *is* keyed together with its error bound, so
-  approximate results can never be served from -- or poison -- the
-  exact-result cache; and
+  cosmetic ``name`` label and -- for the reference ``event`` backend --
+  the ``replay_backend`` knob.  ``adaptive`` cells *are* keyed with it:
+  they replay the same run, but sum network aggregates in a canonical
+  order, so ``mean_*_time`` and ``hop_queue_time`` may differ from
+  ``event``'s in the last ulp and the two must not share an address; and
 * a simulator version salt, so any release that could change simulated
   numbers invalidates the whole store instead of serving stale results.
 
@@ -61,19 +61,16 @@ def platform_fingerprint(platform: Platform) -> Dict[str, Any]:
     """The simulation-relevant fields of a platform, canonically serialized.
 
     Every :data:`PLATFORM_FIELDS` entry except ``name`` participates,
-    with one backend-dependent wrinkle: for the exact ``event`` backend the
-    ``replay_backend`` and ``max_relative_error`` knobs are skipped, so an
-    ``event`` cell's key ignores the error bound that backend never reads.
-    The approximate ``adaptive`` backend keeps both knobs in the
-    fingerprint: its numbers may differ from the exact ones (and between
-    error bounds), so its cells must never alias an exact cell's address.
+    with one backend-dependent wrinkle: the ``replay_backend`` knob is
+    skipped for the reference ``event`` backend.  ``adaptive`` keeps it:
+    its network aggregates may differ from ``event``'s in the last ulp
+    (summation order), so its cells must never alias an event cell's
+    address.
     """
-    approximate = platform.replay_backend == "adaptive"
     fingerprint: Dict[str, Any] = {}
     for field in PLATFORM_FIELDS:
-        if field == "name":
-            continue
-        if field in ("replay_backend", "max_relative_error") and not approximate:
+        if field == "name" or (field == "replay_backend"
+                               and platform.replay_backend == "event"):
             continue
         if field == "topology":
             fingerprint[field] = platform.topology.to_string()

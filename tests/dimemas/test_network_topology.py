@@ -63,6 +63,18 @@ class TestTopologySpec:
         with pytest.raises(ConfigurationError):
             TopologySpec(**kwargs)
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("field",
+                             ["bandwidth_scale", "hop_latency", "link_scale"])
+    def test_non_finite_numbers_rejected(self, field, value):
+        # Through both the constructor and the string form the CLI and
+        # config files use.
+        message = f"{field} must be a finite number, got {float(value)!r}"
+        with pytest.raises(ConfigurationError, match=message):
+            TopologySpec(kind="tree", **{field: float(value)})
+        with pytest.raises(ConfigurationError, match=message):
+            TopologySpec.parse(f"tree:{field}={value}")
+
     def test_platform_coerces_strings(self):
         platform = Platform(topology="tree:radix=8")
         assert platform.topology == TopologySpec(kind="tree", radix=8)

