@@ -8,8 +8,11 @@ engines:
 
 * ``legacy``: the embedded pre-refactor replica (the speedup baseline),
 * ``event``: the default backend (the *accuracy* reference), and
-* ``adaptive``: the window-classifying fast-forward backend
-  (``replay_backend="adaptive"``), the subject under test.
+* ``adaptive``: the classifying fast-forward backend
+  (``replay_backend="adaptive"``), the subject under test.  Replays are
+  metric-only, so proven cells (the ideal network, or a mapping that keeps
+  every message inside a node) take the lane walk at width 1 and every
+  other fast-forwarded cell the paced walk.
 
 The adaptive backend's contract is exactness -- it replays the same run
 as the event backend -- so this harness measures its speed and checks

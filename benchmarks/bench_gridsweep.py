@@ -6,8 +6,9 @@ applications, each as (original + ideal-overlapped) variants -- across a
 bandwidth grid of uncontended flat platforms, two ways:
 
 * ``per-cell``: the adaptive backend replayed once per (trace, platform)
-  cell through :class:`~repro.dimemas.simulator.DimemasSimulator` -- the
-  path a sweep without cohort batching takes, and the speedup baseline;
+  cell through :class:`~repro.dimemas.simulator.DimemasSimulator` -- on
+  these proven cells the same lane walk at width 1, the path of a caller
+  that replays cells one at a time, and the speedup baseline;
 * ``grid``: :func:`~repro.dimemas.gridreplay.replay_cohort` evaluating the
   whole platform grid in a single structural walk over the trace, carrying
   one clock vector per rank (one lane per grid cell).
@@ -63,7 +64,7 @@ def _build_workload(apps, ranks, iterations, width):
     """(app -> [(variant, trace)]) plus a ``width``-cell vectorizable grid.
 
     The grid is one cohort by construction: uncontended flat platforms
-    (no bus or link caps, so every window is provably contention-free)
+    (no bus or link caps, so every cell is provably contention-free)
     that differ only in the bandwidth scalar.
     """
     environment = OverlapStudyEnvironment(chunking=FixedCountChunking(count=8))

@@ -1,9 +1,9 @@
 """Shared fixtures for the benchmark harness.
 
 Every benchmark regenerates one table or figure of the paper's evaluation
-(see DESIGN.md section 4 and EXPERIMENTS.md).  Expensive intermediate data
-(the per-application bandwidth sweeps) is computed once per session and
-shared between the benchmarks that need it.
+(each ``test_bench_e*`` module names the claim it checks in its docstring).
+Expensive intermediate data (the per-application bandwidth sweeps) is
+computed once per session and shared between the benchmarks that need it.
 """
 
 from __future__ import annotations

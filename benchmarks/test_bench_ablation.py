@@ -1,4 +1,4 @@
-"""Ablation benchmarks for the design choices called out in DESIGN.md §5.
+"""Ablation benchmarks for the design choices of the overlap mechanism.
 
 The paper's tool fixes one chunking granularity and one MPI protocol; this
 harness quantifies how sensitive the headline result (ideal-pattern speedup

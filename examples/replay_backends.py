@@ -6,8 +6,8 @@ platform knob:
 
 * ``event`` (the default): every CPU burst, MPI-overhead charge and
   transfer hop is its own discrete event, and
-* ``adaptive``: a window classifier inspects each (trace, platform) cell
-  and fast-forwards it with closed-form per-rank time recurrences,
+* ``adaptive``: a classifier inspects each (trace, platform) cell and
+  fast-forwards it with per-rank time recurrences instead of DES events,
   running the event walk itself for cells it cannot fast-forward.
 
 On the paper's default platform (one input and one output link per node)

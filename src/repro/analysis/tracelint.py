@@ -429,6 +429,10 @@ class _SymbolicReplay:
                 if self.blocked[rank] is not None
                 or self.pcs[rank] < len(self.ops[rank])]
 
+    def unmatched_sends(self) -> int:
+        """How many posted sends no receive has matched (after :meth:`run`)."""
+        return sum(len(queue) for queue in self._pending_sends.values())
+
     # -- the wait-for graph ------------------------------------------------
     def wait_edges(self, rank: int) -> List[Tuple[int, str, int]]:
         """``(peer, kind, record_index)`` edges of a stuck rank."""

@@ -319,7 +319,7 @@ def _add_platform_arguments(parser: argparse.ArgumentParser) -> None:
                         choices=["event", "adaptive"],
                         help="replay implementation: 'event' walks every "
                              "record through the DES, 'adaptive' "
-                             "fast-forwards windows in closed form (same "
+                             "fast-forwards cells without DES events (same "
                              "results, faster) and runs the event walk "
                              "where it cannot")
 

@@ -1,8 +1,8 @@
 """Ablation studies of the overlap mechanism's design choices.
 
-DESIGN.md calls out the design decisions whose influence the environment can
-quantify.  Each function here runs one such ablation for a given application
-and returns a mapping from the varied parameter to the resulting
+The paper's tool fixes several design choices whose influence the environment
+can quantify.  Each function here runs one such ablation for a given
+application and returns a mapping from the varied parameter to the resulting
 ideal-pattern speedup:
 
 * chunking policy / chunk size (how finely messages are partitioned);

@@ -85,8 +85,11 @@ class SweepTask:
 
     ``collect_timeline`` selects the timeline recorder for metric-only
     replays: sweeps discard timelines, so it defaults off and the replay
-    skips the recording cost entirely (the scalar metrics are
-    bit-identical).  Full-result executions (studies) always record.
+    skips the recording cost entirely (times and rank statistics are
+    bit-identical; on a proven adaptive cell the network aggregates may
+    differ in the last ulp, see
+    :class:`~repro.dimemas.replay.ReplayEngine`).  Full-result executions
+    (studies) always record.
     """
 
     index: int
@@ -105,10 +108,11 @@ class CohortTask:
     Every member shares one trace variant and the structural platform axes
     (see :func:`repro.dimemas.gridreplay.cohort_signature`); only scalar
     axes like bandwidth, latency or CPU speed differ, so one vectorized
-    walk evaluates all members at once.  Members keep their own indices,
-    labels and cache keys: results split back out per cell, and
-    write-through caching is indistinguishable from per-cell execution.
-    Cohorts are metric-only -- full-result (timeline) replays never batch.
+    walk evaluates all members at once.  A batch may hold a single task.
+    Members keep their own indices, labels and cache keys: results split
+    back out per cell, and write-through caching is indistinguishable from
+    per-cell execution.  Cohorts are metric-only -- full-result (timeline)
+    replays never batch.
     """
 
     tasks: Tuple[SweepTask, ...]
@@ -302,7 +306,7 @@ def _init_worker(table: Dict[str, Dict[str, Any]],
     _STORE = store
     _CACHE_KEYS = cache_keys or {}
     if facts:
-        # Window-classification facts the parent already proved, keyed by
+        # Classification facts the parent already proved, keyed by
         # content digest: seeding them means no worker re-runs the
         # symbolic matchability proof for a trace the parent classified.
         seed_facts(facts)
@@ -499,9 +503,9 @@ class SweepExecutor:
                 results.sort(key=lambda result: result.index)
             return results
         table = {key: trace.to_dict() for key, trace in traces.items()}
-        # Ship the window-classification facts the parent has (or can
-        # cheaply re-derive from its memo) for every adaptive cell, so no
-        # worker re-proves windows the parent already proved.  Facts are
+        # Ship the classification facts the parent has (or can cheaply
+        # re-derive from its memo) for every adaptive cell, so no worker
+        # re-proves what the parent already proved.  Facts are
         # digest-keyed, so shipping them requires shipping digests too.
         facts_rows: List[Tuple[Any, ...]] = []
         facts_seen = set()

@@ -116,3 +116,8 @@ class MessageMatcher:
             "sends": sum(len(q) for q in self._pending_sends.values()),
             "recvs": sum(len(q) for q in self._pending_recvs.values()),
         }
+
+    def unmatched_sends(self) -> Dict[_StreamKey, int]:
+        """Per-stream counts of sends that no receive has matched."""
+        return {key: len(queue) for key, queue in self._pending_sends.items()
+                if queue}

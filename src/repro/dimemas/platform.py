@@ -53,13 +53,14 @@ class Platform:
       overlap mechanism introduces;
     * ``replay_backend`` selects the replay implementation: ``event`` (the
       default) walks every record through the generic DES, and
-      ``adaptive`` fast-forwards entire windows with closed-form per-rank
-      time recurrences, running the ``event`` walk for cells it cannot
-      fast-forward (decomposed collectives, CPU contention, defective
-      traces).  Both replay the same run: ``adaptive`` results equal
-      ``event``'s, except that network aggregates may differ in the last
-      ulp (it sums them in a canonical order), which is why ``event``
-      results are keyed without the knob and ``adaptive`` ones with it.
+      ``adaptive`` fast-forwards whole cells with per-rank time
+      recurrences instead of DES events, running the ``event`` walk for
+      cells it cannot fast-forward (decomposed collectives, CPU
+      contention, defective traces).  Both replay the same run:
+      ``adaptive`` results equal ``event``'s, except that network
+      aggregates may differ in the last ulp (it sums them in another
+      order), which is why ``event`` results are keyed without the knob
+      and ``adaptive`` ones with it.
 
     Every numeric field must be finite: a ``nan`` or ``inf`` would replay
     to a non-finite total time (or silently change the adaptive backend's

@@ -23,13 +23,28 @@ replays every record of every rank), so it is written as a fast path:
 
 The fast path is pinned bit-identical to the straightforward implementation
 by the golden tests in ``tests/dimemas/test_replay_golden.py``.
+
+The ``adaptive`` backend replays the same run without DES events, through
+one of two walks picked by the classifier
+(:func:`repro.dimemas.windows.classify`):
+
+* the *lane walk* (:func:`_vector_walk`) for proven contention-free cells
+  that record no timeline: one structural pass carrying a clock vector
+  per rank, one lane per platform -- ``ReplayEngine.run`` runs it at width
+  1, the cohort replay of :mod:`repro.dimemas.gridreplay` at any width;
+* the *paced walk* (:meth:`ReplayEngine._run_adaptive`) for every other
+  fast-forwardable cell: scalar clocks paced through a time-ordered heap in
+  the DES's event-creation order, with a FIFO resource micro-model for
+  contended transfers.
+
+Cells neither walk can replay run the event walk, which stays the oracle.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from heapq import heappop, heappush
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.diagnostics import format_defect
 from repro.des import Environment, Event, Resource
@@ -39,9 +54,10 @@ from repro.dimemas.collectives import build_collective_model
 from repro.dimemas.collectives.analytical import collective_duration
 from repro.dimemas.matching import MessageMatcher
 from repro.dimemas.messages import Message
-from repro.dimemas.network import NetworkFabric
+from repro.dimemas.network import NetworkFabric, NetworkStatistics
 from repro.dimemas.platform import Platform
 from repro.dimemas.results import RankStats
+from repro.dimemas.topology import build_network_model
 from repro.dimemas.windows import WindowPlan, classify
 from repro.errors import SimulationError
 from repro.paraver.states import ThreadState
@@ -178,31 +194,26 @@ class CollectiveCoordinator:
 
 
 class _FastMessage:
-    """Message state of the adaptive fast-forward interpreter.
+    """Message state of the paced adaptive walk.
 
-    The closed-form interpreter never schedules events, so it replaces
+    The paced walk never schedules DES events, so it replaces
     :class:`~repro.dimemas.messages.Message` (whose lifecycle is built from
     DES events) with a plain record: posting flags and times, the computed
-    arrival instant (``None`` until both required postings exist) and the
-    ranks blocked on this message -- ``("r", rank)`` on the arrival,
-    ``("s", rank)`` on the send completion, plus, on contended cells, the
-    ``("sc", sender)`` slot where a rendezvous send's completion callback
-    sits among the arrival's callbacks.
+    arrival instant (``None`` until the transfer ends) and the ranks
+    blocked on this message -- ``("r", rank)`` on the arrival,
+    ``("s", rank)`` on the send completion, plus the ``("sc", sender)`` slot
+    where a rendezvous send's completion callback sits among the arrival's
+    callbacks.
     """
 
-    __slots__ = ("src", "dst", "tag", "order", "size", "eager", "send_posted",
+    __slots__ = ("src", "dst", "tag", "size", "eager", "send_posted",
                  "recv_posted", "send_time", "recv_time", "arrival",
                  "transfer_start", "waiters", "r_notified", "s_notified")
 
-    def __init__(self, src: int, dst: int, tag: int, order: int = 0):
+    def __init__(self, src: int, dst: int, tag: int):
         self.src = src
         self.dst = dst
         self.tag = tag
-        # Pair index within (src, dst, tag): matching is FIFO per key, so
-        # the k-th created message of a key IS the k-th matched pair --
-        # a time-independent identity used to emit network statistics in
-        # canonical order on proven cells (see _run_adaptive).
-        self.order = order
         self.size = 0
         self.eager = False
         self.send_posted = False
@@ -212,19 +223,18 @@ class _FastMessage:
         self.arrival: Optional[float] = None
         self.transfer_start: Optional[float] = None
         self.waiters: List[Tuple[str, int]] = []
-        # Contended-cell notification state: True once the heap analogue of
-        # the DES `arrived` / `send_complete` pop has run (a rank reaching
-        # a completed message before its notification pop must still park,
-        # exactly as a DES process waiting on a succeeded-but-unpopped
-        # event does).  Proven cells never read these.
+        # True once the heap analogue of the DES `arrived` / `send_complete`
+        # pop has run: a rank reaching a completed message before its
+        # notification pop must still park, exactly as a DES process
+        # waiting on a succeeded-but-unpopped event does.
         self.r_notified = False
         self.s_notified = False
 
 
 class _FastCollective:
-    """Collective state of the adaptive fast-forward interpreter.
+    """Collective state of the paced adaptive walk.
 
-    The window classifier already proved every rank enters the same
+    The classifier already proved every rank enters the same
     collectives with the same parameters, so this carries only what the
     closed-form completion needs: the arrival count, the latest entry time
     seen so far and the blocked (rank, entry time) pairs to release when
@@ -269,6 +279,45 @@ class _TransferTask:
         self.phase = 0
 
 
+class _GridMessage:
+    """Message state of the lane walk: scalar identity, vector times."""
+
+    __slots__ = ("src", "dst", "tag", "order", "size", "eager",
+                 "send_posted", "recv_posted", "send_time", "recv_time",
+                 "arrival", "waiters")
+
+    def __init__(self, src: int, dst: int, tag: int, order: int):
+        self.src = src
+        self.dst = dst
+        self.tag = tag
+        # Pair index within (src, dst, tag): matching is FIFO per key, so
+        # the k-th created message of a key IS the k-th matched pair -- a
+        # time-independent identity that orders the network statistics.
+        self.order = order
+        self.size = 0
+        self.eager = False
+        self.send_posted = False
+        self.recv_posted = False
+        self.send_time: Optional[List[float]] = None
+        self.recv_time: Optional[List[float]] = None
+        self.arrival: Optional[List[float]] = None
+        self.waiters: List[Tuple[str, int]] = []
+
+
+class _GridCollective:
+    """Collective state of the lane walk (vector ``last``)."""
+
+    __slots__ = ("operation", "root", "size", "count", "last", "waiters")
+
+    def __init__(self, operation: str, root: int, size: int, width: int):
+        self.operation = operation
+        self.root = root
+        self.size = size
+        self.count = 0
+        self.last = [0.0] * width
+        self.waiters: List[Tuple[int, List[float]]] = []
+
+
 class ReplayEngine:
     """Builds and runs the whole replay of one trace on one platform.
 
@@ -276,9 +325,12 @@ class ReplayEngine:
     default, and the behaviour of every interactive entry point) records
     per-rank state intervals and communication lines; ``False`` installs a
     :class:`~repro.paraver.timeline.NullRecorder` so metric-only callers
-    (bandwidth sweeps, experiment grids) skip the recording cost.  The
-    scalar results -- total time, rank statistics, network statistics --
-    are bit-identical either way.
+    (bandwidth sweeps, experiment grids) skip the recording cost.  Total
+    time and rank statistics are bit-identical either way.  So are the
+    network statistics, except on a proven cell of the adaptive backend:
+    there the metric-only lane walk sums them in canonical transfer order
+    and the timeline-recording paced walk in completion order, so their
+    aggregates may differ in the last ulp.
     """
 
     def __init__(self, trace: Trace, platform: Platform,
@@ -304,7 +356,7 @@ class ReplayEngine:
         #: Classifier verdict of the adaptive backend (None otherwise).
         self.window_plan: Optional[WindowPlan] = None
         #: How the adaptive backend ran this cell (None otherwise):
-        #: mode, window counts, contended transfers.
+        #: mode, classification and contended transfers.
         self.adaptive_summary: Optional[Dict[str, Any]] = None
 
     # -- public ------------------------------------------------------------
@@ -315,16 +367,20 @@ class ReplayEngine:
             plan = classify(self.trace, self.platform)
             self.window_plan = plan
             if plan.viable:
-                contended = self._run_adaptive(prepared)
                 self.adaptive_summary = {
                     "backend": "adaptive",
                     "mode": "fast-forward",
-                    "windows": plan.num_windows,
-                    "proven_windows": plan.proven_windows,
                     "network_uncontended": plan.network_uncontended,
                     "proven_exact": plan.proven_exact,
-                    "contended_transfers": contended,
+                    "contended_transfers": 0,
                 }
+                if plan.proven_exact and not self.collect_timeline:
+                    # The lane walk at width 1 (it records no timeline).
+                    ((total_time, self.stats, network_stats),) = _vector_walk(
+                        self.trace, [self.platform])
+                    return total_time, self.stats, self.timeline, network_stats
+                self.adaptive_summary["contended_transfers"] = (
+                    self._run_adaptive(prepared))
                 return self._finalize()
             # Not fast-forwardable: the event walk below replays the cell
             # (and, for defective traces, raises its exact errors).
@@ -332,8 +388,6 @@ class ReplayEngine:
                 "backend": "adaptive",
                 "mode": "des-fallback",
                 "fallback_reason": plan.reason,
-                "windows": plan.num_windows,
-                "proven_windows": plan.proven_windows,
                 "network_uncontended": plan.network_uncontended,
                 "proven_exact": True,
                 "contended_transfers": 0,
@@ -360,6 +414,7 @@ class ReplayEngine:
         stuck = [index for index, process in enumerate(self._processes)
                  if not process.triggered]
         if not stuck:
+            self._check_sends_matched()
             return
         details = []
         for rank in stuck:
@@ -371,6 +426,41 @@ class ReplayEngine:
         raise SimulationError(
             "replay deadlocked: " + "; ".join(details)
             + f"; unmatched postings: {unmatched}")
+
+    def _check_sends_matched(self) -> None:
+        """Every rank finished, so every send must have found a receive.
+
+        An eager send completes at its posting, so one that is never
+        received would otherwise replay to a plausible time around a
+        phantom transfer.  The error names the earliest such send with the
+        static analyzer's code and text: TL103 when its destination lies
+        outside the trace's ranks, TL101 otherwise.
+        """
+        unmatched = self.matcher.unmatched_sends()
+        if not unmatched:
+            return
+        ops = self.trace.prepared().ops
+        first = []
+        for (src, dst, tag), count in unmatched.items():
+            positions = [position for position, (op, record)
+                         in enumerate(ops[src])
+                         if op == OP_SEND and record.dst == dst
+                         and record.tag == tag]
+            # Matching is FIFO per stream: its last `count` sends are the
+            # unmatched ones.
+            first.append((src, positions[-count]))
+        rank, position = min(first)
+        record = ops[rank][position][1]
+        num_ranks = self.trace.num_ranks
+        if 0 <= record.dst < num_ranks:
+            raise SimulationError(format_defect(
+                "TL101", rank, position,
+                f"send of {record.size} bytes to rank {record.dst} "
+                f"(tag {record.tag}) is never received"))
+        raise SimulationError(format_defect(
+            "TL103", rank, position,
+            f"send names destination rank {record.dst} "
+            f"outside 0..{num_ranks - 1}"))
 
     def _cpu_resource(self, node: int) -> Optional[Resource]:
         if not self.platform.cpu_contention:
@@ -540,26 +630,23 @@ class ReplayEngine:
             f"never waited on: {ids} (issued at record(s) {positions})"))
 
     def _run_adaptive(self, prepared) -> int:
-        """Closed-form fast-forward of the whole replay; returns the number
-        of resource-queueing waits (0 on a proven contention-free cell).
+        """The paced walk: an event-free replay of a fast-forwardable cell;
+        returns the number of resource-queueing waits.
 
         No DES events: every rank carries a scalar clock advanced by the
-        same float expressions as the per-record walk, a min-clock heap
-        picks which rank to advance, and blocking operations either jump
-        the clock to an already-computed completion instant or park the
-        rank on the message/collective that will wake it.  On cells the
-        classifier proved contention-free this replicates the event
-        backend bit for bit (every recurrence is the exact expression of
-        :meth:`_rank_process`, and all of them are order-independent).
-        On contended cells, transfers that cross a limited resource walk
-        their route through a FIFO resource micro-model driven by the
-        same time-ordered heap, and every continuation is paced through
-        it with the DES's event-creation order, so same-instant ties --
-        resource grants, wire ends, completion callbacks -- resolve as
-        the event backend resolves them, and every simulated time is the
-        event backend's, bit for bit.
+        same float expressions as the per-record walk, and a time-ordered
+        ready heap plays the DES queue.  Blocking operations either jump
+        the clock to an already-notified completion instant or park the
+        rank on the message/collective that will wake it.  Transfers that
+        cross a limited resource walk their route through a FIFO resource
+        micro-model driven by the same heap; every other transfer
+        completes in closed form.  Every continuation is paced through the
+        heap with the DES's event-creation order, so same-instant ties --
+        resource grants, wire ends, completion callbacks -- resolve as the
+        event backend resolves them, and every simulated time is the event
+        backend's, bit for bit.  Network statistics accumulate in
+        completion order, as the event backend's do.
         """
-        plan = self.window_plan
         platform = self.platform
         env = self.env
         num_ranks = self.trace.num_ranks
@@ -614,23 +701,9 @@ class ReplayEngine:
         collectives: List[_FastCollective] = []
         pending_sends: Dict[Tuple[int, int, int], Any] = {}
         pending_recvs: Dict[Tuple[int, int, int], Any] = {}
-        #: Per-(src, dst, tag) creation counter: assigns each message its
-        #: FIFO pair index (a time-independent identity).
-        pair_index: Dict[Tuple[int, int, int], int] = {}
-        #: Proven cells emit network statistics in canonical (src, dst,
-        #: tag, pair index) order instead of completion order: transfers
-        #: are buffered as (src, dst, tag, order, size, duration, route)
-        #: -- route None for intranode -- and flushed sorted at the end.
-        #: The float sums per transfer are unchanged; only the global
-        #: accumulation order is, which moves aggregate means by at most
-        #: an ulp but makes them independent of which replay path (scalar
-        #: or grid-vectorized) produced them.
-        stat_buffer: List[Tuple[Any, ...]] = []
         #: FIFO resource model for contended transfers, mirroring
         #: repro.des.resources.Resource: limited resource ->
         #: [capacity, active holds, FIFO deque of parked _TransferTask].
-        #: Empty on proven cells (no limited resource is ever crossed), so
-        #: the exactness argument never meets it.
         busy: Dict[Any, List[Any]] = {}
         #: (src_node, dst_node) -> True when the route crosses no limited
         #: resource, i.e. its transfers have a closed (bit-exact) form.
@@ -649,16 +722,12 @@ class ReplayEngine:
         finished = 0
         matched = 0
         contended = 0
-        # On a fully proven cell the advance order cannot change any number
-        # (all recurrences are max/+ forms), so ranks run to their next
-        # block fully inline.  On contended cells resource grants are FIFO
-        # in request order, so every clock advance -- a CPU burst, an
-        # overhead charge, a collective exit -- is paced through the heap
-        # exactly as the DES paces it through a timeout: the continuation
-        # is scheduled with a sequence number allocated now, and every
-        # cross-rank ordering decision happens in global (time, creation)
-        # order, the event queue's order.
-        paced = plan.proven_windows != plan.num_windows
+        # Resource grants are FIFO in request order, so every clock advance
+        # -- a CPU burst, an overhead charge, a collective exit -- is paced
+        # through the heap exactly as the DES paces it through a timeout:
+        # the continuation is scheduled with a sequence number allocated
+        # now, and every cross-rank ordering decision happens in global
+        # (time, creation) order, the event queue's order.
         #: True while a rank's next op already paid its mpi_overhead charge
         #: (the paced continuation resumes at the op itself).
         overhead_pending = [False] * num_ranks
@@ -728,7 +797,15 @@ class ReplayEngine:
 
         def finish_message(message: _FastMessage, arrival: float) -> None:
             """The transfer is complete: publish the arrival instant and
-            notify (or directly wake) the ranks parked on this message."""
+            schedule the ``arrived`` notification.
+
+            The DES delivers completion as a chain of NORMAL events: the
+            ``arrived`` notification pops one generation after the wire
+            end, and the rendezvous sender's send_complete one generation
+            after that.  Pacing the notifications identically makes
+            multi-rank wake-ups at one instant order the way the event
+            backend orders them.
+            """
             nonlocal event_seq
             message.arrival = arrival
             if collect:
@@ -736,18 +813,8 @@ class ReplayEngine:
                     src=message.src, dst=message.dst, size=message.size,
                     tag=message.tag, send_time=message.transfer_start,
                     recv_time=arrival)
-            if paced:
-                # The DES delivers completion as a chain of NORMAL events:
-                # the `arrived` notification pops one generation after the
-                # wire end, and the rendezvous sender's send_complete one
-                # generation after that.  Pace the notifications
-                # identically, so multi-rank wake-ups at one instant order
-                # the way the event backend orders them.
-                event_seq += 1
-                heappush(heap, (arrival, 1, event_seq, ("arr", message)))
-                return
-            if message.waiters:
-                wake_all(message)
+            event_seq += 1
+            heappush(heap, (arrival, 1, event_seq, ("arr", message)))
 
         def advance_transfer(task: _TransferTask, now: float) -> None:
             """One DES pop's worth of progress for a contended transfer.
@@ -871,11 +938,7 @@ class ReplayEngine:
             if src_node == dst_node:
                 duration = intranode_time(size, intranode=True)
                 message.transfer_start = start
-                if paced:
-                    record_stat(size, 0.0, duration, True)
-                else:
-                    stat_buffer.append((message.src, message.dst, message.tag,
-                                        message.order, size, duration, None))
+                record_stat(size, 0.0, duration, True)
                 arrival = start + duration
             else:
                 route = route_of(src_node, dst_node)
@@ -903,25 +966,16 @@ class ReplayEngine:
                     duration += hop_duration
                     ready = ready + hop_duration
                 message.transfer_start = start
-                if paced:
-                    for hop in route:
-                        record_hop(hop.name, 0.0)
-                    record_stat(size, 0.0, duration, False)
-                else:
-                    stat_buffer.append((message.src, message.dst, message.tag,
-                                        message.order, size, duration, route))
+                for hop in route:
+                    record_hop(hop.name, 0.0)
+                record_stat(size, 0.0, duration, False)
                 arrival = ready
-            if paced:
-                # Contended cell: pace even the closed-form completion
-                # through the heap (the DES delivers it as a wire-end
-                # timeout whose id was allocated at the transfer start),
-                # so its wake-ups tie-break against in-flight contended
-                # transfers the way the event backend's do.
-                event_seq += 1
-                heappush(heap, (arrival, 1, event_seq,
-                                ("fin", message, arrival)))
-            else:
-                finish_message(message, arrival)
+            # Pace even the closed-form completion through the heap (the
+            # DES delivers it as a wire-end timeout whose id was allocated
+            # at the transfer start), so its wake-ups tie-break against
+            # in-flight contended transfers the way the event backend's do.
+            event_seq += 1
+            heappush(heap, (arrival, 1, event_seq, ("fin", message, arrival)))
 
         while heap:
             entry = heappop(heap)
@@ -956,18 +1010,17 @@ class ReplayEngine:
                     if collect:
                         add_interval(rank, t, t2, state_running)
                     pc += 1
-                    if paced:
-                        # The burst is a NORMAL timeout in the DES: pace
-                        # the continuation through the heap -- unless no
-                        # other event can pop before it, in which case the
-                        # walk continues inline (the seq is allocated
-                        # either way, preserving creation-order ids).
-                        event_seq += 1
-                        if heap and heap[0] < (t2, 1, event_seq):
-                            pcs[rank] = pc
-                            heappush(heap, (t2, 1, event_seq, rank))
-                            running = False
-                            break
+                    # The burst is a NORMAL timeout in the DES: pace the
+                    # continuation through the heap -- unless no other
+                    # event can pop before it, in which case the walk
+                    # continues inline (the seq is allocated either way,
+                    # preserving creation-order ids).
+                    event_seq += 1
+                    if heap and heap[0] < (t2, 1, event_seq):
+                        pcs[rank] = pc
+                        heappush(heap, (t2, 1, event_seq, rank))
+                        running = False
+                        break
                     t = t2
                     continue
                 if has_overhead:
@@ -978,16 +1031,15 @@ class ReplayEngine:
                         overhead_t[rank] += t2 - t
                         if collect:
                             add_interval(rank, t, t2, state_running)
-                        if paced:
-                            # Pace the overhead charge too; the op itself
-                            # runs at the wake-up.
-                            event_seq += 1
-                            if heap and heap[0] < (t2, 1, event_seq):
-                                overhead_pending[rank] = True
-                                pcs[rank] = pc
-                                heappush(heap, (t2, 1, event_seq, rank))
-                                running = False
-                                break
+                        # Pace the overhead charge too; the op itself runs
+                        # at the wake-up.
+                        event_seq += 1
+                        if heap and heap[0] < (t2, 1, event_seq):
+                            overhead_pending[rank] = True
+                            pcs[rank] = pc
+                            heappush(heap, (t2, 1, event_seq, rank))
+                            running = False
+                            break
                         t = t2
                 if op == OP_SEND:
                     key = (rank, record.dst, record.tag)
@@ -995,10 +1047,7 @@ class ReplayEngine:
                     if queue:
                         message = queue.popleft()
                     else:
-                        order = pair_index.get(key, 0)
-                        pair_index[key] = order + 1
-                        message = _FastMessage(rank, record.dst, record.tag,
-                                               order)
+                        message = _FastMessage(rank, record.dst, record.tag)
                         pending = pending_sends.get(key)
                         if pending is None:
                             pending = pending_sends[key] = deque()
@@ -1017,35 +1066,32 @@ class ReplayEngine:
                         if record.blocking:
                             if collect:
                                 add_interval(rank, t, t, state_send_wait)
-                            if paced:
-                                # The DES sender still parks one generation
-                                # on the (already succeeded) send_complete
-                                # event's pop.
-                                event_seq += 1
-                                if heap and heap[0] < (t, 1, event_seq):
-                                    pcs[rank] = pc + 1
-                                    heappush(heap, (t, 1, event_seq, rank))
-                                    running = False
-                                    break
+                            # The DES sender still parks one generation on
+                            # the (already succeeded) send_complete event's
+                            # pop.
+                            event_seq += 1
+                            if heap and heap[0] < (t, 1, event_seq):
+                                pcs[rank] = pc + 1
+                                heappush(heap, (t, 1, event_seq, rank))
+                                running = False
+                                break
                         else:
                             reqs[record.request] = ("send", message, pc)
                     else:
-                        if paced:
-                            # The DES registers send_complete.succeed as an
-                            # `arrived` callback right here: after every
-                            # receiver already parked, before later ones.
-                            message.waiters.append(("sc", rank))
+                        # The DES registers send_complete.succeed as an
+                        # `arrived` callback right here: after every
+                        # receiver already parked, before later ones.
+                        message.waiters.append(("sc", rank))
                         if message.recv_posted:
                             resolve(message)
                         if record.blocking:
-                            arrival = message.arrival
-                            if arrival is None or (
-                                    paced and not message.s_notified):
+                            if not message.s_notified:
                                 message.waiters.append(("s", rank))
                                 pending_states[rank] = ("send", message, t)
                                 pcs[rank] = pc
                                 running = False
                                 break
+                            arrival = message.arrival
                             t2 = arrival if arrival > t else t
                             send_wait_t[rank] += t2 - t
                             if collect:
@@ -1059,10 +1105,7 @@ class ReplayEngine:
                     if queue:
                         message = queue.popleft()
                     else:
-                        order = pair_index.get(key, 0)
-                        pair_index[key] = order + 1
-                        message = _FastMessage(record.src, rank, record.tag,
-                                               order)
+                        message = _FastMessage(record.src, rank, record.tag)
                         pending = pending_recvs.get(key)
                         if pending is None:
                             pending = pending_recvs[key] = deque()
@@ -1075,14 +1118,13 @@ class ReplayEngine:
                             and not message.eager):
                         resolve(message)
                     if record.blocking:
-                        arrival = message.arrival
-                        if arrival is None or (
-                                paced and not message.r_notified):
+                        if not message.r_notified:
                             message.waiters.append(("r", rank))
                             pending_states[rank] = ("recv", message, t)
                             pcs[rank] = pc
                             running = False
                             break
+                        arrival = message.arrival
                         t2 = arrival if arrival > t else t
                         recv_wait_t[rank] += t2 - t
                         if collect:
@@ -1105,12 +1147,11 @@ class ReplayEngine:
                             items.append((side, message))
                             # Eager sends complete at their posting; every
                             # other request completes at the arrival, which
-                            # may not be computed yet.
+                            # may not be notified yet.
                             if side == "send" and message.eager:
                                 continue
-                            if message.arrival is None or (paced and not (
-                                    message.s_notified if side == "send"
-                                    else message.r_notified)):
+                            if not (message.s_notified if side == "send"
+                                    else message.r_notified):
                                 park = ("s" if side == "send" else "r",
                                         message)
                                 if unresolved is None:
@@ -1135,16 +1176,15 @@ class ReplayEngine:
                         request_wait_t[rank] += t2 - t
                         if collect:
                             add_interval(rank, t, t2, state_request_wait)
-                        if paced:
-                            # A fully satisfied wait still pops once in the
-                            # DES (_WaitAll succeeds at construction, the
-                            # process resumes at its pop).
-                            event_seq += 1
-                            if heap and heap[0] < (t2, 1, event_seq):
-                                pcs[rank] = pc + 1
-                                heappush(heap, (t2, 1, event_seq, rank))
-                                running = False
-                                break
+                        # A fully satisfied wait still pops once in the DES
+                        # (_WaitAll succeeds at construction, the process
+                        # resumes at its pop).
+                        event_seq += 1
+                        if heap and heap[0] < (t2, 1, event_seq):
+                            pcs[rank] = pc + 1
+                            heappush(heap, (t2, 1, event_seq, rank))
+                            running = False
+                            break
                         t = t2
                 elif op == OP_COLLECTIVE:
                     # The classifier already proved cross-rank agreement on
@@ -1176,6 +1216,11 @@ class ReplayEngine:
                         collective_t[rank] += exit_time - t
                         if collect:
                             add_interval(rank, t, exit_time, state_collective)
+                        # The departures are paced through the heap in the
+                        # DES's resume order: every rank resumes at the
+                        # all_arrived pop in callback-registration order --
+                        # the waiters in entry order, the last entrant (who
+                        # registered after succeeding the event) last.
                         for waiter, t0 in instance.waiters:
                             collective_t[waiter] += exit_time - t0
                             if collect:
@@ -1186,27 +1231,18 @@ class ReplayEngine:
                             event_seq += 1
                             heappush(heap, (exit_time, 1, event_seq, waiter))
                         instance.waiters = []
-                        if paced:
-                            # On contended cells the departures are paced
-                            # through the heap in the DES's resume order:
-                            # every rank resumes at the all_arrived pop in
-                            # callback-registration order -- the waiters in
-                            # entry order, the last entrant (who registered
-                            # after succeeding the event) last.
-                            pcs[rank] = pc + 1
-                            event_seq += 1
-                            heappush(heap, (exit_time, 1, event_seq, rank))
-                            running = False
-                            break
-                        t = exit_time
-                    else:
-                        if t > instance.last:
-                            instance.last = t
-                        instance.waiters.append((rank, t))
-                        pending_states[rank] = ("collective",)
-                        pcs[rank] = pc
+                        pcs[rank] = pc + 1
+                        event_seq += 1
+                        heappush(heap, (exit_time, 1, event_seq, rank))
                         running = False
                         break
+                    if t > instance.last:
+                        instance.last = t
+                    instance.waiters.append((rank, t))
+                    pending_states[rank] = ("collective",)
+                    pcs[rank] = pc
+                    running = False
+                    break
                 else:
                     raise SimulationError(
                         f"rank {rank}: unknown record {record!r}")
@@ -1240,19 +1276,6 @@ class ReplayEngine:
                 "replay deadlocked: " + "; ".join(details)
                 + f"; unmatched postings: {unmatched}")
 
-        if not paced:
-            # Canonical network-statistics flush.  The first four elements
-            # (src, dst, tag, pair index) are unique per transfer, so the
-            # plain tuple sort never compares routes.
-            stat_buffer.sort()
-            for _src, _dst, _tag, _order, size, duration, route in stat_buffer:
-                if route is None:
-                    record_stat(size, 0.0, duration, True)
-                else:
-                    for hop in route:
-                        record_hop(hop.name, 0.0)
-                    record_stat(size, 0.0, duration, False)
-
         stats = self.stats
         for rank in range(num_ranks):
             rank_stats = stats[rank]
@@ -1272,3 +1295,458 @@ class ReplayEngine:
         self.matcher.messages_matched = matched
         env.advance_to(max(finish_t, default=0.0))
         return contended
+
+
+def _vector_walk(trace: Trace, platforms: Sequence[Platform]
+                 ) -> List[Tuple[float, List[RankStats], Dict[str, Any]]]:
+    """The lane walk: one structural pass with a clock lane per platform.
+
+    Serves proven cells (see :func:`repro.dimemas.windows.classify`) that
+    record no timeline and share one structural signature (see
+    :func:`repro.dimemas.gridreplay.cohort_signature`).  On such cells
+    nothing structural depends on time: a rank parks only when a message
+    counterpart has not been posted yet, a wait has unresolved requests,
+    or a collective's entry count is below the rank count; matching is
+    FIFO per ``(src, dst, tag)``; and every time recurrence is a max/+
+    form, so the order in which runnable ranks advance cannot change any
+    number.  The walk therefore carries a vector of clocks -- one lane per
+    platform -- through the exact float expressions of the event walk, in
+    the same program order per lane, which makes each lane bit-identical
+    to the event backend's replay of its cell in time and rank statistics.
+
+    Network statistics are recorded in canonical ``(src, dst, tag, pair
+    index)`` order, so they do not depend on the width a cell ran at.
+    Returns one ``(total_time, rank stats, network stats)`` tuple per
+    platform, in order.
+    """
+    width = len(platforms)
+    lanes = range(width)
+    num_ranks = trace.num_ranks
+    prepared = trace.prepared()
+    ops_by_rank = prepared.ops
+    reference = platforms[0]
+    ppn = reference.processors_per_node
+    eager_threshold = reference.eager_threshold
+    timebase = TimeBase(trace.mips)
+    denominators = [timebase.instructions_per_second
+                    * platform.relative_cpu_speed for platform in platforms]
+    overheads = [platform.mpi_overhead for platform in platforms]
+    has_overhead = any(overhead > 0.0 for overhead in overheads)
+
+    # Per-cell physics through the real network model objects: one model
+    # per cell so hop/collective durations come from the exact code paths
+    # the event walk uses (the throwaway environments never run -- on
+    # proven cells no resource is ever contended).
+    models = [build_network_model(Environment(), platform, num_ranks)
+              for platform in platforms]
+
+    intranode_memo: Dict[int, List[float]] = {}
+    internode_memo: Dict[Tuple[int, int, int], Tuple[Any, ...]] = {}
+    burst_memo: Dict[Any, List[float]] = {}
+    collective_memo: Dict[Tuple[str, int], List[float]] = {}
+
+    def burst_durations(instructions) -> List[float]:
+        durations = burst_memo.get(instructions)
+        if durations is None:
+            durations = burst_memo[instructions] = [
+                instructions / denominator for denominator in denominators]
+        return durations
+
+    def intranode_durations(size: int) -> List[float]:
+        durations = intranode_memo.get(size)
+        if durations is None:
+            durations = intranode_memo[size] = [
+                platform.transfer_time(size, intranode=True)
+                for platform in platforms]
+        return durations
+
+    def internode_durations(src_node: int, dst_node: int, size: int):
+        """(route, per-cell total duration, per-cell per-hop durations)."""
+        key = (src_node, dst_node, size)
+        entry = internode_memo.get(key)
+        if entry is None:
+            totals: List[float] = []
+            per_hop: List[Tuple[float, ...]] = []
+            for model in models:
+                route = model.route(src_node, dst_node)
+                duration = 0.0
+                hops: List[float] = []
+                for hop in route:
+                    hop_duration = hop.transfer_time(size)
+                    duration += hop_duration
+                    hops.append(hop_duration)
+                totals.append(duration)
+                per_hop.append(tuple(hops))
+            entry = internode_memo[key] = (
+                models[0].route(src_node, dst_node), totals, per_hop)
+        return entry
+
+    def collective_durations(operation: str, size: int) -> List[float]:
+        key = (operation, size)
+        durations = collective_memo.get(key)
+        if durations is None:
+            durations = collective_memo[key] = [
+                collective_duration(operation, size, num_ranks, platform)
+                for platform in platforms]
+        return durations
+
+    # Vector accumulators: [rank][lane].  The integer counters are
+    # structural (identical across lanes), so they stay scalar.
+    compute_t = [[0.0] * width for _ in range(num_ranks)]
+    overhead_t = [[0.0] * width for _ in range(num_ranks)]
+    send_wait_t = [[0.0] * width for _ in range(num_ranks)]
+    recv_wait_t = [[0.0] * width for _ in range(num_ranks)]
+    request_wait_t = [[0.0] * width for _ in range(num_ranks)]
+    collective_t = [[0.0] * width for _ in range(num_ranks)]
+    finish_vecs: List[Optional[List[float]]] = [None] * num_ranks
+    bytes_sent_a = [0] * num_ranks
+    msgs_sent_a = [0] * num_ranks
+    bytes_recv_a = [0] * num_ranks
+    msgs_recv_a = [0] * num_ranks
+    collectives_a = [0] * num_ranks
+
+    pcs = [0] * num_ranks
+    lens = [len(rank_ops) for rank_ops in ops_by_rank]
+    clocks: List[List[float]] = [[0.0] * width for _ in range(num_ranks)]
+    pending_states: List[Any] = [None] * num_ranks
+    requests_by_rank: List[Dict[int, Tuple[str, _GridMessage, int]]] = [
+        {} for _ in range(num_ranks)]
+    coll_next = [0] * num_ranks
+    collectives: List[_GridCollective] = []
+    pending_sends: Dict[Tuple[int, int, int], Any] = {}
+    pending_recvs: Dict[Tuple[int, int, int], Any] = {}
+    pair_index: Dict[Tuple[int, int, int], int] = {}
+    #: Transfers as (src, dst, tag, pair index, size, lane durations,
+    #: route) -- route None for intranode -- recorded sorted at the end.
+    stat_buffer: List[Tuple[Any, ...]] = []
+    runnable = deque(range(num_ranks))
+    done = [False] * num_ranks
+    finished = 0
+    matched = 0
+
+    def wake_rank(waiter: int, arrival: List[float]) -> None:
+        state = pending_states[waiter]
+        kind = state[0]
+        if kind == "wait":
+            state[3] -= 1
+            if state[3]:
+                return
+            t0 = state[2]
+            t2 = list(t0)
+            for side, message in state[1]:
+                completion = (message.send_time
+                              if side == "send" and message.eager
+                              else message.arrival)
+                for i in lanes:
+                    if completion[i] > t2[i]:
+                        t2[i] = completion[i]
+            row = request_wait_t[waiter]
+            for i in lanes:
+                row[i] += t2[i] - t0[i]
+        elif kind == "recv":
+            t0 = state[2]
+            t2 = [a if a > b else b for a, b in zip(arrival, t0)]
+            row = recv_wait_t[waiter]
+            for i in lanes:
+                row[i] += t2[i] - t0[i]
+        else:  # "send" (blocking rendezvous)
+            t0 = state[2]
+            t2 = [a if a > b else b for a, b in zip(arrival, t0)]
+            row = send_wait_t[waiter]
+            for i in lanes:
+                row[i] += t2[i] - t0[i]
+        pending_states[waiter] = None
+        pcs[waiter] += 1
+        clocks[waiter] = t2
+        runnable.append(waiter)
+
+    def finish_message(message: _GridMessage, arrival: List[float]) -> None:
+        message.arrival = arrival
+        waiters = message.waiters
+        if not waiters:
+            return
+        message.waiters = []
+        for _side, waiter in waiters:
+            wake_rank(waiter, arrival)
+
+    def resolve(message: _GridMessage) -> None:
+        nonlocal matched
+        matched += 1
+        size = message.size
+        if message.eager:
+            start = message.send_time
+        else:
+            start = [s if s >= r else r
+                     for s, r in zip(message.send_time, message.recv_time)]
+        src_node = message.src // ppn
+        dst_node = message.dst // ppn
+        if src_node == dst_node:
+            durations = intranode_durations(size)
+            stat_buffer.append((message.src, message.dst, message.tag,
+                                message.order, size, durations, None))
+            arrival = [s + d for s, d in zip(start, durations)]
+        else:
+            route, totals, per_hop = internode_durations(
+                src_node, dst_node, size)
+            stat_buffer.append((message.src, message.dst, message.tag,
+                                message.order, size, totals, route))
+            arrival = []
+            for i in lanes:
+                ready = start[i]
+                for hop_duration in per_hop[i]:
+                    ready = ready + hop_duration
+                arrival.append(ready)
+        finish_message(message, arrival)
+
+    while runnable:
+        rank = runnable.popleft()
+        t = clocks[rank]
+        rank_ops = ops_by_rank[rank]
+        n = lens[rank]
+        pc = pcs[rank]
+        reqs = requests_by_rank[rank]
+        running = True
+        while pc < n:
+            op, record = rank_ops[pc]
+            if op == OP_CPU:
+                durations = burst_durations(record.instructions)
+                t2 = [a + d for a, d in zip(t, durations)]
+                row = compute_t[rank]
+                for i in lanes:
+                    row[i] += t2[i] - t[i]
+                t = t2
+                pc += 1
+                continue
+            if has_overhead:
+                t2 = [a + o for a, o in zip(t, overheads)]
+                row = overhead_t[rank]
+                for i in lanes:
+                    row[i] += t2[i] - t[i]
+                t = t2
+            if op == OP_SEND:
+                key = (rank, record.dst, record.tag)
+                queue = pending_recvs.get(key)
+                if queue:
+                    message = queue.popleft()
+                else:
+                    order = pair_index.get(key, 0)
+                    pair_index[key] = order + 1
+                    message = _GridMessage(rank, record.dst, record.tag,
+                                           order)
+                    pending = pending_sends.get(key)
+                    if pending is None:
+                        pending = pending_sends[key] = deque()
+                    pending.append(message)
+                size = record.size
+                message.size = size
+                message.send_posted = True
+                message.send_time = t
+                bytes_sent_a[rank] += size
+                msgs_sent_a[rank] += 1
+                if size <= eager_threshold:
+                    message.eager = True
+                    # Eager transfers launch at the send posting; the
+                    # sender is complete immediately.
+                    resolve(message)
+                    if not record.blocking:
+                        reqs[record.request] = ("send", message, pc)
+                else:
+                    if message.recv_posted:
+                        resolve(message)
+                    if record.blocking:
+                        arrival = message.arrival
+                        if arrival is None:
+                            message.waiters.append(("s", rank))
+                            pending_states[rank] = ("send", message, t)
+                            pcs[rank] = pc
+                            running = False
+                            break
+                        t2 = [a if a > b else b for a, b in zip(arrival, t)]
+                        row = send_wait_t[rank]
+                        for i in lanes:
+                            row[i] += t2[i] - t[i]
+                        t = t2
+                    else:
+                        reqs[record.request] = ("send", message, pc)
+            elif op == OP_RECV:
+                key = (record.src, rank, record.tag)
+                queue = pending_sends.get(key)
+                if queue:
+                    message = queue.popleft()
+                else:
+                    order = pair_index.get(key, 0)
+                    pair_index[key] = order + 1
+                    message = _GridMessage(record.src, rank, record.tag,
+                                           order)
+                    pending = pending_recvs.get(key)
+                    if pending is None:
+                        pending = pending_recvs[key] = deque()
+                    pending.append(message)
+                message.recv_posted = True
+                message.recv_time = t
+                bytes_recv_a[rank] += record.size
+                msgs_recv_a[rank] += 1
+                if (message.send_posted and message.arrival is None
+                        and not message.eager):
+                    resolve(message)
+                if record.blocking:
+                    arrival = message.arrival
+                    if arrival is None:
+                        message.waiters.append(("r", rank))
+                        pending_states[rank] = ("recv", message, t)
+                        pcs[rank] = pc
+                        running = False
+                        break
+                    t2 = [a if a > b else b for a, b in zip(arrival, t)]
+                    row = recv_wait_t[rank]
+                    for i in lanes:
+                        row[i] += t2[i] - t[i]
+                    t = t2
+                else:
+                    reqs[record.request] = ("recv", message, pc)
+            elif op == OP_WAIT:
+                if record.requests:
+                    items = []
+                    unresolved = None
+                    for request_id in record.requests:
+                        try:
+                            side, message, _ = reqs.pop(request_id)
+                        except KeyError:
+                            raise SimulationError(format_defect(
+                                "TL302", rank, pc,
+                                f"waits on unknown request {request_id}"
+                            )) from None
+                        items.append((side, message))
+                        if side == "send" and message.eager:
+                            continue
+                        if message.arrival is None:
+                            park = ("s" if side == "send" else "r", message)
+                            if unresolved is None:
+                                unresolved = [park]
+                            else:
+                                unresolved.append(park)
+                    if unresolved:
+                        for park_side, message in unresolved:
+                            message.waiters.append((park_side, rank))
+                        pending_states[rank] = ["wait", items, t,
+                                                len(unresolved)]
+                        pcs[rank] = pc
+                        running = False
+                        break
+                    t2 = list(t)
+                    for side, message in items:
+                        completion = (message.send_time
+                                      if side == "send" and message.eager
+                                      else message.arrival)
+                        for i in lanes:
+                            if completion[i] > t2[i]:
+                                t2[i] = completion[i]
+                    row = request_wait_t[rank]
+                    for i in lanes:
+                        row[i] += t2[i] - t[i]
+                    t = t2
+            elif op == OP_COLLECTIVE:
+                index = coll_next[rank]
+                coll_next[rank] = index + 1
+                if index < len(collectives):
+                    instance = collectives[index]
+                else:
+                    instance = _GridCollective(
+                        record.operation, record.root, record.size, width)
+                    collectives.append(instance)
+                collectives_a[rank] += 1
+                instance.count += 1
+                if instance.count == num_ranks:
+                    last = [a if a > b else b
+                            for a, b in zip(t, instance.last)]
+                    durations = collective_durations(
+                        instance.operation, instance.size)
+                    exit_time = []
+                    for i in lanes:
+                        arrived = last[i]
+                        remaining = (arrived + durations[i]) - arrived
+                        exit_time.append(arrived + remaining
+                                         if remaining > 0 else arrived)
+                    row = collective_t[rank]
+                    for i in lanes:
+                        row[i] += exit_time[i] - t[i]
+                    for waiter, t0 in instance.waiters:
+                        waiter_row = collective_t[waiter]
+                        for i in lanes:
+                            waiter_row[i] += exit_time[i] - t0[i]
+                        pending_states[waiter] = None
+                        pcs[waiter] += 1
+                        clocks[waiter] = exit_time
+                        runnable.append(waiter)
+                    instance.waiters = []
+                    t = exit_time
+                else:
+                    instance.last = [a if a > b else b
+                                     for a, b in zip(t, instance.last)]
+                    instance.waiters.append((rank, t))
+                    pending_states[rank] = ("collective",)
+                    pcs[rank] = pc
+                    running = False
+                    break
+            else:
+                raise SimulationError(
+                    f"rank {rank}: unknown record {record!r}")
+            pc += 1
+        if running:
+            if reqs:
+                ReplayEngine._leftover_requests(rank, reqs)
+            pcs[rank] = pc
+            finish_vecs[rank] = t
+            done[rank] = True
+            finished += 1
+
+    if finished < num_ranks:
+        # Unreachable when the classifier's matchability proof holds (the
+        # structural walk blocks exactly where the symbolic replay does);
+        # kept so an inconsistency surfaces loudly instead of as wrong
+        # numbers.
+        stuck = [rank for rank in range(num_ranks) if not done[rank]]
+        raise SimulationError(
+            f"grid replay deadlocked: ranks {stuck} blocked "
+            f"(pcs {[pcs[rank] for rank in stuck]})")
+
+    # Per-transfer identities are unique, so the sort never compares the
+    # vector payloads.
+    stat_buffer.sort(key=lambda entry: entry[:4])
+
+    results = []
+    for i in lanes:
+        statistics = NetworkStatistics()
+        for _src, _dst, _tag, _order, size, durations, route in stat_buffer:
+            if route is None:
+                statistics.record(size, 0.0, durations[i], True)
+            else:
+                for hop in route:
+                    statistics.record_hop(hop.name, 0.0)
+                statistics.record(size, 0.0, durations[i], False)
+        network_stats = dict(statistics.summary())
+        network_stats["messages_matched"] = matched
+        network_stats["topology"] = platforms[i].topology.kind
+        network_stats["hop_queue_time"] = dict(statistics.hop_queue_time)
+        network_stats["hop_transfers"] = dict(statistics.hop_transfers)
+        rank_stats = []
+        total_time = 0.0
+        for rank in range(num_ranks):
+            stats = RankStats(rank=rank)
+            stats.compute_time = compute_t[rank][i]
+            stats.mpi_overhead_time = overhead_t[rank][i]
+            stats.send_wait_time = send_wait_t[rank][i]
+            stats.recv_wait_time = recv_wait_t[rank][i]
+            stats.request_wait_time = request_wait_t[rank][i]
+            stats.collective_time = collective_t[rank][i]
+            stats.finish_time = finish_vecs[rank][i]
+            stats.bytes_sent = bytes_sent_a[rank]
+            stats.messages_sent = msgs_sent_a[rank]
+            stats.bytes_received = bytes_recv_a[rank]
+            stats.messages_received = msgs_recv_a[rank]
+            stats.collectives = collectives_a[rank]
+            rank_stats.append(stats)
+            if stats.finish_time > total_time:
+                total_time = stats.finish_time
+        results.append((total_time, rank_stats, network_stats))
+    return results

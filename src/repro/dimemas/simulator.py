@@ -29,8 +29,9 @@ class DimemasSimulator:
         """Reconstruct the time behaviour of ``trace`` on ``platform``.
 
         ``collect_timeline=False`` replays with a null timeline recorder
-        (the scalar results are bit-identical, the returned timeline is
-        empty); ``None`` falls back to the simulator's default.
+        (the returned timeline is empty; see
+        :class:`~repro.dimemas.replay.ReplayEngine` for what stays
+        bit-identical); ``None`` falls back to the simulator's default.
         """
         platform = platform or self.platform
         if collect_timeline is None:
@@ -43,7 +44,7 @@ class DimemasSimulator:
             metadata["label"] = label
         if engine.adaptive_summary is not None:
             # How the adaptive backend handled this cell: fast-forward or
-            # DES fallback, window counts and contended transfers.
+            # DES fallback, its classification and contended transfers.
             metadata["adaptive"] = dict(engine.adaptive_summary)
         return SimulationResult(
             platform=platform,

@@ -1,11 +1,11 @@
-"""Contention-free window classification for the adaptive replay backend.
+"""Cell classification for the adaptive replay backend.
 
-The ``adaptive`` backend fast-forwards a replay with closed-form per-rank
-time recurrences instead of discrete events.  That needs no resource model
-when no shared resource can be oversubscribed, and is only *well-defined*
-when the trace's progress structure can be proven without replaying it.
-This module is the pre-replay pass that decides both, over the prepared
-record streams (:meth:`repro.tracing.trace.Trace.prepared`):
+The ``adaptive`` backend replays a cell without discrete events, with
+per-rank time recurrences.  That needs no resource model when no shared
+resource can be oversubscribed, and is only *well-defined* when the
+trace's progress structure can be proven without replaying it.  This
+module is the pre-replay pass that decides both, over the prepared record
+streams (:meth:`repro.tracing.trace.Trace.prepared`):
 
 * **Viability** -- the whole-trace conditions under which the closed-form
   recurrences reproduce the event backend's semantics: analytical
@@ -17,19 +17,19 @@ record streams (:meth:`repro.tracing.trace.Trace.prepared`):
   through the event walk so it raises the exact same error), and a clean
   run of the static matcher from :mod:`repro.analysis.tracelint` -- the
   zero-time symbolic replay is exact for progress semantics, so a trace it
-  proves matchable cannot deadlock under fast-forwarding.
+  proves matchable, with every send received, cannot deadlock or leave a
+  transfer unmatched under fast-forwarding.
 
-* **Windows** -- under analytical collectives every collective is a global
-  synchronisation point, so the trace decomposes into ``collectives + 1``
-  windows.  A window is *proven contention-free* when it moves no
-  inter-node message (intra-node transfers bypass every network resource)
-  or when the platform's network has no limited resource at all
-  (per-topology classification below).  A cell whose windows are all
-  proven is replayed with every rank advancing inline; a cell with a
-  contended window runs a FIFO resource micro-model and paces every
+* **Proven cells** -- a viable cell is *proven* when the platform's
+  network has no limited resource at all (per-topology classification
+  below) or the trace sends no inter-node message (intra-node transfers
+  bypass every network resource).  A proven cell that records no
+  timeline rides the lane walk, alone or batched with its cohort
+  (:mod:`repro.dimemas.gridreplay`); every other viable cell rides the
+  paced walk, which runs a FIFO resource micro-model and paces every
   continuation through a time-ordered heap in the DES's event-creation
-  order, which reproduces its sequential acquisition, FIFO grants and
-  same-instant tie order.  Either way the result equals the event
+  order, reproducing its sequential acquisition, FIFO grants and
+  same-instant tie order.  Either way the times equal the event
   backend's (checked by the differential tests and the accuracy harness,
   ``benchmarks/bench_adaptive.py``).
 
@@ -57,42 +57,28 @@ class WindowPlan:
 
     ``viable`` is the operative bit: the adaptive engine fast-forwards when
     it is set and falls back to the event walk (with ``reason`` explaining
-    why) when it is not.  ``proven_exact`` says every window is
-    contention-free, so the fast-forward needs no resource model and the
-    ranks advance inline (the cohort replay of
-    :mod:`repro.dimemas.gridreplay` batches only such cells).
+    why) when it is not.  ``proven_exact`` says the cell is viable and no
+    transfer can meet a limited resource, so the replay needs no resource
+    model: metric-only proven cells ride the lane walk, at width 1 or in a
+    cohort (:mod:`repro.dimemas.gridreplay` batches only such cells).
     """
 
     viable: bool
     reason: Optional[str]
     network_uncontended: bool
-    num_windows: int
-    proven_windows: int
-    internode_messages: int
-    intranode_messages: int
-
-    @property
-    def proven_exact(self) -> bool:
-        """True when the cell fast-forwards and every window is
-        contention-free."""
-        return self.viable and self.proven_windows == self.num_windows
+    proven_exact: bool
 
 
 class _TraceFacts:
     """Platform-independent facts of one trace content (memoized)."""
 
-    __slots__ = ("defect", "num_windows", "window_internode",
-                 "internode_messages", "intranode_messages", "message_sizes")
+    __slots__ = ("defect", "internode_messages", "message_sizes")
 
-    def __init__(self, defect: Optional[str] = None, num_windows: int = 0,
-                 window_internode: Tuple[int, ...] = (),
-                 internode_messages: int = 0, intranode_messages: int = 0,
+    def __init__(self, defect: Optional[str] = None,
+                 internode_messages: int = 0,
                  message_sizes: Tuple[int, ...] = ()):
         self.defect = defect
-        self.num_windows = num_windows
-        self.window_internode = window_internode
         self.internode_messages = internode_messages
-        self.intranode_messages = intranode_messages
         self.message_sizes = message_sizes
 
 
@@ -136,40 +122,32 @@ def _compute_facts(trace: Trace, eager_threshold: int,
 
     # Matchability proof: the symbolic replay of repro.analysis.tracelint
     # is exact for progress semantics (only posting order matters), so a
-    # clean fixpoint guarantees the fast-forward interpreter never
-    # deadlocks -- without replaying anything.
-    stuck = _SymbolicReplay(ops, num_ranks, eager_threshold).run()
+    # clean fixpoint guarantees the fast-forward walks never deadlock --
+    # without replaying anything.  A send left unmatched at the fixpoint
+    # is a defect too: the event walk raises its exact error (TL101/TL103).
+    symbolic = _SymbolicReplay(ops, num_ranks, eager_threshold)
+    stuck = symbolic.run()
     if stuck:
         return _TraceFacts(
             defect=f"static matcher cannot prove progress "
                    f"(ranks {stuck} block)")
+    unmatched = symbolic.unmatched_sends()
+    if unmatched:
+        return _TraceFacts(
+            defect=f"static matcher leaves {unmatched} send(s) unreceived")
 
-    # Window decomposition: analytical collectives are global barriers, so
-    # window w spans every rank's records between its (w-1)-th and w-th
-    # collective.  Count the inter-node messages per window -- a window
-    # without any is contention-free on every platform.
-    num_windows = len(first) + 1
-    window_internode = [0] * num_windows
+    # A trace without inter-node messages is contention-free on every
+    # platform: intra-node transfers bypass every network resource.
     internode = 0
-    intranode = 0
     sizes = set()
     for rank, rank_ops in enumerate(ops):
-        window = 0
         src_node = rank // processors_per_node
         for op, record in rank_ops:
-            if op == OP_COLLECTIVE:
-                window += 1
-            elif op == OP_SEND:
+            if op == OP_SEND:
                 sizes.add(record.size)
-                if record.dst // processors_per_node == src_node:
-                    intranode += 1
-                else:
+                if record.dst // processors_per_node != src_node:
                     internode += 1
-                    window_internode[window] += 1
-    return _TraceFacts(num_windows=num_windows,
-                       window_internode=tuple(window_internode),
-                       internode_messages=internode,
-                       intranode_messages=intranode,
+    return _TraceFacts(internode_messages=internode,
                        message_sizes=tuple(sorted(sizes)))
 
 
@@ -236,9 +214,7 @@ def export_facts(trace: Trace, eager_threshold: int,
         return None
     facts = _trace_facts(trace, eager_threshold, processors_per_node)
     return (digest, eager_threshold, processors_per_node, facts.defect,
-            facts.num_windows, facts.window_internode,
-            facts.internode_messages, facts.intranode_messages,
-            facts.message_sizes)
+            facts.internode_messages, facts.message_sizes)
 
 
 def seed_facts(rows) -> None:
@@ -246,18 +222,15 @@ def seed_facts(rows) -> None:
     for row in rows:
         if row is None:
             continue
-        (digest, eager_threshold, processors_per_node, defect, num_windows,
-         window_internode, internode, intranode, message_sizes) = row
+        (digest, eager_threshold, processors_per_node, defect, internode,
+         message_sizes) = row
         key = (digest, int(eager_threshold), int(processors_per_node))
         if key in _FACTS_MEMO:
             continue
         if len(_FACTS_MEMO) >= _FACTS_MEMO_LIMIT:
             _FACTS_MEMO.clear()
         _FACTS_MEMO[key] = _TraceFacts(
-            defect=defect, num_windows=int(num_windows),
-            window_internode=tuple(window_internode),
-            internode_messages=int(internode),
-            intranode_messages=int(intranode),
+            defect=defect, internode_messages=int(internode),
             message_sizes=tuple(message_sizes))
 
 
@@ -283,37 +256,27 @@ def network_uncontended(platform: Platform) -> bool:
 
 
 def classify(trace: Trace, platform: Platform) -> WindowPlan:
-    """Decide whether this cell can be fast-forwarded, and which of its
-    windows are proven contention-free."""
+    """Decide whether this cell can be fast-forwarded, and whether it is
+    proven contention-free."""
     if platform.collective_model.kind != ANALYTICAL:
         return WindowPlan(
             viable=False,
             reason="decomposed collectives inject phase traffic that must "
                    "interleave through the DES",
-            network_uncontended=False, num_windows=0, proven_windows=0,
-            internode_messages=0, intranode_messages=0)
+            network_uncontended=False, proven_exact=False)
     if platform.cpu_contention:
         return WindowPlan(
             viable=False,
             reason="CPU contention makes burst wake-ups a global property "
                    "of the DES",
-            network_uncontended=False, num_windows=0, proven_windows=0,
-            internode_messages=0, intranode_messages=0)
+            network_uncontended=False, proven_exact=False)
     facts = _trace_facts(trace, platform.eager_threshold,
                          platform.processors_per_node)
     if facts.defect is not None:
         return WindowPlan(
             viable=False, reason=facts.defect,
-            network_uncontended=False, num_windows=0, proven_windows=0,
-            internode_messages=0, intranode_messages=0)
+            network_uncontended=False, proven_exact=False)
     uncontended = network_uncontended(platform)
-    if uncontended:
-        proven = facts.num_windows
-    else:
-        proven = sum(1 for count in facts.window_internode if count == 0)
     return WindowPlan(
-        viable=True, reason=None,
-        network_uncontended=uncontended,
-        num_windows=facts.num_windows, proven_windows=proven,
-        internode_messages=facts.internode_messages,
-        intranode_messages=facts.intranode_messages)
+        viable=True, reason=None, network_uncontended=uncontended,
+        proven_exact=uncontended or facts.internode_messages == 0)

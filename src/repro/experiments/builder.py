@@ -156,8 +156,8 @@ class Experiment:
         """Select the replay backend (``event`` or ``adaptive``).
 
         ``event`` walks every record through the DES.  ``adaptive``
-        replays the same run faster: it fast-forwards windows in closed
-        form, contended ones through a FIFO resource model paced in the
+        replays the same run faster: it fast-forwards cells without DES
+        events, contended ones through a FIFO resource model paced in the
         DES's event order, and runs the ``event`` walk for cells it cannot
         fast-forward.
         """

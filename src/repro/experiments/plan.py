@@ -334,18 +334,18 @@ def analyze_tasks(plan: ExperimentPlan, tasks: Sequence[SweepTask],
         reports, metadata={"tasks": len(tasks), "traces": sorted(traces)})
 
 
-def group_cohorts(tasks: Sequence[SweepTask], traces: Dict[str, Trace],
-                  min_proven: int = 2) -> List[object]:
+def group_cohorts(tasks: Sequence[SweepTask],
+                  traces: Dict[str, Trace]) -> List[object]:
     """Group missing sweep tasks into grid-vectorizable cohort batches.
 
-    Tasks sharing one trace variant and one structural signature (topology
-    shape, node mapping, collective model, eager protocol class -- see
-    :func:`repro.dimemas.gridreplay.cohort_signature`) become one
-    :class:`CohortTask`; everything else stays a per-cell task.  A group is
-    only batched when at least ``min_proven`` of its members are proven
-    exactly fast-forwardable -- below that the vectorized walk has nothing
-    to amortize, since non-proven members peel off to the per-cell path
-    inside the batch anyway.
+    Exactly the proven metric-only tasks batch: tasks sharing one trace
+    variant and one structural signature (topology shape, node mapping,
+    collective model, eager protocol class -- see
+    :func:`repro.dimemas.gridreplay.cohort_signature`) whose cells the
+    classifier proves contention-free become one :class:`CohortTask`, at
+    any width -- a lone proven cell is a width-1 cohort.  Every other task
+    stays a per-cell task, so the worker pool balances contended cells
+    one by one.
 
     The returned unit list is deterministic: units appear in the order of
     their first task, and each cohort's members keep task order.  Grouping
@@ -356,34 +356,23 @@ def group_cohorts(tasks: Sequence[SweepTask], traces: Dict[str, Trace],
     from repro.dimemas.windows import classify
 
     groups: Dict[Tuple, List[SweepTask]] = {}
-    placement: Dict[int, Optional[Tuple]] = {}
+    placement: Dict[int, Tuple] = {}
     for task in tasks:
         trace = traces.get(task.trace_key)
         if task.collect_timeline or trace is None:
-            placement[task.index] = None
             continue
         signature = cohort_signature(trace, task.platform)
-        if signature is None:
-            placement[task.index] = None
+        if (signature is None
+                or not classify(trace, task.platform).proven_exact):
             continue
         key = (task.trace_key, signature)
         groups.setdefault(key, []).append(task)
         placement[task.index] = key
-    for key, members in list(groups.items()):
-        trace = traces[members[0].trace_key]
-        proven = 0
-        for task in members:
-            if classify(trace, task.platform).proven_exact:
-                proven += 1
-                if proven >= min_proven:
-                    break
-        if proven < min_proven:
-            del groups[key]
     units: List[object] = []
     emitted = set()
     for task in tasks:
         key = placement.get(task.index)
-        if key is None or key not in groups:
+        if key is None:
             units.append(task)
         elif key not in emitted:
             emitted.add(key)

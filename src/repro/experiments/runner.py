@@ -201,8 +201,7 @@ def run_experiment(spec: ExperimentSpec,
                    full_results: bool = False,
                    store: Optional[ResultStore] = None,
                    cache_dir: Optional[Union[str, Path]] = None,
-                   precheck: bool = True,
-                   grid_cohorts: bool = True
+                   precheck: bool = True
                    ) -> ExperimentResult:
     """Execute ``spec`` and return the typed result.
 
@@ -213,8 +212,9 @@ def run_experiment(spec: ExperimentSpec,
     (timelines included), which :meth:`ExperimentResult.studies` needs --
     metric rows then carry no per-task timing.  A spec with
     ``collect_timelines`` set implies ``full_results``; otherwise the
-    replays run with the null timeline recorder (bit-identical scalars,
-    no timeline cost).
+    replays run with the null timeline recorder (no timeline cost; see
+    :class:`~repro.dimemas.replay.ReplayEngine` for what stays
+    bit-identical).
 
     ``store`` (or ``cache_dir``, which opens a
     :class:`~repro.store.filestore.FileResultStore`) attaches the persistent
@@ -229,11 +229,11 @@ def run_experiment(spec: ExperimentSpec,
     The traces are the ones execution needs anyway, so a clean precheck
     costs no extra tracing or transformation.
 
-    ``grid_cohorts`` (the default) groups the missing adaptive-backend tasks
-    into vectorizable platform cohorts so one pass over each trace evaluates
-    a whole grid slice at once; results are reassembled by task index and
-    are bit-identical to the per-cell path.  Full-results runs and custom
-    simulators always fall back to per-cell execution.
+    Missing proven adaptive-backend tasks are grouped into platform
+    cohorts (:func:`~repro.experiments.plan.group_cohorts`), so one pass
+    over each trace evaluates a whole grid slice at once; results are
+    reassembled by task index and are identical to the per-cell path's.
+    Full-results runs and custom simulators run every task per cell.
     """
     full_results = full_results or spec.collect_timelines
     store = _resolve_store(store, cache_dir)
@@ -274,7 +274,7 @@ def run_experiment(spec: ExperimentSpec,
                 f"precheck=False / --no-precheck to bypass):\n"
                 + report.render_text(), report=report)
     units: Sequence[object] = missing
-    if grid_cohorts and not full_results and _stock_simulator(environment):
+    if not full_results and _stock_simulator(environment):
         units = group_cohorts(missing, traces)
     raw = executor.execute(
         units, traces, full_results=full_results,

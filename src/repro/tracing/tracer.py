@@ -5,7 +5,7 @@ instructions, closes a computation burst whenever the application enters an
 MPI call, and records on every point-to-point record the store events
 (production) and load events (consumption) observed on the message buffer.
 
-Clamping rules (documented in DESIGN.md):
+Clamping rules:
 
 * production events are attributed to the closed computation burst in which
   the store actually happened, identified by its record index;

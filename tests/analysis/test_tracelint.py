@@ -392,6 +392,18 @@ class TestStaticRuntimeAgreement:
         static = _only(analyze_trace(trace), "TL201")
         assert _runtime_location(trace) == (static.rank, static.record_index)
 
+    @pytest.mark.parametrize("dst, code", [(1, "TL101"), (7, "TL103")],
+                             ids=["never-received", "out-of-range"])
+    def test_unmatched_send_locations_agree(self, dst, code):
+        # Every rank finishes, so only the unmatched-send check can fail
+        # the replay: rank 0's eager send has no receive (TL101), or names
+        # a rank the trace does not have (TL103).
+        trace = _trace([IDLE, SendRecord(dst=dst, size=10, tag=0)], [IDLE])
+        static = _only(analyze_trace(trace), code)
+        located = re.compile(code + r" \S+ at rank (\d+), record (\d+)")
+        assert _runtime_location(trace, located) == \
+            (static.rank, static.record_index)
+
     def test_deadlock_locations_agree(self):
         trace = _head_to_head(100_000)
         static = _only(analyze_trace(trace), "TL401")

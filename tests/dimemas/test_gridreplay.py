@@ -5,16 +5,16 @@ trace and the structural platform axes, differing only in scalars like
 bandwidth or CPU speed -- in a single structural walk over the trace,
 carrying one clock vector per rank.  Its contract is strict:
 
-* on proven contention-free cells the per-lane results are bit-identical
-  to the per-cell adaptive backend (which is itself bit-identical to the
-  event backend there): total time, per-rank statistics and the full
-  network-statistics dict;
+* on proven contention-free cells the per-lane results are identical to
+  the per-cell adaptive backend (the same lane walk at width 1): total
+  time, per-rank statistics and the full network-statistics dict; time
+  and per-rank statistics also equal the event backend's bit for bit;
 * cells that are contended, protocol-divergent or otherwise unprovable
   peel off into the existing per-cell path inside the same call, so a
   mixed cohort still returns exactly what per-cell execution would;
-* sweeps that batch cohorts populate the result cache with byte-identical
+* executing cohort batches populates the result cache with byte-identical
   payloads (modulo the producing run's wall clock) under the same cell
-  keys as per-cell runs, at any jobs count.
+  keys as executing the same tasks one by one, at any jobs count.
 """
 
 import dataclasses
@@ -24,15 +24,17 @@ import pytest
 from repro.apps.registry import APPLICATIONS, create_application
 from repro.core.chunking import FixedCountChunking
 from repro.core.environment import OverlapStudyEnvironment
-from repro.core.executor import CohortTask, SweepTask
+from repro.core.executor import CohortTask, SweepExecutor, SweepTask
 from repro.dimemas import windows
 from repro.dimemas.gridreplay import cohort_signature, replay_cohort
 from repro.dimemas.platform import Platform
 from repro.dimemas.simulator import DimemasSimulator
-from repro.errors import AnalysisError
+from repro.errors import AnalysisError, SimulationError
 from repro.experiments import ExperimentSpec, run_experiment
-from repro.experiments.plan import group_cohorts
+from repro.experiments.plan import group_cohorts, plan_experiment
 from repro.store import FileResultStore
+from repro.tracing.records import CpuBurst, SendRecord
+from repro.tracing.trace import RankTrace, Trace
 
 ALL_APPS = tuple(sorted(APPLICATIONS))
 TOPOLOGIES = ("flat", "tree:radix=2", "torus:torus_width=2")
@@ -157,11 +159,24 @@ class TestMixedCohorts:
         for got, platform in zip(replay_cohort(trace, platforms), platforms):
             _assert_cell_equal(got, _simulate(trace, platform))
 
-    def test_single_member_cohort_degrades_gracefully(self):
+    def test_single_member_cohort_rides_the_lane_walk(self):
         trace = _trace("nas-cg")
         platform = PROVEN["flat"]
         (got,) = replay_cohort(trace, [platform])
         _assert_cell_equal(got, _simulate(trace, platform))
+        assert got.metadata["adaptive"]["grid_width"] == 1
+
+    def test_unreceived_send_raises_the_event_error(self):
+        """A defective trace is never batched: it peels off to the event
+        walk, which names the send no receive matches."""
+        trace = Trace(ranks=[
+            RankTrace(rank=0, records=[CpuBurst(instructions=1.0e3),
+                                       SendRecord(dst=1, size=10, tag=0)]),
+            RankTrace(rank=1, records=[CpuBurst(instructions=1.0e3)]),
+        ], mips=1000.0, metadata={"name": "unmatched"})
+        with pytest.raises(SimulationError,
+                           match=r"TL101 unmatched-send at rank 0, record 1"):
+            replay_cohort(trace, _cohort_of(PROVEN["flat"], (10.0, 100.0)))
 
 
 class TestCohortGrouping:
@@ -191,7 +206,7 @@ class TestCohortGrouping:
         tasks = self._tasks(platforms)
         assert group_cohorts(tasks, {"app:original": trace}) == tasks
 
-    def test_demotes_groups_without_enough_proven_members(self):
+    def test_contended_tasks_stay_per_cell(self):
         trace = _trace("nas-cg")
         contended = [Platform(bandwidth_mbps=bandwidth, input_links=1,
                               output_links=1, replay_backend="adaptive")
@@ -245,7 +260,8 @@ class TestFactsShipping:
             windows._FACTS_MEMO.clear()
             windows._FACTS_MEMO.update(memo)
         recomputed = windows._trace_facts(trace, 65536, 1)
-        assert seeded.num_windows == recomputed.num_windows
+        assert seeded.defect == recomputed.defect
+        assert seeded.internode_messages == recomputed.internode_messages
         assert seeded.message_sizes == recomputed.message_sizes
 
     def test_export_requires_digest(self):
@@ -282,15 +298,32 @@ def _stable_payloads(store):
     return payloads
 
 
+def _executed(tasks, traces, store, keys):
+    """Result rows of ``tasks`` executed in-process, wall clock dropped."""
+    results = SweepExecutor().execute(tasks, traces, store=store,
+                                      cache_keys=keys)
+    return [dataclasses.replace(result, elapsed_seconds=0.0)
+            for result in results]
+
+
 class TestSweepIntegration:
-    """Cohort batching through run_experiment: cache and rows unchanged."""
+    """Cohort batching through the executor: rows and cache unchanged."""
+
+    @staticmethod
+    def _plan():
+        plan = plan_experiment(SWEEP_SPEC)
+        return plan, plan.traces_for(plan.tasks)
 
     def test_cache_entries_byte_identical_to_per_cell(self, tmp_path):
+        plan, traces = self._plan()
+        keys = dict(enumerate(plan.cell_keys()))
+        units = group_cohorts(plan.tasks, traces)
+        assert all(isinstance(unit, CohortTask) for unit in units)
         grid_store = FileResultStore(tmp_path / "grid")
         cell_store = FileResultStore(tmp_path / "cell")
-        grid = run_experiment(SWEEP_SPEC, store=grid_store, grid_cohorts=True)
-        cell = run_experiment(SWEEP_SPEC, store=cell_store, grid_cohorts=False)
-        assert _stable_rows(grid) == _stable_rows(cell)
+        grid = _executed(units, traces, grid_store, keys)
+        cell = _executed(plan.tasks, traces, cell_store, keys)
+        assert grid == cell
         grid_payloads = _stable_payloads(grid_store)
         cell_payloads = _stable_payloads(cell_store)
         assert grid_payloads.keys() == cell_payloads.keys()
@@ -303,8 +336,8 @@ class TestSweepIntegration:
 
     def test_warm_run_serves_grid_written_entries(self, tmp_path):
         store = FileResultStore(tmp_path)
-        run_experiment(SWEEP_SPEC, store=store, grid_cohorts=True)
-        warm = run_experiment(SWEEP_SPEC, store=store, grid_cohorts=False)
+        run_experiment(SWEEP_SPEC, store=store)
+        warm = run_experiment(SWEEP_SPEC, store=store)
         stats = warm.cache_stats()
         assert stats["hits"] == len(warm.provenance)
         assert stats["misses"] == 0

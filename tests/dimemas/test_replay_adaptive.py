@@ -1,11 +1,12 @@
 """Acceptance tests of the adaptive replay backend.
 
-The adaptive backend (``replay_backend="adaptive"``) classifies a cell's
-replay into windows and fast-forwards them with closed-form per-rank time
-recurrences; cells it cannot fast-forward (decomposed collectives, CPU
-contention, defective traces) run the event backend's own walk.  Its
-contract is exactness: it replays the same run as the event backend, and
-these tests pin that contract:
+The adaptive backend (``replay_backend="adaptive"``) classifies a cell
+and replays it without DES events: proven contention-free cells that
+record no timeline ride the lane walk (at width 1), every other
+fast-forwardable cell rides the paced walk, and cells it cannot
+fast-forward (decomposed collectives, CPU contention, defective traces)
+run the event backend's own walk.  Its contract is exactness: it replays
+the same run as the event backend, and these tests pin that contract:
 
 * every registered app, original and overlapped, on contended and on
   *proven* contention-free cells (no finite buses or links, or an ideal
@@ -15,6 +16,8 @@ these tests pin that contract:
   mechanisms -- fast-forwarded and DES-fallback alike -- including
   same-instant rendezvous completions, which must resolve in the DES's
   callback order; defective traces raise the event backend's errors;
+* the classifier bit picks the walk: a proven metric-only cell never
+  enters the paced walk;
 * parallel sweeps (``jobs>1``) are deterministic and identical to the
   serial run.
 
@@ -97,8 +100,9 @@ class TestAdaptiveAcrossMechanisms:
 
 
 class TestProvenWindowsExact:
-    """No finite buses or links: every window is proven contention-free and
-    the fast-forward advances every rank inline."""
+    """No finite buses or links: every cell is proven contention-free, so
+    the metric-only replay rides the lane walk and the timeline replay the
+    paced walk -- both bit-identical to the event backend."""
 
     @pytest.mark.parametrize("topology", TOPOLOGIES)
     @pytest.mark.parametrize("app", ALL_APPS)
@@ -106,7 +110,7 @@ class TestProvenWindowsExact:
         engine = _assert_bit_exact(_trace(app), PROVEN[topology])
         summary = engine.adaptive_summary
         assert summary["proven_exact"] is True
-        assert summary["proven_windows"] == summary["windows"]
+        assert summary["mode"] == "fast-forward"
 
     @pytest.mark.parametrize("app", ALL_APPS)
     def test_ideal_network_bit_exact(self, app):
@@ -271,6 +275,67 @@ class TestLeftoverRequests:
                                      replay_backend=backend)).run()
 
 
+class TestUnmatchedSends:
+    """An eager send that no receive matches completes at its posting, so
+    unchecked it would replay to a plausible time around a phantom
+    transfer.  Every backend and topology names the send with the static
+    analyzer's code, rank and record."""
+
+    NEVER_RECEIVED = (r"TL101 unmatched-send at rank 0, record 1: send of 10 "
+                      r"bytes to rank 1 \(tag 0\) is never received")
+    OUT_OF_RANGE = (r"TL103 peer-out-of-range at rank 0, record 1: send "
+                    r"names destination rank 7 outside 0\.\.1")
+
+    @staticmethod
+    def _trace(dst):
+        return Trace(ranks=[
+            RankTrace(rank=0, records=[
+                CpuBurst(instructions=1.0e3),
+                SendRecord(dst=dst, size=10, tag=0),
+            ]),
+            RankTrace(rank=1, records=[CpuBurst(instructions=1.0e3)]),
+        ], mips=1000.0, metadata={"name": "unmatched"})
+
+    @pytest.mark.parametrize("dst, error", [(1, NEVER_RECEIVED),
+                                            (7, OUT_OF_RANGE)],
+                             ids=["never-received", "out-of-range"])
+    @pytest.mark.parametrize("topology", TOPOLOGIES)
+    @pytest.mark.parametrize("backend", ["event", "adaptive"])
+    def test_unmatched_send_raises(self, backend, topology, dst, error):
+        platform = CONTENDED[topology].with_replay_backend(backend)
+        with pytest.raises(SimulationError, match=error):
+            ReplayEngine(self._trace(dst), platform).run()
+
+    @pytest.mark.parametrize("dst, error", [(1, NEVER_RECEIVED),
+                                            (7, OUT_OF_RANGE)],
+                             ids=["never-received", "out-of-range"])
+    def test_proven_metric_only_cell_falls_back_and_raises(self, dst, error):
+        platform = PROVEN["flat"].with_replay_backend("adaptive")
+        engine = ReplayEngine(self._trace(dst), platform,
+                              collect_timeline=False)
+        with pytest.raises(SimulationError, match=error):
+            engine.run()
+        assert engine.adaptive_summary["mode"] == "des-fallback"
+        assert "unreceived" in engine.adaptive_summary["fallback_reason"]
+
+
+class TestWalkRouting:
+    """One classifier bit picks the adaptive walk: a proven metric-only
+    cell rides the lane walk and never enters the paced walk."""
+
+    def test_proven_metric_only_cell_never_enters_the_paced_walk(
+            self, monkeypatch):
+        def paced_walk(engine, prepared):
+            raise AssertionError("proven metric-only cell took the paced walk")
+
+        monkeypatch.setattr(ReplayEngine, "_run_adaptive", paced_walk)
+        platform = PROVEN["flat"].with_replay_backend("adaptive")
+        engine = ReplayEngine(_trace("nas-cg"), platform,
+                              collect_timeline=False)
+        assert engine.run()[0] > 0
+        assert engine.adaptive_summary["proven_exact"] is True
+
+
 class TestReplayBackendKnob:
     def test_invalid_backend_rejected(self):
         with pytest.raises(ConfigurationError, match="replay_backend"):
@@ -320,9 +385,20 @@ class TestAdaptiveMetadata:
         platform = CONTENDED["flat"].with_replay_backend("adaptive")
         result = DimemasSimulator(platform).simulate(_trace("nas-bt"))
         summary = result.metadata["adaptive"]
+        assert set(summary) == {"backend", "mode", "network_uncontended",
+                                "proven_exact", "contended_transfers"}
         assert summary["backend"] == "adaptive"
         assert summary["mode"] == "fast-forward"
         assert summary["proven_exact"] is False
+
+    def test_proven_metric_only_summary(self):
+        platform = PROVEN["flat"].with_replay_backend("adaptive")
+        result = DimemasSimulator(platform, collect_timeline=False).simulate(
+            _trace("nas-bt"))
+        assert result.metadata["adaptive"] == {
+            "backend": "adaptive", "mode": "fast-forward",
+            "network_uncontended": True, "proven_exact": True,
+            "contended_transfers": 0}
 
     def test_exact_backends_attach_nothing(self):
         result = DimemasSimulator(

@@ -1,6 +1,8 @@
 """Experiment planning: keyed task expansion and lazy trace
 materialisation (a warm run must transform and replay nothing)."""
 
+import dataclasses
+
 import pytest
 
 from repro.core.environment import OverlapStudyEnvironment
@@ -151,20 +153,38 @@ class TestCohortGrouping:
         traces = plan.traces_for(plan.tasks)
         assert group_cohorts(plan.tasks, traces) == list(plan.tasks)
 
-    def test_demotes_below_min_proven(self):
+    def test_contended_adaptive_grid_stays_per_cell(self):
         from repro.experiments.plan import group_cohorts
+
+        spec = dataclasses.replace(
+            self.ADAPTIVE_SPEC,
+            platform={"replay_backend": "adaptive", "input_links": 1,
+                      "output_links": 1})
+        plan = plan_experiment(spec)
+        traces = plan.traces_for(plan.tasks)
+        assert group_cohorts(plan.tasks, traces) == list(plan.tasks)
+
+    def test_one_bandwidth_proven_grid_yields_width_one_cohorts(self):
+        from repro.core.executor import CohortTask
+        from repro.experiments.plan import group_cohorts
+
+        spec = dataclasses.replace(self.ADAPTIVE_SPEC, bandwidths=(500.0,))
+        plan = plan_experiment(spec)
+        traces = plan.traces_for(plan.tasks)
+        units = group_cohorts(plan.tasks, traces)
+        assert units == [CohortTask(tasks=(task,)) for task in plan.tasks]
+
+    def test_grid_run_matches_per_cell_run(self):
+        from repro.core.executor import SweepExecutor
+        from repro.experiments.plan import group_cohorts
+
+        def stable(results):
+            return [dataclasses.replace(result, elapsed_seconds=0.0)
+                    for result in results]
 
         plan = plan_experiment(self.ADAPTIVE_SPEC)
         traces = plan.traces_for(plan.tasks)
-        units = group_cohorts(plan.tasks, traces, min_proven=4)
-        assert units == list(plan.tasks)
-
-    def test_grid_run_matches_per_cell_run(self):
-        def stable(result):
-            return [{key: value for key, value in row.items()
-                     if key != "task_seconds"}
-                    for row in result.to_rows()]
-
-        grid = run_experiment(self.ADAPTIVE_SPEC, grid_cohorts=True)
-        cell = run_experiment(self.ADAPTIVE_SPEC, grid_cohorts=False)
+        executor = SweepExecutor(jobs=1)
+        grid = executor.execute(group_cohorts(plan.tasks, traces), traces)
+        cell = executor.execute(plan.tasks, traces)
         assert stable(grid) == stable(cell)

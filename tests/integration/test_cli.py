@@ -3,6 +3,8 @@
 import pytest
 
 from repro.cli import main
+from repro.tracing.records import CpuBurst, SendRecord
+from repro.tracing.trace import RankTrace, Trace
 
 
 class TestCli:
@@ -85,6 +87,24 @@ class TestCli:
         assert exit_info.value.code != 0
         err = capsys.readouterr().err
         assert "hop_latency must be a finite number, got nan" in err
+
+
+class TestCliDefectiveTraces:
+    @pytest.mark.parametrize("backend", ["event", "adaptive"])
+    def test_simulate_rejects_a_send_never_received(self, tmp_path, capsys,
+                                                     backend):
+        path = Trace(ranks=[
+            RankTrace(rank=0, records=[CpuBurst(instructions=1.0e3),
+                                       SendRecord(dst=1, size=10, tag=0)]),
+            RankTrace(rank=1, records=[CpuBurst(instructions=1.0e3)]),
+        ], mips=1000.0).save(tmp_path / "unmatched.json")
+        code = main(["simulate", "--trace", str(path),
+                     "--replay-backend", backend])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert "total_time" not in captured.out
+        assert ("error: TL101 unmatched-send at rank 0, record 1: send of "
+                "10 bytes to rank 1 (tag 0) is never received") in captured.err
 
 
 class TestCliTopologies:

@@ -3,12 +3,15 @@ backend's run exactly.
 
 Hypothesis draws a registered app at 4 or 8 ranks, its original trace or an
 overlapped pattern/mechanism variant, and a platform across the axes that
-decide contention and completion order: a flat network (0-2 buses), a tree
-or a torus with 1-2 links, eager thresholds that make every, some or no
-message rendezvous, one or two ranks per node, and the bandwidth, latency,
-MPI-overhead and CPU-speed scalars.  Some cells use decomposed collectives
-or CPU contention, which the adaptive backend hands to the event walk.
-Every cell must meet the contract of ``tests/replay_contract.py``.
+decide contention and completion order: a flat network (0-2 links and
+buses), a tree or a torus with 0-2 links, eager thresholds that make
+every, some or no message rendezvous, one or two ranks per node, and the
+bandwidth, latency, MPI-overhead and CPU-speed scalars.  Networks with 0
+links (and 0 buses, on a flat network) have no limited resource, so their
+cells are proven and the metric-only adaptive replay takes the lane walk.
+Some cells use decomposed collectives or CPU contention, which the adaptive
+backend hands to the event walk.  Every cell must meet the contract of
+``tests/replay_contract.py``.
 """
 
 from hypothesis import given, settings
@@ -29,9 +32,11 @@ VARIANTS = ((None, "full"),) + tuple(
 @st.composite
 def platforms(draw):
     kind = draw(st.sampled_from(("flat", "tree", "torus")))
-    links = draw(st.integers(min_value=1, max_value=2))
+    links = draw(st.integers(min_value=0, max_value=2))
     if kind == "flat":
-        network = {"num_buses": draw(st.integers(min_value=0, max_value=2)),
+        buses = (0 if links == 0
+                 else draw(st.integers(min_value=0, max_value=2)))
+        network = {"num_buses": buses,
                    "input_links": links, "output_links": links}
     elif kind == "tree":
         network = {"topology": f"tree:radix=2,links={links}"}

@@ -6,8 +6,15 @@ intervals and communications.  Two representational differences are
 tolerated: the global *order* of the recorded communications (adaptive
 records a transfer when its wire slot ends, the event backend one event
 generation later), and the last ulp of aggregate network statistics
-(adaptive sums them in a canonical order).  Timeline content is compared
-sorted, and aggregates with a 1e-9 relative tolerance.
+(adaptive sums them in another order: canonical on the lane walk, at
+transfer start for closed-form transfers on the paced walk).  Timeline
+content is compared sorted, and aggregates with a 1e-9 relative tolerance.
+
+Adaptive replays each cell twice, recording a timeline and metric-only,
+because the two can take different walks: a proven cell runs the paced
+walk when it records a timeline and the lane walk when it does not.
+Both runs must meet the contract, so they also agree with each other on
+time and ``RankStats``.
 """
 
 import pytest
@@ -40,8 +47,9 @@ def app_trace(app_name, overlap=None, mechanism="full", ranks=4,
     return _TRACES[key]
 
 
-def _run(trace, platform, backend):
-    engine = ReplayEngine(trace, platform.with_replay_backend(backend))
+def _run(trace, platform, backend, collect_timeline=True):
+    engine = ReplayEngine(trace, platform.with_replay_backend(backend),
+                          collect_timeline=collect_timeline)
     return engine, engine.run()
 
 
@@ -56,22 +64,25 @@ def _communication_key(comm):
 
 def assert_bit_exact(trace, platform):
     """Replay ``trace`` on ``platform`` through both backends, assert the
-    contract, and return the adaptive engine (for its summary)."""
+    contract, and return the timeline-recording adaptive engine (for its
+    summary)."""
     engine, adaptive = _run(trace, platform, "adaptive")
+    _, metric_only = _run(trace, platform, "adaptive", collect_timeline=False)
     _, event = _run(trace, platform, "event")
-    adaptive_time, adaptive_stats, adaptive_timeline, adaptive_network = adaptive
     event_time, event_stats, event_timeline, event_network = event
-    assert adaptive_time == event_time
-    assert adaptive_stats == event_stats  # dataclass equality, every field
+    for total_time, stats, _, network in (adaptive, metric_only):
+        assert total_time == event_time
+        assert stats == event_stats  # dataclass equality, every field
+        assert network.keys() == event_network.keys()
+        for key, expected in event_network.items():
+            got = network[key]
+            if isinstance(expected, (dict, float)):  # per hop or scalar
+                assert got == pytest.approx(expected, rel=1e-9, abs=0.0)
+            else:
+                assert got == expected
+    adaptive_timeline = adaptive[2]
     assert (sorted(adaptive_timeline.intervals, key=_interval_key)
             == sorted(event_timeline.intervals, key=_interval_key))
     assert (sorted(adaptive_timeline.communications, key=_communication_key)
             == sorted(event_timeline.communications, key=_communication_key))
-    assert adaptive_network.keys() == event_network.keys()
-    for key, expected in event_network.items():
-        got = adaptive_network[key]
-        if isinstance(expected, (dict, float)):  # aggregates: per hop or scalar
-            assert got == pytest.approx(expected, rel=1e-9, abs=0.0)
-        else:
-            assert got == expected
     return engine
