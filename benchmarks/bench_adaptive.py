@@ -7,8 +7,8 @@ platform grid covering the paper's replay regimes -- through three
 engines:
 
 * ``legacy``: the embedded pre-refactor replica (the speedup baseline),
-* ``event``: the default backend (the *accuracy* reference), and
-* ``adaptive``: the classifying fast-forward backend
+* ``event``: the event backend (the *accuracy* reference), and
+* ``adaptive``: the classifying fast-forward backend and the default
   (``replay_backend="adaptive"``), the subject under test.  Replays are
   metric-only, so proven cells (the ideal network, or a mapping that keeps
   every message inside a node) take the lane walk at width 1 and every

@@ -9,7 +9,7 @@ replay regimes -- through two engines:
   before the fast-path refactor (dict-based events with eager name strings,
   generic ``Timeout`` construction, per-record ``isinstance`` dispatch,
   unconditional timeline interval recording), and
-* ``event``: the current default backend on its sweep configuration
+* ``event``: the event backend on its sweep configuration
   (``collect_timeline=False``, prepared traces, opcode dispatch).
 
 Both engines produce bit-identical simulated times (asserted on every
@@ -640,7 +640,10 @@ def _run_engine(build_engine, variants, platforms):
 
 
 def _fast_engine(trace, platform):
-    return ReplayEngine(trace, platform, collect_timeline=False)
+    # Pinned: the default backend is adaptive, and this column times the
+    # event walk.
+    return ReplayEngine(trace, platform.with_replay_backend("event"),
+                        collect_timeline=False)
 
 
 def main(argv=None) -> int:

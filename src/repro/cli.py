@@ -97,7 +97,8 @@ def _build_parser() -> argparse.ArgumentParser:
                             "overlapped variants")
     check.add_argument("--chunk-count", type=int, default=None,
                        help="fixed chunk count instead of a fixed chunk size")
-    check.add_argument("--eager-threshold", type=int, default=65536,
+    check.add_argument("--eager-threshold", type=int,
+                       default=Platform().eager_threshold,
                        help="eager/rendezvous switch-over size the deadlock "
                             "search assumes (bytes)")
     check.add_argument("--worst-case", action="store_true",
@@ -285,43 +286,49 @@ def _parse_collective_model(text: str) -> CollectiveSpec:
 
 
 def _add_platform_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--bandwidth", type=float, default=250.0,
+    # Every default comes from Platform, so a command without platform
+    # flags replays exactly the library's default platform.
+    defaults = Platform()
+    parser.add_argument("--bandwidth", type=float, default=defaults.bandwidth_mbps,
                         help="network bandwidth in MB/s (0 = ideal network)")
-    parser.add_argument("--latency", type=float, default=5.0e-6,
+    parser.add_argument("--latency", type=float, default=defaults.latency,
                         help="network latency in seconds")
-    parser.add_argument("--buses", type=int, default=0,
+    parser.add_argument("--buses", type=int, default=defaults.num_buses,
                         help="number of network buses (0 = unlimited)")
-    parser.add_argument("--cpu-speed", type=float, default=1.0,
+    parser.add_argument("--cpu-speed", type=float, default=defaults.relative_cpu_speed,
                         help="relative CPU speed of the target machine")
-    parser.add_argument("--eager-threshold", type=int, default=65536,
+    parser.add_argument("--eager-threshold", type=int, default=defaults.eager_threshold,
                         help="eager/rendezvous switch-over size in bytes")
-    parser.add_argument("--topology", default="flat", type=_parse_topology,
+    parser.add_argument("--topology", default=defaults.topology, type=_parse_topology,
                         help="interconnect topology spec: "
                              f"{'|'.join(sorted(TOPOLOGIES))}, optionally "
                              "parameterised like 'tree:radix=8,links=2' or "
                              "'torus:torus_width=4'")
-    parser.add_argument("--collective-model", default="analytical",
+    parser.add_argument("--collective-model", default=defaults.collective_model,
                         type=_parse_collective_model,
                         help="collective cost model: "
                              f"{'|'.join(sorted(COLLECTIVE_MODELS))}, the "
                              "latter optionally with per-operation "
                              "algorithm overrides like "
                              "'decomposed:bcast=ring,allreduce=binomial'")
-    parser.add_argument("--processors-per-node", type=int, default=1,
+    parser.add_argument("--processors-per-node", type=int,
+                        default=defaults.processors_per_node,
                         help="ranks mapped onto each node (consecutive "
                              "ranks fill nodes; same-node messages bypass "
                              "the network)")
-    parser.add_argument("--intranode-bandwidth", type=float, default=2000.0,
+    parser.add_argument("--intranode-bandwidth", type=float,
+                        default=defaults.intranode_bandwidth_mbps,
                         help="intra-node bandwidth in MB/s (0 = infinite)")
-    parser.add_argument("--intranode-latency", type=float, default=1.0e-6,
+    parser.add_argument("--intranode-latency", type=float,
+                        default=defaults.intranode_latency,
                         help="intra-node latency in seconds")
-    parser.add_argument("--replay-backend", default="event",
+    parser.add_argument("--replay-backend", default=defaults.replay_backend,
                         choices=["event", "adaptive"],
-                        help="replay implementation: 'event' walks every "
-                             "record through the DES, 'adaptive' "
-                             "fast-forwards cells without DES events (same "
-                             "results, faster) and runs the event walk "
-                             "where it cannot")
+                        help="replay implementation: 'adaptive' "
+                             "fast-forwards cells without DES events and "
+                             "runs the event walk where it cannot; 'event' "
+                             "walks every record through the DES (same "
+                             "results, slower)")
 
 
 # -- spec construction from flags ---------------------------------------------

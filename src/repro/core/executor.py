@@ -85,11 +85,8 @@ class SweepTask:
 
     ``collect_timeline`` selects the timeline recorder for metric-only
     replays: sweeps discard timelines, so it defaults off and the replay
-    skips the recording cost entirely (times and rank statistics are
-    bit-identical; on a proven adaptive cell the network aggregates may
-    differ in the last ulp, see
-    :class:`~repro.dimemas.replay.ReplayEngine`).  Full-result executions
-    (studies) always record.
+    skips the recording cost entirely (every metric is bit-identical).
+    Full-result executions (studies) always record.
     """
 
     index: int

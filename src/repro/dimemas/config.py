@@ -47,10 +47,8 @@ PLATFORM_FIELDS = {
     # Stored in the compact string form ("decomposed:bcast=ring"); Platform
     # parses it back into a CollectiveSpec.
     "collective_model": str,
-    # "event" or "adaptive".  Result-cache keys ignore the knob for the
-    # reference "event" backend and key "adaptive" results, whose network
-    # aggregates may differ in the last ulp (see
-    # repro.store.keys.platform_fingerprint).
+    # "event" or "adaptive"; both replay to the same bytes, so result-cache
+    # keys ignore it (see repro.store.keys.platform_fingerprint).
     "replay_backend": str,
 }
 

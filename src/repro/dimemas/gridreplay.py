@@ -12,13 +12,10 @@ lane walk (``_vector_walk`` in :mod:`repro.dimemas.replay`): a single pass
 over the prepared record streams with one clock lane per cell.
 
 Each lane is bit-identical to the event backend's replay of its cell in
-time and rank statistics, and identical in every output, network
-statistics included, to the width-1 lane walk that
-:class:`~repro.dimemas.replay.ReplayEngine` runs for the same cell alone:
-the walk evaluates the same expressions on the same operands in the same
-program order per lane, and records network statistics in one canonical
-order.  Cached sweep results therefore do not depend on whether a cell
-was batched.
+every output -- time, rank statistics and network statistics: the walk
+evaluates the same expressions on the same operands in the same program
+order per lane, and network aggregates are exact sums.  Cached sweep
+results therefore do not depend on whether a cell was batched.
 
 Cells that do not qualify -- contended cells, a diverging protocol class,
 a non-adaptive backend, a trace defect -- peel off into the per-cell path

@@ -18,7 +18,8 @@ topology -- wrap-around torus rings included -- deadlock-free.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+import math
+from typing import Dict, List, Optional
 
 from repro.des import Environment
 from repro.dimemas.messages import Message
@@ -28,41 +29,76 @@ from repro.paraver.timeline import Timeline
 
 
 class NetworkStatistics:
-    """Aggregate transfer counters maintained by the fabric."""
+    """Per-transfer records kept by the fabric, aggregated when read.
+
+    The fabric records one entry per finished transfer and one per crossed
+    hop.  Every time aggregate is the exactly rounded sum
+    (:func:`math.fsum`) of its recorded values, so it does not depend on
+    the order the transfers were recorded in: the event walk records them
+    in completion order, the adaptive walks in their own orders, and all
+    report the same bytes.
+    """
 
     def __init__(self) -> None:
-        self.transfers = 0
         self.bytes_transferred = 0
-        self.total_transfer_time = 0.0
-        self.total_queue_time = 0.0
         self.intranode_transfers = 0
-        #: Transfers injected by the decomposed collective backend (phases
-        #: of lowered collectives) as opposed to replayed point-to-point
-        #: messages; they cross the same hops but are attributed separately.
-        self.collective_transfers = 0
-        self.collective_bytes = 0
-        self.collective_transfer_time = 0.0
-        #: Per-hop-class accumulators, keyed by hop name (e.g. ``net``,
-        #: ``up0``, ``x+``): how many crossings and how long they queued.
-        self.hop_transfers: Dict[str, int] = {}
-        self.hop_queue_time: Dict[str, float] = {}
+        self.queue_times: List[float] = []
+        self.transfer_times: List[float] = []
+        #: Sizes of the transfers injected by the decomposed collective
+        #: backend (phases of lowered collectives) as opposed to replayed
+        #: point-to-point messages; they cross the same hops but are
+        #: attributed separately.
+        self.collective_sizes: List[int] = []
+        #: Per-hop-class queue times, keyed by hop name (e.g. ``net``,
+        #: ``up0``, ``x+``): one entry per crossing.
+        self.hop_queue_times: Dict[str, List[float]] = {}
 
     def record(self, size: int, queue_time: float, transfer_time: float,
                intranode: bool, collective: bool = False) -> None:
-        self.transfers += 1
         self.bytes_transferred += size
-        self.total_queue_time += queue_time
-        self.total_transfer_time += transfer_time
+        self.queue_times.append(queue_time)
+        self.transfer_times.append(transfer_time)
         if intranode:
             self.intranode_transfers += 1
         if collective:
-            self.collective_transfers += 1
-            self.collective_bytes += size
-            self.collective_transfer_time += transfer_time
+            self.collective_sizes.append(size)
 
     def record_hop(self, name: str, queue_time: float) -> None:
-        self.hop_transfers[name] = self.hop_transfers.get(name, 0) + 1
-        self.hop_queue_time[name] = self.hop_queue_time.get(name, 0.0) + queue_time
+        times = self.hop_queue_times.get(name)
+        if times is None:
+            times = self.hop_queue_times[name] = []
+        times.append(queue_time)
+
+    @property
+    def transfers(self) -> int:
+        return len(self.transfer_times)
+
+    @property
+    def collective_transfers(self) -> int:
+        return len(self.collective_sizes)
+
+    @property
+    def collective_bytes(self) -> int:
+        return sum(self.collective_sizes)
+
+    @property
+    def total_queue_time(self) -> float:
+        return math.fsum(self.queue_times)
+
+    @property
+    def total_transfer_time(self) -> float:
+        return math.fsum(self.transfer_times)
+
+    @property
+    def hop_transfers(self) -> Dict[str, int]:
+        """Crossings per hop class."""
+        return {name: len(times) for name, times in self.hop_queue_times.items()}
+
+    @property
+    def hop_queue_time(self) -> Dict[str, float]:
+        """Total queueing per hop class."""
+        return {name: math.fsum(times)
+                for name, times in self.hop_queue_times.items()}
 
     @property
     def mean_queue_time(self) -> float:

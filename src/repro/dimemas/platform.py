@@ -51,16 +51,14 @@ class Platform:
       omitted effects"; setting it non-zero is that extension and lets the
       environment quantify the cost of the extra partial sends/receives the
       overlap mechanism introduces;
-    * ``replay_backend`` selects the replay implementation: ``event`` (the
-      default) walks every record through the generic DES, and
-      ``adaptive`` fast-forwards whole cells with per-rank time
+    * ``replay_backend`` selects the replay implementation: ``adaptive``
+      (the default) fast-forwards whole cells with per-rank time
       recurrences instead of DES events, running the ``event`` walk for
       cells it cannot fast-forward (decomposed collectives, CPU
-      contention, defective traces).  Both replay the same run:
-      ``adaptive`` results equal ``event``'s, except that network
-      aggregates may differ in the last ulp (it sums them in another
-      order), which is why ``event`` results are keyed without the knob
-      and ``adaptive`` ones with it.
+      contention, defective traces); ``event`` walks every record through
+      the generic DES and is the reference the adaptive walks are tested
+      against.  Both replay the same run to the same bytes, so result
+      caches key cells without the knob.
 
     Every numeric field must be finite: a ``nan`` or ``inf`` would replay
     to a non-finite total time (or silently change the adaptive backend's
@@ -82,7 +80,7 @@ class Platform:
     mpi_overhead: float = 0.0
     topology: TopologySpec = TopologySpec()
     collective_model: CollectiveSpec = CollectiveSpec()
-    replay_backend: str = "event"
+    replay_backend: str = "adaptive"
 
     def __post_init__(self) -> None:
         if isinstance(self.topology, str):

@@ -282,18 +282,14 @@ class _TransferTask:
 class _GridMessage:
     """Message state of the lane walk: scalar identity, vector times."""
 
-    __slots__ = ("src", "dst", "tag", "order", "size", "eager",
-                 "send_posted", "recv_posted", "send_time", "recv_time",
-                 "arrival", "waiters")
+    __slots__ = ("src", "dst", "tag", "size", "eager", "send_posted",
+                 "recv_posted", "send_time", "recv_time", "arrival",
+                 "waiters")
 
-    def __init__(self, src: int, dst: int, tag: int, order: int):
+    def __init__(self, src: int, dst: int, tag: int):
         self.src = src
         self.dst = dst
         self.tag = tag
-        # Pair index within (src, dst, tag): matching is FIFO per key, so
-        # the k-th created message of a key IS the k-th matched pair -- a
-        # time-independent identity that orders the network statistics.
-        self.order = order
         self.size = 0
         self.eager = False
         self.send_posted = False
@@ -326,11 +322,8 @@ class ReplayEngine:
     per-rank state intervals and communication lines; ``False`` installs a
     :class:`~repro.paraver.timeline.NullRecorder` so metric-only callers
     (bandwidth sweeps, experiment grids) skip the recording cost.  Total
-    time and rank statistics are bit-identical either way.  So are the
-    network statistics, except on a proven cell of the adaptive backend:
-    there the metric-only lane walk sums them in canonical transfer order
-    and the timeline-recording paced walk in completion order, so their
-    aggregates may differ in the last ulp.
+    time, rank statistics and network statistics are bit-identical either
+    way, and across backends.
     """
 
     def __init__(self, trace: Trace, platform: Platform,
@@ -402,11 +395,9 @@ class ReplayEngine:
 
     def _finalize(self) -> Tuple[float, List[RankStats], Timeline, Dict[str, float]]:
         total_time = max((stats.finish_time for stats in self.stats), default=0.0)
-        network_stats = dict(self.network.statistics.summary())
-        network_stats["messages_matched"] = self.matcher.messages_matched
-        network_stats["topology"] = self.platform.topology.kind
-        network_stats["hop_queue_time"] = dict(self.network.statistics.hop_queue_time)
-        network_stats["hop_transfers"] = dict(self.network.statistics.hop_transfers)
+        network_stats = _network_summary(
+            self.network.statistics, self.matcher.messages_matched,
+            self.platform)
         return total_time, self.stats, self.timeline, network_stats
 
     # -- internals ------------------------------------------------------------
@@ -644,8 +635,7 @@ class ReplayEngine:
         heap with the DES's event-creation order, so same-instant ties --
         resource grants, wire ends, completion callbacks -- resolve as the
         event backend resolves them, and every simulated time is the event
-        backend's, bit for bit.  Network statistics accumulate in
-        completion order, as the event backend's do.
+        backend's, bit for bit.
         """
         platform = self.platform
         env = self.env
@@ -1297,6 +1287,17 @@ class ReplayEngine:
         return contended
 
 
+def _network_summary(statistics: NetworkStatistics, messages_matched: int,
+                     platform: Platform) -> Dict[str, Any]:
+    """The network statistics dict every walk returns."""
+    network_stats: Dict[str, Any] = statistics.summary()
+    network_stats["messages_matched"] = messages_matched
+    network_stats["topology"] = platform.topology.kind
+    network_stats["hop_queue_time"] = statistics.hop_queue_time
+    network_stats["hop_transfers"] = statistics.hop_transfers
+    return network_stats
+
+
 def _vector_walk(trace: Trace, platforms: Sequence[Platform]
                  ) -> List[Tuple[float, List[RankStats], Dict[str, Any]]]:
     """The lane walk: one structural pass with a clock lane per platform.
@@ -1314,8 +1315,8 @@ def _vector_walk(trace: Trace, platforms: Sequence[Platform]
     the same program order per lane, which makes each lane bit-identical
     to the event backend's replay of its cell in time and rank statistics.
 
-    Network statistics are recorded in canonical ``(src, dst, tag, pair
-    index)`` order, so they do not depend on the width a cell ran at.
+    Network statistics are exact sums, so they do not depend on the order
+    the walk records transfers in, nor on the width a cell ran at.
     Returns one ``(total_time, rank stats, network stats)`` tuple per
     platform, in order.
     """
@@ -1415,9 +1416,8 @@ def _vector_walk(trace: Trace, platforms: Sequence[Platform]
     collectives: List[_GridCollective] = []
     pending_sends: Dict[Tuple[int, int, int], Any] = {}
     pending_recvs: Dict[Tuple[int, int, int], Any] = {}
-    pair_index: Dict[Tuple[int, int, int], int] = {}
-    #: Transfers as (src, dst, tag, pair index, size, lane durations,
-    #: route) -- route None for intranode -- recorded sorted at the end.
+    #: Transfers as (size, lane durations, route) -- route None for
+    #: intranode -- recorded into each lane's statistics at the end.
     stat_buffer: List[Tuple[Any, ...]] = []
     runnable = deque(range(num_ranks))
     done = [False] * num_ranks
@@ -1482,14 +1482,12 @@ def _vector_walk(trace: Trace, platforms: Sequence[Platform]
         dst_node = message.dst // ppn
         if src_node == dst_node:
             durations = intranode_durations(size)
-            stat_buffer.append((message.src, message.dst, message.tag,
-                                message.order, size, durations, None))
+            stat_buffer.append((size, durations, None))
             arrival = [s + d for s, d in zip(start, durations)]
         else:
             route, totals, per_hop = internode_durations(
                 src_node, dst_node, size)
-            stat_buffer.append((message.src, message.dst, message.tag,
-                                message.order, size, totals, route))
+            stat_buffer.append((size, totals, route))
             arrival = []
             for i in lanes:
                 ready = start[i]
@@ -1529,10 +1527,7 @@ def _vector_walk(trace: Trace, platforms: Sequence[Platform]
                 if queue:
                     message = queue.popleft()
                 else:
-                    order = pair_index.get(key, 0)
-                    pair_index[key] = order + 1
-                    message = _GridMessage(rank, record.dst, record.tag,
-                                           order)
+                    message = _GridMessage(rank, record.dst, record.tag)
                     pending = pending_sends.get(key)
                     if pending is None:
                         pending = pending_sends[key] = deque()
@@ -1574,10 +1569,7 @@ def _vector_walk(trace: Trace, platforms: Sequence[Platform]
                 if queue:
                     message = queue.popleft()
                 else:
-                    order = pair_index.get(key, 0)
-                    pair_index[key] = order + 1
-                    message = _GridMessage(record.src, rank, record.tag,
-                                           order)
+                    message = _GridMessage(record.src, rank, record.tag)
                     pending = pending_recvs.get(key)
                     if pending is None:
                         pending = pending_recvs[key] = deque()
@@ -1710,25 +1702,18 @@ def _vector_walk(trace: Trace, platforms: Sequence[Platform]
             f"grid replay deadlocked: ranks {stuck} blocked "
             f"(pcs {[pcs[rank] for rank in stuck]})")
 
-    # Per-transfer identities are unique, so the sort never compares the
-    # vector payloads.
-    stat_buffer.sort(key=lambda entry: entry[:4])
-
     results = []
     for i in lanes:
+        # One lane's statistics at a time: a cohort may be wide.
         statistics = NetworkStatistics()
-        for _src, _dst, _tag, _order, size, durations, route in stat_buffer:
+        for size, durations, route in stat_buffer:
             if route is None:
                 statistics.record(size, 0.0, durations[i], True)
             else:
                 for hop in route:
                     statistics.record_hop(hop.name, 0.0)
                 statistics.record(size, 0.0, durations[i], False)
-        network_stats = dict(statistics.summary())
-        network_stats["messages_matched"] = matched
-        network_stats["topology"] = platforms[i].topology.kind
-        network_stats["hop_queue_time"] = dict(statistics.hop_queue_time)
-        network_stats["hop_transfers"] = dict(statistics.hop_transfers)
+        network_stats = _network_summary(statistics, matched, platforms[i])
         rank_stats = []
         total_time = 0.0
         for rank in range(num_ranks):

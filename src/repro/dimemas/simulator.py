@@ -29,9 +29,8 @@ class DimemasSimulator:
         """Reconstruct the time behaviour of ``trace`` on ``platform``.
 
         ``collect_timeline=False`` replays with a null timeline recorder
-        (the returned timeline is empty; see
-        :class:`~repro.dimemas.replay.ReplayEngine` for what stays
-        bit-identical); ``None`` falls back to the simulator's default.
+        (the returned timeline is empty, every metric is bit-identical);
+        ``None`` falls back to the simulator's default.
         """
         platform = platform or self.platform
         if collect_timeline is None:

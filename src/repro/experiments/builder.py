@@ -153,13 +153,13 @@ class Experiment:
         return self
 
     def replay_backend(self, backend: str) -> "Experiment":
-        """Select the replay backend (``event`` or ``adaptive``).
+        """Select the replay backend (``adaptive``, the default, or ``event``).
 
         ``event`` walks every record through the DES.  ``adaptive``
-        replays the same run faster: it fast-forwards cells without DES
-        events, contended ones through a FIFO resource model paced in the
-        DES's event order, and runs the ``event`` walk for cells it cannot
-        fast-forward.
+        replays the same run to the same results, faster: it fast-forwards
+        cells without DES events, contended ones through a FIFO resource
+        model paced in the DES's event order, and runs the ``event`` walk
+        for cells it cannot fast-forward.
         """
         return self.platform(replay_backend=backend)
 

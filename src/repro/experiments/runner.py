@@ -212,9 +212,8 @@ def run_experiment(spec: ExperimentSpec,
     (timelines included), which :meth:`ExperimentResult.studies` needs --
     metric rows then carry no per-task timing.  A spec with
     ``collect_timelines`` set implies ``full_results``; otherwise the
-    replays run with the null timeline recorder (no timeline cost; see
-    :class:`~repro.dimemas.replay.ReplayEngine` for what stays
-    bit-identical).
+    replays run with the null timeline recorder (no timeline cost, and
+    every metric stays bit-identical).
 
     ``store`` (or ``cache_dir``, which opens a
     :class:`~repro.store.filestore.FileResultStore`) attaches the persistent

@@ -122,8 +122,7 @@ class ExperimentSpec:
       per-rank timelines included -- on the :class:`ExperimentResult`.  It
       defaults off: sweeps and grids only consume scalar metrics, and a
       timeline-free replay runs measurably faster while producing
-      bit-identical times and rank statistics (on proven adaptive cells
-      the network aggregates may differ in the last ulp).
+      bit-identical metrics.
     """
 
     apps: Tuple[str, ...] = ()

@@ -9,6 +9,7 @@ rank, which is how the paper inspects *where* the waiting time goes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence
 
@@ -108,7 +109,7 @@ def flight_time_statistics(timeline: Timeline) -> Dict[str, float]:
     return {
         "count": len(flights),
         "min": min(flights),
-        "mean": sum(flights) / len(flights),
+        "mean": math.fsum(flights) / len(flights),
         "max": max(flights),
     }
 

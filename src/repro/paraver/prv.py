@@ -2,7 +2,10 @@
 
 The format is the classic Paraver trace format: a header line followed by
 state records (type 1) and communication records (type 3).  Times are
-written in nanoseconds as Paraver expects integer timestamps.
+written in nanoseconds as Paraver expects integer timestamps.  Records are
+written in a canonical order -- states per rank by time, communications by
+(send time, receive time, src, dst, tag, size) -- so the file does not
+depend on the order a replay walk recorded them in.
 """
 
 from __future__ import annotations
@@ -42,7 +45,11 @@ def to_prv(timeline: Timeline) -> str:
     # Communication records:
     # 3:cpu:ptask:task:thread:logical_send:physical_send:
     #   cpu:ptask:task:thread:logical_recv:physical_recv:size:tag
-    for comm in timeline.communications:
+    communications = sorted(
+        timeline.communications,
+        key=lambda comm: (comm.send_time, comm.recv_time, comm.src, comm.dst,
+                          comm.tag, comm.size))
+    for comm in communications:
         send_ns = _nanoseconds(comm.send_time)
         recv_ns = _nanoseconds(comm.recv_time)
         lines.append(

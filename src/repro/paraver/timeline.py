@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -52,6 +53,10 @@ class Timeline:
     into: callers that never consume timelines (bandwidth sweeps, parameter
     grids) replace it with a :class:`NullRecorder` so the hot loop skips
     every interval allocation.
+
+    The raw lists keep recording order, which differs between replay
+    walks; the time aggregates below are exactly rounded sums, so they do
+    not.
     """
 
     num_ranks: int
@@ -90,17 +95,19 @@ class Timeline:
 
     def time_in_state(self, state: ThreadState, rank: Optional[int] = None) -> float:
         """Total time spent in ``state`` (by one rank, or summed over all)."""
-        return sum(interval.duration for interval in self.intervals
-                   if interval.state == state
-                   and (rank is None or interval.rank == rank))
+        return math.fsum(interval.duration for interval in self.intervals
+                         if interval.state == state
+                         and (rank is None or interval.rank == rank))
 
     def state_profile(self, rank: Optional[int] = None) -> Dict[ThreadState, float]:
         """Time per state (one rank, or summed over all ranks)."""
-        profile: Dict[ThreadState, float] = {state: 0.0 for state in ThreadState}
+        durations: Dict[ThreadState, List[float]] = {
+            state: [] for state in ThreadState}
         for interval in self.intervals:
             if rank is None or interval.rank == rank:
-                profile[interval.state] += interval.duration
-        return profile
+                durations[interval.state].append(interval.duration)
+        return {state: math.fsum(values)
+                for state, values in durations.items()}
 
     def compute_fraction(self) -> float:
         """Fraction of total rank-time spent computing (parallel efficiency)."""

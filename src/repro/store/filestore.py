@@ -154,7 +154,7 @@ class FileResultStore(ResultStore):
             text = path.read_text(encoding="utf-8")
         except FileNotFoundError:
             return None, True
-        except OSError:
+        except (OSError, UnicodeDecodeError):
             return None, False
         try:
             entry = json.loads(text)

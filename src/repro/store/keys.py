@@ -15,11 +15,8 @@ those inputs:
 * the serialized platform point -- every simulation-relevant
   :data:`~repro.dimemas.config.PLATFORM_FIELDS` field (topology and
   collective-model specs in their compact string forms), *excluding* the
-  cosmetic ``name`` label and -- for the reference ``event`` backend --
-  the ``replay_backend`` knob.  ``adaptive`` cells *are* keyed with it:
-  they replay the same run, but sum network aggregates in a canonical
-  order, so ``mean_*_time`` and ``hop_queue_time`` may differ from
-  ``event``'s in the last ulp and the two must not share an address; and
+  cosmetic ``name`` label and the ``replay_backend`` knob: both backends
+  replay the same run to the same bytes, so they share one address; and
 * a simulator version salt, so any release that could change simulated
   numbers invalidates the whole store instead of serving stale results.
 
@@ -41,7 +38,9 @@ from repro.dimemas.platform import Platform
 #: Bump to invalidate every stored result (schema or semantics change).
 #: 2: adaptive fast-forward replays flush network statistics in canonical
 #: (src, dst, tag, pair) order, changing ``mean_transfer_time`` bytes.
-STORE_FORMAT = 2
+#: 3: network time aggregates are exactly rounded sums, changing the
+#: ``mean_*_time`` bytes of event results too.
+STORE_FORMAT = 3
 
 #: Canonical variant id of the non-overlapped execution.
 ORIGINAL_VARIANT = "original"
@@ -60,17 +59,13 @@ def canonical_json(payload: Any) -> str:
 def platform_fingerprint(platform: Platform) -> Dict[str, Any]:
     """The simulation-relevant fields of a platform, canonically serialized.
 
-    Every :data:`PLATFORM_FIELDS` entry except ``name`` participates,
-    with one backend-dependent wrinkle: the ``replay_backend`` knob is
-    skipped for the reference ``event`` backend.  ``adaptive`` keeps it:
-    its network aggregates may differ from ``event``'s in the last ulp
-    (summation order), so its cells must never alias an event cell's
-    address.
+    Every :data:`PLATFORM_FIELDS` entry participates except the cosmetic
+    ``name`` and ``replay_backend``, which picks how a cell is replayed,
+    not what it replays to.
     """
     fingerprint: Dict[str, Any] = {}
     for field in PLATFORM_FIELDS:
-        if field == "name" or (field == "replay_backend"
-                               and platform.replay_backend == "event"):
+        if field in ("name", "replay_backend"):
             continue
         if field == "topology":
             fingerprint[field] = platform.topology.to_string()

@@ -357,31 +357,36 @@ class TestNoFalsePositives:
 _LOCATION = re.compile(r"at rank (\d+), record (\d+)")
 
 
-def _runtime_location(trace, pattern=_LOCATION):
-    """Replay ``trace``; the (rank, record) its SimulationError names."""
+def _runtime_location(trace, backend, pattern=_LOCATION):
+    """Replay ``trace`` on ``backend``; the (rank, record) its
+    SimulationError names."""
     with pytest.raises(SimulationError) as excinfo:
-        ReplayEngine(trace, Platform()).run()
+        ReplayEngine(trace, Platform(replay_backend=backend)).run()
     match = pattern.search(str(excinfo.value))
     assert match is not None, str(excinfo.value)
     return int(match.group(1)), int(match.group(2))
 
 
+@pytest.mark.parametrize("backend", ["event", "adaptive"])
 class TestStaticRuntimeAgreement:
-    """The static diagnostic and the runtime error name the same location."""
+    """The static diagnostic and the runtime error name the same location,
+    on either backend."""
 
-    def test_wait_unknown_request_locations_agree(self):
+    def test_wait_unknown_request_locations_agree(self, backend):
         trace = _trace([IDLE, WaitRecord(requests=[9])], [IDLE])
         static = _only(analyze_trace(trace), "TL302")
-        assert _runtime_location(trace) == (static.rank, static.record_index)
+        assert _runtime_location(trace, backend) == \
+            (static.rank, static.record_index)
 
-    def test_dangling_request_locations_agree(self):
+    def test_dangling_request_locations_agree(self, backend):
         trace = _trace(
             [RecvRecord(src=1, size=8, blocking=False, request=7), IDLE],
             [SendRecord(dst=0, size=8)])
         static = _only(analyze_trace(trace), "TL301")
-        assert _runtime_location(trace) == (static.rank, static.record_index)
+        assert _runtime_location(trace, backend) == \
+            (static.rank, static.record_index)
 
-    def test_collective_mismatch_locations_agree(self):
+    def test_collective_mismatch_locations_agree(self, backend):
         # The burst delays rank 1, so the runtime coordinator sees rank 0's
         # entry first and anchors the mismatch on rank 1 -- the same rank
         # the static pass compares against its rank-0 reference.
@@ -390,23 +395,24 @@ class TestStaticRuntimeAgreement:
             [CpuBurst(instructions=1000.0),
              CollectiveRecord(operation="reduce", size=64)])
         static = _only(analyze_trace(trace), "TL201")
-        assert _runtime_location(trace) == (static.rank, static.record_index)
+        assert _runtime_location(trace, backend) == \
+            (static.rank, static.record_index)
 
     @pytest.mark.parametrize("dst, code", [(1, "TL101"), (7, "TL103")],
                              ids=["never-received", "out-of-range"])
-    def test_unmatched_send_locations_agree(self, dst, code):
+    def test_unmatched_send_locations_agree(self, dst, code, backend):
         # Every rank finishes, so only the unmatched-send check can fail
         # the replay: rank 0's eager send has no receive (TL101), or names
         # a rank the trace does not have (TL103).
         trace = _trace([IDLE, SendRecord(dst=dst, size=10, tag=0)], [IDLE])
         static = _only(analyze_trace(trace), code)
         located = re.compile(code + r" \S+ at rank (\d+), record (\d+)")
-        assert _runtime_location(trace, located) == \
+        assert _runtime_location(trace, backend, located) == \
             (static.rank, static.record_index)
 
-    def test_deadlock_locations_agree(self):
+    def test_deadlock_locations_agree(self, backend):
         trace = _head_to_head(100_000)
         static = _only(analyze_trace(trace), "TL401")
         stuck = re.compile(r"rank (\d+) stuck at record (\d+)")
-        assert _runtime_location(trace, stuck) == \
+        assert _runtime_location(trace, backend, stuck) == \
             (static.rank, static.record_index)

@@ -211,14 +211,16 @@ class TestCoordinatorConsistency:
         with pytest.raises(SimulationError, match="size 128 while earlier"):
             simulate(trace, Platform())
 
+    @pytest.mark.parametrize("backend", ["event", "adaptive"])
     @pytest.mark.parametrize("model", ["analytical", "decomposed"])
-    def test_agreeing_ranks_pass_under_both_models(self, model):
+    def test_agreeing_ranks_pass_under_both_models(self, model, backend):
         trace = _trace([
             [CpuBurst(instructions=1.0e6),
              CollectiveRecord(operation="allreduce", size=4096)],
             [CollectiveRecord(operation="allreduce", size=4096)],
         ])
-        result = simulate(trace, Platform(collective_model=model))
+        result = simulate(trace, Platform(collective_model=model,
+                                          replay_backend=backend))
         assert result.total_time > 0
 
     def test_decomposed_without_fabric_rejected(self):
@@ -261,13 +263,15 @@ class TestDecomposedBackend:
             times[topology] = simulate(_collective_trace(), platform).total_time
         assert len(set(times.values())) == len(times), times
 
-    def test_analytical_times_are_topology_blind(self):
+    @pytest.mark.parametrize("backend", ["event", "adaptive"])
+    def test_analytical_times_are_topology_blind(self, backend):
         # The trace is pure compute + collectives: with no point-to-point
         # traffic the analytical model must cost every topology the same.
         times = {
             topology: simulate(
                 _collective_trace(),
-                Platform(bandwidth_mbps=100.0, topology=topology)).total_time
+                Platform(bandwidth_mbps=100.0, topology=topology,
+                         replay_backend=backend)).total_time
             for topology in TOPOLOGIES
         }
         assert len(set(times.values())) == 1, times

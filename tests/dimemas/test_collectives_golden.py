@@ -118,8 +118,10 @@ class TestAnalyticalGolden:
     @pytest.mark.parametrize("overlap", MECHANISMS, ids=_ids)
     def test_bit_identical_to_legacy_coordinator(self, app, topology, overlap,
                                                  monkeypatch):
+        # The coordinator is an event-walk component: pin the event walk,
+        # which is the only walk that enters it.
         platform = Platform(bandwidth_mbps=100.0, topology=topology,
-                            processors_per_node=2)
+                            processors_per_node=2, replay_backend="event")
         trace = _trace(app, overlap=overlap)
 
         new_time, new_stats, _, new_network = ReplayEngine(

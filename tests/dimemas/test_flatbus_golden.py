@@ -6,9 +6,13 @@ pre-refactor single-hop fabric *bit for bit* -- same event ordering, same
 float arithmetic, same statistics.  ``_LegacyNetworkFabric`` below is a
 verbatim replica of the fabric as it stood before the refactor (PR 1 state:
 fixed acquisition order, try/finally release); every scenario replays a full
-trace through both fabrics and compares the complete simulation results
-with exact ``==``, never ``approx``.
+trace through both fabrics on the event walk and compares the complete
+simulation results with exact ``==``, never ``approx``.  The replica's
+statistics aggregate by the current rule (exactly rounded sums), and its
+communications must come out in the same completion order.
 """
+
+import math
 
 import pytest
 
@@ -22,30 +26,34 @@ import repro.dimemas.replay as replay_module
 
 
 class _LegacyNetworkStatistics:
-    """The pre-refactor aggregate counters."""
+    """The pre-refactor counters, aggregated as exactly rounded sums."""
 
     def __init__(self):
         self.transfers = 0
         self.bytes_transferred = 0
-        self.total_transfer_time = 0.0
-        self.total_queue_time = 0.0
+        self.transfer_times = []
+        self.queue_times = []
         self.intranode_transfers = 0
 
     def record(self, size, queue_time, transfer_time, intranode):
         self.transfers += 1
         self.bytes_transferred += size
-        self.total_queue_time += queue_time
-        self.total_transfer_time += transfer_time
+        self.queue_times.append(queue_time)
+        self.transfer_times.append(transfer_time)
         if intranode:
             self.intranode_transfers += 1
 
     @property
     def mean_queue_time(self):
-        return self.total_queue_time / self.transfers if self.transfers else 0.0
+        if not self.transfers:
+            return 0.0
+        return math.fsum(self.queue_times) / self.transfers
 
     @property
     def mean_transfer_time(self):
-        return self.total_transfer_time / self.transfers if self.transfers else 0.0
+        if not self.transfers:
+            return 0.0
+        return math.fsum(self.transfer_times) / self.transfers
 
     @property
     def intranode_share(self):
@@ -133,12 +141,12 @@ class _LegacyNetworkFabric:
 def _legacy_simulate(trace, platform, monkeypatch):
     """Replay ``trace`` through the legacy fabric."""
     monkeypatch.setattr(replay_module, "NetworkFabric", _LegacyNetworkFabric)
-    engine = ReplayEngine(trace, platform)
+    engine = ReplayEngine(trace, platform.with_replay_backend("event"))
     return engine.run()
 
 
 def _current_simulate(trace, platform):
-    engine = ReplayEngine(trace, platform)
+    engine = ReplayEngine(trace, platform.with_replay_backend("event"))
     return engine.run()
 
 
@@ -184,6 +192,7 @@ class TestFlatBusGolden:
         assert new_time == old_time
         assert new_stats == old_stats  # dataclass equality, every field exact
         assert new_timeline.state_profile() == old_timeline.state_profile()
+        assert new_timeline.communications == old_timeline.communications
         for key in ("transfers", "bytes_transferred", "mean_queue_time",
                     "mean_transfer_time", "intranode_transfers",
                     "intranode_share", "messages_matched"):
@@ -193,7 +202,8 @@ class TestFlatBusGolden:
         """End-to-end through the simulator facade on the contended platform."""
         platform = SCENARIOS["contended"]
         trace = _trace(ranks=4, iterations=3)
-        result = DimemasSimulator(platform).simulate(trace)
+        result = DimemasSimulator(
+            platform.with_replay_backend("event")).simulate(trace)
         legacy_time, legacy_stats, _, _ = _legacy_simulate(
             trace, platform, monkeypatch)
         assert result.total_time == legacy_time

@@ -10,6 +10,8 @@ from repro.errors import ConfigurationError
 from repro.tracing.records import CpuBurst, RecvRecord, SendRecord
 from repro.tracing.trace import RankTrace, Trace
 
+BACKENDS = ("event", "adaptive")
+
 
 def _pingpong():
     return Trace(ranks=[
@@ -30,12 +32,15 @@ class TestMpiOverhead:
         assert platform.mpi_overhead == 2.0e-6
         assert Platform().mpi_overhead == 0.0
 
-    def test_overhead_charged_once_per_mpi_call(self):
-        base = simulate(_pingpong(), Platform(latency=0.0, bandwidth_mbps=0.0))
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_overhead_charged_once_per_mpi_call(self, backend):
+        base = simulate(_pingpong(), Platform(latency=0.0, bandwidth_mbps=0.0,
+                                              replay_backend=backend))
         overhead = 1.0e-4
         loaded = simulate(_pingpong(),
                           Platform(latency=0.0, bandwidth_mbps=0.0,
-                                   mpi_overhead=overhead))
+                                   mpi_overhead=overhead,
+                                   replay_backend=backend))
         # Rank 1: one recv call before its burst -> exactly one extra overhead
         # on the critical path (the sender's overhead is charged after its
         # burst and overlaps rank 1's burst start).
@@ -46,12 +51,13 @@ class TestMpiOverhead:
         platform = Platform(mpi_overhead=3.0e-6)
         assert config_to_platform(platform_to_config(platform)) == platform
 
-    def test_overhead_penalises_chunked_traces_more(self, small_loop):
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_overhead_penalises_chunked_traces_more(self, small_loop, backend):
         """The extension quantifies the software cost of the extra partial messages."""
         environment = OverlapStudyEnvironment(chunking=FixedCountChunking(count=8))
         trace = environment.trace(small_loop)
         overlapped = environment.overlap(trace, pattern=ComputationPattern.IDEAL)
-        cheap = Platform(bandwidth_mbps=10000.0)
+        cheap = Platform(bandwidth_mbps=10000.0, replay_backend=backend)
         costly = cheap.with_mpi_overhead(2.0e-5)
         original_penalty = (simulate(trace, costly).total_time
                             - simulate(trace, cheap).total_time)

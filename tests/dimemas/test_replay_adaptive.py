@@ -21,9 +21,10 @@ the same run as the event backend, and these tests pin that contract:
 * parallel sweeps (``jobs>1``) are deterministic and identical to the
   serial run.
 
-The comparison itself, and the two representational differences it
-tolerates, are in ``tests/replay_contract.py``, shared with the
-differential property test.
+The comparison itself, and the one representational difference it
+tolerates (raw timeline list order), are in ``tests/replay_contract.py``,
+shared with the differential property test.  Timeline exports do not see
+that difference: ``to_prv`` writes the same file on both backends.
 """
 
 import pytest
@@ -36,6 +37,7 @@ from repro.dimemas.replay import ReplayEngine
 from repro.dimemas.simulator import DimemasSimulator
 from repro.errors import ConfigurationError, SimulationError
 from repro.experiments import Experiment, ExperimentSpec, run_experiment
+from repro.paraver.prv import to_prv
 from repro.tracing.records import CpuBurst, RecvRecord, SendRecord, WaitRecord
 from repro.tracing.trace import RankTrace, Trace
 
@@ -336,6 +338,21 @@ class TestWalkRouting:
         assert engine.adaptive_summary["proven_exact"] is True
 
 
+class TestTimelineExport:
+    """The paced walk records intervals and communications in its own
+    order; the ``.prv`` export writes them in a canonical one."""
+
+    def test_prv_is_identical_across_backends(self):
+        trace = _trace("sancho-loop", "ideal", "early-send", ranks=8)
+        platform = Platform(bandwidth_mbps=250.0,
+                            topology="tree:radix=2,links=0")
+        exports = [
+            to_prv(ReplayEngine(trace,
+                                platform.with_replay_backend(backend)).run()[2])
+            for backend in ("event", "adaptive")]
+        assert exports[0] == exports[1]
+
+
 class TestReplayBackendKnob:
     def test_invalid_backend_rejected(self):
         with pytest.raises(ConfigurationError, match="replay_backend"):
@@ -343,10 +360,10 @@ class TestReplayBackendKnob:
 
     def test_with_replay_backend_round_trip(self):
         platform = Platform(bandwidth_mbps=100.0)
-        assert platform.replay_backend == "event"
-        adaptive = platform.with_replay_backend("adaptive")
-        assert adaptive.replay_backend == "adaptive"
-        assert adaptive.bandwidth_mbps == platform.bandwidth_mbps
+        assert platform.replay_backend == "adaptive"
+        event = platform.with_replay_backend("event")
+        assert event.replay_backend == "event"
+        assert event.bandwidth_mbps == platform.bandwidth_mbps
 
     def test_builder_sets_the_backend(self):
         spec = (Experiment.for_app("sancho-loop", num_ranks=4, iterations=2)
@@ -402,7 +419,8 @@ class TestAdaptiveMetadata:
 
     def test_exact_backends_attach_nothing(self):
         result = DimemasSimulator(
-            CONTENDED["flat"]).simulate(_trace("nas-bt"))
+            CONTENDED["flat"].with_replay_backend("event")).simulate(
+                _trace("nas-bt"))
         assert "adaptive" not in result.metadata
 
     def test_experiment_rows_carry_the_replay_metadata(self):

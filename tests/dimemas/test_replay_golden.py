@@ -52,7 +52,10 @@ def _trace(app_name, overlap=None, mechanism="full", ranks=4, iterations=2):
 
 
 def _run_fast(trace, platform, collect_timeline=True):
-    engine = ReplayEngine(trace, platform, collect_timeline=collect_timeline)
+    # The replica is an event-walk oracle, compared down to raw interval
+    # order, so the production side runs the event walk too.
+    engine = ReplayEngine(trace, platform.with_replay_backend("event"),
+                          collect_timeline=collect_timeline)
     total_time, stats, timeline, network = engine.run()
     return total_time, stats, timeline, network
 

@@ -44,15 +44,17 @@ class TestNullRecorder:
         recorder.validate()  # no overlap in an empty timeline
 
 
+@pytest.mark.parametrize("backend", ["event", "adaptive"])
 class TestEngineFlag:
-    def test_default_records(self, trace):
-        engine = ReplayEngine(trace, Platform())
+    def test_default_records(self, trace, backend):
+        engine = ReplayEngine(trace, Platform(replay_backend=backend))
         _, _, timeline, _ = engine.run()
         assert timeline.collects is True
         assert timeline.intervals
 
-    def test_disabled_recording_returns_empty_timeline(self, trace):
-        engine = ReplayEngine(trace, Platform(), collect_timeline=False)
+    def test_disabled_recording_returns_empty_timeline(self, trace, backend):
+        engine = ReplayEngine(trace, Platform(replay_backend=backend),
+                              collect_timeline=False)
         total_time, stats, timeline, _ = engine.run()
         assert isinstance(timeline, NullRecorder)
         assert timeline.intervals == []
@@ -60,13 +62,15 @@ class TestEngineFlag:
         # The network fabric was not handed a recorder either.
         assert engine.network.timeline is None
 
-    def test_simulator_flag(self, trace):
-        recording = DimemasSimulator(Platform()).simulate(trace)
-        bare = DimemasSimulator(Platform()).simulate(trace, collect_timeline=False)
+    def test_simulator_flag(self, trace, backend):
+        simulator = DimemasSimulator(Platform(replay_backend=backend))
+        recording = simulator.simulate(trace)
+        bare = simulator.simulate(trace, collect_timeline=False)
         assert recording.timeline.intervals
         assert bare.timeline.intervals == []
         assert bare.total_time == recording.total_time
         assert bare.ranks == recording.ranks
+        assert bare.network == recording.network
 
 
 class TestExecutorWiring:

@@ -2,6 +2,8 @@
 cache disabled, cold and warm, at any jobs count; warm runs simulate
 nothing; interrupted sweeps resume from the finished cells."""
 
+import dataclasses
+
 import pytest
 
 from repro.core import executor as executor_module
@@ -160,3 +162,32 @@ class TestFullResultsBypass:
         rerun = run_experiment(SPEC, store=store)
         assert len(count_simulations) == 9  # everything re-simulated
         assert rerun.cache_stats()["hits"] == 0
+
+    def test_undecodable_entry_is_a_miss_and_rewritten(self, tmp_path,
+                                                       count_simulations):
+        store = FileResultStore(tmp_path)
+        cold = run_experiment(SPEC, store=store)
+        victim = next(store.root.rglob("*.json"))
+        victim.write_bytes(b"\xff\xfe\x00garbage")
+        count_simulations.clear()
+        rerun = run_experiment(SPEC, store=store)
+        assert len(count_simulations) == 1
+        assert rerun.cache_stats()["hits"] == 8
+        assert stable_rows(rerun) == stable_rows(cold)
+        assert store.verify() == (9, [])  # the entry was rewritten
+
+
+class TestSharedNamespace:
+    def test_event_filled_store_serves_adaptive(self, tmp_path,
+                                                count_simulations):
+        store = FileResultStore(tmp_path)
+        event = run_experiment(
+            dataclasses.replace(SPEC, platform={"replay_backend": "event"}),
+            store=store)
+        count_simulations.clear()
+        adaptive = run_experiment(
+            dataclasses.replace(SPEC, platform={"replay_backend": "adaptive"}),
+            store=store)
+        assert count_simulations == []
+        assert adaptive.cache_stats()["hits"] == len(adaptive.provenance)
+        assert adaptive.to_rows() == event.to_rows()

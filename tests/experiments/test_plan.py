@@ -146,10 +146,14 @@ class TestCohortGrouping:
         grouped = {task.index for cohort in cohorts for task in cohort.tasks}
         assert grouped == {task.index for task in plan.tasks}
 
-    def test_default_event_backend_stays_per_cell(self):
+    def test_event_backend_stays_per_cell(self):
         from repro.experiments.plan import group_cohorts
 
-        plan = plan_experiment(SPEC)
+        spec = dataclasses.replace(
+            self.ADAPTIVE_SPEC,
+            platform={**self.ADAPTIVE_SPEC.platform_dict(),
+                      "replay_backend": "event"})
+        plan = plan_experiment(spec)
         traces = plan.traces_for(plan.tasks)
         assert group_cohorts(plan.tasks, traces) == list(plan.tasks)
 

@@ -1,8 +1,11 @@
 """Tests of the command-line interface."""
 
+import dataclasses
+
 import pytest
 
-from repro.cli import main
+from repro.cli import _build_parser, _experiment_from_args, _make_platform, main
+from repro.dimemas.platform import Platform
 from repro.tracing.records import CpuBurst, SendRecord
 from repro.tracing.trace import RankTrace, Trace
 
@@ -87,6 +90,26 @@ class TestCli:
         assert exit_info.value.code != 0
         err = capsys.readouterr().err
         assert "hop_latency must be a finite number, got nan" in err
+
+
+class TestCliPlatformDefaults:
+    """Without platform flags the CLI replays the library's default
+    platform, replay backend included."""
+
+    @pytest.mark.parametrize("command", [
+        ["study", "--app", "nas-cg"],
+        ["sweep", "--app", "nas-cg"],
+        ["simulate", "--trace", "unread.json"],
+    ], ids=lambda command: command[0])
+    def test_no_flags_give_the_default_platform(self, command):
+        args = _build_parser().parse_args(command)
+        assert _make_platform(args) == dataclasses.replace(Platform(),
+                                                           name="cli")
+
+    def test_sweep_defaults_to_the_adaptive_backend(self):
+        args = _build_parser().parse_args(["sweep", "--app", "nas-cg"])
+        spec = _experiment_from_args(args).build()
+        assert spec.platform_dict()["replay_backend"] == "adaptive"
 
 
 class TestCliDefectiveTraces:
@@ -356,6 +379,16 @@ class TestCliResultCache:
         capsys.readouterr()
         assert main(["cache", "verify", "--cache-dir", str(cache)]) == 0
         assert "5 entries ok, 0 corrupt" in capsys.readouterr().out
+
+    def test_cache_verify_flags_an_undecodable_entry(self, tmp_path, capsys):
+        spec = str(self._write(tmp_path))
+        cache = tmp_path / "cache"
+        assert main(["run", "--spec", spec, "--quiet",
+                     "--cache-dir", str(cache)]) == 0
+        next(cache.rglob("*.json")).write_bytes(b"\xff\xfe\x00garbage")
+        capsys.readouterr()
+        assert main(["cache", "verify", "--cache-dir", str(cache)]) == 1
+        assert "5 entries ok, 1 corrupt" in capsys.readouterr().out
 
     def test_cache_without_a_directory_is_a_clear_error(self, capsys,
                                                         monkeypatch):

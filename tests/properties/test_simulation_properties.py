@@ -1,4 +1,7 @@
-"""Property-based tests for the replay simulator on generated workloads."""
+"""Property-based tests for the replay simulator on generated workloads.
+
+Every property draws the replay backend too: each one holds on both.
+"""
 
 import pytest
 from hypothesis import given, settings
@@ -26,6 +29,8 @@ workload_specs = st.fixed_dictionaries({
 bandwidths = st.floats(min_value=1.0, max_value=50_000.0,
                        allow_nan=False, allow_infinity=False)
 
+backends = st.sampled_from(("event", "adaptive"))
+
 
 def _trace_for(spec):
     app = generate_workload(**spec)
@@ -33,10 +38,12 @@ def _trace_for(spec):
 
 
 @settings(max_examples=30, deadline=None)
-@given(spec=workload_specs, bandwidth=bandwidths)
-def test_total_time_bounded_below_by_critical_compute_path(spec, bandwidth):
+@given(spec=workload_specs, bandwidth=bandwidths, backend=backends)
+def test_total_time_bounded_below_by_critical_compute_path(spec, bandwidth,
+                                                           backend):
     trace = _trace_for(spec)
-    result = simulate(trace, Platform(bandwidth_mbps=bandwidth))
+    result = simulate(trace, Platform(bandwidth_mbps=bandwidth,
+                                      replay_backend=backend))
     timebase = TimeBase(trace.mips)
     slowest_rank_compute = max(
         timebase.seconds(rank.total_instructions()) for rank in trace)
@@ -45,19 +52,22 @@ def test_total_time_bounded_below_by_critical_compute_path(spec, bandwidth):
 
 
 @settings(max_examples=30, deadline=None)
-@given(spec=workload_specs)
-def test_more_bandwidth_never_hurts_the_original_trace(spec):
+@given(spec=workload_specs, backend=backends)
+def test_more_bandwidth_never_hurts_the_original_trace(spec, backend):
     trace = _trace_for(spec)
-    slow = simulate(trace, Platform(bandwidth_mbps=10.0))
-    fast = simulate(trace, Platform(bandwidth_mbps=10_000.0))
+    slow = simulate(trace, Platform(bandwidth_mbps=10.0,
+                                    replay_backend=backend))
+    fast = simulate(trace, Platform(bandwidth_mbps=10_000.0,
+                                    replay_backend=backend))
     assert fast.total_time <= slow.total_time + 1e-9
 
 
 @settings(max_examples=30, deadline=None)
-@given(spec=workload_specs, bandwidth=bandwidths)
-def test_timeline_is_consistent_with_stats(spec, bandwidth):
+@given(spec=workload_specs, bandwidth=bandwidths, backend=backends)
+def test_timeline_is_consistent_with_stats(spec, bandwidth, backend):
     trace = _trace_for(spec)
-    result = simulate(trace, Platform(bandwidth_mbps=bandwidth))
+    result = simulate(trace, Platform(bandwidth_mbps=bandwidth,
+                                      replay_backend=backend))
     result.timeline.validate()
     assert result.timeline.duration == pytest.approx(result.total_time)
     running = result.timeline.time_in_state(ThreadState.RUNNING)
@@ -66,25 +76,28 @@ def test_timeline_is_consistent_with_stats(spec, bandwidth):
 
 
 @settings(max_examples=30, deadline=None)
-@given(spec=workload_specs, bandwidth=bandwidths)
-def test_compute_time_is_invariant_across_platforms(spec, bandwidth):
+@given(spec=workload_specs, bandwidth=bandwidths, backend=backends)
+def test_compute_time_is_invariant_across_platforms(spec, bandwidth, backend):
     trace = _trace_for(spec)
-    reference = simulate(trace, Platform(bandwidth_mbps=250.0))
-    other = simulate(trace, Platform(bandwidth_mbps=bandwidth))
+    reference = simulate(trace, Platform(bandwidth_mbps=250.0,
+                                         replay_backend=backend))
+    other = simulate(trace, Platform(bandwidth_mbps=bandwidth,
+                                     replay_backend=backend))
     assert other.total_compute_time() == pytest.approx(
         reference.total_compute_time(), rel=1e-9)
 
 
 @settings(max_examples=20, deadline=None)
-@given(spec=workload_specs)
-def test_overlapped_trace_replays_and_preserves_compute(spec):
+@given(spec=workload_specs, backend=backends)
+def test_overlapped_trace_replays_and_preserves_compute(spec, backend):
     trace = _trace_for(spec)
     overlapped = OverlapTransformer(
         chunking=FixedCountChunking(count=4),
         pattern=ComputationPattern.IDEAL,
         mechanism=OverlapMechanism.FULL).transform(trace)
-    original = simulate(trace, Platform())
-    candidate = simulate(overlapped, Platform())
+    platform = Platform(replay_backend=backend)
+    original = simulate(trace, platform)
+    candidate = simulate(overlapped, platform)
     assert candidate.total_compute_time() == pytest.approx(
         original.total_compute_time(), rel=1e-9)
     # Overlap may restructure waiting, but it never creates or destroys work:

@@ -9,16 +9,19 @@ Two families of guarantees:
   ``jobs > 1`` worker pool produces bit-identical sweeps to the serial run,
   for every topology at once (the end-to-end property behind
   ``repro sweep --topologies ... --jobs N``).
+
+Both hold on either replay backend: the properties draw it, and the
+parallel sweep runs on each.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.apps import NasBT
-from repro.core import OverlapStudyEnvironment, run_topology_sweep
 from repro.dimemas.platform import Platform
 from repro.dimemas.simulator import simulate
 from repro.dimemas.topology import TopologySpec
+from repro.experiments import ExperimentSpec, run_experiment
 from repro.tracing.machine import TracingVirtualMachine
 from repro.workloads import generate_workload
 
@@ -41,6 +44,8 @@ topology_specs = st.one_of(
     st.just(TopologySpec()),
 )
 
+backends = st.sampled_from(("event", "adaptive"))
+
 
 def _trace_for(spec):
     app = generate_workload(**spec)
@@ -49,11 +54,14 @@ def _trace_for(spec):
 
 @settings(max_examples=25, deadline=None)
 @given(spec=workload_specs, topology=topology_specs,
-       processors_per_node=st.integers(min_value=1, max_value=3))
-def test_topology_replays_are_deterministic(spec, topology, processors_per_node):
+       processors_per_node=st.integers(min_value=1, max_value=3),
+       backend=backends)
+def test_topology_replays_are_deterministic(spec, topology, processors_per_node,
+                                            backend):
     trace = _trace_for(spec)
     platform = Platform(bandwidth_mbps=100.0, topology=topology,
-                        processors_per_node=processors_per_node)
+                        processors_per_node=processors_per_node,
+                        replay_backend=backend)
     first = simulate(trace, platform)
     second = simulate(trace, platform)
     assert first.total_time == second.total_time
@@ -62,25 +70,27 @@ def test_topology_replays_are_deterministic(spec, topology, processors_per_node)
 
 
 @settings(max_examples=25, deadline=None)
-@given(spec=workload_specs, topology=topology_specs)
-def test_topology_replays_terminate_under_contention(spec, topology):
+@given(spec=workload_specs, topology=topology_specs, backend=backends)
+def test_topology_replays_terminate_under_contention(spec, topology, backend):
     """No route/resource combination may deadlock the replay."""
     trace = _trace_for(spec)
-    platform = Platform(bandwidth_mbps=10.0, topology=topology)
+    platform = Platform(bandwidth_mbps=10.0, topology=topology,
+                        replay_backend=backend)
     result = simulate(trace, platform)
     assert result.total_time > 0
     assert result.network["transfers"] >= 0
 
 
-def test_topology_sweep_is_deterministic_under_parallel_jobs():
+@pytest.mark.parametrize("backend", ["event", "adaptive"])
+def test_topology_sweep_is_deterministic_under_parallel_jobs(backend):
     """jobs > 1 must reproduce the serial topology sweep bit for bit."""
-    topologies = ["flat", "tree:radix=2,links=1", "torus:links=1"]
-    bandwidths = [25.0, 400.0]
+    spec = ExperimentSpec(
+        apps=("nas-bt",), app_options={"num_ranks": 8, "iterations": 2},
+        topologies=("flat", "tree:radix=2,links=1", "torus:links=1"),
+        bandwidths=(25.0, 400.0), platform={"replay_backend": backend})
 
     def _run(jobs):
-        return run_topology_sweep(
-            NasBT(num_ranks=8, iterations=2), topologies, bandwidths,
-            environment=OverlapStudyEnvironment(), jobs=jobs)
+        return run_experiment(spec.with_jobs(jobs)).by_topology()
 
     serial = _run(1)
     parallel = _run(2)

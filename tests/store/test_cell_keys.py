@@ -94,12 +94,8 @@ class TestKeySensitivity:
 
 
 class TestReplayBackendKeying:
-    """The reference backend is keyed without the knob; ``adaptive`` is not.
-
-    ``adaptive`` replays the same run, but its network aggregates may differ
-    from ``event``'s in the last ulp (summation order), so its cells are
-    keyed separately.
-    """
+    """Both backends replay a cell to the same bytes, so the backend knob
+    never reaches the key: one cache namespace serves both."""
 
     def test_compiled_backend_is_rejected(self):
         with pytest.raises(ConfigurationError,
@@ -111,15 +107,11 @@ class TestReplayBackendKeying:
         fingerprint = platform_fingerprint(Platform(replay_backend="event"))
         assert "replay_backend" not in fingerprint
 
-    def test_adaptive_gets_its_own_digest(self):
-        assert digest_of(Platform(replay_backend="adaptive")) != \
+    def test_backends_share_a_digest(self):
+        assert platform_fingerprint(Platform(replay_backend="adaptive")) == \
+            platform_fingerprint(Platform(replay_backend="event"))
+        assert digest_of(Platform(replay_backend="adaptive")) == \
             digest_of(Platform(replay_backend="event"))
-
-    def test_adaptive_fingerprint_includes_the_backend_knobs(self):
-        # Exactly the event fingerprint plus the backend itself.
-        fingerprint = platform_fingerprint(Platform(replay_backend="adaptive"))
-        assert fingerprint == {**platform_fingerprint(Platform()),
-                               "replay_backend": "adaptive"}
 
     def test_event_keys_are_pinned(self):
         # Event keys must not move when adaptive-only knobs come or go.
