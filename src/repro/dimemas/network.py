@@ -53,6 +53,27 @@ class NetworkStatistics:
         #: ``up0``, ``x+``): one entry per crossing.
         self.hop_queue_times: Dict[str, List[float]] = {}
 
+    @classmethod
+    def unqueued(cls, bytes_transferred: int, intranode_transfers: int,
+                 hop_crossings: Dict[str, int],
+                 transfer_times: List[float]) -> "NetworkStatistics":
+        """Statistics of point-to-point transfers that never queued.
+
+        Equal to calling :meth:`record` once per entry of
+        ``transfer_times`` and :meth:`record_hop` once per crossing, all
+        with a zero queue time.  ``hop_crossings`` maps hop names, in
+        first-crossing order, to their crossing counts; ``transfer_times``
+        is taken over, not copied.
+        """
+        statistics = cls()
+        statistics.bytes_transferred = bytes_transferred
+        statistics.intranode_transfers = intranode_transfers
+        statistics.queue_times = [0.0] * len(transfer_times)
+        statistics.transfer_times = transfer_times
+        statistics.hop_queue_times = {
+            name: [0.0] * count for name, count in hop_crossings.items()}
+        return statistics
+
     def record(self, size: int, queue_time: float, transfer_time: float,
                intranode: bool, collective: bool = False) -> None:
         self.bytes_transferred += size

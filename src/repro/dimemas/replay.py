@@ -57,7 +57,7 @@ from repro.dimemas.messages import Message
 from repro.dimemas.network import NetworkFabric, NetworkStatistics
 from repro.dimemas.platform import Platform
 from repro.dimemas.results import RankStats
-from repro.dimemas.topology import build_network_model
+from repro.dimemas.topology import Hop, build_network_model
 from repro.dimemas.windows import WindowPlan, classify
 from repro.errors import SimulationError
 from repro.paraver.states import ThreadState
@@ -1315,8 +1315,14 @@ def _vector_walk(trace: Trace, platforms: Sequence[Platform]
     the same program order per lane, which makes each lane bit-identical
     to the event backend's replay of its cell in time and rank statistics.
 
-    Network statistics are exact sums, so they do not depend on the order
-    the walk records transfers in, nor on the width a cell ran at.
+    Network statistics follow from the same structure.  No transfer ever
+    queues, and every transfer's size, intranode flag and hop crossings
+    are the same in every lane; only its duration differs.  So the byte
+    total, intranode count and per-hop crossing counts are taken once per
+    walk, and each lane's :class:`NetworkStatistics` is built from them
+    and that lane's transfer times alone
+    (:meth:`NetworkStatistics.unqueued`).  Its aggregates are exact sums,
+    so they equal the event walk's whatever order it recorded in.
     Returns one ``(total_time, rank stats, network stats)`` tuple per
     platform, in order.
     """
@@ -1342,6 +1348,8 @@ def _vector_walk(trace: Trace, platforms: Sequence[Platform]
               for platform in platforms]
 
     intranode_memo: Dict[int, List[float]] = {}
+    #: (src node, dst node) -> one tuple of lane hops per route position.
+    route_memo: Dict[Tuple[int, int], List[Tuple[Hop, ...]]] = {}
     internode_memo: Dict[Tuple[int, int, int], Tuple[Any, ...]] = {}
     burst_memo: Dict[Any, List[float]] = {}
     collective_memo: Dict[Tuple[str, int], List[float]] = {}
@@ -1362,24 +1370,23 @@ def _vector_walk(trace: Trace, platforms: Sequence[Platform]
         return durations
 
     def internode_durations(src_node: int, dst_node: int, size: int):
-        """(route, per-cell total duration, per-cell per-hop durations)."""
+        """(hop names, lane total durations, one lane vector per hop)."""
         key = (src_node, dst_node, size)
         entry = internode_memo.get(key)
         if entry is None:
-            totals: List[float] = []
-            per_hop: List[Tuple[float, ...]] = []
-            for model in models:
-                route = model.route(src_node, dst_node)
-                duration = 0.0
-                hops: List[float] = []
-                for hop in route:
-                    hop_duration = hop.transfer_time(size)
-                    duration += hop_duration
-                    hops.append(hop_duration)
-                totals.append(duration)
-                per_hop.append(tuple(hops))
-            entry = internode_memo[key] = (
-                models[0].route(src_node, dst_node), totals, per_hop)
+            pair = (src_node, dst_node)
+            hops_by_position = route_memo.get(pair)
+            if hops_by_position is None:
+                hops_by_position = route_memo[pair] = list(zip(*[
+                    model.route(src_node, dst_node) for model in models]))
+            hop_vectors = [[hop.transfer_time(size) for hop in lane_hops]
+                           for lane_hops in hops_by_position]
+            # Summed hop by hop from 0.0, as the event walk's fabric does.
+            totals = [0.0] * width
+            for durations in hop_vectors:
+                totals = [t + d for t, d in zip(totals, durations)]
+            names = tuple(lane_hops[0].name for lane_hops in hops_by_position)
+            entry = internode_memo[key] = (names, totals, hop_vectors)
         return entry
 
     def collective_durations(operation: str, size: int) -> List[float]:
@@ -1416,8 +1423,8 @@ def _vector_walk(trace: Trace, platforms: Sequence[Platform]
     collectives: List[_GridCollective] = []
     pending_sends: Dict[Tuple[int, int, int], Any] = {}
     pending_recvs: Dict[Tuple[int, int, int], Any] = {}
-    #: Transfers as (size, lane durations, route) -- route None for
-    #: intranode -- recorded into each lane's statistics at the end.
+    #: Transfers as (size, lane durations, hop names) -- names None for
+    #: intranode -- turned into each lane's statistics at the end.
     stat_buffer: List[Tuple[Any, ...]] = []
     runnable = deque(range(num_ranks))
     done = [False] * num_ranks
@@ -1485,15 +1492,12 @@ def _vector_walk(trace: Trace, platforms: Sequence[Platform]
             stat_buffer.append((size, durations, None))
             arrival = [s + d for s, d in zip(start, durations)]
         else:
-            route, totals, per_hop = internode_durations(
+            names, totals, hop_vectors = internode_durations(
                 src_node, dst_node, size)
-            stat_buffer.append((size, totals, route))
-            arrival = []
-            for i in lanes:
-                ready = start[i]
-                for hop_duration in per_hop[i]:
-                    ready = ready + hop_duration
-                arrival.append(ready)
+            stat_buffer.append((size, totals, names))
+            arrival = start
+            for durations in hop_vectors:
+                arrival = [a + d for a, d in zip(arrival, durations)]
         finish_message(message, arrival)
 
     while runnable:
@@ -1702,17 +1706,22 @@ def _vector_walk(trace: Trace, platforms: Sequence[Platform]
             f"grid replay deadlocked: ranks {stuck} blocked "
             f"(pcs {[pcs[rank] for rank in stuck]})")
 
+    bytes_transferred = 0
+    intranode_transfers = 0
+    hop_crossings: Dict[str, int] = {}
+    for size, _durations, names in stat_buffer:
+        bytes_transferred += size
+        if names is None:
+            intranode_transfers += 1
+        else:
+            for name in names:
+                hop_crossings[name] = hop_crossings.get(name, 0) + 1
     results = []
     for i in lanes:
         # One lane's statistics at a time: a cohort may be wide.
-        statistics = NetworkStatistics()
-        for size, durations, route in stat_buffer:
-            if route is None:
-                statistics.record(size, 0.0, durations[i], True)
-            else:
-                for hop in route:
-                    statistics.record_hop(hop.name, 0.0)
-                statistics.record(size, 0.0, durations[i], False)
+        statistics = NetworkStatistics.unqueued(
+            bytes_transferred, intranode_transfers, hop_crossings,
+            [entry[1][i] for entry in stat_buffer])
         network_stats = _network_summary(statistics, matched, platforms[i])
         rank_stats = []
         total_time = 0.0

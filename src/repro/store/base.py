@@ -67,7 +67,8 @@ class ResultStore(ABC):
     def prune(self, older_than_seconds: Optional[float] = None) -> int:
         """Delete entries (all, or only those older than the given age).
 
-        Returns the number of entries removed.
+        Returns the number of entries removed.  A negative or non-finite
+        age raises :class:`~repro.errors.StoreError` and deletes nothing.
         """
 
     @abstractmethod

@@ -20,6 +20,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import json
+import math
 import os
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
@@ -74,16 +75,20 @@ class FileResultStore(ResultStore):
             "payload": payload,
         }
         path = self._path_of(key.digest)
+        # Atomic publish: a unique temp file in the destination directory,
+        # then os.replace.  Concurrent writers of the same key race
+        # harmlessly -- the entries are identical by construction (same
+        # key, pure function) and replace is atomic.
+        tmp = path.parent / f".{key.digest}.{os.getpid()}.tmp"
         try:
             path.parent.mkdir(parents=True, exist_ok=True)
-            # Atomic publish: a unique temp file in the destination
-            # directory, then os.replace.  Concurrent writers of the same
-            # key race harmlessly -- the entries are identical by
-            # construction (same key, pure function) and replace is atomic.
-            tmp = path.parent / f".{key.digest}.{os.getpid()}.tmp"
             tmp.write_text(json.dumps(entry, sort_keys=True), encoding="utf-8")
             os.replace(tmp, path)
         except OSError as exc:
+            # Maintenance only sees ``*.json`` entries, so a temp file left
+            # here would never be removed.
+            with contextlib.suppress(OSError):
+                tmp.unlink()
             raise StoreError(f"cannot write cache entry {path}: {exc}") from exc
 
     def __contains__(self, key: CellKey) -> bool:
@@ -108,6 +113,12 @@ class FileResultStore(ResultStore):
     def prune(self, older_than_seconds: Optional[float] = None) -> int:
         import time
 
+        if older_than_seconds is not None and not (
+                math.isfinite(older_than_seconds) and older_than_seconds >= 0):
+            # A negative age puts the cutoff in the future and NaN fails
+            # every comparison: either would delete every entry.
+            raise StoreError(f"prune age must be finite and non-negative, "
+                             f"got {older_than_seconds!r} seconds")
         cutoff = (time.time() - older_than_seconds
                   if older_than_seconds is not None else None)
         removed = 0

@@ -8,10 +8,12 @@ The resources now live on the fabric's FlatBus topology model.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.des import Environment
 from repro.dimemas.messages import Message
-from repro.dimemas.network import NetworkFabric
+from repro.dimemas.network import NetworkFabric, NetworkStatistics
 from repro.dimemas.platform import Platform
 
 
@@ -90,3 +92,41 @@ class TestTransferResourceSafety:
         assert fabric.model.buses.count == 0
         assert fabric.model.output_link(0).count == 0
         assert fabric.model.input_link(1).count == 0
+
+
+#: An unqueued transfer: (size, duration, intranode, names of crossed hops).
+transfers = st.lists(st.one_of(
+    st.tuples(st.integers(min_value=0, max_value=1 << 20),
+              st.floats(min_value=0.0, max_value=1.0),
+              st.just(True), st.just(())),
+    st.tuples(st.integers(min_value=0, max_value=1 << 20),
+              st.floats(min_value=0.0, max_value=1.0),
+              st.just(False),
+              st.lists(st.sampled_from(("net", "up0", "down1", "x+", "y-")),
+                       min_size=1, max_size=4).map(tuple)),
+), max_size=40)
+
+
+class TestUnqueuedStatistics:
+    """``NetworkStatistics.unqueued`` equals recording each transfer."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(transfers)
+    def test_matches_the_record_path(self, drawn):
+        recorded = NetworkStatistics()
+        crossings = {}
+        for size, duration, intranode, hops in drawn:
+            for name in hops:
+                recorded.record_hop(name, 0.0)
+                crossings[name] = crossings.get(name, 0) + 1
+            recorded.record(size, 0.0, duration, intranode)
+        built = NetworkStatistics.unqueued(
+            sum(size for size, _, _, _ in drawn),
+            sum(1 for _, _, intranode, _ in drawn if intranode),
+            crossings, [duration for _, duration, _, _ in drawn])
+        assert list(built.summary().items()) == list(
+            recorded.summary().items())
+        assert list(built.hop_queue_time.items()) == list(
+            recorded.hop_queue_time.items())
+        assert list(built.hop_transfers.items()) == list(
+            recorded.hop_transfers.items())

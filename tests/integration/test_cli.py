@@ -364,6 +364,24 @@ class TestCliResultCache:
         assert main(["cache", "stats", "--cache-dir", cache]) == 0
         assert "0" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("days", ["-1", "nan"])
+    def test_cache_prune_rejects_an_invalid_age(self, tmp_path, capsys, days):
+        from repro.store import CellKey, FileResultStore
+
+        cache = tmp_path / "cache"
+        store = FileResultStore(cache)
+        payload = {"total_time": 1.0}
+        for bandwidth in (1.0, 2.0, 3.0):
+            store.put(CellKey.compute("c" * 64,
+                                      Platform(bandwidth_mbps=bandwidth),
+                                      "original"), payload)
+        assert main(["cache", "prune", "--cache-dir", str(cache),
+                     "--older-than-days", days]) == 1
+        captured = capsys.readouterr()
+        assert "error: prune age must be finite and non-negative" in captured.err
+        assert "pruned" not in captured.out
+        assert store.stats().entries == 3
+
     def test_cache_verify_flags_corruption(self, tmp_path, capsys):
         spec = str(self._write(tmp_path))
         cache = tmp_path / "cache"

@@ -20,13 +20,9 @@ from hypothesis import strategies as st
 from repro.apps.registry import APPLICATIONS
 from repro.dimemas.platform import Platform
 
-from replay_contract import app_trace, assert_bit_exact
+from replay_contract import VARIANTS, app_trace, assert_bit_exact
 
 APPS = tuple(sorted(APPLICATIONS))
-#: The original trace, or an overlap (pattern, mechanism) variant.
-VARIANTS = ((None, "full"),) + tuple(
-    (pattern, mechanism) for pattern in ("real", "ideal")
-    for mechanism in ("full", "early-send", "late-receive"))
 
 
 @st.composite

@@ -23,6 +23,11 @@ from repro.dimemas.replay import ReplayEngine
 
 _TRACES = {}
 
+#: The original trace, or an overlap (pattern, mechanism) variant.
+VARIANTS = ((None, "full"),) + tuple(
+    (pattern, mechanism) for pattern in ("real", "ideal")
+    for mechanism in ("full", "early-send", "late-receive"))
+
 
 def app_trace(app_name, overlap=None, mechanism="full", ranks=4,
               iterations=2):

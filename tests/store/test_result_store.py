@@ -3,6 +3,7 @@
 import json
 import os
 import pickle
+from pathlib import Path
 
 import pytest
 
@@ -160,6 +161,46 @@ class TestMaintenance:
         os.utime(path, (stat.st_atime - 7200, stat.st_mtime - 7200))
         assert store.prune(older_than_seconds=3600) == 1
         assert old not in store and fresh in store
+
+    @pytest.mark.parametrize("age", [-1.0, float("nan"), float("inf")])
+    def test_prune_rejects_a_negative_or_non_finite_age(self, tmp_path, age):
+        from repro.errors import StoreError
+
+        store = FileResultStore(tmp_path)
+        for bandwidth in (1.0, 2.0, 3.0):
+            store.put(make_key(bandwidth), make_payload())
+        with pytest.raises(StoreError, match="finite and non-negative"):
+            store.prune(older_than_seconds=age)
+        assert store.stats().entries == 3
+
+    @pytest.mark.parametrize("failing", ["write", "replace"])
+    def test_failed_write_leaves_no_temp_file(self, tmp_path, monkeypatch,
+                                              failing):
+        from repro.errors import StoreError
+
+        store = FileResultStore(tmp_path)
+        key = make_key()
+        disk_full = OSError(28, "No space left on device")
+        if failing == "write":
+            write_text = Path.write_text
+
+            def partial_write(path, data, *args, **kwargs):
+                write_text(path, data[:10], *args, **kwargs)
+                raise disk_full
+
+            monkeypatch.setattr(Path, "write_text", partial_write)
+        else:
+            def refuse(*args, **kwargs):
+                raise disk_full
+
+            monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(StoreError, match="cannot write"):
+            store.put(key, make_payload())
+        monkeypatch.undo()
+        leftovers = [path.name for path in store.root.rglob("*")
+                     if path.is_file()]
+        assert leftovers == []
+        assert key not in store
 
     def test_unwritable_root_raises_store_error(self, tmp_path):
         from repro.errors import StoreError
