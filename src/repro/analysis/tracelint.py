@@ -31,6 +31,7 @@ replay, and a trace that analyzes clean cannot deadlock on matching.
 from __future__ import annotations
 
 from collections import Counter, deque
+from dataclasses import dataclass
 from typing import Any, Deque, Dict, List, Optional, Tuple
 
 from repro.analysis.diagnostics import AnalysisReport, Diagnostic
@@ -82,7 +83,8 @@ def analyze_trace(trace: Trace, platform: Optional[Platform] = None, *,
         thresholds.append(ALL_RENDEZVOUS)
     deadlocks: Dict[Diagnostic, None] = {}
     for threshold in thresholds:
-        for diagnostic in _check_deadlock(ops, num_ranks, threshold, source):
+        verdict = symbolic_verdict(trace, threshold)
+        for diagnostic in _check_deadlock(verdict, threshold, source):
             deadlocks.setdefault(diagnostic)
     diagnostics.extend(deadlocks)
 
@@ -457,6 +459,45 @@ class _SymbolicReplay:
                 for peer in range(self.num_ranks) if peer not in arrived]
 
 
+@dataclass(frozen=True)
+class SymbolicVerdict:
+    """The fixpoint of one symbolic replay: all that its readers need.
+
+    ``stuck`` lists the ranks that cannot finish, ``unmatched_sends``
+    counts the posted sends no receive matched, and ``wait_edges`` holds
+    the ``(peer, kind, record_index)`` edges of every stuck rank.
+    """
+
+    stuck: List[int]
+    unmatched_sends: int
+    wait_edges: Dict[int, List[Tuple[int, str, int]]]
+
+
+def symbolic_verdict(trace: Trace, eager_threshold: int) -> SymbolicVerdict:
+    """The symbolic replay's verdict on ``trace`` at ``eager_threshold``.
+
+    Lint's deadlock search and the adaptive classifier
+    (:mod:`repro.dimemas.windows`) both read it, so the verdict is memoized
+    on the trace instance (records are never mutated after construction)
+    and each (trace, eager threshold) is replayed once.  Only the verdict is
+    kept: the replay's matcher state holds a queue per chunk stream.
+    """
+    verdicts = getattr(trace, "_symbolic_verdicts", None)
+    if verdicts is None:
+        verdicts = {}
+        trace._symbolic_verdicts = verdicts
+    verdict = verdicts.get(eager_threshold)
+    if verdict is None:
+        replay = _SymbolicReplay(trace.prepared().ops, trace.num_ranks,
+                                 eager_threshold)
+        stuck = replay.run()
+        verdict = SymbolicVerdict(
+            stuck=stuck, unmatched_sends=replay.unmatched_sends(),
+            wait_edges={rank: replay.wait_edges(rank) for rank in stuck})
+        verdicts[eager_threshold] = verdict
+    return verdict
+
+
 _EDGE_PHRASES = {
     "send": "blocking rendezvous send at record {index} to rank {peer}",
     "recv": "blocking receive at record {index} from rank {peer}",
@@ -468,14 +509,12 @@ _EDGE_PHRASES = {
 _P2P_EDGES = frozenset({"send", "recv", "wait-send", "wait-recv"})
 
 
-def _check_deadlock(ops, num_ranks: int, eager_threshold: int,
+def _check_deadlock(verdict: SymbolicVerdict, eager_threshold: int,
                     source: str) -> List[Diagnostic]:
     """TL401: cycles in the wait-for graph of the symbolic replay's fixpoint."""
-    replay = _SymbolicReplay(ops, num_ranks, eager_threshold)
-    stuck = replay.run()
-    if not stuck:
+    if not verdict.stuck:
         return []
-    edges = {rank: replay.wait_edges(rank) for rank in stuck}
+    edges = verdict.wait_edges
     cycles = _find_cycles({rank: [peer for peer, _, _ in rank_edges]
                            for rank, rank_edges in edges.items()})
     diagnostics: List[Diagnostic] = []

@@ -256,16 +256,22 @@ def _add_cache_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def _resolve_store(args: argparse.Namespace,
-                   required: bool = False) -> Optional[FileResultStore]:
-    """The result store the cache flags select (honouring the env default)."""
+                   existing: bool = False) -> Optional[FileResultStore]:
+    """The result store the cache flags select (honouring the env default).
+
+    ``existing`` is for maintenance: the directory must be named and must
+    already hold a store, which is then opened without creating anything.
+    """
     if getattr(args, "no_cache", False):
         return None
     cache_dir = getattr(args, "cache_dir", None) or os.environ.get(CACHE_DIR_ENV)
     if cache_dir is None:
-        if required:
+        if existing:
             raise ReproError(
                 f"no cache directory: pass --cache-dir or set ${CACHE_DIR_ENV}")
         return None
+    if existing:
+        return FileResultStore.existing(cache_dir)
     return open_store(cache_dir)
 
 
@@ -664,7 +670,7 @@ def _task_cell_label(task) -> str:
 
 
 def _cmd_cache(args: argparse.Namespace) -> int:
-    store = _resolve_store(args, required=True)
+    store = _resolve_store(args, existing=True)
     if args.action == "stats":
         stats = store.stats()
         rows = [["location", stats.location],

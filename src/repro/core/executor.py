@@ -469,15 +469,11 @@ class SweepExecutor:
         if self.jobs == 1 or len(units) <= 1:
             # Warm the preparation cache up front so the first task of a
             # variant is not charged for the normalisation of all of them.
-            # Store-backed runs hash the content first: the digest-keyed
-            # memo then shares one prepared stream across every Trace
-            # object with equal content, so a resumed or repeated sweep in
-            # the same process never recompiles a trace it has seen.
+            # Nothing here hashes trace content: cell keys need only the
+            # originals' digests (the plan computes those), and within one
+            # run every memo lives on the trace objects themselves.
             for task in flat_tasks:
-                trace = _lookup_trace(traces, task.trace_key)
-                if store is not None:
-                    trace.digest()
-                trace.prepared()
+                _lookup_trace(traces, task.trace_key).prepared()
             results: List[Any] = []
             for unit in units:
                 if type(unit) is CohortTask:

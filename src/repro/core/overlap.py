@@ -96,7 +96,11 @@ class OverlapTransformer:
         """Return the overlapped variant of ``trace``."""
         if self.mechanism is OverlapMechanism.NONE:
             return trace.with_metadata(variant="original")
-        transformed = [self._transform_rank(rank_trace) for rank_trace in trace]
+        # The chunking policy is a pure function of the message size and
+        # chunks are frozen, so every message of one size shares one list.
+        chunk_lists: Dict[int, List[Chunk]] = {}
+        transformed = [self._transform_rank(rank_trace, chunk_lists)
+                       for rank_trace in trace]
         return Trace(
             ranks=transformed,
             mips=trace.mips,
@@ -109,7 +113,8 @@ class OverlapTransformer:
             })
 
     # -- per-rank transformation ------------------------------------------------
-    def _transform_rank(self, rank_trace: RankTrace) -> RankTrace:
+    def _transform_rank(self, rank_trace: RankTrace,
+                        chunk_lists: Dict[int, List[Chunk]]) -> RankTrace:
         records = rank_trace.records
         preceding_burst, following_burst = self._adjacent_bursts(records)
         burst_instructions = {
@@ -126,13 +131,17 @@ class OverlapTransformer:
 
         for position, record in enumerate(records):
             if isinstance(record, SendRecord):
-                self._transform_send(position, record, preceding_burst,
-                                     burst_instructions, injections, replacements,
-                                     request_map, next_request, order)
+                self._transform_send(position, record,
+                                     self._chunks(record.size, chunk_lists),
+                                     preceding_burst, burst_instructions,
+                                     injections, replacements, request_map,
+                                     next_request, order)
             elif isinstance(record, RecvRecord):
-                self._transform_recv(position, record, following_burst,
-                                     burst_instructions, wait_position, injections,
-                                     replacements, request_map, next_request, order)
+                self._transform_recv(position, record,
+                                     self._chunks(record.size, chunk_lists),
+                                     following_burst, burst_instructions,
+                                     wait_position, injections, replacements,
+                                     request_map, next_request, order)
             elif isinstance(record, WaitRecord):
                 self._rewrite_wait(position, record, request_map, replacements)
 
@@ -141,13 +150,13 @@ class OverlapTransformer:
 
     # -- send side ---------------------------------------------------------------
     def _transform_send(self, position: int, record: SendRecord,
+                        chunks: List[Chunk],
                         preceding_burst: List[Optional[int]],
                         burst_instructions: Dict[int, float],
                         injections: Dict[int, List[Tuple[float, int, Record]]],
                         replacements: Dict[int, List[Record]],
                         request_map: Dict[int, List[int]],
                         next_request, order) -> None:
-        chunks = self.chunking.chunks(record.size)
         if len(chunks) <= 1:
             return
         if self.mechanism.transforms_sends:
@@ -183,6 +192,7 @@ class OverlapTransformer:
 
     # -- receive side -----------------------------------------------------------
     def _transform_recv(self, position: int, record: RecvRecord,
+                        chunks: List[Chunk],
                         following_burst: List[Optional[int]],
                         burst_instructions: Dict[int, float],
                         wait_position: Dict[int, int],
@@ -190,7 +200,6 @@ class OverlapTransformer:
                         replacements: Dict[int, List[Record]],
                         request_map: Dict[int, List[int]],
                         next_request, order) -> None:
-        chunks = self.chunking.chunks(record.size)
         if len(chunks) <= 1:
             return
         if self.mechanism.transforms_receives:
@@ -254,7 +263,8 @@ class OverlapTransformer:
                 if not pieces:
                     result.append(record)
                     continue
-                pieces = sorted(pieces, key=lambda item: (item[0], item[1]))
+                # Orders are unique, so the records are never compared.
+                pieces.sort()
                 cursor = 0.0
                 for offset, _order, injected in pieces:
                     offset = min(max(offset, 0.0), record.instructions)
@@ -272,6 +282,12 @@ class OverlapTransformer:
         return result
 
     # -- helpers ----------------------------------------------------------------
+    def _chunks(self, size: int, chunk_lists: Dict[int, List[Chunk]]) -> List[Chunk]:
+        chunks = chunk_lists.get(size)
+        if chunks is None:
+            chunks = chunk_lists[size] = self.chunking.chunks(size)
+        return chunks
+
     @staticmethod
     def _adjacent_bursts(records: List[Record]) -> Tuple[List[Optional[int]],
                                                           List[Optional[int]]]:

@@ -64,13 +64,13 @@ def production_points(chunks: Sequence[Chunk], events: Sequence[AccessEvent],
     if pattern is ComputationPattern.IDEAL:
         return _linear_points(chunks, adjacent_burst_index, burst_instructions,
                               consuming=False)
-    points: List[ChunkPoint] = [ChunkPoint(chunk, None) for chunk in chunks]
+    latest: List[Optional[AccessEvent]] = [None] * len(chunks)
     for event in events:
         for position, chunk in enumerate(chunks):
             if chunk.overlaps(event.lo, event.hi):
                 # Last store wins: later events overwrite earlier ones.
-                points[position] = ChunkPoint(chunk, event.burst_index, event.offset)
-    return _clamp(points, burst_instructions)
+                latest[position] = event
+    return _event_points(chunks, latest, burst_instructions)
 
 
 def consumption_points(chunks: Sequence[Chunk], events: Sequence[AccessEvent],
@@ -87,15 +87,13 @@ def consumption_points(chunks: Sequence[Chunk], events: Sequence[AccessEvent],
     if pattern is ComputationPattern.IDEAL:
         return _linear_points(chunks, adjacent_burst_index, burst_instructions,
                               consuming=True)
-    points: List[ChunkPoint] = [ChunkPoint(chunk, None) for chunk in chunks]
-    assigned = [False] * len(chunks)
+    first: List[Optional[AccessEvent]] = [None] * len(chunks)
     for event in events:
         for position, chunk in enumerate(chunks):
-            if not assigned[position] and chunk.overlaps(event.lo, event.hi):
+            if first[position] is None and chunk.overlaps(event.lo, event.hi):
                 # First load wins.
-                points[position] = ChunkPoint(chunk, event.burst_index, event.offset)
-                assigned[position] = True
-    return _clamp(points, burst_instructions)
+                first[position] = event
+    return _event_points(chunks, first, burst_instructions)
 
 
 def _linear_points(chunks: Sequence[Chunk], adjacent_burst_index: Optional[int],
@@ -116,20 +114,21 @@ def _linear_points(chunks: Sequence[Chunk], adjacent_burst_index: Optional[int],
     return points
 
 
-def _clamp(points: List[ChunkPoint],
-           burst_instructions: Dict[int, float]) -> List[ChunkPoint]:
-    """Clamp offsets into the valid range of their burst."""
-    clamped: List[ChunkPoint] = []
-    for point in points:
-        if point.burst_index is None:
-            clamped.append(point)
-            continue
-        limit = burst_instructions.get(point.burst_index)
+def _event_points(chunks: Sequence[Chunk],
+                  events: Sequence[Optional[AccessEvent]],
+                  burst_instructions: Dict[int, float]) -> List[ChunkPoint]:
+    """The point of every chunk at its access event, clamped into its burst.
+
+    A chunk without an event, or whose event references a record that is not
+    a burst in this trace, gets no usable point.
+    """
+    points: List[ChunkPoint] = []
+    for chunk, event in zip(chunks, events):
+        limit = (None if event is None
+                 else burst_instructions.get(event.burst_index))
         if limit is None:
-            # The annotation references a record that is not a burst in this
-            # trace; fall back to "no usable point".
-            clamped.append(ChunkPoint(point.chunk, None))
-            continue
-        offset = min(max(point.offset, 0.0), limit)
-        clamped.append(ChunkPoint(point.chunk, point.burst_index, offset))
-    return clamped
+            points.append(ChunkPoint(chunk, None))
+        else:
+            points.append(ChunkPoint(chunk, event.burst_index,
+                                     min(max(event.offset, 0.0), limit)))
+    return points

@@ -34,8 +34,11 @@ streams (:meth:`repro.tracing.trace.Trace.prepared`):
   ``benchmarks/bench_adaptive.py``).
 
 Classification is cheap (one pass plus the symbolic replay) and memoized
-per trace content, so a bandwidth sweep classifies each trace once, not
-once per platform point.
+per trace object -- and by content digest when one is known -- so a
+bandwidth sweep classifies each trace once, not once per platform point.
+The symbolic replay itself is shared with lint: its verdict is memoized on
+the trace per eager threshold (:func:`repro.analysis.tracelint.symbolic_verdict`),
+so a prechecked run replays each (trace, eager threshold) once.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.analysis.tracelint import _SymbolicReplay
+from repro.analysis.tracelint import symbolic_verdict
 from repro.dimemas.collectives.base import ANALYTICAL
 from repro.dimemas.platform import Platform
 from repro.dimemas.topology import FLAT, TORUS, TREE
@@ -92,7 +95,6 @@ _FACTS_MEMO_LIMIT = 256
 def _compute_facts(trace: Trace, eager_threshold: int,
                    processors_per_node: int) -> _TraceFacts:
     ops = trace.prepared().ops
-    num_ranks = trace.num_ranks
 
     # Structural sanity: unknown records would raise mid-replay, and the
     # collective coordinator's TL201/TL203 checks must fire from the real
@@ -125,13 +127,14 @@ def _compute_facts(trace: Trace, eager_threshold: int,
     # clean fixpoint guarantees the fast-forward walks never deadlock --
     # without replaying anything.  A send left unmatched at the fixpoint
     # is a defect too: the event walk raises its exact error (TL101/TL103).
-    symbolic = _SymbolicReplay(ops, num_ranks, eager_threshold)
-    stuck = symbolic.run()
-    if stuck:
+    # The verdict is the one lint's deadlock search memoized on the trace;
+    # the node mapping never enters it.
+    verdict = symbolic_verdict(trace, eager_threshold)
+    if verdict.stuck:
         return _TraceFacts(
             defect=f"static matcher cannot prove progress "
-                   f"(ranks {stuck} block)")
-    unmatched = symbolic.unmatched_sends()
+                   f"(ranks {verdict.stuck} block)")
+    unmatched = verdict.unmatched_sends
     if unmatched:
         return _TraceFacts(
             defect=f"static matcher leaves {unmatched} send(s) unreceived")

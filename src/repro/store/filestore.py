@@ -1,18 +1,20 @@
 """File-backed result store.
 
-Entries are sharded JSON files under the cache directory::
+Entries are sharded JSON files under the cache directory, in a subdirectory
+named after the store format (:data:`~repro.store.keys.STORE_FORMAT`, so
+``v3`` today)::
 
-    <root>/v1/ab/abcdef....json     # first two digest hex chars shard the dir
+    <root>/v3/ab/abcdef....json     # first two digest hex chars shard the dir
 
 Every entry embeds its own key and a checksum of the canonical payload JSON,
 so ``verify`` can detect truncation, bit-rot or hand-editing without any
 index.  Writes go through a temporary file in the destination directory
-followed by :func:`os.replace`, which is atomic on POSIX -- concurrent sweep
-workers (or concurrent experiment processes sharing one cache) can write the
-same entry simultaneously and readers always observe a complete file.  There
-is no lock, no daemon and no index to corrupt: the directory *is* the store,
-which is what makes it safe to ship the store object to pool workers (it
-pickles as its root path).
+(created by the first write into it) followed by :func:`os.replace`, which
+is atomic on POSIX -- concurrent sweep workers (or concurrent experiment
+processes sharing one cache) can write the same entry simultaneously and
+readers always observe a complete file.  There is no lock, no daemon and no
+index to corrupt: the directory *is* the store, which is what makes it safe
+to ship the store object to pool workers (it pickles as its root path).
 """
 
 from __future__ import annotations
@@ -33,6 +35,9 @@ from repro.store.serde import is_valid_payload
 #: Length of a SHA-256 hex digest (entry file names are validated against it).
 _DIGEST_LENGTH = 64
 
+#: The subdirectory of the cache directory that holds this format's entries.
+_FORMAT_DIR = f"v{STORE_FORMAT}"
+
 
 def _checksum(payload: Dict[str, Any]) -> str:
     return hashlib.sha256(canonical_json(payload).encode("utf-8")).hexdigest()
@@ -49,9 +54,20 @@ class FileResultStore(ResultStore):
             raise StoreError(f"cannot create cache directory "
                              f"{self._format_root}: {exc}") from exc
 
+    @classmethod
+    def existing(cls, root: Union[str, Path]) -> "FileResultStore":
+        """The store already at ``root``, opened without creating anything.
+
+        Maintenance (stats, verify, prune) must not create a store at a
+        mistyped path and then report it as empty and healthy.
+        """
+        if not (Path(root) / _FORMAT_DIR).is_dir():
+            raise StoreError(f"no result cache at {root}")
+        return cls(root)
+
     @property
     def _format_root(self) -> Path:
-        return self.root / f"v{STORE_FORMAT}"
+        return self.root / _FORMAT_DIR
 
     @property
     def location(self) -> str:
@@ -74,6 +90,7 @@ class FileResultStore(ResultStore):
             "checksum": _checksum(payload),
             "payload": payload,
         }
+        text = json.dumps(entry, sort_keys=True)
         path = self._path_of(key.digest)
         # Atomic publish: a unique temp file in the destination directory,
         # then os.replace.  Concurrent writers of the same key race
@@ -81,8 +98,13 @@ class FileResultStore(ResultStore):
         # key, pure function) and replace is atomic.
         tmp = path.parent / f".{key.digest}.{os.getpid()}.tmp"
         try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            tmp.write_text(json.dumps(entry, sort_keys=True), encoding="utf-8")
+            try:
+                tmp.write_text(text, encoding="utf-8")
+            except FileNotFoundError:
+                # First entry of its shard (or the store was removed
+                # underneath us): create the directory once, then retry.
+                path.parent.mkdir(parents=True, exist_ok=True)
+                tmp.write_text(text, encoding="utf-8")
             os.replace(tmp, path)
         except OSError as exc:
             # Maintenance only sees ``*.json`` entries, so a temp file left

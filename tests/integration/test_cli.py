@@ -408,6 +408,16 @@ class TestCliResultCache:
         assert main(["cache", "verify", "--cache-dir", str(cache)]) == 1
         assert "5 entries ok, 1 corrupt" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("action", ["stats", "verify", "prune"])
+    def test_cache_maintenance_never_creates_a_store(self, tmp_path, capsys,
+                                                     action):
+        missing = tmp_path / "typo" / "cache"
+        assert main(["cache", action, "--cache-dir", str(missing)]) == 1
+        captured = capsys.readouterr()
+        assert f"error: no result cache at {missing}" in captured.err
+        assert captured.out == ""
+        assert not (tmp_path / "typo").exists()
+
     def test_cache_without_a_directory_is_a_clear_error(self, capsys,
                                                         monkeypatch):
         monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
