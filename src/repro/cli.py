@@ -370,7 +370,7 @@ def _experiment_from_args(args: argparse.Namespace) -> Experiment:
     builder = (Experiment.for_app(args.app, **_app_options(args))
                .platform(**_platform_options(args))
                .jobs(args.jobs))
-    if getattr(args, "chunk_count", None):
+    if getattr(args, "chunk_count", None) is not None:
         builder.chunk_count(args.chunk_count)
     else:
         builder.chunk_bytes(getattr(args, "chunk_bytes", 16384))
@@ -405,7 +405,8 @@ def _cmd_trace(args: argparse.Namespace) -> int:
             "add e.g. '--overlap ideal' or drop --mechanism")
     environment = OverlapStudyEnvironment(
         chunking=FixedCountChunking(count=args.chunk_count)
-        if args.chunk_count else FixedSizeChunking(chunk_bytes=args.chunk_bytes))
+        if args.chunk_count is not None
+        else FixedSizeChunking(chunk_bytes=args.chunk_bytes))
     app = create_application(args.app, **_app_options(args))
     trace = environment.trace(app)
     if args.overlap:
@@ -447,7 +448,8 @@ def _check_apps(args: argparse.Namespace) -> AnalysisReport:
                   if args.mechanisms else [])
     environment = OverlapStudyEnvironment(
         chunking=FixedCountChunking(count=args.chunk_count)
-        if args.chunk_count else FixedSizeChunking(chunk_bytes=args.chunk_bytes))
+        if args.chunk_count is not None
+        else FixedSizeChunking(chunk_bytes=args.chunk_bytes))
     reports = []
     for name in names:
         app = create_application(name, **_app_options(args))

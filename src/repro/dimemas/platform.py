@@ -13,6 +13,10 @@ from repro.errors import ConfigurationError
 #: Bytes in a megabyte, used to convert the Dimemas-style MB/s bandwidth.
 MEGABYTE = 1.0e6
 
+#: The :class:`Platform` fields that only take integers (not ``bool``).
+INTEGER_FIELDS = ("num_buses", "input_links", "output_links",
+                  "eager_threshold", "processors_per_node")
+
 
 @dataclass(frozen=True)
 class Platform:
@@ -62,7 +66,8 @@ class Platform:
 
     Every numeric field must be finite: a ``nan`` or ``inf`` would replay
     to a non-finite total time (or silently change the adaptive backend's
-    path) instead of failing where it was set.
+    path) instead of failing where it was set.  The counts and byte sizes
+    (:data:`INTEGER_FIELDS`) must be integers.
     """
 
     name: str = "default"
@@ -106,6 +111,13 @@ class Platform:
             if isinstance(value, float) and not math.isfinite(value):
                 raise ConfigurationError(
                     f"{field_name} must be a finite number, got {value!r}")
+        # A float count would replay with fractional node ids or resource
+        # capacities instead of failing where it was set.
+        for field_name in INTEGER_FIELDS:
+            value = getattr(self, field_name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ConfigurationError(
+                    f"{field_name} must be an integer, got {value!r}")
         if self.relative_cpu_speed <= 0:
             raise ConfigurationError("relative_cpu_speed must be positive")
         if self.mpi_overhead < 0:

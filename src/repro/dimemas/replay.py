@@ -33,9 +33,16 @@ one of two walks picked by the classifier
   per rank, one lane per platform -- ``ReplayEngine.run`` runs it at width
   1, the cohort replay of :mod:`repro.dimemas.gridreplay` at any width;
 * the *paced walk* (:meth:`ReplayEngine._run_adaptive`) for every other
-  fast-forwardable cell: scalar clocks paced through a time-ordered heap in
-  the DES's event-creation order, with a FIFO resource micro-model for
-  contended transfers.
+  fast-forwardable cell: scalar clocks paced in the DES's event order, with
+  a FIFO resource micro-model for contended transfers.  Same-instant
+  URGENT work (rank starts, transfer starts, resource grants, slot
+  handovers) runs from a FIFO; a time-ordered heap holds only the timed
+  NORMAL events.
+
+Both walks match messages through the trace's static plan
+(:meth:`repro.tracing.trace.PreparedTrace.message_plan`): the k-th send of
+a ``(src, dst, tag)`` stream meets its k-th receive on every platform, so
+each posting indexes a per-cell message slot instead of searching queues.
 
 Cells neither walk can replay run the event walk, which stays the oracle.
 """
@@ -198,17 +205,19 @@ class _FastMessage:
 
     The paced walk never schedules DES events, so it replaces
     :class:`~repro.dimemas.messages.Message` (whose lifecycle is built from
-    DES events) with a plain record: posting flags and times, the computed
-    arrival instant (``None`` until the transfer ends) and the ranks
-    blocked on this message -- ``("r", rank)`` on the arrival,
-    ``("s", rank)`` on the send completion, plus the ``("sc", sender)`` slot
-    where a rendezvous send's completion callback sits among the arrival's
-    callbacks.
+    DES events) with a plain record: posting times, the computed arrival
+    instant (``None`` until the transfer ends) and the ranks blocked on
+    this message -- ``("r", rank)`` on the arrival, ``("s", rank)`` on the
+    send completion, plus the ``("sc", sender)`` slot where a rendezvous
+    send's completion callback sits among the arrival's callbacks.  The
+    first posting of a message creates it in the cell's slot for its plan
+    index; the second takes it out, so the slot never keeps a matched
+    message alive.
     """
 
     __slots__ = ("src", "dst", "tag", "size", "eager", "send_posted",
-                 "recv_posted", "send_time", "recv_time", "arrival",
-                 "transfer_start", "waiters", "r_notified", "s_notified")
+                 "send_time", "recv_time", "arrival", "transfer_start",
+                 "waiters", "r_notified", "s_notified")
 
     def __init__(self, src: int, dst: int, tag: int):
         self.src = src
@@ -217,7 +226,6 @@ class _FastMessage:
         self.size = 0
         self.eager = False
         self.send_posted = False
-        self.recv_posted = False
         self.send_time = 0.0
         self.recv_time = 0.0
         self.arrival: Optional[float] = None
@@ -253,22 +261,25 @@ class _FastCollective:
 
 
 class _TransferTask:
-    """One in-flight contended transfer of the adaptive interpreter.
+    """One in-flight contended transfer of the paced walk.
 
     Walks its route exactly like ``NetworkFabric._transfer``: acquire the
-    hop's limited resources in the hop's fixed order (FIFO per resource,
+    hop's resources in the hop's fixed order (FIFO per limited resource,
     holding earlier ones while queued on later ones), cross the wire, hand
-    released slots to queue heads, move to the next hop.  The walk is
-    driven by (time, 0, seq, task) entries on the interpreter's ready heap
-    instead of DES events.
+    released slots to queue heads, move to the next hop.  ``hop_states``
+    holds, per hop, the busy state of each resource (``None`` for an
+    unlimited one), shared with every other route through that resource.
+    Its start, grants and handovers run from the walk's URGENT FIFO, its
+    wire ends from the timed heap, instead of as DES events.
     """
 
-    __slots__ = ("message", "route", "hop_idx", "res_idx", "requested_at",
-                 "held", "queue_time", "duration", "phase")
+    __slots__ = ("message", "route", "hop_states", "hop_idx", "res_idx",
+                 "requested_at", "held", "queue_time", "duration", "phase")
 
-    def __init__(self, message: _FastMessage, route, now: float):
+    def __init__(self, message: _FastMessage, route, hop_states, now: float):
         self.message = message
         self.route = route
+        self.hop_states = hop_states
         self.hop_idx = 0
         self.res_idx = 0
         self.requested_at = now
@@ -282,9 +293,8 @@ class _TransferTask:
 class _GridMessage:
     """Message state of the lane walk: scalar identity, vector times."""
 
-    __slots__ = ("src", "dst", "tag", "size", "eager", "send_posted",
-                 "recv_posted", "send_time", "recv_time", "arrival",
-                 "waiters")
+    __slots__ = ("src", "dst", "tag", "size", "eager", "send_time",
+                 "recv_time", "arrival", "waiters")
 
     def __init__(self, src: int, dst: int, tag: int):
         self.src = src
@@ -292,8 +302,6 @@ class _GridMessage:
         self.tag = tag
         self.size = 0
         self.eager = False
-        self.send_posted = False
-        self.recv_posted = False
         self.send_time: Optional[List[float]] = None
         self.recv_time: Optional[List[float]] = None
         self.arrival: Optional[List[float]] = None
@@ -625,28 +633,37 @@ class ReplayEngine:
         returns the number of resource-queueing waits.
 
         No DES events: every rank carries a scalar clock advanced by the
-        same float expressions as the per-record walk, and a time-ordered
-        ready heap plays the DES queue.  Blocking operations either jump
-        the clock to an already-notified completion instant or park the
-        rank on the message/collective that will wake it.  Transfers that
-        cross a limited resource walk their route through a FIFO resource
-        micro-model driven by the same heap; every other transfer
-        completes in closed form.  Every continuation is paced through the
-        heap with the DES's event-creation order, so same-instant ties --
-        resource grants, wire ends, completion callbacks -- resolve as the
-        event backend resolves them, and every simulated time is the event
-        backend's, bit for bit.
+        same float expressions as the per-record walk, and the walk plays
+        the DES queue with two structures.  Same-instant URGENT work --
+        rank starts, transfer starts, resource grants and slot handovers --
+        runs from a FIFO; a time-ordered heap holds the timed NORMAL events
+        (bursts, wire ends, completion notifications, rank wake-ups) in
+        creation order.  Every URGENT event is created at the current
+        instant and sorts before every NORMAL one there, so draining the
+        FIFO before popping the heap is exactly the DES's order.  Blocking
+        operations either jump the clock to an already-notified completion
+        instant or park the rank on the message/collective that will wake
+        it.  Transfers that cross a limited resource walk their route
+        through a FIFO resource micro-model; every other transfer completes
+        in closed form.  Messages are matched through the trace's static
+        plan.  So same-instant ties -- resource grants, wire ends,
+        completion callbacks -- resolve as the event backend resolves them,
+        and every simulated time is the event backend's, bit for bit.
         """
         platform = self.platform
         env = self.env
         num_ranks = self.trace.num_ranks
         ops_by_rank = prepared.ops
+        plan = prepared.message_plan()
+        plan_by_rank = plan.indices
         collect = self.collect_timeline
         add_interval = self.timeline.add_interval
         add_communication = (self.timeline.add_communication if collect
                              else None)
-        record_stat = self.network.statistics.record
-        record_hop = self.network.statistics.record_hop
+        statistics = self.network.statistics
+        record_queue_time = statistics.queue_times.append
+        record_transfer_time = statistics.transfer_times.append
+        hop_queue_times = statistics.hop_queue_times
         route_of = self.network.model.route
         intranode_time = platform.transfer_time
         ppn = platform.processors_per_node
@@ -689,38 +706,60 @@ class ReplayEngine:
             {} for _ in range(num_ranks)]
         coll_next = [0] * num_ranks
         collectives: List[_FastCollective] = []
-        pending_sends: Dict[Tuple[int, int, int], Any] = {}
-        pending_recvs: Dict[Tuple[int, int, int], Any] = {}
+        #: Plan index -> the message while only one side has posted.
+        messages: List[Optional[_FastMessage]] = [None] * plan.count
         #: FIFO resource model for contended transfers, mirroring
         #: repro.des.resources.Resource: limited resource ->
         #: [capacity, active holds, FIFO deque of parked _TransferTask].
         busy: Dict[Any, List[Any]] = {}
-        #: (src_node, dst_node) -> True when the route crosses no limited
-        #: resource, i.e. its transfers have a closed (bit-exact) form.
-        route_free: Dict[Tuple[int, int], bool] = {}
-        #: The ready heap: (time, class, seq, payload) where payload is a
-        #: rank number or an in-flight _TransferTask.  Mirrors the DES
-        #: queue order at an instant: class 0 is PRIORITY_URGENT (resource
-        #: grants, initial process starts), class 1 is PRIORITY_NORMAL
-        #: (wire-crossing ends, rank wake-ups), and `seq` plays the event
-        #: id -- allocated at creation, so same-instant ties break in
-        #: creation order, as the DES eid does.  The payload never takes
-        #: part in a comparison because seq is unique.
-        heap: List[Any] = [(0.0, 0, rank, rank) for rank in range(num_ranks)]
-        event_seq = num_ranks
+        #: (src_node, dst_node) -> (route, hop_states): per hop, the busy
+        #: state of each resource (None for an unlimited one); hop_states
+        #: is None when no hop is limited, i.e. the route's transfers have
+        #: a closed (bit-exact) form.
+        routes: Dict[Tuple[int, int], Tuple[Any, Any]] = {}
+        #: Same-instant URGENT work as (time, payload), payload a rank
+        #: number (its initial start) or an in-flight _TransferTask.  Every
+        #: entry is at the current instant.
+        urgent = deque((0.0, rank) for rank in range(num_ranks))
+        #: The timed heap of NORMAL events: (time, seq, payload) where
+        #: payload is a rank number, an in-flight _TransferTask at its wire
+        #: end or a completion-chain tuple.  `seq` plays the DES event id --
+        #: allocated in creation order, so same-instant ties break as the
+        #: DES eid does -- and is unique, so the payload is never compared.
+        #: An inline continuation at time `t2` is exact when the FIFO is
+        #: empty and the heap's head is later than `t2`.
+        heap: List[Any] = []
+        event_seq = 0
         done = [False] * num_ranks
         finished = 0
         matched = 0
         contended = 0
-        # Resource grants are FIFO in request order, so every clock advance
-        # -- a CPU burst, an overhead charge, a collective exit -- is paced
-        # through the heap exactly as the DES paces it through a timeout:
-        # the continuation is scheduled with a sequence number allocated
-        # now, and every cross-rank ordering decision happens in global
-        # (time, creation) order, the event queue's order.
+        bytes_transferred = 0
+        intranode_transfers = 0
         #: True while a rank's next op already paid its mpi_overhead charge
         #: (the paced continuation resumes at the op itself).
         overhead_pending = [False] * num_ranks
+
+        def route_entry(src_node: int, dst_node: int) -> Tuple[Any, Any]:
+            route = route_of(src_node, dst_node)
+            hop_states = []
+            limited = False
+            for hop in route:
+                states = []
+                for resource in hop.resources:
+                    if type(resource) is InfiniteResource:
+                        states.append(None)
+                        continue
+                    limited = True
+                    state = busy.get(resource)
+                    if state is None:
+                        state = busy[resource] = [
+                            resource._capacity, 0, deque()]
+                    states.append(state)
+                hop_states.append(tuple(states))
+            entry = routes[src_node, dst_node] = (
+                route, tuple(hop_states) if limited else None)
+            return entry
 
         def wake_rank(waiter: int, arrival: float) -> None:
             """Complete one parked side for ``waiter``; schedules its
@@ -757,7 +796,7 @@ class ReplayEngine:
             pending_states[waiter] = None
             pcs[waiter] += 1
             event_seq += 1
-            heappush(heap, (t2, 1, event_seq, waiter))
+            heappush(heap, (t2, event_seq, waiter))
 
         def wake_all(message: _FastMessage) -> None:
             """Wake every rank parked on ``message``, in park order."""
@@ -783,7 +822,7 @@ class ReplayEngine:
                     wake_rank(waiter, arrival)
                 elif side == "sc":
                     event_seq += 1
-                    heappush(heap, (arrival, 1, event_seq, ("sc", message)))
+                    heappush(heap, (arrival, event_seq, ("sc", message)))
 
         def finish_message(message: _FastMessage, arrival: float) -> None:
             """The transfer is complete: publish the arrival instant and
@@ -804,7 +843,7 @@ class ReplayEngine:
                     tag=message.tag, send_time=message.transfer_start,
                     recv_time=arrival)
             event_seq += 1
-            heappush(heap, (arrival, 1, event_seq, ("arr", message)))
+            heappush(heap, (arrival, event_seq, ("arr", message)))
 
         def advance_transfer(task: _TransferTask, now: float) -> None:
             """One DES pop's worth of progress for a contended transfer.
@@ -813,20 +852,21 @@ class ReplayEngine:
             ``NetworkFabric._transfer``'s walk: request the current hop's
             next resource -- claiming a free slot synchronously but
             deferring the continuation one URGENT event, exactly as
-            ``Resource.request``'s immediate succeed does; parking in the
-            FIFO queue when at capacity -- or, with the hop's resources
-            all held, cross the wire, or, at the wire's end, release the
-            hop (handing slots straight to queue heads, the DES release
-            semantics) and start requesting the next hop.  Pacing every
-            step through the time-ordered ready heap keeps resource
-            requests and wire timeouts in the DES's creation order, so
-            same-instant grant races resolve the way the event backend
-            resolves them.
+            ``Resource.request``'s immediate succeed does (an unlimited
+            resource's grant too); parking in the FIFO queue when at
+            capacity -- or, with the hop's resources all held, cross the
+            wire, or, at the wire's end, release the hop (handing slots
+            straight to queue heads, the DES release semantics) and start
+            requesting the next hop.  Grants and handovers join the URGENT
+            FIFO and wire ends the timed heap, so same-instant grant races
+            resolve the way the event backend resolves them.  A step
+            continues inline when nothing else could run before it.
             """
-            nonlocal event_seq, contended
+            nonlocal event_seq, contended, bytes_transferred
             message = task.message
             size = message.size
             route = task.route
+            hop_states = task.hop_states
             while True:
                 if task.phase == 1:
                     # The wire of hop `hop_idx` was crossed at `now`:
@@ -837,32 +877,27 @@ class ReplayEngine:
                             waiter = waiting.popleft()
                             waiter.held.append(state)
                             waiter.res_idx += 1
-                            event_seq += 1
-                            heappush(heap, (now, 0, event_seq, waiter))
+                            urgent.append((now, waiter))
                         else:
                             state[1] -= 1
                     task.held = []
                     task.hop_idx += 1
                     if task.hop_idx >= len(route):
-                        record_stat(size, task.queue_time, task.duration,
-                                    False)
+                        bytes_transferred += size
+                        record_queue_time(task.queue_time)
+                        record_transfer_time(task.duration)
                         finish_message(message, now)
                         return
                     task.res_idx = 0
                     task.requested_at = now
                     task.phase = 0
                     # Fall through: request the next hop's first resource.
-                hop = route[task.hop_idx]
-                resources = hop.resources
+                states = hop_states[task.hop_idx]
                 i = task.res_idx
-                if i < len(resources):
-                    resource = resources[i]
+                if i < len(states):
+                    state = states[i]
                     task.res_idx = i + 1
-                    if type(resource) is not InfiniteResource:
-                        state = busy.get(resource)
-                        if state is None:
-                            state = busy[resource] = [
-                                resource._capacity, 0, deque()]
+                    if state is not None:
                         if state[1] >= state[0]:
                             # At capacity: park in the FIFO queue (rewinding
                             # res_idx; the release that hands the slot over
@@ -874,31 +909,32 @@ class ReplayEngine:
                         state[1] += 1
                         task.held.append(state)
                     # The continuation is one URGENT event later in the
-                    # DES.  The seq is allocated either way (creation-order
-                    # ids are what tie-breaking is built on); the heap
-                    # round-trip is skipped when no other event could pop
-                    # in between.
-                    event_seq += 1
-                    if heap:
-                        head = heap[0]
-                        if head[0] == now and head[1] == 0:
-                            heappush(heap, (now, 0, event_seq, task))
-                            return
+                    # DES: it runs inline unless earlier URGENT work is
+                    # pending.
+                    if urgent:
+                        urgent.append((now, task))
+                        return
                     continue
                 # Every resource of the hop held: cross the wire (a NORMAL
                 # timeout in the DES, its id allocated now, at scheduling).
+                hop = route[task.hop_idx]
                 hop_queue = now - task.requested_at
                 if message.transfer_start is None:
                     message.transfer_start = now
                 hop_duration = hop.transfer_time(size)
                 task.queue_time += hop_queue
                 task.duration += hop_duration
-                record_hop(hop.name, hop_queue)
+                # Looked up per crossing, so the keys keep first-crossing
+                # order.
+                times = hop_queue_times.get(hop.name)
+                if times is None:
+                    times = hop_queue_times[hop.name] = []
+                times.append(hop_queue)
                 task.phase = 1
-                event_seq += 1
                 end = now + hop_duration
-                if heap and heap[0] < (end, 1, event_seq):
-                    heappush(heap, (end, 1, event_seq, task))
+                if urgent or (heap and heap[0][0] <= end):
+                    event_seq += 1
+                    heappush(heap, (end, event_seq, task))
                     return
                 now = end
 
@@ -910,11 +946,11 @@ class ReplayEngine:
             internode route with no limited resource chains
             ``latency + size/bw`` per hop in closed form (bit-exact --
             ``InfiniteResource`` grants take no DES time); a route with
-            limited resources walks hop by hop through the FIFO model via
-            the ready heap, so its arrival is computed later and blocking
-            ranks park on the message meanwhile.
+            limited resources walks hop by hop through the FIFO model, so
+            its arrival is computed later and blocking ranks park on the
+            message meanwhile.
             """
-            nonlocal matched, event_seq
+            nonlocal matched, event_seq, bytes_transferred, intranode_transfers
             matched += 1
             size = message.size
             if message.eager:
@@ -928,26 +964,26 @@ class ReplayEngine:
             if src_node == dst_node:
                 duration = intranode_time(size, intranode=True)
                 message.transfer_start = start
-                record_stat(size, 0.0, duration, True)
+                bytes_transferred += size
+                intranode_transfers += 1
+                record_queue_time(0.0)
+                record_transfer_time(duration)
                 arrival = start + duration
             else:
-                route = route_of(src_node, dst_node)
-                key = (src_node, dst_node)
-                free = route_free.get(key)
-                if free is None:
-                    free = route_free[key] = all(
-                        type(resource) is InfiniteResource
-                        for hop in route for resource in hop.resources)
-                if not free:
+                entry = routes.get((src_node, dst_node))
+                if entry is None:
+                    entry = route_entry(src_node, dst_node)
+                route, hop_states = entry
+                if hop_states is not None:
                     # Contended route.  `start` equals the posting rank's
                     # clock (eager: the send instant; rendezvous: the
                     # later posting, which is the rank running right now),
-                    # so the start event is never in the heap's past; the
-                    # URGENT class mirrors the transfer process's
-                    # Initialize event in the DES.
-                    event_seq += 1
-                    heappush(heap, (start, 0, event_seq,
-                                    _TransferTask(message, route, start)))
+                    # so the start is the current instant; it is URGENT,
+                    # as the transfer process's Initialize event in the
+                    # DES.
+                    urgent.append(
+                        (start, _TransferTask(message, route, hop_states,
+                                              start)))
                     return
                 ready = start
                 duration = 0.0
@@ -957,37 +993,46 @@ class ReplayEngine:
                     ready = ready + hop_duration
                 message.transfer_start = start
                 for hop in route:
-                    record_hop(hop.name, 0.0)
-                record_stat(size, 0.0, duration, False)
+                    hop_queue_times.setdefault(hop.name, []).append(0.0)
+                bytes_transferred += size
+                record_queue_time(0.0)
+                record_transfer_time(duration)
                 arrival = ready
             # Pace even the closed-form completion through the heap (the
             # DES delivers it as a wire-end timeout whose id was allocated
             # at the transfer start), so its wake-ups tie-break against
             # in-flight contended transfers the way the event backend's do.
             event_seq += 1
-            heappush(heap, (arrival, 1, event_seq, ("fin", message, arrival)))
+            heappush(heap, (arrival, event_seq, ("fin", message, arrival)))
 
-        while heap:
-            entry = heappop(heap)
-            payload = entry[3]
-            kind = type(payload)
-            if kind is _TransferTask:
-                advance_transfer(payload, entry[0])
-                continue
-            if kind is tuple:  # completion-chain notification
-                tag = payload[0]
-                if tag == "fin":  # deferred closed-form wire end
-                    finish_message(payload[1], payload[2])
-                elif tag == "arr":  # the DES `arrived` event pop
-                    arrived(payload[1])
-                else:  # "sc": the DES send_complete event pop
-                    message = payload[1]
-                    message.s_notified = True
-                    wake_all(message)
-                continue
-            t = entry[0]
+        while True:
+            if urgent:
+                t, payload = urgent.popleft()
+                if type(payload) is _TransferTask:
+                    advance_transfer(payload, t)
+                    continue
+            elif heap:
+                t, _, payload = heappop(heap)
+                kind = type(payload)
+                if kind is _TransferTask:
+                    advance_transfer(payload, t)
+                    continue
+                if kind is tuple:  # completion-chain notification
+                    tag = payload[0]
+                    if tag == "fin":  # deferred closed-form wire end
+                        finish_message(payload[1], payload[2])
+                    elif tag == "arr":  # the DES `arrived` event pop
+                        arrived(payload[1])
+                    else:  # "sc": the DES send_complete event pop
+                        message = payload[1]
+                        message.s_notified = True
+                        wake_all(message)
+                    continue
+            else:
+                break
             rank = payload
             rank_ops = ops_by_rank[rank]
+            rank_plan = plan_by_rank[rank]
             n = lens[rank]
             pc = pcs[rank]
             reqs = requests_by_rank[rank]
@@ -1002,13 +1047,12 @@ class ReplayEngine:
                     pc += 1
                     # The burst is a NORMAL timeout in the DES: pace the
                     # continuation through the heap -- unless no other
-                    # event can pop before it, in which case the walk
-                    # continues inline (the seq is allocated either way,
-                    # preserving creation-order ids).
-                    event_seq += 1
-                    if heap and heap[0] < (t2, 1, event_seq):
+                    # event can run before it, in which case the walk
+                    # continues inline.
+                    if urgent or (heap and heap[0][0] <= t2):
                         pcs[rank] = pc
-                        heappush(heap, (t2, 1, event_seq, rank))
+                        event_seq += 1
+                        heappush(heap, (t2, event_seq, rank))
                         running = False
                         break
                     t = t2
@@ -1023,25 +1067,24 @@ class ReplayEngine:
                             add_interval(rank, t, t2, state_running)
                         # Pace the overhead charge too; the op itself runs
                         # at the wake-up.
-                        event_seq += 1
-                        if heap and heap[0] < (t2, 1, event_seq):
+                        if urgent or (heap and heap[0][0] <= t2):
                             overhead_pending[rank] = True
                             pcs[rank] = pc
-                            heappush(heap, (t2, 1, event_seq, rank))
+                            event_seq += 1
+                            heappush(heap, (t2, event_seq, rank))
                             running = False
                             break
                         t = t2
                 if op == OP_SEND:
-                    key = (rank, record.dst, record.tag)
-                    queue = pending_recvs.get(key)
-                    if queue:
-                        message = queue.popleft()
+                    index = rank_plan[pc]
+                    message = messages[index]
+                    if message is None:
+                        message = messages[index] = _FastMessage(
+                            rank, record.dst, record.tag)
+                        recv_posted = False
                     else:
-                        message = _FastMessage(rank, record.dst, record.tag)
-                        pending = pending_sends.get(key)
-                        if pending is None:
-                            pending = pending_sends[key] = deque()
-                        pending.append(message)
+                        messages[index] = None
+                        recv_posted = True
                     size = record.size
                     message.size = size
                     message.send_posted = True
@@ -1059,10 +1102,10 @@ class ReplayEngine:
                             # The DES sender still parks one generation on
                             # the (already succeeded) send_complete event's
                             # pop.
-                            event_seq += 1
-                            if heap and heap[0] < (t, 1, event_seq):
+                            if urgent or (heap and heap[0][0] <= t):
                                 pcs[rank] = pc + 1
-                                heappush(heap, (t, 1, event_seq, rank))
+                                event_seq += 1
+                                heappush(heap, (t, event_seq, rank))
                                 running = False
                                 break
                         else:
@@ -1072,7 +1115,7 @@ class ReplayEngine:
                         # `arrived` callback right here: after every
                         # receiver already parked, before later ones.
                         message.waiters.append(("sc", rank))
-                        if message.recv_posted:
+                        if recv_posted:
                             resolve(message)
                         if record.blocking:
                             if not message.s_notified:
@@ -1090,22 +1133,20 @@ class ReplayEngine:
                         else:
                             reqs[record.request] = ("send", message, pc)
                 elif op == OP_RECV:
-                    key = (record.src, rank, record.tag)
-                    queue = pending_sends.get(key)
-                    if queue:
-                        message = queue.popleft()
+                    index = rank_plan[pc]
+                    message = messages[index]
+                    if message is None:
+                        message = messages[index] = _FastMessage(
+                            record.src, rank, record.tag)
+                        send_posted = False
                     else:
-                        message = _FastMessage(record.src, rank, record.tag)
-                        pending = pending_recvs.get(key)
-                        if pending is None:
-                            pending = pending_recvs[key] = deque()
-                        pending.append(message)
-                    message.recv_posted = True
+                        messages[index] = None
+                        send_posted = True
                     message.recv_time = t
                     bytes_recv_a[rank] += record.size
                     msgs_recv_a[rank] += 1
-                    if (message.send_posted and message.arrival is None
-                            and not message.eager):
+                    # An eager transfer launched at its send posting.
+                    if send_posted and not message.eager:
                         resolve(message)
                     if record.blocking:
                         if not message.r_notified:
@@ -1169,10 +1210,10 @@ class ReplayEngine:
                         # A fully satisfied wait still pops once in the DES
                         # (_WaitAll succeeds at construction, the process
                         # resumes at its pop).
-                        event_seq += 1
-                        if heap and heap[0] < (t2, 1, event_seq):
+                        if urgent or (heap and heap[0][0] <= t2):
                             pcs[rank] = pc + 1
-                            heappush(heap, (t2, 1, event_seq, rank))
+                            event_seq += 1
+                            heappush(heap, (t2, event_seq, rank))
                             running = False
                             break
                         t = t2
@@ -1219,11 +1260,11 @@ class ReplayEngine:
                             pending_states[waiter] = None
                             pcs[waiter] += 1
                             event_seq += 1
-                            heappush(heap, (exit_time, 1, event_seq, waiter))
+                            heappush(heap, (exit_time, event_seq, waiter))
                         instance.waiters = []
                         pcs[rank] = pc + 1
                         event_seq += 1
-                        heappush(heap, (exit_time, 1, event_seq, rank))
+                        heappush(heap, (exit_time, event_seq, rank))
                         running = False
                         break
                     if t > instance.last:
@@ -1258,14 +1299,16 @@ class ReplayEngine:
                 record = records[position] if position < len(records) else None
                 details.append(
                     f"rank {rank} stuck at record {position} ({record!r})")
-            unmatched = {
-                "sends": sum(len(q) for q in pending_sends.values()),
-                "recvs": sum(len(q) for q in pending_recvs.values()),
-            }
+            # A slot still holds a message exactly while one side is posted.
+            pending = [message for message in messages if message is not None]
+            sends = sum(1 for message in pending if message.send_posted)
+            unmatched = {"sends": sends, "recvs": len(pending) - sends}
             raise SimulationError(
                 "replay deadlocked: " + "; ".join(details)
                 + f"; unmatched postings: {unmatched}")
 
+        statistics.bytes_transferred += bytes_transferred
+        statistics.intranode_transfers += intranode_transfers
         stats = self.stats
         for rank in range(num_ranks):
             rank_stats = stats[rank]
@@ -1331,6 +1374,8 @@ def _vector_walk(trace: Trace, platforms: Sequence[Platform]
     num_ranks = trace.num_ranks
     prepared = trace.prepared()
     ops_by_rank = prepared.ops
+    plan = prepared.message_plan()
+    plan_by_rank = plan.indices
     reference = platforms[0]
     ppn = reference.processors_per_node
     eager_threshold = reference.eager_threshold
@@ -1421,8 +1466,10 @@ def _vector_walk(trace: Trace, platforms: Sequence[Platform]
         {} for _ in range(num_ranks)]
     coll_next = [0] * num_ranks
     collectives: List[_GridCollective] = []
-    pending_sends: Dict[Tuple[int, int, int], Any] = {}
-    pending_recvs: Dict[Tuple[int, int, int], Any] = {}
+    #: Plan index -> the message while only one side has posted.  Taking
+    #: it out at the second posting keeps a wide cohort's vectors from
+    #: outliving their message.
+    messages: List[Optional[_GridMessage]] = [None] * plan.count
     #: Transfers as (size, lane durations, hop names) -- names None for
     #: intranode -- turned into each lane's statistics at the end.
     stat_buffer: List[Tuple[Any, ...]] = []
@@ -1504,6 +1551,7 @@ def _vector_walk(trace: Trace, platforms: Sequence[Platform]
         rank = runnable.popleft()
         t = clocks[rank]
         rank_ops = ops_by_rank[rank]
+        rank_plan = plan_by_rank[rank]
         n = lens[rank]
         pc = pcs[rank]
         reqs = requests_by_rank[rank]
@@ -1526,19 +1574,17 @@ def _vector_walk(trace: Trace, platforms: Sequence[Platform]
                     row[i] += t2[i] - t[i]
                 t = t2
             if op == OP_SEND:
-                key = (rank, record.dst, record.tag)
-                queue = pending_recvs.get(key)
-                if queue:
-                    message = queue.popleft()
+                index = rank_plan[pc]
+                message = messages[index]
+                if message is None:
+                    message = messages[index] = _GridMessage(
+                        rank, record.dst, record.tag)
+                    recv_posted = False
                 else:
-                    message = _GridMessage(rank, record.dst, record.tag)
-                    pending = pending_sends.get(key)
-                    if pending is None:
-                        pending = pending_sends[key] = deque()
-                    pending.append(message)
+                    messages[index] = None
+                    recv_posted = True
                 size = record.size
                 message.size = size
-                message.send_posted = True
                 message.send_time = t
                 bytes_sent_a[rank] += size
                 msgs_sent_a[rank] += 1
@@ -1550,7 +1596,7 @@ def _vector_walk(trace: Trace, platforms: Sequence[Platform]
                     if not record.blocking:
                         reqs[record.request] = ("send", message, pc)
                 else:
-                    if message.recv_posted:
+                    if recv_posted:
                         resolve(message)
                     if record.blocking:
                         arrival = message.arrival
@@ -1568,22 +1614,20 @@ def _vector_walk(trace: Trace, platforms: Sequence[Platform]
                     else:
                         reqs[record.request] = ("send", message, pc)
             elif op == OP_RECV:
-                key = (record.src, rank, record.tag)
-                queue = pending_sends.get(key)
-                if queue:
-                    message = queue.popleft()
+                index = rank_plan[pc]
+                message = messages[index]
+                if message is None:
+                    message = messages[index] = _GridMessage(
+                        record.src, rank, record.tag)
+                    send_posted = False
                 else:
-                    message = _GridMessage(record.src, rank, record.tag)
-                    pending = pending_recvs.get(key)
-                    if pending is None:
-                        pending = pending_recvs[key] = deque()
-                    pending.append(message)
-                message.recv_posted = True
+                    messages[index] = None
+                    send_posted = True
                 message.recv_time = t
                 bytes_recv_a[rank] += record.size
                 msgs_recv_a[rank] += 1
-                if (message.send_posted and message.arrival is None
-                        and not message.eager):
+                # An eager transfer launched at its send posting.
+                if send_posted and not message.eager:
                     resolve(message)
                 if record.blocking:
                     arrival = message.arrival

@@ -6,7 +6,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Tuple, Type, Union
+from typing import Any, Dict, Iterator, List, Optional, Tuple, Type, Union
 
 from repro.errors import TraceFormatError
 from repro.tracing.records import (
@@ -42,6 +42,55 @@ RECORD_OPCODES: Dict[type, int] = {
 }
 
 
+@dataclass(frozen=True)
+class MessagePlan:
+    """The point-to-point matching of a trace, fixed before any replay.
+
+    Matching is FIFO per ``(src, dst, tag)`` stream and every record names
+    its peer rank and tag, so the pairing is the same on every platform:
+    the k-th send of a stream meets that stream's k-th receive.
+    ``indices[rank][position]`` is the message index of the send or
+    receive at that position of the rank's prepared stream, and -1 for
+    every other op.  A matched send and receive share one index; a posting
+    without a counterpart has one of its own.  Indices run from 0 to
+    ``count - 1``.
+    """
+
+    indices: List[List[int]]
+    count: int
+
+    @classmethod
+    def compile(cls, ops: List[List[Tuple[int, Record]]]) -> "MessagePlan":
+        # Stream -> indices of its sends (receives) so far, in order.
+        sends: Dict[Tuple[int, int, int], List[int]] = {}
+        recvs: Dict[Tuple[int, int, int], List[int]] = {}
+        indices = []
+        count = 0
+        for rank, rank_ops in enumerate(ops):
+            row = []
+            for op, record in rank_ops:
+                if op == OP_SEND:
+                    key = (rank, record.dst, record.tag)
+                    posted, counterparts = sends, recvs
+                elif op == OP_RECV:
+                    key = (record.src, rank, record.tag)
+                    posted, counterparts = recvs, sends
+                else:
+                    row.append(-1)
+                    continue
+                stream = posted.setdefault(key, [])
+                others = counterparts.get(key, ())
+                if len(stream) < len(others):
+                    index = others[len(stream)]
+                else:
+                    index = count
+                    count += 1
+                stream.append(index)
+                row.append(index)
+            indices.append(row)
+        return cls(indices=indices, count=count)
+
+
 @dataclass
 class PreparedTrace:
     """A trace normalised for replay: opcode-tagged record streams.
@@ -54,6 +103,8 @@ class PreparedTrace:
     """
 
     ops: List[List[Tuple[int, Record]]]
+    _message_plan: Optional[MessagePlan] = field(
+        default=None, init=False, repr=False, compare=False)
 
     @classmethod
     def compile(cls, trace: "Trace") -> "PreparedTrace":
@@ -62,6 +113,17 @@ class PreparedTrace:
                 for record in rank_trace.records]
                for rank_trace in trace.ranks]
         return cls(ops=ops)
+
+    def message_plan(self) -> MessagePlan:
+        """The static message matching of these streams, built on first use.
+
+        Only the adaptive walks read it.  It is kept on the prepared trace,
+        so every replay of the same content shares one plan.
+        """
+        plan = self._message_plan
+        if plan is None:
+            plan = self._message_plan = MessagePlan.compile(self.ops)
+        return plan
 
 
 # -- digest-keyed preparation sharing ------------------------------------------

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.dimemas.config import PLATFORM_FIELDS
-from repro.dimemas.platform import Platform
+from repro.dimemas.platform import INTEGER_FIELDS, Platform
 from repro.errors import ConfigurationError
 
 NUMERIC_FIELDS = sorted(name for name, kind in PLATFORM_FIELDS.items()
@@ -18,10 +18,27 @@ class TestPlatformValidation:
         {"num_buses": -1},
         {"eager_threshold": -1},
         {"processors_per_node": 0},
+        {"processors_per_node": 2.5},
+        {"input_links": 0.5},
+        {"output_links": 1.0},
+        {"num_buses": 1.5},
+        {"eager_threshold": 1024.7},
+        {"processors_per_node": True},
     ])
     def test_invalid_parameters_rejected(self, kwargs):
         with pytest.raises(ConfigurationError):
             Platform(**kwargs)
+
+    @pytest.mark.parametrize("value", [2.0, True])
+    @pytest.mark.parametrize("field", INTEGER_FIELDS)
+    def test_integer_fields_take_only_integers(self, field, value):
+        with pytest.raises(ConfigurationError,
+                           match=f"{field} must be an integer, got {value!r}"):
+            Platform(**{field: value})
+
+    def test_integer_fields_are_the_serialized_int_fields(self):
+        assert sorted(INTEGER_FIELDS) == sorted(
+            name for name, kind in PLATFORM_FIELDS.items() if kind is int)
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     @pytest.mark.parametrize("field", NUMERIC_FIELDS)

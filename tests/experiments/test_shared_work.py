@@ -1,7 +1,8 @@
 """The per-trace layers do their work once: one symbolic replay per (trace,
 eager threshold), shared by lint and classification; one content digest per
-app, none per overlapped variant; and store writes that create a missing
-shard directory on demand."""
+app, none per overlapped variant; one message plan per trace, shared by
+every adaptive cell; and store writes that create a missing shard directory
+on demand."""
 
 import shutil
 
@@ -10,11 +11,13 @@ import pytest
 from repro.analysis import tracelint
 from repro.dimemas import windows
 from repro.dimemas.platform import Platform
+from repro.dimemas.replay import ReplayEngine
 from repro.experiments import ExperimentSpec, run_experiment
 from repro.experiments.plan import ExperimentPlan
 from repro.store import CellKey, FileResultStore
 from repro.store.serde import CACHED_RESULT_FIELDS
-from repro.tracing.trace import Trace
+from repro.tracing import trace as trace_module
+from repro.tracing.trace import MessagePlan, Trace
 
 #: One app x 3 variants (original, real, ideal) x 2 bandwidths on a proven
 #: platform (no limited network resource), at one eager threshold.
@@ -121,6 +124,51 @@ class TestNoVariantHashing:
         _run(tmp_path)
         assert len(computed_digests) == 1
         assert computed_digests[0].metadata.get("variant") is None
+
+
+class TestOneMessagePlanPerTrace:
+    """Every cell of the default platform runs the paced walk on its own;
+    the cells of one trace share its plan."""
+
+    @pytest.fixture
+    def plans_built(self, monkeypatch):
+        # Prepared streams are shared by content across runs; start empty.
+        monkeypatch.setattr(trace_module, "_PREPARED_BY_DIGEST", {})
+        built = []
+        original = MessagePlan.compile.__func__
+
+        def counting(cls, ops):
+            built.append(ops)
+            return original(cls, ops)
+
+        monkeypatch.setattr(MessagePlan, "compile", classmethod(counting))
+        return built
+
+    def _spec(self, backend):
+        return ExperimentSpec(
+            apps=("sancho-loop",),
+            app_options={"num_ranks": 4, "iterations": 2},
+            bandwidths=(50.0, 200.0, 800.0),
+            platform={"replay_backend": backend},
+            chunking={"policy": "fixed-count", "count": 4})
+
+    def test_a_three_bandwidth_run_builds_one_plan_per_trace(
+            self, plans_built, monkeypatch):
+        paced = []
+        original = ReplayEngine._run_adaptive
+
+        def counting(self, prepared):
+            paced.append(prepared)
+            return original(self, prepared)
+
+        monkeypatch.setattr(ReplayEngine, "_run_adaptive", counting)
+        run_experiment(self._spec("adaptive"))
+        assert len(paced) == 9
+        assert len(plans_built) == 3
+
+    def test_the_event_backend_builds_none(self, plans_built):
+        run_experiment(self._spec("event"))
+        assert plans_built == []
 
 
 class TestShardDirectories:

@@ -289,6 +289,31 @@ count = 4
         assert main(["run", "--spec", str(tmp_path / "nope.toml")]) == 1
         assert "cannot read" in capsys.readouterr().err
 
+    def test_run_rejects_a_fractional_platform_count(self, tmp_path, capsys):
+        path = self._write(tmp_path, "\n[platform]\nprocessors_per_node = 2.5\n")
+        assert main(["run", "--spec", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "error: processors_per_node must be an integer, got 2.5" in err
+        assert "Traceback" not in err
+
+
+class TestCliChunkCount:
+    """``--chunk-count 0`` is rejected, not silently replaced by the
+    default fixed-size chunking."""
+
+    @pytest.mark.parametrize("command", [
+        ["trace", "--app", "nas-cg", "--ranks", "4", "--overlap", "ideal"],
+        ["check", "--app", "nas-cg", "--ranks", "4", "--mechanisms", "full"],
+        ["sweep", "--app", "nas-cg", "--ranks", "4", "--samples", "2"],
+    ], ids=["trace", "check", "sweep"])
+    def test_zero_chunk_count_is_an_error(self, command, tmp_path, capsys):
+        if command[0] == "trace":
+            command = command + ["--output", str(tmp_path / "cg.json")]
+        assert main(command + ["--chunk-count", "0"]) == 1
+        err = capsys.readouterr().err
+        assert "error: chunk count must be >= 1, got 0" in err
+        assert not (tmp_path / "cg.json").exists()
+
 
 class TestCliResultCache:
     SPEC = TestCliRunSpec.SPEC
