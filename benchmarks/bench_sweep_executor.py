@@ -26,7 +26,7 @@ from repro.apps import NasBT
 from repro.core import FixedCountChunking, OverlapStudyEnvironment
 from repro.core.analysis import geometric_bandwidths
 from repro.core.reporting import format_table, sweep_table
-from repro.core.sweeps import run_bandwidth_sweep
+from repro.experiments import ExperimentSpec, run_experiment
 
 
 def _identical(serial, parallel) -> bool:
@@ -66,11 +66,12 @@ def main(argv=None) -> int:
           f"{args.samples}-point bandwidth grid, "
           f"{os.cpu_count()} core(s) available")
 
+    spec = ExperimentSpec(apps=(app.name,), bandwidths=bandwidths)
     runs = {}
     for name, jobs in (("serial", 1), (f"parallel (jobs={args.jobs})", args.jobs)):
         start = time.perf_counter()
-        sweep = run_bandwidth_sweep(app, bandwidths, environment=environment,
-                                    jobs=jobs)
+        sweep = run_experiment(spec.with_jobs(jobs), environment=environment,
+                               apps=[app]).sweep()
         runs[name] = (time.perf_counter() - start, sweep)
 
     (serial_name, (serial_wall, serial_sweep)), (parallel_name, (parallel_wall, parallel_sweep)) = runs.items()

@@ -7,9 +7,12 @@ and reports per topology
 
 * the *simulated* runtime of the original trace at the lowest and highest
   swept bandwidth (what the machine model predicts), and
-* the *replay wall time* the simulator spent producing the whole grid
-  (what the multi-hop pipeline costs us; tree and torus routes cross more
-  resources per transfer than the flat bus's single hop).
+* the *replay task time* the simulator spent on that topology's share of
+  the grid (what the multi-hop pipeline costs us; tree and torus routes
+  cross more resources per transfer than the flat bus's single hop).
+
+The three topologies are one ``topologies`` axis of a single experiment
+spec, so the grid is traced and transformed once.
 
 Usage::
 
@@ -24,10 +27,10 @@ from __future__ import annotations
 import argparse
 
 from repro.apps import NasBT
-from repro.core import FixedCountChunking, OverlapStudyEnvironment, run_topology_sweep
+from repro.core import FixedCountChunking, OverlapStudyEnvironment
 from repro.core.analysis import ORIGINAL, geometric_bandwidths
 from repro.core.reporting import format_table
-from repro.dimemas.topology import TopologySpec
+from repro.experiments import ExperimentSpec, run_experiment
 
 TOPOLOGIES = [
     "flat",
@@ -53,16 +56,18 @@ def main(argv=None) -> int:
         args.min_bandwidth, args.max_bandwidth, args.samples)
     environment = OverlapStudyEnvironment(chunking=FixedCountChunking(count=8))
 
+    app = NasBT(num_ranks=args.ranks, iterations=args.iterations)
+    spec = ExperimentSpec(apps=(app.name,), topologies=TOPOLOGIES,
+                          bandwidths=bandwidths, jobs=args.jobs)
+    result = run_experiment(spec, environment=environment, apps=[app])
+
     rows = []
-    for topology in TOPOLOGIES:
-        app = NasBT(num_ranks=args.ranks, iterations=args.iterations)
-        key = TopologySpec.parse(topology).to_string()
-        sweep = run_topology_sweep(app, [topology], bandwidths,
-                                   environment=environment, jobs=args.jobs)[key]
-        # Replay-only wall time; tracing and the overlap transforms (which
-        # are identical per row) are excluded so the column compares what
+    # Cells come back in the spec's topology order.
+    for topology, sweep in zip(TOPOLOGIES, result.by_topology().values()):
+        # Replay-only task time; tracing and the overlap transforms (which
+        # are shared by every row) are excluded so the column compares what
         # the multi-hop pipeline actually costs.
-        wall = sweep.metadata["replay_wall_seconds"]
+        replay = sum(point.replay_seconds() for point in sweep.points)
         slowest = sweep.points[0]
         fastest = sweep.points[-1]
         _, peak = sweep.peak_speedup("ideal")
@@ -72,7 +77,7 @@ def main(argv=None) -> int:
             fastest.time(ORIGINAL),
             peak,
             fastest.network_stat(ORIGINAL, "mean_queue_time"),
-            wall,
+            replay,
         ])
 
     print(f"app: nas-bt ({args.ranks} ranks, {args.iterations} iterations), "
@@ -83,7 +88,7 @@ def main(argv=None) -> int:
     print(format_table(
         ["topology", f"simulated @{args.min_bandwidth:g} (s)",
          f"simulated @{args.max_bandwidth:g} (s)", "peak ideal speedup",
-         "mean queue @max BW (s)", "replay wall (s)"],
+         "mean queue @max BW (s)", "replay task time (s)"],
         rows, title="topology comparison: simulated runtime vs replay cost"))
     return 0
 

@@ -13,10 +13,10 @@ from typing import Dict
 import pytest
 
 from repro.apps.registry import PAPER_IDEAL_SPEEDUP_PERCENT, paper_applications
-from repro.core import ComputationPattern, OverlapStudyEnvironment
+from repro.core import OverlapStudyEnvironment
 from repro.core.analysis import BandwidthSweep, geometric_bandwidths
-from repro.core.sweeps import run_bandwidth_sweep
 from repro.dimemas import Platform
+from repro.experiments import ExperimentSpec, run_experiment
 
 #: The reference platform of the study: a realistic 2010-era interconnect.
 REFERENCE_BANDWIDTH_MBPS = 250.0
@@ -56,10 +56,10 @@ def studies(environment, applications):
 def sweeps(environment, applications) -> Dict[str, BandwidthSweep]:
     """Bandwidth sweeps (original / real / ideal) for every application."""
     return {
-        name: run_bandwidth_sweep(
-            app, SWEEP_BANDWIDTHS,
-            patterns=(ComputationPattern.REAL, ComputationPattern.IDEAL),
-            environment=environment)
+        name: run_experiment(
+            ExperimentSpec(apps=(name,), bandwidths=SWEEP_BANDWIDTHS,
+                           patterns=("real", "ideal")),
+            environment=environment, apps=[app]).sweep()
         for name, app in applications.items()
     }
 

@@ -10,8 +10,8 @@ import pytest
 
 from benchmarks.conftest import print_banner, reference_platform
 from repro.apps import NasBT
-from repro.core.ablation import chunk_size_ablation, cpu_speed_ablation, eager_threshold_ablation
 from repro.core.reporting import format_table
+from repro.experiments import ExperimentSpec, run_experiment
 
 
 @pytest.mark.benchmark(group="ablation")
@@ -19,14 +19,34 @@ def test_ablation_chunk_size_eager_threshold_cpu_speed(benchmark):
     app = NasBT(num_ranks=16, iterations=2)
     platform = reference_platform()
 
+    def cells(chunking, **axes):
+        """The cells of one single-bandwidth, ideal-pattern spec."""
+        spec = ExperimentSpec(apps=(app.name,), patterns=("ideal",),
+                              chunking=chunking, **axes)
+        return run_experiment(spec, platform=platform, apps=[app]).cells
+
+    def speedup(cell):
+        return cell.sweep.points[0].speedup("ideal")
+
     def run():
+        # The chunk size shapes the overlap transform, so each size is its
+        # own spec; each platform axis is one spec over one traced run.
+        chunk_size = {}
+        for size in (4096, 16384, 65536, 262144):
+            cell, = cells({"policy": "fixed-size", "chunk_bytes": size,
+                           "max_chunks": 256})
+            chunk_size[size] = speedup(cell)
+        chunking = {"policy": "fixed-size", "chunk_bytes": 16384,
+                    "max_chunks": 64}
         return {
-            "chunk_size": chunk_size_ablation(
-                app, chunk_sizes=(4096, 16384, 65536, 262144), platform=platform),
-            "eager_threshold": eager_threshold_ablation(
-                app, thresholds=(0, 16384, 65536, 1 << 20), platform=platform),
-            "cpu_speed": cpu_speed_ablation(
-                app, cpu_speeds=(0.5, 1.0, 2.0, 4.0), platform=platform),
+            "chunk_size": chunk_size,
+            "eager_threshold": {
+                cell.dims.eager_threshold: speedup(cell)
+                for cell in cells(chunking,
+                                  eager_thresholds=(0, 16384, 65536, 1 << 20))},
+            "cpu_speed": {
+                cell.dims.cpu_speed: speedup(cell)
+                for cell in cells(chunking, cpu_speeds=(0.5, 1.0, 2.0, 4.0))},
         }
 
     results = benchmark.pedantic(run, rounds=1, iterations=1)

@@ -11,8 +11,10 @@ import pytest
 from benchmarks.conftest import print_banner, reference_platform
 from repro.apps import NasBT, SanchoLoop, Sweep3D
 from repro.core import OverlapStudyEnvironment
-from repro.core.sweeps import run_mechanism_sweep
 from repro.core.reporting import format_table
+from repro.experiments import ExperimentSpec, run_experiment
+
+MECHANISMS = ("early-send", "late-receive", "full")
 
 WORKLOADS = {
     "nas-bt": lambda: NasBT(num_ranks=16, iterations=2),
@@ -25,12 +27,16 @@ WORKLOADS = {
 def test_e6_mechanism_decomposition(benchmark):
     environment = OverlapStudyEnvironment(platform=reference_platform())
 
+    def speedups(app):
+        # With several mechanisms, each variant is labelled by its mechanism.
+        spec = ExperimentSpec(apps=(app.name,), bandwidths=(250.0,),
+                              patterns=("ideal",), mechanisms=MECHANISMS)
+        point = run_experiment(spec, environment=environment,
+                               apps=[app]).sweep().points[0]
+        return {mechanism: point.speedup(mechanism) for mechanism in MECHANISMS}
+
     def run():
-        return {
-            name: run_mechanism_sweep(factory(), bandwidth_mbps=250.0,
-                                      environment=environment)
-            for name, factory in WORKLOADS.items()
-        }
+        return {name: speedups(factory()) for name, factory in WORKLOADS.items()}
 
     results = benchmark.pedantic(run, rounds=1, iterations=1)
 

@@ -14,8 +14,10 @@
   reduction factors and the Sancho analytical model;
 * :mod:`repro.core.executor`    -- expansion of sweeps into self-contained
   replay tasks and their (optionally multi-process) execution;
-* :mod:`repro.core.sweeps`      -- parameter-sweep drivers;
 * :mod:`repro.core.study`       -- one-stop study objects and reports.
+
+Sweeps, grids and ablations are experiment specs run by
+:func:`repro.experiments.run_experiment`.
 """
 
 from repro.core.analysis import (
@@ -31,8 +33,7 @@ from repro.core.executor import SweepExecutor, SweepTask, SweepTaskResult
 from repro.core.mechanisms import OverlapMechanism
 from repro.core.overlap import OverlapTransformer
 from repro.core.patterns import ComputationPattern
-from repro.core.study import OverlapStudy, batch_study, run_batch_study
-from repro.core.sweeps import run_bandwidth_sweep, run_mechanism_sweep, run_topology_sweep
+from repro.core.study import OverlapStudy, batch_study
 
 __all__ = [
     "batch_study",
@@ -51,10 +52,6 @@ __all__ = [
     "SweepTask",
     "SweepTaskResult",
     "bandwidth_reduction_factor",
-    "run_bandwidth_sweep",
-    "run_batch_study",
-    "run_mechanism_sweep",
-    "run_topology_sweep",
     "sancho_overlap_bound",
     "speedup",
 ]

@@ -59,9 +59,9 @@ if TYPE_CHECKING:  # pragma: no cover
 def validate_variant_labels(labels: Iterable[str]) -> List[str]:
     """Reject duplicate variant labels and collisions with ``original``.
 
-    Both sweep drivers key their variant traces by label; a duplicate label
-    (or a label equal to the reserved :data:`ORIGINAL`) would silently
-    clobber an earlier variant and corrupt the sweep.
+    Sweeps key their variant traces by label; a duplicate label (or a label
+    equal to the reserved :data:`ORIGINAL`) would silently clobber an
+    earlier variant and corrupt the sweep.
     """
     seen: List[str] = []
     for label in labels:

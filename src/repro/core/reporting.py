@@ -98,9 +98,9 @@ def topology_table(sweeps: Dict[str, BandwidthSweep], variant: str = "ideal",
                    dimension: str = "topology") -> str:
     """Side-by-side comparison with one column pair per swept dimension value.
 
-    ``sweeps`` maps dimension values (topology specs of
-    :func:`repro.core.sweeps.run_topology_sweep`, or collective-model specs
-    of ``ExperimentResult.by_collective_model``) to their sweeps; every
+    ``sweeps`` maps dimension values (the topology specs of
+    ``ExperimentResult.by_topology``, or the collective-model specs of
+    ``ExperimentResult.by_collective_model``) to their sweeps; every
     value contributes an original-time and a speedup column, so E4/E5-style
     bandwidth curves can be read side by side.  ``dimension`` only names
     the compared axis in the title.

@@ -1,12 +1,11 @@
 """Study objects: the assembled original-versus-overlapped comparison.
 
-:class:`OverlapStudy` remains the one-application report object; the batch
-driver :func:`run_batch_study` is a deprecated adapter over the unified
+:class:`OverlapStudy` is the one-application report object, and
+:func:`batch_study` assembles one per application through the unified
 experiment API (see :mod:`repro.experiments`)."""
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, TYPE_CHECKING
 
@@ -90,32 +89,6 @@ class OverlapStudy:
         return "\n".join(lines)
 
 
-def run_batch_study(apps: Sequence["ApplicationModel"],
-                    patterns: Iterable[ComputationPattern] = (
-                        ComputationPattern.REAL, ComputationPattern.IDEAL),
-                    mechanism: OverlapMechanism = OverlapMechanism.FULL,
-                    environment: Optional["OverlapStudyEnvironment"] = None,
-                    platform: Optional[Platform] = None,
-                    jobs: Optional[int] = None) -> Dict[str, OverlapStudy]:
-    """Assemble one :class:`OverlapStudy` per application.
-
-    .. deprecated:: build an :class:`~repro.experiments.spec.ExperimentSpec`
-        and call :func:`~repro.experiments.runner.run_experiment` with
-        ``full_results=True``; :meth:`ExperimentResult.studies` returns the
-        same mapping.
-
-    The replays (applications x variants) run as one executor batch (serial
-    with the default ``jobs=1``); results are merged back in application
-    order, so parallel batches match serial ones exactly.
-    """
-    warnings.warn(
-        "run_batch_study is deprecated; build an ExperimentSpec and use "
-        "repro.experiments.run_experiment(..., full_results=True) instead",
-        DeprecationWarning, stacklevel=2)
-    return batch_study(apps, patterns=patterns, mechanism=mechanism,
-                       environment=environment, platform=platform, jobs=jobs)
-
-
 def batch_study(apps: Sequence["ApplicationModel"],
                 patterns: Iterable[ComputationPattern] = (
                     ComputationPattern.REAL, ComputationPattern.IDEAL),
@@ -123,9 +96,12 @@ def batch_study(apps: Sequence["ApplicationModel"],
                 environment: Optional["OverlapStudyEnvironment"] = None,
                 platform: Optional[Platform] = None,
                 jobs: Optional[int] = None) -> Dict[str, OverlapStudy]:
-    """The :func:`run_batch_study` implementation, routed through the runner.
+    """Assemble one :class:`OverlapStudy` per application.
 
-    Also the non-deprecated path :meth:`OverlapStudyEnvironment.study` uses.
+    One single-point spec over ``apps`` runs through
+    :func:`~repro.experiments.runner.run_experiment` with full results: the
+    replays (applications x variants) form one executor batch, merged back
+    in application order, so parallel batches match serial ones exactly.
     """
     from repro.core.environment import OverlapStudyEnvironment
     from repro.experiments.runner import run_experiment

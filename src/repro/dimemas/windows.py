@@ -26,12 +26,13 @@ streams (:meth:`repro.tracing.trace.Trace.prepared`):
   bypass every network resource).  A proven cell that records no
   timeline rides the lane walk, alone or batched with its cohort
   (:mod:`repro.dimemas.gridreplay`); every other viable cell rides the
-  paced walk, which runs a FIFO resource micro-model and paces every
-  continuation through a time-ordered heap in the DES's event-creation
-  order, reproducing its sequential acquisition, FIFO grants and
-  same-instant tie order.  Either way the times equal the event
-  backend's (checked by the differential tests and the accuracy harness,
-  ``benchmarks/bench_adaptive.py``).
+  paced walk, which runs a FIFO resource micro-model and plays the DES
+  queue in its event-creation order: same-instant URGENT work (rank and
+  transfer starts, grants, handovers) runs from a FIFO and a time-ordered
+  heap holds only the timed events, reproducing the DES's sequential
+  acquisition, FIFO grants and same-instant tie order.  Either way the
+  times equal the event backend's (checked by the differential tests and
+  the accuracy harness, ``benchmarks/bench_adaptive.py``).
 
 Classification is cheap (one pass plus the symbolic replay) and memoized
 per trace object -- and by content digest when one is known -- so a

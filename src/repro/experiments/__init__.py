@@ -19,10 +19,10 @@ replaces them with a single composable entry point:
   per-cell bandwidth sweeps, tidy row/JSON/CSV exports and accessors the
   :mod:`repro.core.reporting` tables consume directly.
 
-The legacy drivers (``run_bandwidth_sweep``, ``run_topology_sweep``,
-``run_batch_study``, the ablation helpers) remain as thin deprecated
-adapters over this package and stay bit-identical to their historical
-results, ``jobs > 1`` included.
+Bandwidth, topology and mechanism sweeps, the design-choice ablations and
+batch studies are all specs: one axis each, or a ``[chunking]`` section.
+The runner stays bit-identical to the pre-redesign drivers, ``jobs > 1``
+included.
 """
 
 from repro.experiments.builder import Experiment, log_spaced

@@ -18,8 +18,8 @@ even tracing anything**, and the resulting :class:`ExperimentPlan` can then
 Grid expansion order is part of the contract (collective model outermost,
 then topology, node mapping, latency, eager threshold, CPU speed, bandwidth
 innermost; variants emitted original-first per platform point): it is what
-keeps the unified API bit-identical to the legacy drivers, and the
-golden-equivalence tests pin it.
+keeps the unified API bit-identical to the pre-redesign sweep drivers, and
+the golden-equivalence tests pin it.
 """
 
 from __future__ import annotations
@@ -56,10 +56,10 @@ class VariantPlan:
 def variant_plans(spec: ExperimentSpec) -> List[VariantPlan]:
     """The overlapped variants of a spec, in pattern-major order.
 
-    Labels follow the legacy drivers so existing reports keep working: with
-    a single mechanism the label is the pattern value (bandwidth sweeps),
-    with a single pattern and several mechanisms it is the mechanism label
-    (mechanism sweeps), and with both axes swept it is ``pattern+mechanism``.
+    With a single mechanism the label is the pattern value (bandwidth
+    sweeps), with a single pattern and several mechanisms it is the
+    mechanism label (mechanism sweeps), and with both axes swept it is
+    ``pattern+mechanism``.
     """
     patterns = [ComputationPattern.from_label(p) for p in spec.patterns]
     mechanisms = [OverlapMechanism.from_label(m) for m in spec.mechanisms]
@@ -387,9 +387,10 @@ def plan_experiment(spec: ExperimentSpec,
                     ) -> ExperimentPlan:
     """Expand ``spec`` into a keyed task plan without tracing or replaying.
 
-    ``environment``, ``platform`` and ``apps`` are the same injection points
-    :func:`~repro.experiments.runner.run_experiment` exposes for the legacy
-    adapters; when omitted, everything is built from the spec.
+    ``environment``, ``platform`` and ``apps`` replace the spec's sections
+    with already-built objects, as on
+    :func:`~repro.experiments.runner.run_experiment`; when omitted,
+    everything is built from the spec.
     """
     plans = variant_plans(spec)
     if environment is None:

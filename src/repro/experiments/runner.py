@@ -1,8 +1,8 @@
 """One cache-aware runner for every experiment shape.
 
-:func:`run_experiment` is the single execution path behind the legacy sweep
-and study drivers, the CLI and the fluent builder.  It runs a four-stage
-pipeline:
+:func:`run_experiment` is the single execution path behind every sweep,
+grid, ablation and study, the CLI and the fluent builder.  It runs a
+four-stage pipeline:
 
 1. **plan** -- :func:`~repro.experiments.plan.plan_experiment` expands the
    spec into the keyed (apps x platform grid x variants) task cross-product
@@ -26,11 +26,10 @@ warm, at any ``jobs`` count (the cache-correctness golden tests pin this).
 Grid expansion order is part of the contract: collective model is the
 outermost axis, then topology, node mapping, latency, eager threshold and
 CPU speed, with bandwidth innermost.  A spec that only sweeps bandwidth
-therefore produces exactly the platform list of the legacy
-``run_bandwidth_sweep``, and a spec that sweeps topologies x bandwidths
-produces exactly the list of ``run_topology_sweep`` -- which is what keeps
-the new API bit-identical to the old drivers (the golden-equivalence tests
-pin this).
+therefore replays exactly the platform list of the pre-redesign bandwidth
+sweep, and a spec that sweeps topologies x bandwidths that of the topology
+sweep; the golden-equivalence tests pin both against replicas of those
+drivers.
 """
 
 from __future__ import annotations
@@ -205,12 +204,18 @@ def run_experiment(spec: ExperimentSpec,
                    ) -> ExperimentResult:
     """Execute ``spec`` and return the typed result.
 
-    ``environment``, ``platform`` and ``apps`` are injection points for the
-    legacy adapters (which receive already-built objects); when omitted,
-    everything is constructed from the spec.  With ``full_results`` the
-    replays additionally ship whole :class:`SimulationResult` objects back
-    (timelines included), which :meth:`ExperimentResult.studies` needs --
-    metric rows then carry no per-task timing.  A spec with
+    ``environment``, ``platform`` and ``apps`` supply already-built objects
+    in place of the spec's sections.  An environment (its platform,
+    chunking policy and simulator) replaces the ``[platform]`` and
+    ``[chunking]`` sections; a platform replaces the environment's as the
+    grid's base; app instances, labelled by their names, replace the apps
+    the ``apps`` and ``[app]`` sections would create.  When omitted,
+    everything is constructed from the spec.
+
+    With ``full_results`` the replays additionally ship whole
+    :class:`SimulationResult` objects back (timelines included), which
+    :meth:`ExperimentResult.studies` needs -- metric rows then carry no
+    per-task timing.  A spec with
     ``collect_timelines`` set implies ``full_results``; otherwise the
     replays run with the null timeline recorder (no timeline cost, and
     every metric stays bit-identical).

@@ -103,7 +103,7 @@ class ExperimentSpec:
       platform grid.  An empty axis means "the base platform's value"; the
       grid is the cross-product of the non-empty axes, expanded
       collective-model-outermost (then topology) and bandwidth-innermost so
-      a single-axis spec reproduces the legacy sweep drivers point for
+      a single-axis spec reproduces the pre-redesign sweep drivers point for
       point.
     * ``patterns`` and ``mechanisms`` form the variant axis: every traced
       run is replayed as ``original`` plus one overlapped trace per

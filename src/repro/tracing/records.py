@@ -17,10 +17,21 @@ to place the partial transfers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
 from repro.errors import TraceFormatError
+
+#: What parsing a malformed serialised value raises: a missing field, a
+#: value of the wrong type, or one that does not convert.
+MALFORMED = (KeyError, TypeError, ValueError, AttributeError)
+
+
+def malformed(what: str, exc: Exception) -> TraceFormatError:
+    """The :class:`TraceFormatError` for a parsing error ``exc`` in ``what``."""
+    detail = f"missing field {exc}" if isinstance(exc, KeyError) else str(exc)
+    return TraceFormatError(f"malformed {what}: {detail}")
 
 #: Names of the collective operations the simulator models.
 COLLECTIVE_OPERATIONS = (
@@ -83,12 +94,17 @@ class Record:
 
     @staticmethod
     def from_dict(data: Dict[str, Any]) -> "Record":
-        kind = data.get("kind")
         try:
-            factory = _RECORD_KINDS[kind]
-        except KeyError:
-            raise TraceFormatError(f"unknown record kind {kind!r}") from None
-        return factory(data)
+            kind = data.get("kind")
+            factory = _RECORD_KINDS.get(kind)
+        except MALFORMED as exc:
+            raise malformed("record", exc) from exc
+        if factory is None:
+            raise TraceFormatError(f"unknown record kind {kind!r}")
+        try:
+            return factory(data)
+        except MALFORMED as exc:
+            raise malformed(f"{kind} record", exc) from exc
 
 
 @dataclass
@@ -99,9 +115,10 @@ class CpuBurst(Record):
     kind = "cpu"
 
     def __post_init__(self) -> None:
-        if self.instructions < 0:
+        if not 0 <= self.instructions < math.inf:
             raise TraceFormatError(
-                f"negative burst length: {self.instructions}")
+                f"burst length must be finite and non-negative, "
+                f"got {self.instructions}")
 
     def to_dict(self) -> Dict[str, Any]:
         return {"kind": self.kind, "instructions": self.instructions}

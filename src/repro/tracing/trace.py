@@ -4,18 +4,21 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Tuple, Type, Union
 
 from repro.errors import TraceFormatError
 from repro.tracing.records import (
+    MALFORMED,
     CollectiveRecord,
     CpuBurst,
     Record,
     RecvRecord,
     SendRecord,
     WaitRecord,
+    malformed,
 )
 from repro.tracing.timebase import DEFAULT_MIPS
 
@@ -201,8 +204,19 @@ class RankTrace:
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "RankTrace":
-        return cls(rank=int(data["rank"]),
-                   records=[Record.from_dict(r) for r in data.get("records", [])])
+        try:
+            rank = int(data["rank"])
+            records = list(data.get("records", []))
+        except MALFORMED as exc:
+            raise malformed("rank trace", exc) from exc
+        parsed = []
+        for index, record in enumerate(records):
+            try:
+                parsed.append(Record.from_dict(record))
+            except TraceFormatError as exc:
+                raise TraceFormatError(
+                    f"rank {rank}, record {index}: {exc}") from exc
+        return cls(rank=rank, records=parsed)
 
 
 @dataclass
@@ -221,8 +235,9 @@ class Trace:
         if actual != expected:
             raise TraceFormatError(
                 f"rank traces must be numbered 0..N-1 in order, got {actual}")
-        if self.mips <= 0:
-            raise TraceFormatError(f"MIPS rate must be positive, got {self.mips!r}")
+        if not 0 < self.mips < math.inf:
+            raise TraceFormatError(
+                f"MIPS rate must be positive and finite, got {self.mips!r}")
 
     @property
     def num_ranks(self) -> int:
@@ -328,10 +343,19 @@ class Trace:
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "Trace":
-        return cls(
-            ranks=[RankTrace.from_dict(r) for r in data.get("ranks", [])],
-            mips=float(data.get("mips", DEFAULT_MIPS)),
-            metadata=dict(data.get("metadata", {})))
+        """Rebuild a trace from :meth:`to_dict` output.
+
+        A malformed document raises :class:`TraceFormatError`; a bad record
+        is named by its rank and its index in that rank's record list.
+        """
+        try:
+            ranks = list(data.get("ranks", []))
+            mips = float(data.get("mips", DEFAULT_MIPS))
+            metadata = dict(data.get("metadata", {}))
+        except MALFORMED as exc:
+            raise malformed("trace", exc) from exc
+        return cls(ranks=[RankTrace.from_dict(r) for r in ranks],
+                   mips=mips, metadata=metadata)
 
     def save(self, path: Union[str, Path]) -> Path:
         """Write the trace to a JSON file and return the path."""

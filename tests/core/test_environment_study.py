@@ -5,8 +5,14 @@ import pytest
 from repro.core import ComputationPattern
 from repro.core.analysis import ORIGINAL
 from repro.core.reporting import format_table, peak_speedup_table, reduction_table, sweep_table
-from repro.core.sweeps import run_bandwidth_sweep, run_mechanism_sweep
 from repro.errors import AnalysisError
+from repro.experiments import ExperimentSpec, run_experiment
+
+
+def _sweep(environment, app, bandwidths, **spec_fields):
+    """``app``'s bandwidth sweep on ``environment``, run as one spec."""
+    spec = ExperimentSpec(apps=(app.name,), bandwidths=bandwidths, **spec_fields)
+    return run_experiment(spec, environment=environment, apps=[app]).sweep()
 
 
 class TestEnvironmentFacade:
@@ -49,8 +55,7 @@ class TestEnvironmentFacade:
 
 class TestSweeps:
     def test_bandwidth_sweep_structure(self, environment, small_loop):
-        sweep = run_bandwidth_sweep(small_loop, [50.0, 500.0],
-                                    environment=environment)
+        sweep = _sweep(environment, small_loop, [50.0, 500.0])
         assert sweep.app_name == small_loop.name
         assert set(sweep.variants) == {ORIGINAL, "real", "ideal"}
         assert len(sweep.points) == 2
@@ -58,19 +63,19 @@ class TestSweeps:
             assert point.time(ORIGINAL) > 0
 
     def test_sweep_speedup_higher_at_moderate_bandwidth(self, environment, small_loop):
-        sweep = run_bandwidth_sweep(small_loop, [50.0, 50000.0],
-                                    patterns=[ComputationPattern.IDEAL],
-                                    environment=environment)
+        sweep = _sweep(environment, small_loop, [50.0, 50000.0],
+                       patterns=("ideal",))
         moderate = sweep.speedup_at(50.0, "ideal")
         fast = sweep.speedup_at(50000.0, "ideal")
         assert moderate > fast
 
     def test_mechanism_sweep(self, environment, small_loop):
-        speedups = run_mechanism_sweep(small_loop, bandwidth_mbps=250.0,
-                                       environment=environment)
-        assert set(speedups) == {"early-send", "late-receive", "full"}
-        assert speedups["full"] >= max(speedups["early-send"],
-                                       speedups["late-receive"]) - 0.05
+        sweep = _sweep(environment, small_loop, [250.0], patterns=("ideal",),
+                       mechanisms=("early-send", "late-receive", "full"))
+        point = sweep.points[0]
+        assert sweep.variants == [ORIGINAL, "early-send", "late-receive", "full"]
+        assert point.speedup("full") >= max(point.speedup("early-send"),
+                                            point.speedup("late-receive")) - 0.05
 
 
 class TestReporting:
@@ -82,8 +87,7 @@ class TestReporting:
         assert len(lines) == 5
 
     def test_sweep_and_summary_tables(self, environment, small_loop):
-        sweep = run_bandwidth_sweep(small_loop, [100.0, 1000.0],
-                                    environment=environment)
+        sweep = _sweep(environment, small_loop, [100.0, 1000.0])
         text = sweep_table(sweep)
         assert "bandwidth" in text and small_loop.name in text
         peak = peak_speedup_table({small_loop.name: sweep},

@@ -17,10 +17,10 @@ from repro.core.executor import (
     SweepTaskResult,
     validate_variant_labels,
 )
-from repro.core.study import run_batch_study
-from repro.core.sweeps import run_bandwidth_sweep, run_mechanism_sweep
+from repro.core.study import batch_study
 from repro.dimemas.simulator import DimemasSimulator
 from repro.errors import AnalysisError, ConfigurationError
+from repro.experiments import ExperimentSpec, run_experiment
 
 BANDWIDTHS = [10.0, 100.0, 1000.0]
 
@@ -28,6 +28,13 @@ BANDWIDTHS = [10.0, 100.0, 1000.0]
 @pytest.fixture
 def small_cg():
     return NasCG(num_ranks=4, iterations=2)
+
+
+def _sweep(environment, app, bandwidths, jobs=1, **spec_fields):
+    """``app``'s bandwidth sweep on ``environment``, run as one spec."""
+    spec = ExperimentSpec(apps=(app.name,), bandwidths=bandwidths, jobs=jobs,
+                          **spec_fields)
+    return run_experiment(spec, environment=environment, apps=[app]).sweep()
 
 
 def _sweep_fingerprint(sweep):
@@ -46,23 +53,25 @@ class TestParallelEqualsSerial:
     @pytest.mark.parametrize("app_fixture", ["small_bt", "small_cg"])
     def test_bandwidth_sweep_bit_identical(self, app_fixture, request, environment):
         app = request.getfixturevalue(app_fixture)
-        serial = run_bandwidth_sweep(app, BANDWIDTHS, environment=environment)
-        parallel = run_bandwidth_sweep(app, BANDWIDTHS, environment=environment,
-                                       jobs=4)
+        serial = _sweep(environment, app, BANDWIDTHS)
+        parallel = _sweep(environment, app, BANDWIDTHS, jobs=4)
         assert _sweep_fingerprint(serial) == _sweep_fingerprint(parallel)
         assert parallel.metadata["jobs"] == 4
 
     def test_mechanism_sweep_bit_identical(self, small_bt, environment):
-        serial = run_mechanism_sweep(small_bt, 100.0, environment=environment)
-        parallel = run_mechanism_sweep(small_bt, 100.0, environment=environment,
-                                       jobs=2)
-        assert serial == parallel
+        mechanisms = ("early-send", "late-receive", "full")
+        serial = _sweep(environment, small_bt, [100.0], patterns=("ideal",),
+                        mechanisms=mechanisms)
+        parallel = _sweep(environment, small_bt, [100.0], jobs=2,
+                          patterns=("ideal",), mechanisms=mechanisms)
+        assert serial.variants == [ORIGINAL, *mechanisms]
+        assert _sweep_fingerprint(serial) == _sweep_fingerprint(parallel)
 
     def test_batch_study_matches_environment_study(self, small_bt, environment):
         reference = environment.study(small_bt)
         for jobs in (1, 2):
-            study = run_batch_study([small_bt], environment=environment,
-                                    jobs=jobs)[small_bt.name]
+            study = batch_study([small_bt], environment=environment,
+                                jobs=jobs)[small_bt.name]
             assert study.original_result.total_time == \
                 reference.original_result.total_time
             for pattern in reference.patterns():
@@ -73,9 +82,9 @@ class TestParallelEqualsSerial:
             assert study.gantt("ideal")
 
     def test_batch_study_many_apps(self, small_bt, small_cg, environment):
-        serial = run_batch_study([small_bt, small_cg], environment=environment)
-        parallel = run_batch_study([small_bt, small_cg], environment=environment,
-                                   jobs=3)
+        serial = batch_study([small_bt, small_cg], environment=environment)
+        parallel = batch_study([small_bt, small_cg], environment=environment,
+                               jobs=3)
         assert sorted(serial) == sorted([small_bt.name, small_cg.name])
         for name, study in serial.items():
             other = parallel[name]
@@ -132,14 +141,13 @@ class TestExecutor:
     def test_duplicate_bandwidths_stay_separate_points(self, small_bt, environment):
         # A degenerate grid (min == max) must keep one row per requested
         # point; grouping is by grid ordinal, not by bandwidth value.
-        sweep = run_bandwidth_sweep(small_bt, [100.0, 100.0, 100.0],
-                                    environment=environment)
+        sweep = _sweep(environment, small_bt, [100.0, 100.0, 100.0])
         assert len(sweep.points) == 3
         assert [p.bandwidth_mbps for p in sweep.points] == [100.0] * 3
         assert sweep.points[0].times == sweep.points[1].times == sweep.points[2].times
 
     def test_points_carry_task_timings(self, small_bt, environment):
-        sweep = run_bandwidth_sweep(small_bt, BANDWIDTHS, environment=environment)
+        sweep = _sweep(environment, small_bt, BANDWIDTHS)
         for point in sweep.points:
             assert set(point.task_seconds) == set(sweep.variants)
             assert point.replay_seconds() > 0.0

@@ -7,9 +7,10 @@ sweep then reported numbers for the wrong trace without any error.
 
 import pytest
 
-from repro.core import ComputationPattern, OverlapMechanism
-from repro.core.sweeps import run_bandwidth_sweep, run_mechanism_sweep
+from repro.core import ComputationPattern
+from repro.core.study import batch_study
 from repro.errors import AnalysisError
+from repro.experiments import ExperimentSpec, run_experiment
 
 
 class _FakePattern:
@@ -18,19 +19,18 @@ class _FakePattern:
     value = "original"
 
 
-class TestBandwidthSweepValidation:
+class TestBatchStudyValidation:
     def test_duplicate_patterns_raise(self, small_bt, environment):
         with pytest.raises(AnalysisError, match="duplicate"):
-            run_bandwidth_sweep(
-                small_bt, [100.0],
+            batch_study(
+                [small_bt],
                 patterns=(ComputationPattern.IDEAL, ComputationPattern.IDEAL),
                 environment=environment)
 
     def test_original_label_collision_raises(self, small_bt, environment):
         with pytest.raises(AnalysisError, match="original"):
-            run_bandwidth_sweep(small_bt, [100.0],
-                                patterns=(_FakePattern(),),
-                                environment=environment)
+            batch_study([small_bt], patterns=(_FakePattern(),),
+                        environment=environment)
 
 
 class TestStudyValidation:
@@ -41,27 +41,21 @@ class TestStudyValidation:
                                         ComputationPattern.IDEAL))
 
 
-class TestMechanismSweepValidation:
-    def test_duplicate_mechanisms_raise(self, small_bt, environment):
-        with pytest.raises(AnalysisError, match="duplicate"):
-            run_mechanism_sweep(
-                small_bt, 100.0,
-                mechanisms=(OverlapMechanism.FULL, OverlapMechanism.FULL),
-                environment=environment)
+class TestMechanismLabels:
+    def test_lone_mechanism_is_labelled_by_its_pattern(self, small_bt, environment):
+        """A lone mechanism's variant carries the pattern label.
 
-
-class TestMechanismSweepSingleMechanism:
-    def test_single_mechanism_keeps_its_label(self, small_bt, environment):
-        """Regression: a lone mechanism must map back onto its own label.
-
-        The unified runner labels a lone overlapped variant by the pattern
-        value; the adapter has to translate that back to the mechanism label
-        the legacy API returns.
+        It is the same replay as that mechanism's variant in a spec that
+        sweeps several mechanisms, where variants carry mechanism labels.
         """
-        from repro.core import OverlapMechanism
+        def point(mechanisms):
+            spec = ExperimentSpec(apps=(small_bt.name,), bandwidths=(100.0,),
+                                  patterns=("ideal",), mechanisms=mechanisms)
+            result = run_experiment(spec, environment=environment,
+                                    apps=[small_bt])
+            return result.sweep().points[0]
 
-        speedups = run_mechanism_sweep(
-            small_bt, 100.0, mechanisms=(OverlapMechanism.FULL,),
-            environment=environment)
-        assert set(speedups) == {"full"}
-        assert speedups["full"] > 0
+        lone = point(("full",))
+        several = point(("early-send", "full"))
+        assert set(lone.times) == {"original", "ideal"}
+        assert lone.speedup("ideal") == several.speedup("full")

@@ -1,18 +1,16 @@
-"""Golden-equivalence tests: the declarative API vs the legacy drivers.
+"""Golden-equivalence tests: the declarative API vs the pre-redesign drivers.
 
 The acceptance contract of the experiment-API redesign: an
 :class:`ExperimentSpec` loaded from a TOML file must reproduce the exact
-per-point results of the legacy ``run_bandwidth_sweep`` /
-``run_topology_sweep`` calls -- bit-identical, ``jobs > 1`` included.
+per-point results of the legacy bandwidth and topology sweep drivers --
+bit-identical, ``jobs > 1`` included.
 
-Because the legacy drivers are now thin adapters over the same runner, the
-tests compare against *embedded replicas of the pre-redesign driver code*
-(straight-line use of the ``SweepExecutor``, copied from the legacy
-``repro.core.sweeps``), not just against the adapters: a regression in the
-runner's grid ordering or variant labelling cannot hide behind shared code.
+The drivers themselves are gone, so the tests compare against *embedded
+replicas of the pre-redesign driver code* (straight-line use of the
+``SweepExecutor``, copied from the legacy ``repro.core.sweeps``): a
+regression in the runner's grid ordering or variant labelling cannot hide
+behind shared code.
 """
-
-import warnings
 
 import pytest
 
@@ -22,12 +20,11 @@ from repro.core.analysis import ORIGINAL
 from repro.core.chunking import FixedCountChunking
 from repro.core.executor import SweepExecutor
 from repro.core.patterns import ComputationPattern
-from repro.core.sweeps import run_bandwidth_sweep, run_topology_sweep
 from repro.experiments import ExperimentSpec, run_experiment
 
 BANDWIDTHS = [20.0, 200.0, 2000.0]
 # Canonical string forms (TopologySpec.to_string omits defaulted options),
-# so the legacy drivers and the spec key sweeps identically.
+# so the legacy replica and the spec key sweeps identically.
 TOPOLOGIES = ["flat", "tree:radix=2", "torus:torus_width=2"]
 
 SPEC_TOML = """
@@ -116,19 +113,6 @@ class TestBandwidthSweepEquivalence:
         assert _point_fingerprint(result.sweep().points) == \
             _point_fingerprint(_legacy_bandwidth_points(jobs=jobs))
 
-    def test_spec_file_matches_adapter(self, tmp_path):
-        path = tmp_path / "experiment.toml"
-        path.write_text(SPEC_TOML, encoding="utf-8")
-        result = run_experiment(ExperimentSpec.from_file(path))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            legacy = run_bandwidth_sweep(_app(), BANDWIDTHS,
-                                         environment=_environment())
-        assert _point_fingerprint(result.sweep().points) == \
-            _point_fingerprint(legacy.points)
-        assert result.sweep().variants == legacy.variants
-        assert legacy.metadata["jobs"] == 1
-
     def test_parallel_spec_matches_serial_spec(self):
         spec = ExperimentSpec.from_toml(SPEC_TOML)
         serial = run_experiment(spec)
@@ -154,21 +138,6 @@ class TestTopologySweepEquivalence:
         for topology in TOPOLOGIES:
             assert _point_fingerprint(sweeps[topology].points) == \
                 _point_fingerprint(legacy[topology]), topology
-
-    def test_adapter_matches_spec(self):
-        spec = ExperimentSpec.from_toml(TOPOLOGY_SPEC_TOML)
-        from dataclasses import replace
-        spec = replace(spec, topologies=tuple(TOPOLOGIES))
-        mine = run_experiment(spec).by_topology()
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            legacy = run_topology_sweep(_app(), TOPOLOGIES, BANDWIDTHS,
-                                        environment=_environment())
-        assert list(mine) == list(legacy)
-        for key in legacy:
-            assert _point_fingerprint(mine[key].points) == \
-                _point_fingerprint(legacy[key].points)
-            assert legacy[key].metadata["topology"] == key
 
 
 class TestStudyEquivalence:

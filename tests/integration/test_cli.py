@@ -130,6 +130,52 @@ class TestCliDefectiveTraces:
                 "10 bytes to rank 1 (tag 0) is never received") in captured.err
 
 
+def _one_rank(*records, mips="100.0"):
+    """A one-rank trace document (JSON text) holding ``records``."""
+    return ('{"mips": %s, "ranks": [{"rank": 0, "records": [%s]}]}'
+            % (mips, ", ".join(records)))
+
+
+_BURST = '{"kind": "cpu", "instructions": 1000}'
+
+#: Malformed trace files and a fragment of the error each must report.
+MALFORMED_TRACES = {
+    "not-an-object": ("[]", "malformed trace"),
+    "ranks-not-a-list": ('{"ranks": "x"}', "malformed rank trace"),
+    "rank-missing": ('{"ranks": [{"records": []}]}',
+                     "malformed rank trace: missing field 'rank'"),
+    "mips-not-a-number": (_one_rank(_BURST, mips='"fast"'), "malformed trace"),
+    "send-without-size": (
+        _one_rank(_BURST, '{"kind": "send", "dst": 0}'),
+        "rank 0, record 1: malformed send record: missing field 'size'"),
+    "dst-not-a-number": (
+        _one_rank(_BURST, '{"kind": "send", "dst": "x", "size": 8}'),
+        "rank 0, record 1: malformed send record"),
+    "nan-burst": (_one_rank('{"kind": "cpu", "instructions": NaN}'),
+                  "rank 0, record 0: burst length must be finite"),
+    "infinite-burst": (_one_rank('{"kind": "cpu", "instructions": Infinity}'),
+                       "rank 0, record 0: burst length must be finite"),
+    "nan-mips": (_one_rank(_BURST, mips="NaN"),
+                 "MIPS rate must be positive and finite"),
+}
+
+
+class TestCliMalformedTraceFiles:
+    @pytest.mark.parametrize("command", ["simulate", "check"])
+    @pytest.mark.parametrize("case", sorted(MALFORMED_TRACES))
+    def test_malformed_file_is_a_clean_error(self, tmp_path, capsys, command,
+                                             case):
+        text, fragment = MALFORMED_TRACES[case]
+        path = tmp_path / "trace.json"
+        path.write_text(text, encoding="utf-8")
+        assert main([command, "--trace", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert fragment in captured.err
+        assert "Traceback" not in captured.err
+
+
 class TestCliTopologies:
     def _trace(self, tmp_path):
         path = tmp_path / "loop.json"
