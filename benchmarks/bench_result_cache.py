@@ -113,13 +113,16 @@ def main(argv=None) -> int:
             results[name] = run_experiment(spec, store=store)
             wall = time.perf_counter() - start
             stats = results[name].cache_stats()
+            store_bytes = 0
+            if store is not None:
+                with store:
+                    store_bytes = store.stats().total_bytes
             passes.append({
                 "pass": name,
                 "wall_seconds": wall,
                 "simulations": len(simulations),
                 "hits": stats.get("hits", 0) if stats["enabled"] else 0,
-                "store_bytes": (FileResultStore(cache_dir).stats().total_bytes
-                                if store is not None else 0),
+                "store_bytes": store_bytes,
             })
     finally:
         executor_module._simulate = original_simulate

@@ -5,8 +5,9 @@ Every replay cell of an experiment is a pure function of (trace content,
 variant derivation, platform point, simulator version), so its result can
 be cached under a digest of exactly those inputs.  Attaching a
 :class:`repro.store.FileResultStore` to a run makes sweeps *resumable*:
-workers persist each cell the moment it is computed, and re-invoking the
-same spec replays only the cells that are not on disk yet.
+each finished unit of work (a cohort of cells replayed together, or a
+single cell) commits its cells to the store in one transaction, and
+re-invoking the same spec replays only the cells that are not stored yet.
 
 This example simulates the workflow end to end:
 
@@ -49,12 +50,11 @@ def main() -> None:
                .chunk_count(8))
     full_spec = builder.bandwidths(bandwidths).build()
 
-    with tempfile.TemporaryDirectory() as tmp:
-        store = FileResultStore(Path(tmp) / "cache")
-
+    with tempfile.TemporaryDirectory() as tmp, \
+            FileResultStore(Path(tmp) / "cache") as store:
         # 1. The sweep gets interrupted after the three low-bandwidth
-        #    points.  (Each finished cell was already written through by
-        #    the worker that computed it -- nothing below re-does them.)
+        #    points.  (Each finished unit was already committed by the
+        #    worker that computed it -- nothing below re-does them.)
         partial_spec = builder.bandwidths(bandwidths[:3]).build()
         print("-- interrupted run (3 of 5 bandwidth points) " + "-" * 19)
         partial = run_experiment(partial_spec, store=store)

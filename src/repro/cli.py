@@ -19,9 +19,10 @@ loads one from a JSON/TOML file.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
-from typing import List, Optional
+from typing import ContextManager, List, Optional
 
 from repro._version import __version__
 from repro.apps.registry import APPLICATIONS, PAPER_IDEAL_SPEEDUP_PERCENT
@@ -47,7 +48,7 @@ from repro.experiments import (
 )
 from repro.analysis import AnalysisReport, analyze_trace
 from repro.paraver.prv import export_prv
-from repro.store import FileResultStore, open_store
+from repro.store import FileResultStore
 from repro.tracing.trace import Trace
 
 #: Environment variable supplying the default ``--cache-dir``.
@@ -255,24 +256,25 @@ def _add_cache_arguments(parser: argparse.ArgumentParser) -> None:
                              f"${CACHE_DIR_ENV} is set")
 
 
-def _resolve_store(args: argparse.Namespace,
-                   existing: bool = False) -> Optional[FileResultStore]:
-    """The result store the cache flags select (honouring the env default).
+def _open_cache(args: argparse.Namespace, existing: bool = False
+                ) -> ContextManager[Optional[FileResultStore]]:
+    """The result store the cache flags select (honouring the env default),
+    as a context that closes it on exit; it yields ``None`` without a cache.
 
     ``existing`` is for maintenance: the directory must be named and must
     already hold a store, which is then opened without creating anything.
     """
     if getattr(args, "no_cache", False):
-        return None
+        return contextlib.nullcontext()
     cache_dir = getattr(args, "cache_dir", None) or os.environ.get(CACHE_DIR_ENV)
     if cache_dir is None:
         if existing:
             raise ReproError(
                 f"no cache directory: pass --cache-dir or set ${CACHE_DIR_ENV}")
-        return None
+        return contextlib.nullcontext()
     if existing:
         return FileResultStore.existing(cache_dir)
-    return open_store(cache_dir)
+    return FileResultStore(cache_dir)
 
 
 def _parse_topology(text: str) -> TopologySpec:
@@ -472,13 +474,13 @@ def _check_apps(args: argparse.Namespace) -> AnalysisReport:
 
 def _cmd_study(args: argparse.Namespace) -> int:
     spec = _experiment_from_args(args).mechanism(args.mechanism).build()
-    store = _resolve_store(args)
-    if store is not None:
-        print("note: studies keep full timelines, which the result cache "
-              "does not hold -- replaying uncached")
-    result = _profiled(
-        args.profile,
-        lambda: run_experiment(spec, full_results=True, store=store))
+    with _open_cache(args) as store:
+        if store is not None:
+            print("note: studies keep full timelines, which the result "
+                  "cache does not hold -- replaying uncached")
+        result = _profiled(
+            args.profile,
+            lambda: run_experiment(spec, full_results=True, store=store))
     study = result.studies()[args.app]
     print(study.summary())
     if args.gantt:
@@ -491,16 +493,17 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     builder = _experiment_from_args(args)
     builder.bandwidths(geometric_bandwidths(
         args.min_bandwidth, args.max_bandwidth, args.samples))
-    store = _resolve_store(args)
+    cache = _open_cache(args)
     if args.topologies:
         builder.topologies(split_topology_list(args.topologies))
     if args.collective_models:
         builder.collective_models(split_collective_list(args.collective_models))
 
     def replay():
-        return _profiled(
-            args.profile,
-            lambda: run_experiment(builder.build(), store=store))
+        with cache as store:
+            return _profiled(
+                args.profile,
+                lambda: run_experiment(builder.build(), store=store))
 
     if args.topologies and args.collective_models:
         return _print_grid_sweep(replay())
@@ -616,13 +619,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
           f"{described['grid_points']} grid point(s) x "
           f"{described['variants']} variant(s) = "
           f"{described['replays']} replays (jobs={spec.jobs})")
-    store = _resolve_store(args)
-    if args.dry_run:
-        return _print_dry_run(spec, store)
-    result = _profiled(
-        args.profile,
-        lambda: run_experiment(spec, store=store,
-                               precheck=not args.no_precheck))
+    with _open_cache(args) as store:
+        if args.dry_run:
+            return _print_dry_run(spec, store)
+        result = _profiled(
+            args.profile,
+            lambda: run_experiment(spec, store=store,
+                                   precheck=not args.no_precheck))
     if not args.quiet:
         for cell in result.cells:
             print()
@@ -672,29 +675,29 @@ def _task_cell_label(task) -> str:
 
 
 def _cmd_cache(args: argparse.Namespace) -> int:
-    store = _resolve_store(args, existing=True)
-    if args.action == "stats":
-        stats = store.stats()
-        rows = [["location", stats.location],
-                ["entries", stats.entries],
-                ["total bytes", stats.total_bytes]]
-        print(format_table(["metric", "value"], rows, title="result cache"))
-        return 0
-    if args.action == "prune":
-        older_than = (args.older_than_days * 86400.0
-                      if args.older_than_days is not None else None)
-        removed = store.prune(older_than_seconds=older_than)
-        scope = (f"older than {args.older_than_days:g} day(s)"
-                 if args.older_than_days is not None else "all entries")
-        print(f"pruned {removed} entr{'y' if removed == 1 else 'ies'} "
-              f"({scope}) from {store.location}")
-        return 0
-    ok, bad = store.verify(delete=args.delete)
-    print(f"verified {store.location}: {ok} entr{'y' if ok == 1 else 'ies'} "
-          f"ok, {len(bad)} corrupt")
-    for digest in bad:
-        print(f"  corrupt: {digest}" + (" (deleted)" if args.delete else ""))
-    return 0 if not bad else 1
+    with _open_cache(args, existing=True) as store:
+        if args.action == "stats":
+            stats = store.stats()
+            rows = [["location", stats.location],
+                    ["entries", stats.entries],
+                    ["total bytes", stats.total_bytes]]
+            print(format_table(["metric", "value"], rows, title="result cache"))
+            return 0
+        if args.action == "prune":
+            older_than = (args.older_than_days * 86400.0
+                          if args.older_than_days is not None else None)
+            removed = store.prune(older_than_seconds=older_than)
+            scope = (f"older than {args.older_than_days:g} day(s)"
+                     if args.older_than_days is not None else "all entries")
+            print(f"pruned {removed} entr{'y' if removed == 1 else 'ies'} "
+                  f"({scope}) from {store.location}")
+            return 0
+        ok, bad = store.verify(delete=args.delete)
+        print(f"verified {store.location}: {ok} entr{'y' if ok == 1 else 'ies'} "
+              f"ok, {len(bad)} corrupt")
+        for digest in bad:
+            print(f"  corrupt: {digest}" + (" (deleted)" if args.delete else ""))
+        return 0 if not bad else 1
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:

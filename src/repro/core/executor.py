@@ -328,20 +328,24 @@ def _worker_trace(key: str) -> Trace:
     return trace
 
 
-def _store_result(task: SweepTask, result: SweepTaskResult,
-                  store: Optional["ResultStore"],
-                  cache_keys: Dict[int, "CellKey"]) -> None:
-    """Write one finished task back through the result store (if keyed).
+def _store_results(tasks: Sequence[SweepTask],
+                   results: Sequence[SweepTaskResult],
+                   store: Optional["ResultStore"],
+                   cache_keys: Dict[int, "CellKey"]) -> None:
+    """Write one finished unit back through the result store (if keyed).
 
-    Results are persisted the moment they exist -- in the worker process,
-    before anything is shipped back -- so an interrupted sweep keeps every
-    completed cell and a re-run only replays the unfinished ones.
+    A unit's results are persisted the moment they exist -- in the worker
+    process, before anything is shipped back -- and commit together, so an
+    interrupted sweep keeps every completed unit and a re-run only replays
+    the unfinished ones.
     """
     if store is None:
         return
-    key = cache_keys.get(task.index)
-    if key is not None:
-        store.put(key, payload_of(result))
+    with store.batch():
+        for task, result in zip(tasks, results):
+            key = cache_keys.get(task.index)
+            if key is not None:
+                store.put(key, payload_of(result))
 
 
 def _run_task_full(task: SweepTask) -> SimulationResult:
@@ -350,14 +354,13 @@ def _run_task_full(task: SweepTask) -> SimulationResult:
 
 def _run_task_metrics(task: SweepTask) -> SweepTaskResult:
     result = _metrics(task, _worker_trace(task.trace_key), _SIMULATOR)
-    _store_result(task, result, _STORE, _CACHE_KEYS)
+    _store_results((task,), (result,), _STORE, _CACHE_KEYS)
     return result
 
 
 def _run_cohort_metrics(cohort: CohortTask) -> List[SweepTaskResult]:
     results = _run_cohort(cohort, _worker_trace(cohort.trace_key))
-    for task, result in zip(cohort.tasks, results):
-        _store_result(task, result, _STORE, _CACHE_KEYS)
+    _store_results(cohort.tasks, results, _STORE, _CACHE_KEYS)
     return results
 
 
@@ -433,10 +436,11 @@ class SweepExecutor:
         fresh :class:`DimemasSimulator` per task.
 
         ``store`` plus ``cache_keys`` (task index -> :class:`CellKey`)
-        enables write-through: every finished metric result is persisted by
-        the process that computed it, immediately, which is what makes
-        interrupted sweeps resumable.  Full-result replays are never written
-        through (timelines are not cached).
+        enables write-through: the process that computed a unit (a cohort
+        or a single task) commits its metric results in one store batch as
+        soon as the unit finishes, which is what makes interrupted sweeps
+        resumable.  Full-result replays are never written through
+        (timelines are not cached).
 
         The sequence may mix :class:`SweepTask` units with
         :class:`CohortTask` batches (metric mode only).  When it does, the
@@ -447,7 +451,7 @@ class SweepExecutor:
         of the sweep.
         """
         cache_keys = cache_keys or {}
-        if full_results:
+        if full_results or not cache_keys:
             store = None
         units = list(tasks)
         cohorts_present = any(type(unit) is CohortTask for unit in units)
@@ -479,8 +483,7 @@ class SweepExecutor:
                 if type(unit) is CohortTask:
                     batch = _run_cohort(
                         unit, _lookup_trace(traces, unit.trace_key))
-                    for task, result in zip(unit.tasks, batch):
-                        _store_result(task, result, store, cache_keys)
+                    _store_results(unit.tasks, batch, store, cache_keys)
                     results.extend(batch)
                 elif full_results:
                     results.append(_replay(
@@ -490,7 +493,7 @@ class SweepExecutor:
                     result = _metrics(
                         unit, _lookup_trace(traces, unit.trace_key),
                         simulator)
-                    _store_result(unit, result, store, cache_keys)
+                    _store_results((unit,), (result,), store, cache_keys)
                     results.append(result)
             if cohorts_present:
                 results.sort(key=lambda result: result.index)
@@ -521,6 +524,9 @@ class SweepExecutor:
                     facts_rows.append(row)
         digests = ({key: trace.digest() for key, trace in traces.items()}
                    if store is not None or facts_rows else None)
+        if store is not None:
+            # A store connection must not cross fork: workers open their own.
+            store.close()
         initargs = (table, simulator, store, cache_keys, digests, facts_rows)
         if cohorts_present:
             sizes = {key: sum(len(rank_trace) for rank_trace in trace)

@@ -12,9 +12,9 @@ four-stage pipeline:
    results are rehydrated without simulating;
 3. **execute** -- only the *missing* tasks flow into one
    :class:`~repro.core.executor.SweepExecutor` pass (a worker pool shared
-   across every axis); workers write completed results back through the
-   store immediately, so an interrupted sweep resumes from the finished
-   cells on the next invocation of the same spec;
+   across every axis); workers commit each finished unit's results to the
+   store in one transaction, so an interrupted sweep resumes from the
+   finished units on the next invocation of the same spec;
 4. **assemble** -- cached and fresh results are folded back, in task order,
    into an :class:`~repro.experiments.result.ExperimentResult` with
    per-task hit/miss provenance.
@@ -123,14 +123,6 @@ def _stock_simulator(environment: "OverlapStudyEnvironment") -> bool:
     return simulator is None or type(simulator) is DimemasSimulator
 
 
-def _resolve_store(store: Optional[ResultStore],
-                   cache_dir: Optional[Union[str, Path]]
-                   ) -> Optional[ResultStore]:
-    if store is not None:
-        return store
-    return open_store(cache_dir)
-
-
 @dataclass(frozen=True)
 class ExperimentPreview:
     """What ``run --dry-run`` shows: the keyed grid and its cache status.
@@ -173,7 +165,10 @@ def preview_experiment(spec: ExperimentSpec,
     the static analyzer at every eager threshold of the grid, so the dry
     run reports diagnostic counts next to the cache stats.
     """
-    store = _resolve_store(store, cache_dir)
+    if store is None and cache_dir is not None:
+        with open_store(cache_dir) as opened:
+            return preview_experiment(spec, environment, platform, apps,
+                                      store=opened, precheck=precheck)
     plan = plan_experiment(spec, environment=environment, platform=platform,
                            apps=apps)
     keys = plan.cell_keys()
@@ -221,10 +216,11 @@ def run_experiment(spec: ExperimentSpec,
     every metric stays bit-identical).
 
     ``store`` (or ``cache_dir``, which opens a
-    :class:`~repro.store.filestore.FileResultStore`) attaches the persistent
-    result cache: cached cells are returned without simulating, missing
-    cells are replayed and written back.  Full-results runs bypass the cache
-    (timelines are not cached) but still record why in the result metadata.
+    :class:`~repro.store.filestore.FileResultStore`, closed again before
+    returning) attaches the persistent result cache: cached cells are
+    returned without simulating, missing cells are replayed and written
+    back.  Full-results runs bypass the cache (timelines are not cached) but
+    still record why in the result metadata.
 
     ``precheck`` (the default) statically analyzes every trace the missing
     tasks would replay *before* the executor spins up and raises
@@ -239,8 +235,12 @@ def run_experiment(spec: ExperimentSpec,
     reassembled by task index and are identical to the per-cell path's.
     Full-results runs and custom simulators run every task per cell.
     """
+    if store is None and cache_dir is not None:
+        with open_store(cache_dir) as opened:
+            return run_experiment(spec, environment, platform, apps,
+                                  full_results, store=opened,
+                                  precheck=precheck)
     full_results = full_results or spec.collect_timelines
-    store = _resolve_store(store, cache_dir)
     plan = plan_experiment(spec, environment=environment, platform=platform,
                            apps=apps)
     environment = plan.environment

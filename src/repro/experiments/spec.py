@@ -61,6 +61,9 @@ def _tuple_of(value: Any, kind, field: str) -> Tuple[Any, ...]:
         if isinstance(item, bool) and kind is not bool:
             raise ConfigurationError(
                 f"{field}: expected {kind.__name__}, got boolean {item!r}")
+        if kind is int and not isinstance(item, int):
+            # int() would truncate 2.5 to 2 or parse "3" without a word.
+            raise ConfigurationError(f"{field}: expected int, got {item!r}")
         try:
             items.append(kind(item))
         except (TypeError, ValueError):
@@ -210,6 +213,8 @@ class ExperimentSpec:
                     f"unknown platform field {key!r} "
                     f"(known: {sorted(PLATFORM_FIELDS)})")
         self._validate_chunking()
+        if not isinstance(self.jobs, int) or isinstance(self.jobs, bool):
+            raise ConfigurationError(f"jobs: expected int, got {self.jobs!r}")
         if self.jobs < 0:
             raise ConfigurationError(
                 f"jobs must be >= 1 (or 0 for all cores), got {self.jobs!r}")

@@ -10,15 +10,16 @@ durable cache:
 * :mod:`repro.store.base` -- the :class:`ResultStore` interface and
   :class:`StoreStats`;
 * :mod:`repro.store.filestore` -- :class:`FileResultStore`, the default
-  sharded-JSON directory store (atomic writes, safe for concurrent sweep
-  workers, picklable into pool initializers);
+  store: one SQLite database in the cache directory (one transaction per
+  finished unit, safe for concurrent sweep workers, picklable into pool
+  initializers);
 * :mod:`repro.store.serde` -- the cached-payload schema shared by the
   executor's write-through and the runner's lookup.
 
 The cache-aware runner (:func:`repro.experiments.runner.run_experiment` with
 ``store=``/``cache_dir=``) consults the store before executing and only
-replays missing cells; workers write completed cells back immediately, so
-interrupted sweeps resume from where they stopped.
+replays missing cells; workers commit each finished unit's cells at once,
+so interrupted sweeps resume from where they stopped.
 """
 
 from repro.store.base import ResultStore, StoreStats

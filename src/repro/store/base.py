@@ -8,12 +8,14 @@ returned for *any* later run that produces the same key -- across processes,
 sweeps and specs -- without replaying the cell.
 
 Implementations must be safe for concurrent writers: sweep workers write
-results back through the store as they finish, so an interrupted sweep leaves
-every completed cell behind and a re-run only replays the unfinished ones.
+results back through the store as each unit of work finishes, so an
+interrupted sweep leaves every completed unit behind and a re-run only
+replays the unfinished ones.
 """
 
 from __future__ import annotations
 
+import contextlib
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
@@ -90,5 +92,21 @@ class ResultStore(ABC):
                 found[key.digest] = payload
         return found
 
+    @contextlib.contextmanager
+    def batch(self) -> Iterator[None]:
+        """Commit the ``put`` calls of the block together, or none of them.
+
+        The writes become durable when the block exits normally and are
+        rolled back when it raises.  Stores without transactions write
+        each entry at once, so the base class does nothing.
+        """
+        yield
+
     def close(self) -> None:
         """Release any resources (no-op for stateless stores)."""
+
+    def __enter__(self) -> "ResultStore":
+        return self
+
+    def __exit__(self, *exc_info: Any) -> None:
+        self.close()

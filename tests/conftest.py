@@ -1,10 +1,14 @@
 """Shared fixtures for the test suite."""
 
+import sqlite3
+from pathlib import Path
+
 import pytest
 
 from repro.apps import NasBT, SanchoLoop, Sweep3D
 from repro.core import FixedCountChunking, OverlapStudyEnvironment
 from repro.dimemas import Platform
+from repro.store import STORE_FORMAT, FileResultStore
 from repro.tracing import TracingVirtualMachine
 
 
@@ -50,3 +54,28 @@ def small_sweep():
     """A small Sweep3D instance: 4 ranks, 1 iteration, 2 octants."""
     return Sweep3D(num_ranks=4, iterations=1, octants=2, flux_bytes=30_000,
                    instructions_per_octant=0.5e6)
+
+
+@pytest.fixture
+def store(tmp_path):
+    """A result store over ``tmp_path``, closed after the test."""
+    with FileResultStore(tmp_path) as opened:
+        yield opened
+
+
+@pytest.fixture
+def store_rows():
+    """``connect(root)``: a second connection to the rows of the result
+    store at ``root``, for tests that damage entries behind its back."""
+    connections = []
+
+    def connect(root):
+        connection = sqlite3.connect(
+            Path(root) / f"v{STORE_FORMAT}" / "results.sqlite",
+            isolation_level=None)
+        connections.append(connection)
+        return connection
+
+    yield connect
+    for connection in connections:
+        connection.close()

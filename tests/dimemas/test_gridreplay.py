@@ -289,13 +289,14 @@ def _stable_rows(result):
             for row in result.to_rows()]
 
 
-def _stable_payloads(store):
+def _stable_payloads(store, keys):
     """Stored payloads keyed by cell digest, minus the producing wall clock."""
+    assert set(store.keys()) == {key.digest for key in keys.values()}
     payloads = {}
-    for digest in list(store.keys()):
-        payload = dict(store._read(digest)[0])
+    for key in keys.values():
+        payload = dict(store.get(key))
         payload.pop("elapsed_seconds", None)
-        payloads[digest] = payload
+        payloads[key.digest] = payload
     return payloads
 
 
@@ -320,23 +321,20 @@ class TestSweepIntegration:
         keys = dict(enumerate(plan.cell_keys()))
         units = group_cohorts(plan.tasks, traces)
         assert all(isinstance(unit, CohortTask) for unit in units)
-        grid_store = FileResultStore(tmp_path / "grid")
-        cell_store = FileResultStore(tmp_path / "cell")
-        grid = _executed(units, traces, grid_store, keys)
-        cell = _executed(plan.tasks, traces, cell_store, keys)
-        assert grid == cell
-        grid_payloads = _stable_payloads(grid_store)
-        cell_payloads = _stable_payloads(cell_store)
-        assert grid_payloads.keys() == cell_payloads.keys()
-        assert grid_payloads == cell_payloads
+        with FileResultStore(tmp_path / "grid") as grid_store, \
+                FileResultStore(tmp_path / "cell") as cell_store:
+            grid = _executed(units, traces, grid_store, keys)
+            cell = _executed(plan.tasks, traces, cell_store, keys)
+            assert grid == cell
+            assert (_stable_payloads(grid_store, keys)
+                    == _stable_payloads(cell_store, keys))
 
     def test_parallel_equals_serial(self):
         serial = run_experiment(SWEEP_SPEC.with_jobs(1))
         parallel = run_experiment(SWEEP_SPEC.with_jobs(2))
         assert _stable_rows(parallel) == _stable_rows(serial)
 
-    def test_warm_run_serves_grid_written_entries(self, tmp_path):
-        store = FileResultStore(tmp_path)
+    def test_warm_run_serves_grid_written_entries(self, store):
         run_experiment(SWEEP_SPEC, store=store)
         warm = run_experiment(SWEEP_SPEC, store=store)
         stats = warm.cache_stats()

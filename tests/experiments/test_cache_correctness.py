@@ -1,12 +1,13 @@
 """Golden cache-correctness tests: results are bit-identical with the
 cache disabled, cold and warm, at any jobs count; warm runs simulate
-nothing; interrupted sweeps resume from the finished cells."""
+nothing; interrupted sweeps resume from the finished units."""
 
 import dataclasses
 
 import pytest
 
 from repro.core import executor as executor_module
+from repro.errors import StoreError
 from repro.experiments import ExperimentSpec, run_experiment
 from repro.store import FileResultStore
 
@@ -15,6 +16,11 @@ SPEC = ExperimentSpec(
     app_options={"num_ranks": 4, "iterations": 2},
     bandwidths=(50.0, 500.0, 5000.0),
     chunking={"policy": "fixed-count", "count": 4})
+
+#: The same grid on a network without limited resources: each variant's
+#: three cells replay as one cohort, so the run has three units.
+PROVEN = dataclasses.replace(SPEC, platform={"input_links": 0,
+                                             "output_links": 0})
 
 
 def stable_rows(result):
@@ -39,8 +45,7 @@ def count_simulations(monkeypatch):
 
 
 class TestGoldenEquivalence:
-    def test_disabled_cold_and_warm_agree(self, tmp_path):
-        store = FileResultStore(tmp_path)
+    def test_disabled_cold_and_warm_agree(self, store):
         uncached = run_experiment(SPEC)
         cold = run_experiment(SPEC, store=store)
         warm = run_experiment(SPEC, store=store)
@@ -56,21 +61,20 @@ class TestGoldenEquivalence:
         assert warm.to_csv() == cold.to_csv()
 
     def test_rows_identical_across_jobs_counts(self, tmp_path):
-        serial_store = FileResultStore(tmp_path / "serial")
-        pool_store = FileResultStore(tmp_path / "pool")
-        serial = run_experiment(SPEC.with_jobs(1), store=serial_store)
-        parallel = run_experiment(SPEC.with_jobs(2), store=pool_store)
+        with FileResultStore(tmp_path / "serial") as serial_store, \
+                FileResultStore(tmp_path / "pool") as pool_store:
+            serial = run_experiment(SPEC.with_jobs(1), store=serial_store)
+            parallel = run_experiment(SPEC.with_jobs(2), store=pool_store)
 
-        assert stable_rows(parallel) == stable_rows(serial)
-        # Both stores hold the same entries under the same keys.
-        assert set(serial_store.keys()) == set(pool_store.keys())
-        # And a warm serial run can be served from the pool-written store.
-        warm = run_experiment(SPEC.with_jobs(1), store=pool_store)
+            assert stable_rows(parallel) == stable_rows(serial)
+            # Both stores hold the same entries under the same keys.
+            assert set(serial_store.keys()) == set(pool_store.keys())
+            # And a warm serial run is served from the pool-written store.
+            warm = run_experiment(SPEC.with_jobs(1), store=pool_store)
         assert warm.cache_stats()["hits"] == len(warm.provenance)
         assert stable_rows(warm) == stable_rows(serial)
 
-    def test_warm_run_simulates_nothing(self, tmp_path, count_simulations):
-        store = FileResultStore(tmp_path)
+    def test_warm_run_simulates_nothing(self, store, tmp_path, count_simulations):
         run_experiment(SPEC, store=store)
         assert len(count_simulations) == 9  # 3 bandwidths x 3 variants
 
@@ -84,8 +88,7 @@ class TestGoldenEquivalence:
 
 class TestResumability:
     def test_interrupted_sweep_resumes_from_finished_cells(
-            self, tmp_path, count_simulations):
-        store = FileResultStore(tmp_path)
+            self, store, count_simulations):
         # First invocation "completed" only the low-bandwidth cells before
         # being interrupted: simulate that by running a narrower spec.
         partial = ExperimentSpec(
@@ -102,16 +105,54 @@ class TestResumability:
         assert resumed.cache_stats()["misses"] == 6
         assert stable_rows(resumed) == stable_rows(run_experiment(SPEC))
 
-    def test_workers_write_through_immediately(self, tmp_path):
+    @pytest.mark.parametrize("spec", [SPEC, PROVEN], ids=["cells", "cohorts"])
+    def test_workers_write_through_immediately(self, store, spec):
         """Every completed cell is persisted even when run on a pool."""
-        store = FileResultStore(tmp_path)
-        run_experiment(SPEC.with_jobs(2), store=store)
+        run_experiment(spec.with_jobs(2), store=store)
         assert store.stats().entries == 9
+
+    def test_a_failing_unit_keeps_the_units_before_it(self, tmp_path,
+                                                      monkeypatch):
+        widths = []
+        replay = executor_module._run_cohort
+
+        def third_unit_fails(cohort, trace):
+            widths.append(cohort.width)
+            if len(widths) == 3:
+                raise RuntimeError("interrupted")
+            return replay(cohort, trace)
+
+        monkeypatch.setattr(executor_module, "_run_cohort", third_unit_fails)
+        with FileResultStore(tmp_path) as store, \
+                pytest.raises(RuntimeError, match="interrupted"):
+            run_experiment(PROVEN, store=store)
+        with FileResultStore(tmp_path) as reopened:
+            assert reopened.verify() == (widths[0] + widths[1], [])
+        assert widths[0] + widths[1] == 6
+
+    def test_a_unit_whose_writes_fail_part_way_leaves_none_of_its_cells(
+            self, tmp_path, monkeypatch):
+        put = FileResultStore.put
+        keys = []
+
+        def second_write_fails(store, key, payload):
+            keys.append(key)
+            if len(keys) == 2:
+                store._connection().execute("PRAGMA query_only = ON")
+            put(store, key, payload)
+
+        monkeypatch.setattr(FileResultStore, "put", second_write_fails)
+        with FileResultStore(tmp_path) as store, \
+                pytest.raises(StoreError, match="cannot write"):
+            run_experiment(PROVEN, store=store)
+        with FileResultStore(tmp_path) as reopened:
+            assert reopened.stats().entries == 0
+            assert keys[0] not in reopened
 
 
 class TestProvenance:
-    def test_cold_run_reports_every_task_simulated(self, tmp_path):
-        cold = run_experiment(SPEC, store=FileResultStore(tmp_path))
+    def test_cold_run_reports_every_task_simulated(self, store):
+        cold = run_experiment(SPEC, store=store)
         assert cold.provenance is not None
         assert len(cold.provenance) == 9
         assert all(not entry.cached for entry in cold.provenance)
@@ -119,8 +160,7 @@ class TestProvenance:
         assert sorted(entry.index for entry in cold.provenance) == \
             list(range(9))
 
-    def test_warm_run_reports_every_task_cached(self, tmp_path):
-        store = FileResultStore(tmp_path)
+    def test_warm_run_reports_every_task_cached(self, store):
         run_experiment(SPEC, store=store)
         warm = run_experiment(SPEC, store=store)
         assert all(entry.cached for entry in warm.provenance)
@@ -133,16 +173,14 @@ class TestProvenance:
         assert result.cache_stats()["enabled"] is False
         assert result.cache_stats()["misses"] == 9
 
-    def test_summary_reports_the_cache(self, tmp_path):
-        store = FileResultStore(tmp_path)
+    def test_summary_reports_the_cache(self, store):
         run_experiment(SPEC, store=store)
         warm = run_experiment(SPEC, store=store)
         assert "result cache: 9 hit(s), 0 simulated" in warm.summary()
 
 
 class TestFullResultsBypass:
-    def test_studies_bypass_the_cache(self, tmp_path):
-        store = FileResultStore(tmp_path)
+    def test_studies_bypass_the_cache(self, store):
         single = ExperimentSpec(
             apps=SPEC.apps, app_options=SPEC.app_options_dict(),
             chunking=SPEC.chunking_dict())
@@ -152,23 +190,24 @@ class TestFullResultsBypass:
         assert store.stats().entries == 0  # timelines are never cached
         assert result.studies()  # the full-results path still works
 
-    def test_corrupt_entry_degrades_to_a_miss(self, tmp_path,
+    def test_corrupt_entry_degrades_to_a_miss(self, store, store_rows,
                                               count_simulations):
-        store = FileResultStore(tmp_path)
         run_experiment(SPEC, store=store)
-        for path in store.root.rglob("*.json"):
-            path.write_text("{broken", encoding="utf-8")
+        store_rows(store.root).execute(
+            "UPDATE entries SET payload = CAST('{broken' AS BLOB)")
         count_simulations.clear()
         rerun = run_experiment(SPEC, store=store)
         assert len(count_simulations) == 9  # everything re-simulated
         assert rerun.cache_stats()["hits"] == 0
 
-    def test_undecodable_entry_is_a_miss_and_rewritten(self, tmp_path,
+    def test_undecodable_entry_is_a_miss_and_rewritten(self, store,
+                                                       store_rows,
                                                        count_simulations):
-        store = FileResultStore(tmp_path)
         cold = run_experiment(SPEC, store=store)
-        victim = next(store.root.rglob("*.json"))
-        victim.write_bytes(b"\xff\xfe\x00garbage")
+        victim = next(store.keys())
+        store_rows(store.root).execute(
+            "UPDATE entries SET payload = ? WHERE digest = ?",
+            (b"\xff\xfe\x00garbage", victim))
         count_simulations.clear()
         rerun = run_experiment(SPEC, store=store)
         assert len(count_simulations) == 1
@@ -178,9 +217,8 @@ class TestFullResultsBypass:
 
 
 class TestSharedNamespace:
-    def test_event_filled_store_serves_adaptive(self, tmp_path,
+    def test_event_filled_store_serves_adaptive(self, store,
                                                 count_simulations):
-        store = FileResultStore(tmp_path)
         event = run_experiment(
             dataclasses.replace(SPEC, platform={"replay_backend": "event"}),
             store=store)

@@ -12,7 +12,6 @@ from repro.experiments import (
     preview_experiment,
     run_experiment,
 )
-from repro.store import FileResultStore
 
 SPEC = ExperimentSpec(
     apps=("sancho-loop",),
@@ -84,14 +83,13 @@ class TestLazyMaterialisation:
         plan = plan_experiment(SPEC)
         assert len(plan.cell_keys()) == 4
 
-    def test_preview_needs_no_overlap_transformation(self, tmp_path,
+    def test_preview_needs_no_overlap_transformation(self, store,
                                                      no_overlap):
-        preview = preview_experiment(SPEC, store=FileResultStore(tmp_path))
+        preview = preview_experiment(SPEC, store=store)
         assert preview.misses == 4 and preview.hits == 0
 
-    def test_warm_run_performs_zero_transformations(self, tmp_path,
+    def test_warm_run_performs_zero_transformations(self, store,
                                                     monkeypatch):
-        store = FileResultStore(tmp_path)
         cold = run_experiment(SPEC, store=store)
 
         def forbidden(self, trace, **kwargs):
@@ -110,8 +108,7 @@ class TestLazyMaterialisation:
 
 
 class TestPreview:
-    def test_statuses_track_the_store(self, tmp_path):
-        store = FileResultStore(tmp_path)
+    def test_statuses_track_the_store(self, store):
         assert preview_experiment(SPEC).statuses == ["uncached"] * 4
 
         cold = preview_experiment(SPEC, store=store)

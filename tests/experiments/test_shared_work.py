@@ -1,10 +1,7 @@
 """The per-trace layers do their work once: one symbolic replay per (trace,
 eager threshold), shared by lint and classification; one content digest per
-app, none per overlapped variant; one message plan per trace, shared by
-every adaptive cell; and store writes that create a missing shard directory
-on demand."""
-
-import shutil
+app, none per overlapped variant; and one message plan per trace, shared by
+every adaptive cell."""
 
 import pytest
 
@@ -14,8 +11,7 @@ from repro.dimemas.platform import Platform
 from repro.dimemas.replay import ReplayEngine
 from repro.experiments import ExperimentSpec, run_experiment
 from repro.experiments.plan import ExperimentPlan
-from repro.store import CellKey, FileResultStore
-from repro.store.serde import CACHED_RESULT_FIELDS
+from repro.store import FileResultStore
 from repro.tracing import trace as trace_module
 from repro.tracing.trace import MessagePlan, Trace
 
@@ -82,8 +78,8 @@ def replayed_traces(monkeypatch):
 
 
 def _run(tmp_path, precheck=True):
-    result = run_experiment(SPEC, store=FileResultStore(tmp_path / "cache"),
-                            precheck=precheck)
+    with FileResultStore(tmp_path / "cache") as store:
+        result = run_experiment(SPEC, store=store, precheck=precheck)
     assert result.cache_stats()["misses"] == 6
     return result
 
@@ -169,18 +165,3 @@ class TestOneMessagePlanPerTrace:
     def test_the_event_backend_builds_none(self, plans_built):
         run_experiment(self._spec("event"))
         assert plans_built == []
-
-
-class TestShardDirectories:
-    @pytest.mark.parametrize("removed", ["shard", "format root"])
-    def test_put_recreates_a_removed_directory(self, tmp_path, removed):
-        store = FileResultStore(tmp_path)
-        key = CellKey.compute("c" * 64, Platform(), "original")
-        payload = dict.fromkeys(CACHED_RESULT_FIELDS, 0.0)
-        store.put(key, payload)
-        shard = next(store.root.rglob("*.json")).parent
-        shutil.rmtree(shard if removed == "shard" else shard.parent)
-        payload["total_time"] = 2.0
-        store.put(key, payload)
-        assert store.get(key) == payload
-        assert [path.name for path in store.root.rglob("*.tmp")] == []

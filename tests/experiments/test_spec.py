@@ -109,6 +109,22 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             ExperimentSpec(apps=("a",), jobs=-1)
 
+    @pytest.mark.parametrize("field, value", [
+        ("seeds", (2.7,)),
+        ("seeds", ("3",)),
+        ("node_mappings", (2.5,)),
+        ("eager_thresholds", (1.5,)),
+        ("eager_thresholds", ("1024",)),
+        ("jobs", "3"),
+        ("jobs", 2.5),
+        ("jobs", True),
+    ])
+    def test_integer_fields_take_only_integers(self, field, value):
+        with pytest.raises(ConfigurationError, match=field) as raised:
+            ExperimentSpec(apps=("a",), **{field: value})
+        shown = value[0] if isinstance(value, tuple) else value
+        assert repr(shown) in str(raised.value)
+
 
 class TestRoundTrip:
     def test_json_round_trip_equality(self):

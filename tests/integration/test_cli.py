@@ -342,6 +342,16 @@ count = 4
         assert "error: processors_per_node must be an integer, got 2.5" in err
         assert "Traceback" not in err
 
+    def test_run_rejects_a_string_jobs_count(self, tmp_path, capsys):
+        path = tmp_path / "experiment.toml"
+        path.write_text(self.SPEC.replace("jobs = 1", 'jobs = "3"'),
+                        encoding="utf-8")
+        assert main(["run", "--spec", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert "error: jobs: expected int, got '3'" in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
 
 class TestCliChunkCount:
     """``--chunk-count 0`` is rejected, not silently replaced by the
@@ -440,26 +450,29 @@ class TestCliResultCache:
         from repro.store import CellKey, FileResultStore
 
         cache = tmp_path / "cache"
-        store = FileResultStore(cache)
-        payload = {"total_time": 1.0}
-        for bandwidth in (1.0, 2.0, 3.0):
-            store.put(CellKey.compute("c" * 64,
-                                      Platform(bandwidth_mbps=bandwidth),
-                                      "original"), payload)
-        assert main(["cache", "prune", "--cache-dir", str(cache),
-                     "--older-than-days", days]) == 1
-        captured = capsys.readouterr()
-        assert "error: prune age must be finite and non-negative" in captured.err
-        assert "pruned" not in captured.out
-        assert store.stats().entries == 3
+        with FileResultStore(cache) as store:
+            payload = {"total_time": 1.0}
+            for bandwidth in (1.0, 2.0, 3.0):
+                store.put(CellKey.compute("c" * 64,
+                                          Platform(bandwidth_mbps=bandwidth),
+                                          "original"), payload)
+            assert main(["cache", "prune", "--cache-dir", str(cache),
+                         "--older-than-days", days]) == 1
+            captured = capsys.readouterr()
+            assert ("error: prune age must be finite and non-negative"
+                    in captured.err)
+            assert "pruned" not in captured.out
+            assert store.stats().entries == 3
 
-    def test_cache_verify_flags_corruption(self, tmp_path, capsys):
+    def test_cache_verify_flags_corruption(self, tmp_path, capsys,
+                                           store_rows):
         spec = str(self._write(tmp_path))
         cache = tmp_path / "cache"
         assert main(["run", "--spec", spec, "--quiet",
                      "--cache-dir", str(cache)]) == 0
-        victim = next(cache.rglob("*.json"))
-        victim.write_text("{broken", encoding="utf-8")
+        store_rows(cache).execute(
+            "UPDATE entries SET payload = CAST('{broken' AS BLOB) "
+            "WHERE digest = (SELECT MIN(digest) FROM entries)")
         capsys.readouterr()
         assert main(["cache", "verify", "--cache-dir", str(cache)]) == 1
         assert "1 corrupt" in capsys.readouterr().out
@@ -469,12 +482,16 @@ class TestCliResultCache:
         assert main(["cache", "verify", "--cache-dir", str(cache)]) == 0
         assert "5 entries ok, 0 corrupt" in capsys.readouterr().out
 
-    def test_cache_verify_flags_an_undecodable_entry(self, tmp_path, capsys):
+    def test_cache_verify_flags_an_undecodable_entry(self, tmp_path, capsys,
+                                                     store_rows):
         spec = str(self._write(tmp_path))
         cache = tmp_path / "cache"
         assert main(["run", "--spec", spec, "--quiet",
                      "--cache-dir", str(cache)]) == 0
-        next(cache.rglob("*.json")).write_bytes(b"\xff\xfe\x00garbage")
+        store_rows(cache).execute(
+            "UPDATE entries SET payload = ? "
+            "WHERE digest = (SELECT MIN(digest) FROM entries)",
+            (b"\xff\xfe\x00garbage",))
         capsys.readouterr()
         assert main(["cache", "verify", "--cache-dir", str(cache)]) == 1
         assert "5 entries ok, 1 corrupt" in capsys.readouterr().out

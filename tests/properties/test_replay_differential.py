@@ -12,13 +12,19 @@ cells are proven and the metric-only adaptive replay takes the lane walk.
 Some cells use decomposed collectives or CPU contention, which the adaptive
 backend hands to the event walk.  Every cell must meet the contract of
 ``tests/replay_contract.py``.
+
+A second property replays the same draws with CPU contention on, at 1, 2
+or 4 ranks per node, and checks that no burst ever waits for a CPU.
 """
+
+import dataclasses
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.apps.registry import APPLICATIONS
 from repro.dimemas.platform import Platform
+from repro.dimemas.replay import ReplayEngine
 
 from replay_contract import VARIANTS, app_trace, assert_bit_exact
 
@@ -62,3 +68,23 @@ def test_adaptive_replays_the_event_run(app, ranks, variant, platform):
     overlap, mechanism = variant
     assert_bit_exact(app_trace(app, overlap, mechanism, ranks=ranks),
                      platform)
+
+
+@settings(max_examples=40, deadline=None)
+@given(app=st.sampled_from(APPS), ranks=st.sampled_from((4, 8)),
+       variant=st.sampled_from(VARIANTS), platform=platforms(),
+       processors_per_node=st.sampled_from((1, 2, 4)))
+def test_cpu_contention_never_makes_a_burst_wait(app, ranks, variant,
+                                                 platform,
+                                                 processors_per_node):
+    # A node's CPU has one processor per rank placed on it, so a burst
+    # always finds one free.  The flag still reorders same-instant events,
+    # so the results are not compared with a flag-off replay.
+    overlap, mechanism = variant
+    platform = dataclasses.replace(
+        platform, cpu_contention=True, replay_backend="event",
+        processors_per_node=processors_per_node)
+    _, stats, _, _ = ReplayEngine(
+        app_trace(app, overlap, mechanism, ranks=ranks), platform,
+        collect_timeline=False).run()
+    assert [rank.cpu_queue_time for rank in stats] == [0.0] * ranks
