@@ -15,7 +15,7 @@ replay regimes -- through two engines:
 Both engines produce bit-identical simulated times (asserted on every
 cell; the golden tests in ``tests/dimemas/test_replay_golden.py`` pin the
 full result surface), so the comparison isolates pure interpreter cost.
-The results -- wall time and events/second per application plus the
+The results -- wall time and heap events/second per application plus the
 aggregate speedups -- are printed as a table and written to
 ``BENCH_replay_core.json`` so the perf trajectory of the replay core is
 recorded per PR.  ``--min-speedup`` turns the run into a CI perf guard.
@@ -37,6 +37,7 @@ import heapq
 import json
 import time
 from collections import deque
+from functools import partial
 from itertools import count as _count
 import sys
 from pathlib import Path
@@ -56,6 +57,7 @@ from repro.core.reporting import format_table
 from repro.des.exceptions import DesError, EmptySchedule, StopProcess
 from repro.dimemas.collectives import collective_duration
 from repro.dimemas.network import NetworkFabric
+from repro.dimemas.topology import FlatBus
 from repro.dimemas.protocol import Protocol, select_protocol
 from repro.dimemas.platform import Platform
 from repro.dimemas.replay import ReplayEngine
@@ -294,6 +296,124 @@ class _LegacyEnvironment:
             self, events, lambda events, count: count >= 1 or not events)
 
 
+class _LegacyRequest(_LegacyEvent):
+    """Event returned by :meth:`_LegacyResource.request`.
+
+    It triggers when the resource grants the slot.  The request object itself
+    is the token to pass back to :meth:`_LegacyResource.release`.
+    """
+
+    __slots__ = ("resource",)
+
+    def __init__(self, resource):
+        _LegacyEvent.__init__(self, resource.env)
+        self.resource = resource
+
+    def _default_name(self):
+        return f"Request({self.resource.name})"
+
+    def succeed(self, value=None, priority=_PRIORITY_NORMAL):
+        # The request's trigger path as the replica borrowed it: a direct
+        # push onto the heap, no generic schedule call.
+        self._ok = True
+        self._value = value
+        env = self.env
+        heapq.heappush(env._queue, (env._now, priority, next(env._eid), self))
+        return self
+
+
+class _LegacyResource:
+    """A resource with a fixed number of slots, granted in FIFO order."""
+
+    def __init__(self, env, capacity=1, name="resource"):
+        if capacity < 1:
+            raise ValueError(f"capacity must be >= 1, got {capacity!r}")
+        self.env = env
+        self.name = name
+        self._capacity = capacity
+        self._users = []
+        self._waiting = deque()
+
+    @property
+    def capacity(self):
+        return self._capacity
+
+    @property
+    def count(self):
+        """Number of slots currently granted."""
+        return len(self._users)
+
+    @property
+    def queue_length(self):
+        """Number of requests waiting for a slot."""
+        return len(self._waiting)
+
+    def request(self):
+        """Ask for a slot.  The returned event triggers when granted."""
+        request = _LegacyRequest(self)
+        if len(self._users) < self._capacity:
+            self._users.append(request)
+            request.succeed(self, priority=_PRIORITY_URGENT)
+        else:
+            self._waiting.append(request)
+        return request
+
+    def release(self, request):
+        """Return a previously granted slot."""
+        if request in self._users:
+            self._users.remove(request)
+        elif request in self._waiting:
+            self._waiting.remove(request)
+            return
+        else:
+            raise ValueError("releasing a request that was never granted")
+        if self._waiting and len(self._users) < self._capacity:
+            nxt = self._waiting.popleft()
+            self._users.append(nxt)
+            nxt.succeed(self, priority=_PRIORITY_URGENT)
+
+
+class _LegacyInfiniteResource:
+    """Drop-in replacement for :class:`_LegacyResource` with unbounded capacity.
+
+    Used when the platform models an ideal network (no bus or link
+    contention); requests are granted immediately.
+    """
+
+    def __init__(self, env, name="infinite"):
+        self.env = env
+        self.name = name
+        self._count = 0
+
+    @property
+    def capacity(self):
+        return float("inf")
+
+    @property
+    def count(self):
+        return self._count
+
+    @property
+    def queue_length(self):
+        return 0
+
+    def request(self):
+        self._count += 1
+        request = _LegacyRequest(self)
+        request.succeed(self, priority=_PRIORITY_URGENT)
+        return request
+
+    def release(self, request):
+        self._count -= 1
+
+
+def _legacy_resource(env, capacity, name):
+    """The topology model's resource factory, on the replica's resources."""
+    if capacity == 0:
+        return _LegacyInfiniteResource(env, name=name)
+    return _LegacyResource(env, capacity=capacity, name=name)
+
+
 class _LegacyMessage:
     """The pre-refactor message: three eagerly created, named events."""
 
@@ -382,11 +502,24 @@ class _LegacyMessageMatcher:
 
 
 class _LegacyNetworkFabric(NetworkFabric):
-    """The pre-refactor fabric: generic clock/timeout access per hop.
+    """The pre-refactor fabric: one generator process per transfer, generic
+    clock/timeout access per hop.
 
-    The topology model (hop objects and their resources) is shared with the
-    production fabric -- only the transfer process body is the legacy one.
+    The topology model's routing (hop objects) is shared with the
+    production fabric; its resources are the replica's own, and so is the
+    transfer process body.
     """
+
+    def __init__(self, env, platform, num_ranks, timeline=None):
+        super().__init__(env, platform, num_ranks, timeline)
+        model = self.model
+        model._make_resource = partial(_legacy_resource, env)
+        if isinstance(model, FlatBus):
+            # The only resource a model builds eagerly.
+            model.buses = model._make_resource(platform.num_buses, "buses")
+
+    def start_transfer(self, message):
+        self.env.process(self._transfer(message), name="transfer")
 
     def _transfer(self, message):
         platform = self.platform
@@ -497,11 +630,10 @@ class LegacyReplayEngine:
         return total_time, self.stats, self.timeline
 
     def _cpu_resource(self, node):
-        from repro.des import Resource
         if not self.platform.cpu_contention:
             return None
         if node not in self._cpus:
-            self._cpus[node] = Resource(
+            self._cpus[node] = _LegacyResource(
                 self.env, capacity=self.platform.processors_per_node,
                 name=f"cpu[{node}]")
         return self._cpus[node]
@@ -633,7 +765,9 @@ def _run_engine(build_engine, variants, platforms):
             engine = build_engine(trace, platform)
             total_time = engine.run()[0]
             times.append(total_time)
-            # The itertools counter has numbered every scheduled event;
+            # The itertools counter has numbered every heap entry (the
+            # event backend runs same-instant urgent work from a FIFO and
+            # does not number it; the legacy engine numbers every event);
             # reading it afterwards costs the hot loop nothing.
             events += next(engine.env._eid)
     return time.perf_counter() - start, events, times

@@ -4,17 +4,20 @@ The environment is the hot core of every replay: tens of thousands of
 events flow through :meth:`Environment.run` per simulated application, so
 the scheduling paths are written for speed -- ``__slots__`` classes, a
 :meth:`Environment.schedule_timeout` fast path that builds a plain-delay
-:class:`Timeout` without the generic event machinery, and a drain loop that
-binds its hot attributes once instead of per event.  The semantics are
-unchanged from the straightforward implementation: same event ordering
-(time, then priority, then insertion order), same error surfacing.
+:class:`Timeout` without the generic event machinery, a drain loop that
+binds its hot attributes once instead of per event, and a FIFO for
+same-instant urgent work (resource grants, process starts and ends) so
+that work never touches the heap.  The semantics are unchanged from the
+straightforward single-heap implementation: same event ordering (time,
+then priority, then insertion order), same error surfacing.
 """
 
 from __future__ import annotations
 
-import heapq
+from collections import deque
+from heapq import heappop, heappush
 from itertools import count
-from typing import Any, Generator, Iterable, List, Optional, Tuple, Union
+from typing import Any, Deque, Generator, Iterable, List, Optional, Tuple, Union
 
 from repro.des.events import (
     PENDING,
@@ -25,6 +28,7 @@ from repro.des.events import (
     Event,
     Initialize,
     Timeout,
+    priority_error,
 )
 from repro.des.exceptions import DesError, EmptySchedule, StopProcess
 
@@ -110,13 +114,30 @@ class Process(Event):
 
 
 class Environment:
-    """Owns simulation time and the event queue."""
+    """Owns simulation time and the event queue.
 
-    __slots__ = ("_now", "_queue", "_eid", "_active_process")
+    The queue is kept in two parts.  A heap orders timed entries by (time,
+    priority, creation id).  A FIFO holds the urgent work of the current
+    instant: every event triggered at :data:`PRIORITY_URGENT` (resource
+    grants, process starts and ends) is due *now*, sorts before every
+    NORMAL entry at this instant and every later entry, and among its
+    peers in creation order -- which is FIFO order.  The environment runs
+    the FIFO dry before it pops the heap, which is exactly the single
+    heap's order as long as the heap never holds an URGENT entry for the
+    current instant.  The one way such an entry arises is an URGENT event
+    scheduled with a delay: when one pops, every other URGENT heap entry
+    of its instant moves onto the FIFO before its callbacks run (they were
+    all created before that instant, so they precede anything created at
+    it).
+    """
+
+    __slots__ = ("_now", "_queue", "_urgent", "_eid", "_active_process")
 
     def __init__(self, initial_time: float = 0.0):
         self._now = float(initial_time)
         self._queue: List[Tuple[float, int, int, Event]] = []
+        #: Urgent work due at the current instant, in creation order.
+        self._urgent: Deque[Event] = deque()
         self._eid = count()
         self._active_process: Optional[Process] = None
 
@@ -133,6 +154,8 @@ class Environment:
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if the queue is empty."""
+        if self._urgent:
+            return self._now
         return self._queue[0][0] if self._queue else float("inf")
 
     # -- scheduling ------------------------------------------------------
@@ -141,7 +164,14 @@ class Environment:
         """Insert ``event`` into the queue ``delay`` time units from now."""
         if delay < 0:
             raise ValueError(f"cannot schedule an event in the past (delay={delay!r})")
-        heapq.heappush(self._queue, (self._now + delay, priority, next(self._eid), event))
+        now = self._now
+        if priority == PRIORITY_URGENT:
+            if now + delay == now:
+                self._urgent.append(event)
+                return
+        elif priority < PRIORITY_URGENT:
+            raise priority_error(priority)
+        heappush(self._queue, (now + delay, priority, next(self._eid), event))
 
     def schedule_timeout(self, delay: float, value: Any = None) -> Timeout:
         """Fast path for plain delays: build and enqueue a :class:`Timeout`.
@@ -160,8 +190,8 @@ class Environment:
         event._ok = True
         event._defused = False
         event._delay = delay
-        heapq.heappush(self._queue,
-                       (self._now + delay, PRIORITY_NORMAL, next(self._eid), event))
+        heappush(self._queue,
+                 (self._now + delay, PRIORITY_NORMAL, next(self._eid), event))
         return event
 
     def advance_to(self, when: float) -> float:
@@ -173,27 +203,57 @@ class Environment:
         the window elided.  Jumping is only legal when no scheduled event
         would have fired on the way -- otherwise the elision would have
         skipped an observable side effect -- so the call refuses to leap
-        over a pending event (events scheduled exactly *at* ``when`` are
-        fine: they have not fired yet at that instant).
+        over a pending event, urgent work of the current instant included
+        (events scheduled exactly *at* ``when`` are fine: they have not
+        fired yet at that instant).
         """
         if when < self._now:
             raise ValueError(
                 f"cannot advance the clock backwards "
                 f"(when={when!r}, now={self._now!r})")
-        if self._queue and self._queue[0][0] < when:
+        if self._urgent and self._now < when:
+            raise DesError(
+                f"cannot advance to {when!r}: urgent work is pending at "
+                f"{self._now!r}")
+        queue = self._queue
+        if queue and queue[0][0] < when:
             raise DesError(
                 f"cannot advance to {when!r}: an event is scheduled "
-                f"earlier, at {self._queue[0][0]!r}")
+                f"earlier, at {queue[0][0]!r}")
         self._now = float(when)
+        self._promote(self._now)
         return self._now
+
+    def _promote(self, when: float) -> None:
+        """Move the heap's URGENT entries for instant ``when`` onto the FIFO.
+
+        Called when the clock reaches ``when`` with such entries left (an
+        URGENT event scheduled with a delay), so the heap never holds
+        urgent work of the current instant.
+        """
+        queue = self._queue
+        urgent = self._urgent
+        while queue and queue[0][0] == when and queue[0][1] == PRIORITY_URGENT:
+            urgent.append(heappop(queue)[3])
+
+    def _pop(self) -> Event:
+        """Take the next event off a non-empty queue, moving the clock to it.
+
+        The drain loop of :meth:`run` inlines the same steps.
+        """
+        if self._urgent:
+            return self._urgent.popleft()
+        when, priority, _eid, event = heappop(self._queue)
+        self._now = when
+        if priority == PRIORITY_URGENT:
+            self._promote(when)
+        return event
 
     def step(self) -> None:
         """Process the next scheduled event."""
-        queue = self._queue
-        if not queue:
+        if not self._urgent and not self._queue:
             raise EmptySchedule("no more events scheduled")
-        when, _priority, _eid, event = heapq.heappop(queue)
-        self._now = when
+        event = self._pop()
         callbacks, event.callbacks = event.callbacks, None
         for callback in callbacks:
             callback(event)
@@ -209,30 +269,37 @@ class Environment:
         event is processed; its value is returned).
         """
         queue = self._queue
-        heappop = heapq.heappop
+        urgent = self._urgent
 
         if until is None:
             # Drain loop (the replay path): no stop checks per event.
             timeout_class = Timeout
-            while queue:
-                when, _priority, _eid, event = heappop(queue)
-                self._now = when
-                if type(event) is timeout_class:
-                    # Skip-ahead fast path: a plain timeout is always ok
-                    # and can never carry a failure, so the clock advances
-                    # and the waiters resume without the generic
-                    # failure-surfacing machinery.  Semantics (ordering,
-                    # callback observations) are unchanged.
-                    callbacks, event.callbacks = event.callbacks, None
-                    for callback in callbacks:
-                        callback(event)
-                    continue
+            popleft = urgent.popleft
+            while True:
+                if urgent:
+                    event = popleft()
+                elif queue:
+                    when, priority, _eid, event = heappop(queue)
+                    self._now = when
+                    if priority == PRIORITY_URGENT:
+                        self._promote(when)
+                    if type(event) is timeout_class:
+                        # Skip-ahead fast path: a plain timeout is always
+                        # ok and can never carry a failure, so the clock
+                        # advances and the waiters resume without the
+                        # generic failure-surfacing machinery.  Semantics
+                        # (ordering, callback observations) are unchanged.
+                        callbacks, event.callbacks = event.callbacks, None
+                        for callback in callbacks:
+                            callback(event)
+                        continue
+                else:
+                    return None
                 callbacks, event.callbacks = event.callbacks, None
                 for callback in callbacks:
                     callback(event)
                 if not event._ok and not event._defused:
                     raise event._value
-            return None
 
         stop_event: Optional[Event] = None
         stop_time: Optional[float] = None
@@ -250,18 +317,20 @@ class Environment:
                     stop_event.defuse()
                     raise stop_event._value
                 return stop_event._value
-            if not queue:
-                if stop_event is not None:
-                    raise EmptySchedule(
-                        "event queue drained before the 'until' event triggered")
-                if stop_time is not None and stop_time > self._now:
+            # Urgent work is due now, and now <= stop_time: only an empty
+            # FIFO lets the run stop.
+            if not urgent:
+                if not queue:
+                    if stop_event is not None:
+                        raise EmptySchedule(
+                            "event queue drained before the 'until' event triggered")
+                    if stop_time is not None and stop_time > self._now:
+                        self._now = stop_time
+                    return None
+                if stop_time is not None and queue[0][0] > stop_time:
                     self._now = stop_time
-                return None
-            if stop_time is not None and queue[0][0] > stop_time:
-                self._now = stop_time
-                return None
-            when, _priority, _eid, event = heappop(queue)
-            self._now = when
+                    return None
+            event = self._pop()
             callbacks, event.callbacks = event.callbacks, None
             for callback in callbacks:
                 callback(event)

@@ -14,6 +14,11 @@ grant and message-life-cycle notification is one), so the classes here are
 tuned for allocation speed: every class carries ``__slots__`` (no per-event
 ``__dict__``) and display names are computed *lazily* -- an event that is
 never printed never pays for its name string.
+
+Triggering schedules the event at the current instant.  At
+:data:`PRIORITY_URGENT` it joins the environment's FIFO of same-instant
+urgent work instead of the time-ordered heap (see
+:class:`~repro.des.core.Environment`).
 """
 
 from __future__ import annotations
@@ -27,10 +32,24 @@ from repro.des.exceptions import EventAlreadyTriggered
 PENDING = object()
 
 #: Scheduling priority used for resource grants and process bootstraps so
-#: they run before ordinary timeouts scheduled at the same instant.
+#: they run before ordinary timeouts scheduled at the same instant.  It is
+#: the most urgent priority there is: urgent work triggered at the current
+#: instant runs from a FIFO, in trigger order, before anything else
+#: scheduled for that instant.
 PRIORITY_URGENT = 0
 #: Default scheduling priority.
 PRIORITY_NORMAL = 1
+
+
+def priority_error(priority: int) -> ValueError:
+    """The error for a priority more urgent than :data:`PRIORITY_URGENT`.
+
+    Urgent work at the current instant runs from a FIFO ahead of the heap,
+    which is only exact if nothing may outrank it.
+    """
+    return ValueError(
+        f"priority {priority!r} is more urgent than PRIORITY_URGENT "
+        f"({PRIORITY_URGENT})")
 
 
 class Event:
@@ -89,13 +108,18 @@ class Event:
         """Trigger the event successfully and schedule it for processing."""
         if self._value is not PENDING:
             raise EventAlreadyTriggered(f"{self!r} has already been triggered")
-        self._ok = True
-        self._value = value
         # Inline of ``env.schedule(self, delay=0.0, priority=priority)``:
         # triggering is the second-hottest path after the drain loop, and a
         # zero delay needs no validation.
         env = self.env
-        heappush(env._queue, (env._now, priority, next(env._eid), self))
+        if priority == PRIORITY_URGENT:
+            env._urgent.append(self)
+        elif priority > PRIORITY_URGENT:
+            heappush(env._queue, (env._now, priority, next(env._eid), self))
+        else:
+            raise priority_error(priority)
+        self._ok = True
+        self._value = value
         return self
 
     def fail(self, exception: BaseException, priority: int = PRIORITY_NORMAL) -> "Event":
@@ -109,10 +133,9 @@ class Event:
             raise EventAlreadyTriggered(f"{self!r} has already been triggered")
         if not isinstance(exception, BaseException):
             raise TypeError("fail() requires an exception instance")
+        self.env.schedule(self, priority=priority)
         self._ok = False
         self._value = exception
-        env = self.env
-        heappush(env._queue, (env._now, priority, next(env._eid), self))
         return self
 
     def defuse(self) -> None:

@@ -3,6 +3,13 @@
 The Dimemas network model uses :class:`Resource` for the finite number of
 network buses and per-node input/output links, and :class:`Store` for
 message queues between the matching engine and the replay processes.
+
+A resource grants slots to *tokens*: a :class:`Request` (what
+:meth:`Resource.request` returns, for processes to yield) or any object
+with an event-style ``succeed(value, priority)`` that resumes its owner --
+the network fabric's transfer tasks take slots this way without a
+``Request`` per hop.  Either kind of token is granted, queued, handed a
+released slot and withdrawn through the same path.
 """
 
 from __future__ import annotations
@@ -41,8 +48,8 @@ class Resource:
         self.env = env
         self.name = name
         self._capacity = capacity
-        self._users: List[Request] = []
-        self._waiting: Deque[Request] = deque()
+        self._users: List[Any] = []
+        self._waiting: Deque[Any] = deque()
 
     @property
     def capacity(self) -> int:
@@ -61,15 +68,26 @@ class Resource:
     def request(self) -> Request:
         """Ask for a slot.  The returned event triggers when granted."""
         request = Request(self)
-        if len(self._users) < self._capacity:
-            self._users.append(request)
-            request.succeed(self, priority=PRIORITY_URGENT)
-        else:
-            self._waiting.append(request)
+        self.acquire(request)
         return request
 
-    def release(self, request: Request) -> None:
-        """Return a previously granted slot."""
+    def acquire(self, token: Any) -> None:
+        """Ask for a slot on behalf of ``token``.
+
+        A free slot is granted at once: the token holds it from now on and
+        its ``succeed(self, PRIORITY_URGENT)`` runs, so its owner resumes
+        after the urgent work already due at this instant.  Otherwise the
+        token queues, in FIFO order, until a release hands it a slot the
+        same way.
+        """
+        if len(self._users) < self._capacity:
+            self._users.append(token)
+            token.succeed(self, PRIORITY_URGENT)
+        else:
+            self._waiting.append(token)
+
+    def release(self, request: Any) -> None:
+        """Return a previously granted slot (or withdraw a queued token)."""
         if request in self._users:
             self._users.remove(request)
         elif request in self._waiting:
@@ -80,7 +98,7 @@ class Resource:
         if self._waiting and len(self._users) < self._capacity:
             nxt = self._waiting.popleft()
             self._users.append(nxt)
-            nxt.succeed(self, priority=PRIORITY_URGENT)
+            nxt.succeed(self, PRIORITY_URGENT)
 
 
 class InfiniteResource:
@@ -108,12 +126,16 @@ class InfiniteResource:
         return 0
 
     def request(self) -> Request:
-        self._count += 1
         request = Request(self)  # type: ignore[arg-type]
-        request.succeed(self, priority=PRIORITY_URGENT)
+        self.acquire(request)
         return request
 
-    def release(self, request: Request) -> None:
+    def acquire(self, token: Any) -> None:
+        """Grant ``token`` a slot at once (see :meth:`Resource.acquire`)."""
+        self._count += 1
+        token.succeed(self, PRIORITY_URGENT)
+
+    def release(self, request: Any) -> None:
         self._count -= 1
 
 

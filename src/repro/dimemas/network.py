@@ -1,4 +1,4 @@
-"""The interconnect fabric: topology-routed transfer processes.
+"""The interconnect fabric: topology-routed transfer tasks.
 
 The Dimemas network model charges every inter-node transfer per-hop
 ``latency + size / bandwidth`` and limits concurrency through the hop
@@ -10,21 +10,31 @@ the (faster) intra-node parameters.
 
 A transfer crosses its route store-and-forward: each hop's resources are
 acquired in the hop's fixed order, held for that hop's transfer time and
-released (in a ``try``/``finally``, so a failed or interrupted transfer
-never leaks capacity) before the next hop is requested.  No transfer waits
-for a hop while holding another hop's resources, which keeps every
-topology -- wrap-around torus rings included -- deadlock-free.
+released before the next hop is requested.  No transfer waits for a hop
+while holding another hop's resources, which keeps every topology --
+wrap-around torus rings included -- deadlock-free.
+
+Each transfer is one callback task (:class:`_Transfer`), not a generator
+process: the DES runs its steps exactly where a process's events would
+sit -- its start and every resource grant on the urgent FIFO, every wire
+end on the heap -- without a process, a bootstrap event, a ``Request`` per
+resource or a generator resume per step.  A step that raises returns every
+slot the task holds and withdraws the one it waits for before the error
+leaves :meth:`~repro.des.Environment.run`, so a failed transfer never
+leaks capacity.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional
+from heapq import heappush
+from typing import Dict, List, Optional, Sequence
 
 from repro.des import Environment
+from repro.des.events import PRIORITY_NORMAL, PRIORITY_URGENT
 from repro.dimemas.messages import Message
 from repro.dimemas.platform import Platform
-from repro.dimemas.topology import NetworkModel, build_network_model
+from repro.dimemas.topology import Hop, NetworkModel, build_network_model
 from repro.paraver.timeline import Timeline
 
 
@@ -158,7 +168,7 @@ class NetworkStatistics:
 
 
 class NetworkFabric:
-    """Runs transfer processes over the platform's topology model."""
+    """Runs transfer tasks over the platform's topology model."""
 
     def __init__(self, env: Environment, platform: Platform, num_ranks: int,
                  timeline: Optional[Timeline] = None):
@@ -171,8 +181,8 @@ class NetworkFabric:
 
     # -- transfers ------------------------------------------------------------
     def start_transfer(self, message: Message) -> None:
-        """Launch the transfer process for a matched message."""
-        self.env.process(self._transfer(message), name="transfer")
+        """Launch the transfer of a matched message."""
+        _Transfer(self, message, False)
 
     def transfer_event(self, src: int, dst: int, size: int):
         """Run one raw transfer outside the matcher; returns its arrival event.
@@ -185,59 +195,152 @@ class NetworkFabric:
         replay already records the enclosing COLLECTIVE interval).
         """
         message = Message(self.env, src=src, dst=dst, tag=-1, size=size)
-        self.env.process(self._transfer(message, collective=True),
-                         name="collective-transfer")
+        _Transfer(self, message, True)
         return message.arrived
 
-    def _transfer(self, message: Message, collective: bool = False):
-        env = self.env
-        timeout = env.schedule_timeout
-        statistics = self.statistics
-        platform = self.platform
-        size = message.size
-        src_node = platform.node_of(message.src)
-        dst_node = platform.node_of(message.dst)
-        intranode = src_node == dst_node
-        queue_time = 0.0
-        duration = 0.0
-        if intranode:
-            message.transfer_start = env._now
-            duration = platform.transfer_time(size, intranode=True)
-            yield timeout(duration)
-        else:
-            for hop in self.model.route(src_node, dst_node):
-                requested_at = env._now
-                requests = []
-                try:
-                    # Acquire the hop's resources in its fixed order (for
-                    # the flat bus: output link, input link, bus) so
-                    # transfers never hold one hop's resources in
-                    # conflicting orders.
-                    for resource in hop.resources:
-                        request = resource.request()
-                        requests.append((resource, request))
-                        yield request
-                    hop_queue = env._now - requested_at
-                    if message.transfer_start is None:
-                        message.transfer_start = env._now
-                    hop_duration = hop.transfer_time(size)
-                    yield timeout(hop_duration)
-                finally:
-                    # A failed or interrupted transfer must return its
-                    # capacity; leaking a link or bus slot deadlocks every
-                    # later transfer through the same resource.  Releasing
-                    # a still-queued request simply withdraws it.
-                    for resource, request in requests:
-                        resource.release(request)
-                queue_time += hop_queue
-                duration += hop_duration
-                statistics.record_hop(hop.name, hop_queue)
-        message.arrival_time = env._now
-        message.arrived.succeed(env._now)
-        statistics.record(size, queue_time, duration, intranode, collective)
-        if self.timeline is not None and not collective:
-            self.timeline.add_communication(
-                src=message.src, dst=message.dst, size=size,
+
+#: Transfer phases: what the next step of a :class:`_Transfer` does.
+_START = 0       # route the message and request the first resource
+_ACQUIRING = 1   # a resource was granted: request the next or cross
+_CROSSING = 2    # a hop's wire end: release, record, next hop or finish
+_COPYING = 3     # an intranode copy's end: finish
+
+
+class _Transfer:
+    """One transfer in flight, stepped by the DES in place of a process.
+
+    The environment runs a scheduled task as it runs a succeeded event:
+    it calls the task's ``callbacks`` -- always :data:`_STEPS`, a shared
+    tuple, so a task never references itself -- with the task.  Each step
+    sits where the former transfer process's event sat: the start on the
+    urgent FIFO (the process's bootstrap), each resource grant on the FIFO
+    (the ``Request``'s grant; :meth:`succeed` is how a resource hands the
+    task a slot), each wire end on the heap as a NORMAL entry numbered when
+    the wire is entered (the ``Timeout``).  The process's end event had no
+    callbacks, so leaving it out moves nothing else.  A finished task is
+    referenced by nothing and is freed at once.
+    """
+
+    __slots__ = ("callbacks", "fabric", "message", "collective", "phase",
+                 "route", "hop_index", "requested", "requested_at",
+                 "hop_queue", "hop_duration", "queue_time", "duration")
+
+    #: A scheduled task is an event that succeeded.
+    _ok = True
+
+    def __init__(self, fabric: NetworkFabric, message: Message,
+                 collective: bool):
+        self.fabric = fabric
+        self.message = message
+        self.collective = collective
+        self.phase = _START
+        self.route: Sequence[Hop] = ()
+        self.hop_index = 0
+        #: Resources of the current hop requested so far (held, or the
+        #: last one queued for).
+        self.requested = 0
+        self.queue_time = 0.0
+        self.duration = 0.0
+        self.callbacks = _STEPS
+        fabric.env._urgent.append(self)
+
+    def succeed(self, value=None, priority: int = PRIORITY_URGENT) -> None:
+        """A resource granted a slot: step after the urgent work due now."""
+        self.callbacks = _STEPS
+        self.fabric.env._urgent.append(self)
+
+    def _step(self) -> None:
+        fabric = self.fabric
+        env = fabric.env
+        message = self.message
+        try:
+            phase = self.phase
+            if phase == _CROSSING:
+                # Wire end: release the hop in its resource order (handing
+                # slots to queue heads), record it, move on.
+                route = self.route
+                hop = route[self.hop_index]
+                self.requested = 0
+                for resource in hop.resources:
+                    resource.release(self)
+                hop_queue = self.hop_queue
+                self.queue_time += hop_queue
+                self.duration += self.hop_duration
+                fabric.statistics.record_hop(hop.name, hop_queue)
+                self.hop_index += 1
+                if self.hop_index == len(route):
+                    self._finish(False)
+                    return
+                self.requested_at = env._now
+                self.phase = _ACQUIRING
+            elif phase == _START:
+                platform = fabric.platform
+                src_node = platform.node_of(message.src)
+                dst_node = platform.node_of(message.dst)
+                if src_node == dst_node:
+                    message.transfer_start = env._now
+                    self.duration = platform.transfer_time(
+                        message.size, intranode=True)
+                    self.phase = _COPYING
+                    self._wire(env, self.duration)
+                    return
+                self.route = fabric.model.route(src_node, dst_node)
+                self.requested_at = env._now
+                self.phase = _ACQUIRING
+            elif phase == _COPYING:
+                self._finish(True)
+                return
+            # Acquire the hop's resources in its fixed order (for the flat
+            # bus: output link, input link, bus), one grant per step, so
+            # transfers never hold one hop's resources in conflicting
+            # orders; with all of them held, cross the wire.
+            hop = self.route[self.hop_index]
+            resources = hop.resources
+            requested = self.requested
+            if requested < len(resources):
+                self.requested = requested + 1
+                resources[requested].acquire(self)
+                return
+            now = env._now
+            self.hop_queue = now - self.requested_at
+            if message.transfer_start is None:
+                message.transfer_start = now
+            self.hop_duration = hop.transfer_time(message.size)
+            self.phase = _CROSSING
+            self._wire(env, self.hop_duration)
+        except BaseException:
+            # A failed transfer must return its capacity; leaking a link or
+            # bus slot deadlocks every later transfer through the same
+            # resource.  Releasing a still-queued token withdraws it.
+            if self.requested:
+                resources = self.route[self.hop_index].resources
+                for resource in resources[:self.requested]:
+                    resource.release(self)
+                self.requested = 0
+            raise
+
+    def _wire(self, env: Environment, duration: float) -> None:
+        """Schedule the next step ``duration`` from now, as a timeout."""
+        if duration < 0:
+            raise ValueError(f"negative timeout delay: {duration!r}")
+        self.callbacks = _STEPS
+        heappush(env._queue, (env._now + duration, PRIORITY_NORMAL,
+                              next(env._eid), self))
+
+    def _finish(self, intranode: bool) -> None:
+        fabric = self.fabric
+        message = self.message
+        now = fabric.env._now
+        message.arrival_time = now
+        message.arrived.succeed(now)
+        fabric.statistics.record(message.size, self.queue_time,
+                                 self.duration, intranode, self.collective)
+        if fabric.timeline is not None and not self.collective:
+            fabric.timeline.add_communication(
+                src=message.src, dst=message.dst, size=message.size,
                 tag=message.tag, send_time=message.transfer_start,
                 recv_time=message.arrival_time)
 
+
+#: The one callback of every scheduled transfer task.
+_STEPS = (_Transfer._step,)

@@ -17,6 +17,12 @@ MEGABYTE = 1.0e6
 INTEGER_FIELDS = ("num_buses", "input_links", "output_links",
                   "eager_threshold", "processors_per_node")
 
+#: The :class:`Platform` fields that take a number: an ``int`` or a
+#: ``float``, not a ``bool``.
+NUMBER_FIELDS = ("relative_cpu_speed", "latency", "bandwidth_mbps",
+                 "intranode_bandwidth_mbps", "intranode_latency",
+                 "mpi_overhead")
+
 
 @dataclass(frozen=True)
 class Platform:
@@ -67,7 +73,10 @@ class Platform:
     Every numeric field must be finite: a ``nan`` or ``inf`` would replay
     to a non-finite total time (or silently change the adaptive backend's
     path) instead of failing where it was set.  The counts and byte sizes
-    (:data:`INTEGER_FIELDS`) must be integers.
+    (:data:`INTEGER_FIELDS`) must be integers, the other numbers
+    (:data:`NUMBER_FIELDS`) ints or floats, and ``cpu_contention`` a
+    ``bool``: a string would fail deep in the replay or, for the flag,
+    turn it on.
     """
 
     name: str = "default"
@@ -108,9 +117,17 @@ class Platform:
         # every instance a materialised dict, and sweeps keep thousands.
         for field_name in self.__dataclass_fields__:
             value = getattr(self, field_name)
-            if isinstance(value, float) and not math.isfinite(value):
+            if isinstance(value, float):
+                if not math.isfinite(value):
+                    raise ConfigurationError(
+                        f"{field_name} must be a finite number, got {value!r}")
+            elif field_name in NUMBER_FIELDS:
+                if not isinstance(value, int) or isinstance(value, bool):
+                    raise ConfigurationError(
+                        f"{field_name} must be a number, got {value!r}")
+            elif field_name == "cpu_contention" and not isinstance(value, bool):
                 raise ConfigurationError(
-                    f"{field_name} must be a finite number, got {value!r}")
+                    f"cpu_contention must be a boolean, got {value!r}")
         # A float count would replay with fractional node ids or resource
         # capacities instead of failing where it was set.
         for field_name in INTEGER_FIELDS:

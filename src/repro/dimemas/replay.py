@@ -263,7 +263,8 @@ class _FastCollective:
 class _TransferTask:
     """One in-flight contended transfer of the paced walk.
 
-    Walks its route exactly like ``NetworkFabric._transfer``: acquire the
+    Walks its route exactly like the event walk's transfer task
+    (:class:`~repro.dimemas.network.NetworkFabric`): acquire the
     hop's resources in the hop's fixed order (FIFO per limited resource,
     holding earlier ones while queued on later ones), cross the wire, hand
     released slots to queue heads, move to the next hop.  ``hop_states``
@@ -848,12 +849,12 @@ class ReplayEngine:
         def advance_transfer(task: _TransferTask, now: float) -> None:
             """One DES pop's worth of progress for a contended transfer.
 
-            Each invocation mirrors exactly one event of
-            ``NetworkFabric._transfer``'s walk: request the current hop's
-            next resource -- claiming a free slot synchronously but
-            deferring the continuation one URGENT event, exactly as
-            ``Resource.request``'s immediate succeed does (an unlimited
-            resource's grant too); parking in the FIFO queue when at
+            Each invocation mirrors exactly one step of the event walk's
+            transfer task: request the current hop's next resource --
+            claiming a free slot synchronously but deferring the
+            continuation one URGENT step, exactly as ``Resource.acquire``'s
+            immediate grant does (an unlimited resource's grant too);
+            parking in the FIFO queue when at
             capacity -- or, with the hop's resources all held, cross the
             wire, or, at the wire's end, release the hop (handing slots
             straight to queue heads, the DES release semantics) and start
@@ -941,7 +942,7 @@ class ReplayEngine:
         def resolve(message: _FastMessage) -> None:
             """Both postings exist: launch (or complete) the transfer.
 
-            Mirrors ``NetworkFabric._transfer``: the transfer starts at
+            Mirrors the event walk's transfer task: the transfer starts at
             the match instant; intranode bypasses the network; an
             internode route with no limited resource chains
             ``latency + size/bw`` per hop in closed form (bit-exact --
@@ -979,8 +980,7 @@ class ReplayEngine:
                     # clock (eager: the send instant; rendezvous: the
                     # later posting, which is the rank running right now),
                     # so the start is the current instant; it is URGENT,
-                    # as the transfer process's Initialize event in the
-                    # DES.
+                    # as the transfer task's first step in the DES.
                     urgent.append(
                         (start, _TransferTask(message, route, hop_states,
                                               start)))

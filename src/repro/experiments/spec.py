@@ -64,6 +64,10 @@ def _tuple_of(value: Any, kind, field: str) -> Tuple[Any, ...]:
         if kind is int and not isinstance(item, int):
             # int() would truncate 2.5 to 2 or parse "3" without a word.
             raise ConfigurationError(f"{field}: expected int, got {item!r}")
+        if kind is float and not isinstance(item, (int, float)):
+            # float() would parse "100" without a word.
+            raise ConfigurationError(
+                f"{field}: expected a number, got {item!r}")
         try:
             items.append(kind(item))
         except (TypeError, ValueError):

@@ -1,10 +1,12 @@
 """Regression tests for the network fabric's resource handling.
 
-A transfer that fails or is interrupted while holding an output link, an
-input link or a bus must return that capacity; previously the releases were
-not in a ``try/finally``, so one failed transfer permanently leaked the
-slots and deadlocked every subsequent transfer through the same resources.
-The resources now live on the fabric's FlatBus topology model.
+A transfer that fails while holding an output link, an input link or a bus
+must return that capacity, and one that fails while queued for a slot must
+withdraw from the queue; a leaked slot permanently deadlocks every later
+transfer through the same resource.  Each transfer is a callback task
+stepped by the DES, so the failures are injected into its steps (a hop's
+transfer time or a resource's grant raising) and observed through
+``env.run()``.  The resources live on the fabric's FlatBus topology model.
 """
 
 import pytest
@@ -33,53 +35,75 @@ def _message(env, src=0, dst=1, size=1000):
     return Message(env, src=src, dst=dst, tag=0, size=size)
 
 
-def _drive_to_timeout(generator):
-    """Advance a transfer generator past resource acquisition."""
-    events = [next(generator)]
-    # Three immediately-granted requests, then the transfer timeout.
-    for _ in range(3):
-        events.append(generator.send(None))
-    return events
+def _occupancy(fabric):
+    """(count, queue_length) of the links and the bus a 0 -> 1 transfer
+    crosses."""
+    model = fabric.model
+    return [(resource.count, resource.queue_length) for resource in
+            (model.output_link(0), model.input_link(1), model.buses)]
+
+
+def _failing_transfer_time(size):
+    raise RuntimeError("hop failed")
 
 
 class TestTransferResourceSafety:
-    def test_failure_mid_transfer_releases_everything(self, env, platform):
+    def test_failure_mid_transfer_releases_everything(self, env, platform,
+                                                      monkeypatch):
         fabric = NetworkFabric(env, platform, num_ranks=2)
-        generator = fabric._transfer(_message(env))
-        _drive_to_timeout(generator)
-        assert fabric.model.buses.count == 1
-        with pytest.raises(RuntimeError):
-            generator.throw(RuntimeError("interrupted"))
-        assert fabric.model.buses.count == 0
-        assert fabric.model.output_link(0).count == 0
-        assert fabric.model.input_link(1).count == 0
-
-    def test_interrupt_while_queued_withdraws_the_request(self, env, platform):
-        fabric = NetworkFabric(env, platform, num_ranks=2)
-        holder = fabric.model.buses.request()  # occupy the single bus
-        generator = fabric._transfer(_message(env))
-        next(generator)            # output link granted
-        generator.send(None)       # input link granted, bus request queued
-        generator.send(None)
-        assert fabric.model.buses.queue_length == 1
-        generator.close()          # GeneratorExit runs the cleanup
-        assert fabric.model.buses.queue_length == 0
-        assert fabric.model.output_link(0).count == 0
-        assert fabric.model.input_link(1).count == 0
-        assert fabric.model.buses.count == 1  # the unrelated holder keeps its slot
+        idle = _occupancy(fabric)
+        monkeypatch.setattr(fabric.model.route(0, 1)[0], "transfer_time",
+                            _failing_transfer_time)
+        holder = fabric.model.buses.request()  # one bus slot held elsewhere
+        message = _message(env)
+        fabric.start_transfer(message)
+        env.run()  # both links granted, queued for the bus
+        assert _occupancy(fabric) == [(1, 0), (1, 0), (1, 1)]
+        # The handed-over bus completes the hop's resources; entering the
+        # wire then fails.
         fabric.model.buses.release(holder)
+        with pytest.raises(RuntimeError, match="hop failed"):
+            env.run()
+        assert _occupancy(fabric) == idle
+        assert not message.arrived.triggered
 
-    def test_transfers_still_flow_after_a_failed_one(self, env, platform):
+    def test_failure_while_queued_withdraws_the_request(self, env, platform,
+                                                        monkeypatch):
         fabric = NetworkFabric(env, platform, num_ranks=2)
-        generator = fabric._transfer(_message(env))
-        _drive_to_timeout(generator)
-        with pytest.raises(RuntimeError):
-            generator.throw(RuntimeError("interrupted"))
-        # With the leak, this second transfer would wait forever on the bus.
+        buses = fabric.model.buses
+        holder = buses.request()  # occupy the single bus
+        acquire = buses.acquire
+
+        def acquire_then_fail(token):
+            acquire(token)  # the bus is taken: the token queues
+            raise RuntimeError("bus arbiter failed")
+
+        monkeypatch.setattr(buses, "acquire", acquire_then_fail)
+        fabric.start_transfer(_message(env))
+        with pytest.raises(RuntimeError, match="bus arbiter failed"):
+            env.run()
+        # The queued token is withdrawn and both links are back; the
+        # unrelated holder keeps its slot.
+        assert _occupancy(fabric) == [(0, 0), (0, 0), (1, 0)]
+        buses.release(holder)
+
+    def test_transfers_still_flow_after_a_failed_one(self, env, platform,
+                                                     monkeypatch):
+        fabric = NetworkFabric(env, platform, num_ranks=2)
+        with monkeypatch.context() as patch:
+            patch.setattr(fabric.model.route(0, 1)[0], "transfer_time",
+                          _failing_transfer_time)
+            fabric.start_transfer(_message(env))
+            with pytest.raises(RuntimeError, match="hop failed"):
+                env.run()
+        # With the leak, this second transfer would wait forever on the
+        # output link.
         message = _message(env)
         fabric.start_transfer(message)
         env.run()
         assert message.arrived.triggered
+        assert message.arrival_time == pytest.approx(
+            platform.transfer_time(message.size))
         assert fabric.statistics.transfers == 1
 
     def test_successful_transfer_leaves_no_residue(self, env, platform):

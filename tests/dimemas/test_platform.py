@@ -3,7 +3,7 @@
 import pytest
 
 from repro.dimemas.config import PLATFORM_FIELDS
-from repro.dimemas.platform import INTEGER_FIELDS, Platform
+from repro.dimemas.platform import INTEGER_FIELDS, NUMBER_FIELDS, Platform
 from repro.errors import ConfigurationError
 
 NUMERIC_FIELDS = sorted(name for name, kind in PLATFORM_FIELDS.items()
@@ -35,6 +35,30 @@ class TestPlatformValidation:
         with pytest.raises(ConfigurationError,
                            match=f"{field} must be an integer, got {value!r}"):
             Platform(**{field: value})
+
+    @pytest.mark.parametrize("value", ["1e-6", True, None])
+    @pytest.mark.parametrize("field", NUMBER_FIELDS)
+    def test_number_fields_take_only_numbers(self, field, value):
+        with pytest.raises(ConfigurationError,
+                           match=f"{field} must be a number, got {value!r}"):
+            Platform(**{field: value})
+
+    def test_number_fields_keep_integers(self):
+        platform = Platform(bandwidth_mbps=100, latency=0)
+        assert platform.bandwidth_mbps == 100
+        assert platform.transfer_time(10**6) == 0.01
+
+    def test_number_fields_are_the_serialized_float_fields(self):
+        assert sorted(NUMBER_FIELDS) == sorted(
+            name for name, kind in PLATFORM_FIELDS.items() if kind is float)
+
+    @pytest.mark.parametrize("value", ["false", "true", 0, 1, None])
+    def test_cpu_contention_takes_only_a_boolean(self, value):
+        # A non-empty string is truthy: "false" would turn contention on.
+        with pytest.raises(ConfigurationError,
+                           match=f"cpu_contention must be a boolean, "
+                                 f"got {value!r}"):
+            Platform(cpu_contention=value)
 
     def test_integer_fields_are_the_serialized_int_fields(self):
         assert sorted(INTEGER_FIELDS) == sorted(

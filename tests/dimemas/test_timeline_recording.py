@@ -150,13 +150,14 @@ class TestLazyRecvPostedHook:
         matcher = MessageMatcher(env, p, NetworkFabric(env, p, num_ranks=2))
         matcher.post_send(0, SendRecord(dst=1, size=10))
         message = matcher.post_recv(1, RecvRecord(src=0, size=10))
-        queued_before = len(env._queue)
+        # Both the heap and the urgent FIFO count as enqueued.
+        queued_before = len(env._queue) + len(env._urgent)
         hook = message.recv_posted
         # Materialised in the processed state at the posting time: a waiter
         # resumes synchronously and nothing was enqueued retroactively.
         assert hook.processed and hook.triggered and hook.ok
         assert hook.value == 0.0
-        assert len(env._queue) == queued_before
+        assert len(env._queue) + len(env._urgent) == queued_before
 
     def test_access_before_posting_waits_for_the_posting(self):
         from repro.des import Environment

@@ -126,6 +126,23 @@ class TestValidation:
         assert repr(shown) in str(raised.value)
 
 
+    @pytest.mark.parametrize("field", ["bandwidths", "latencies",
+                                       "cpu_speeds"])
+    @pytest.mark.parametrize("value", ["100", "5e-6"])
+    def test_float_axes_take_only_numbers(self, field, value):
+        # float() would read the string as a number without a word.
+        with pytest.raises(ConfigurationError, match=field) as raised:
+            ExperimentSpec(apps=("a",), **{field: (value,)})
+        assert repr(value) in str(raised.value)
+
+    def test_float_axes_accept_integers(self):
+        spec = ExperimentSpec(apps=("a",), bandwidths=(100,), latencies=(0,),
+                              cpu_speeds=(2,))
+        assert spec.bandwidths == (100.0,)
+        assert spec.latencies == (0.0,)
+        assert spec.cpu_speeds == (2.0,)
+
+
 class TestRoundTrip:
     def test_json_round_trip_equality(self):
         spec = _rich_spec()

@@ -342,6 +342,13 @@ count = 4
         assert "error: processors_per_node must be an integer, got 2.5" in err
         assert "Traceback" not in err
 
+    def test_run_rejects_a_string_platform_latency(self, tmp_path, capsys):
+        path = self._write(tmp_path, '\n[platform]\nlatency = "1e-6"\n')
+        assert main(["run", "--spec", str(path), "--no-cache"]) == 1
+        captured = capsys.readouterr()
+        assert "error: latency must be a number, got '1e-6'" in captured.err
+        assert "Traceback" not in captured.err
+
     def test_run_rejects_a_string_jobs_count(self, tmp_path, capsys):
         path = tmp_path / "experiment.toml"
         path.write_text(self.SPEC.replace("jobs = 1", 'jobs = "3"'),
