@@ -3,11 +3,13 @@
 
 The unified API adds a layer between the caller and the
 :class:`~repro.core.executor.SweepExecutor`: spec validation, grid
-expansion and result assembly.  This harness times the same bandwidth
-sweep twice -- once through the raw executor (trace, transform, replay;
-exactly what the pre-redesign drivers did) and once through
-``ExperimentSpec`` -> ``run_experiment`` -- verifies the per-point numbers
-are bit-identical, and reports the overhead of the declarative layer.
+expansion, the static-analysis precheck and result assembly.  This harness
+times the same bandwidth sweep twice -- once through the raw executor
+(trace, transform, replay; exactly what the pre-redesign drivers did) and
+once through ``ExperimentSpec`` -> ``run_experiment`` -- verifies the
+per-point numbers are bit-identical, and reports the overhead of the
+declarative layer.  Both sides run with the cyclic garbage collector
+paused, so the pause is not counted as a gain of either.
 It also times spec (de)serialization, which bounds what ``repro-overlap
 run --spec`` pays before the first replay starts.
 
@@ -27,14 +29,19 @@ import time
 
 from repro.core import FixedCountChunking, OverlapStudyEnvironment
 from repro.core.analysis import ORIGINAL, geometric_bandwidths
-from repro.core.executor import SweepExecutor
+from repro.core.executor import SweepExecutor, collector_paused
 from repro.core.patterns import ComputationPattern
 from repro.core.reporting import format_table
 from repro.experiments import Experiment, ExperimentSpec, run_experiment
 
 
+@collector_paused()
 def _raw_executor_points(app_name, options, bandwidths, jobs):
-    """The pre-redesign driver path: straight-line SweepExecutor use."""
+    """The pre-redesign driver path: straight-line SweepExecutor use.
+
+    It runs with the cyclic garbage collector paused, as ``run_experiment``
+    does, so the overhead compares like with like.
+    """
     from repro.apps.registry import create_application
 
     environment = OverlapStudyEnvironment(chunking=FixedCountChunking(count=8))

@@ -24,6 +24,8 @@ regardless of the trace size.
 
 from __future__ import annotations
 
+import contextlib
+import gc
 import inspect
 import os
 import time
@@ -33,6 +35,7 @@ from typing import (
     Any,
     Dict,
     Iterable,
+    Iterator,
     List,
     Optional,
     Sequence,
@@ -54,6 +57,34 @@ from repro.tracing.trace import Trace
 if TYPE_CHECKING:  # pragma: no cover
     from repro.store.base import ResultStore
     from repro.store.keys import CellKey
+
+
+@contextlib.contextmanager
+def collector_paused() -> Iterator[None]:
+    """Run the block with Python's cyclic garbage collector paused.
+
+    The experiment pipeline makes no reference cycles: everything a run
+    creates is freed by reference counting as soon as it is dropped
+    (``tests/experiments/test_no_reference_cycles.py`` pins this).  A
+    collection during a run therefore frees nothing; it only walks the
+    live traces, prepared op streams and message plans again.
+
+    An enabled collector is disabled for the block and enabled again on
+    exit, error included.  A collector the caller already disabled is left
+    alone, so nested use is a no-op.  No collection runs on exit: the block
+    left no cycles to collect.
+
+    The collector's state is process-wide, so every other thread of the
+    process also runs without cyclic collection until the block exits.
+    """
+    if not gc.isenabled():
+        yield
+        return
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
 
 
 def validate_variant_labels(labels: Iterable[str]) -> List[str]:
@@ -296,6 +327,11 @@ def _init_worker(table: Dict[str, Dict[str, Any]],
                  facts: Optional[List[Tuple[Any, ...]]] = None) -> None:
     global _TRACE_TABLE, _TRACE_CACHE, _TRACE_DIGESTS
     global _SIMULATOR, _STORE, _CACHE_KEYS
+    # A worker lives for one ``execute`` call and, like the parent inside
+    # :func:`collector_paused`, makes no reference cycles.  Disable the
+    # collector here rather than rely on fork: spawn and forkserver workers
+    # start from a fresh interpreter with it enabled.
+    gc.disable()
     _TRACE_TABLE = table
     _TRACE_CACHE = {}
     _TRACE_DIGESTS = digests or {}

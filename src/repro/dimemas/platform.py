@@ -76,7 +76,8 @@ class Platform:
     (:data:`INTEGER_FIELDS`) must be integers, the other numbers
     (:data:`NUMBER_FIELDS`) ints or floats, and ``cpu_contention`` a
     ``bool``: a string would fail deep in the replay or, for the flag,
-    turn it on.
+    turn it on.  ``name`` must be a ``str``: a saved platform reads its
+    name back as a string, so a name of another type would not round-trip.
     """
 
     name: str = "default"
@@ -128,6 +129,9 @@ class Platform:
             elif field_name == "cpu_contention" and not isinstance(value, bool):
                 raise ConfigurationError(
                     f"cpu_contention must be a boolean, got {value!r}")
+            elif field_name == "name" and not isinstance(value, str):
+                raise ConfigurationError(
+                    f"name must be a string, got {value!r}")
         # A float count would replay with fractional node ids or resource
         # capacities instead of failing where it was set.
         for field_name in INTEGER_FIELDS:

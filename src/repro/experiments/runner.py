@@ -42,7 +42,12 @@ from typing import Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING, Union
 
 from repro.analysis import AnalysisReport, analyze_trace
 from repro.core.analysis import BandwidthSweep
-from repro.core.executor import SweepExecutor, SweepTask, SweepTaskResult
+from repro.core.executor import (
+    SweepExecutor,
+    SweepTask,
+    SweepTaskResult,
+    collector_paused,
+)
 from repro.core.mechanisms import OverlapMechanism
 from repro.dimemas.platform import Platform
 from repro.dimemas.results import SimulationResult
@@ -188,6 +193,7 @@ def preview_experiment(spec: ExperimentSpec,
                              lint=lint)
 
 
+@collector_paused()
 def run_experiment(spec: ExperimentSpec,
                    environment: Optional["OverlapStudyEnvironment"] = None,
                    platform: Optional[Platform] = None,
@@ -234,6 +240,14 @@ def run_experiment(spec: ExperimentSpec,
     over each trace evaluates a whole grid slice at once; results are
     reassembled by task index and are identical to the per-cell path's.
     Full-results runs and custom simulators run every task per cell.
+
+    The whole call -- planning, tracing, the overlap transform, the
+    precheck, every replay, the store writes and the assembly -- runs with
+    Python's cyclic garbage collector paused
+    (:func:`~repro.core.executor.collector_paused`): the pipeline makes no
+    reference cycles, so a collection would only walk the live traces
+    again.  The pause is process-wide, and the collector's state is
+    restored when the call returns or raises.
     """
     if store is None and cache_dir is not None:
         with open_store(cache_dir) as opened:

@@ -1,5 +1,6 @@
 """Shared fixtures for the test suite."""
 
+import gc
 import sqlite3
 from pathlib import Path
 
@@ -10,6 +11,16 @@ from repro.core import FixedCountChunking, OverlapStudyEnvironment
 from repro.dimemas import Platform
 from repro.store import STORE_FORMAT, FileResultStore
 from repro.tracing import TracingVirtualMachine
+
+
+@pytest.fixture(autouse=True)
+def collector_left_enabled():
+    """Fail a test that leaves Python's cyclic garbage collector disabled:
+    every later test would run without it."""
+    yield
+    if not gc.isenabled():
+        gc.enable()
+        pytest.fail("the test left the cyclic garbage collector disabled")
 
 
 @pytest.fixture

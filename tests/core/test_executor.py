@@ -5,6 +5,7 @@ bit-identical to the serial one, because every replay task is independent
 and the merge step only depends on task metadata, never on completion order.
 """
 
+import gc
 import random
 
 import pytest
@@ -15,6 +16,7 @@ from repro.core.executor import (
     SweepExecutor,
     SweepTask,
     SweepTaskResult,
+    collector_paused,
     validate_variant_labels,
 )
 from repro.core.study import batch_study
@@ -190,6 +192,61 @@ class TestSerialReentrancy:
             assert executor_module._TRACE_TABLE == {ORIGINAL: {"bogus": "table"}}
         finally:
             executor_module._init_worker({})
+            gc.enable()
+
+
+class TestCollectorPause:
+    """``run_experiment`` runs with the cyclic garbage collector paused and
+    leaves it as it found it; pool workers run without it."""
+
+    SPEC = ExperimentSpec(apps=("nas-cg",), app_options={"num_ranks": 4,
+                                                         "iterations": 2},
+                          bandwidths=(100.0,))
+
+    def test_the_collector_is_off_during_a_run(self, monkeypatch):
+        from repro.experiments import runner
+
+        seen = {}
+        plan = runner.plan_experiment
+        execute = SweepExecutor.execute
+
+        def planning(*args, **kwargs):
+            seen["plan"] = gc.isenabled()
+            return plan(*args, **kwargs)
+
+        def executing(*args, **kwargs):
+            seen["execute"] = gc.isenabled()
+            return execute(*args, **kwargs)
+
+        monkeypatch.setattr(runner, "plan_experiment", planning)
+        monkeypatch.setattr(SweepExecutor, "execute", executing)
+        run_experiment(self.SPEC)
+        assert seen == {"plan": False, "execute": False}
+        assert gc.isenabled()
+
+    def test_a_caller_that_disabled_the_collector_finds_it_disabled(self):
+        gc.disable()
+        try:
+            run_experiment(self.SPEC)
+            with collector_paused():
+                pass
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
+
+    def test_the_cache_dir_path_restores_the_collector(self, tmp_path):
+        result = run_experiment(self.SPEC, cache_dir=tmp_path)
+        assert result.cache_stats()["misses"] == 3
+        assert gc.isenabled()
+
+    def test_init_worker_disables_the_collector(self):
+        from repro.core import executor as executor_module
+
+        try:
+            executor_module._init_worker({})
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
 
 
 class TestLabelValidation:

@@ -1,6 +1,8 @@
 """Regression tests: replay preparation runs once per trace content per
 process, including on the store-backed executor paths."""
 
+import gc
+
 import pytest
 
 from repro.apps import SanchoLoop
@@ -74,6 +76,12 @@ class TestSerialExecutorMemo:
 
 
 class TestWorkerMemo:
+    @pytest.fixture(autouse=True)
+    def collector_restored(self):
+        # _init_worker disables the collector for a pool worker's lifetime.
+        yield
+        gc.enable()
+
     def test_worker_adopts_shipped_digests(self, compile_counter):
         """One compile per content in a worker, even across trace keys."""
         variants = make_variants()

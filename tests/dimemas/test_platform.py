@@ -1,5 +1,7 @@
 """Unit tests for the platform description."""
 
+import re
+
 import pytest
 
 from repro.dimemas.config import PLATFORM_FIELDS
@@ -59,6 +61,15 @@ class TestPlatformValidation:
                            match=f"cpu_contention must be a boolean, "
                                  f"got {value!r}"):
             Platform(cpu_contention=value)
+
+    @pytest.mark.parametrize("value", [5, True, None, ["a"]])
+    def test_name_takes_only_a_string(self, value):
+        # A saved platform reads its name back as a string: 5 would come
+        # back as "5".
+        with pytest.raises(ConfigurationError,
+                           match=re.escape(f"name must be a string, "
+                                           f"got {value!r}")):
+            Platform(name=value)
 
     def test_integer_fields_are_the_serialized_int_fields(self):
         assert sorted(INTEGER_FIELDS) == sorted(

@@ -7,6 +7,8 @@ class of defect only the static analyzer catches before the simulator
 wedges on it.
 """
 
+import gc
+
 import pytest
 
 from repro.apps.base import ApplicationModel
@@ -73,6 +75,13 @@ class TestRunExperimentPrecheck:
         assert "TL401" in report.codes()
         assert any(d.source.startswith("head-to-head/")
                    for d in report.diagnostics)
+
+    def test_a_rejected_run_restores_the_collector(self, deadlock_app):
+        # run_experiment pauses the cyclic collector for the call; an error
+        # raised mid-run must not leave it paused.
+        with pytest.raises(TraceLintError):
+            run_experiment(_spec(), apps=[deadlock_app])
+        assert gc.isenabled()
 
     def test_tracelint_error_is_an_analysis_error(self):
         assert issubclass(TraceLintError, AnalysisError)

@@ -349,6 +349,14 @@ count = 4
         assert "error: latency must be a number, got '1e-6'" in captured.err
         assert "Traceback" not in captured.err
 
+    def test_run_rejects_a_platform_name_that_is_not_a_string(self, tmp_path,
+                                                               capsys):
+        path = self._write(tmp_path, "\n[platform]\nname = 5\n")
+        assert main(["run", "--spec", str(path), "--no-cache"]) == 1
+        captured = capsys.readouterr()
+        assert "error: name must be a string, got 5" in captured.err
+        assert "Traceback" not in captured.err
+
     def test_run_rejects_a_string_jobs_count(self, tmp_path, capsys):
         path = tmp_path / "experiment.toml"
         path.write_text(self.SPEC.replace("jobs = 1", 'jobs = "3"'),
