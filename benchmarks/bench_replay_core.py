@@ -617,7 +617,6 @@ class LegacyReplayEngine:
         self.timebase = TimeBase(trace.mips)
         self.stats = [RankStats(rank=r) for r in range(trace.num_ranks)]
         self._processes = []
-        self._cpus = {}
 
     def run(self):
         for rank_trace in self.trace:
@@ -628,15 +627,6 @@ class LegacyReplayEngine:
         self.env.run()
         total_time = max((stats.finish_time for stats in self.stats), default=0.0)
         return total_time, self.stats, self.timeline
-
-    def _cpu_resource(self, node):
-        if not self.platform.cpu_contention:
-            return None
-        if node not in self._cpus:
-            self._cpus[node] = _LegacyResource(
-                self.env, capacity=self.platform.processors_per_node,
-                name=f"cpu[{node}]")
-        return self._cpus[node]
 
     def _rank_process(self, rank, records):
         env = self.env
@@ -654,21 +644,10 @@ class LegacyReplayEngine:
             if isinstance(record, CpuBurst):
                 duration = self.timebase.seconds(
                     record.instructions, self.platform.relative_cpu_speed)
-                cpu = self._cpu_resource(self.platform.node_of(rank))
-                if cpu is not None:
-                    queue_start = env.now
-                    grant = cpu.request()
-                    yield grant
-                    if env.now > queue_start:
-                        stats.cpu_queue_time += env.now - queue_start
-                        timeline.add_interval(rank, queue_start, env.now,
-                                              ThreadState.IDLE)
                 start = env.now
                 yield env.timeout(duration)
                 stats.compute_time += env.now - start
                 timeline.add_interval(rank, start, env.now, ThreadState.RUNNING)
-                if cpu is not None:
-                    cpu.release(grant)
             elif isinstance(record, SendRecord):
                 message = self.matcher.post_send(rank, record)
                 stats.bytes_sent += record.size

@@ -28,6 +28,7 @@ from repro._version import __version__
 from repro.apps.registry import APPLICATIONS, PAPER_IDEAL_SPEEDUP_PERCENT
 from repro.core.analysis import geometric_bandwidths
 from repro.core.environment import OverlapStudyEnvironment
+from repro.core.executor import collector_paused
 from repro.core.chunking import FixedCountChunking, FixedSizeChunking
 from repro.core.overlap import resolve_overlap_request
 from repro.core.reporting import format_table, network_table, sweep_table, topology_table
@@ -758,11 +759,17 @@ _COMMANDS = {
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    """Entry point used by both ``repro-overlap`` and ``python -m repro``."""
+    """Entry point used by both ``repro-overlap`` and ``python -m repro``.
+
+    The command runs with the cyclic garbage collector paused
+    (:func:`~repro.core.executor.collector_paused`): no command body makes
+    reference cycles.  The argument parser does, so it is built first.
+    """
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        with collector_paused():
+            return _COMMANDS[args.command](args)
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

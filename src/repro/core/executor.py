@@ -544,8 +544,7 @@ class SweepExecutor:
         if not full_results:
             for task in flat_tasks:
                 platform = task.platform
-                if (platform.replay_backend != "adaptive"
-                        or platform.cpu_contention):
+                if platform.replay_backend != "adaptive":
                     continue
                 fact_key = (task.trace_key, platform.eager_threshold,
                             platform.processors_per_node)

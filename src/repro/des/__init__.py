@@ -7,22 +7,19 @@ events, and resources provide contention points (the Dimemas network model
 uses them for buses and per-node links).
 """
 
-from repro.des.events import AllOf, AnyOf, Condition, Event, Timeout
+from repro.des.events import AllOf, Condition, Event, Timeout
 from repro.des.core import Environment, Process
 from repro.des.exceptions import DesError, StopProcess
-from repro.des.resources import Container, Resource, Store
+from repro.des.resources import Resource
 
 __all__ = [
     "AllOf",
-    "AnyOf",
     "Condition",
-    "Container",
     "DesError",
     "Environment",
     "Event",
     "Process",
     "Resource",
     "StopProcess",
-    "Store",
     "Timeout",
 ]

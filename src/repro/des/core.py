@@ -24,7 +24,6 @@ from repro.des.events import (
     PRIORITY_NORMAL,
     PRIORITY_URGENT,
     AllOf,
-    AnyOf,
     Event,
     Initialize,
     Timeout,
@@ -358,7 +357,3 @@ class Environment:
     def all_of(self, events: Iterable[Event]) -> AllOf:
         """An event that triggers when all ``events`` have triggered."""
         return AllOf(self, events)
-
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        """An event that triggers when any of ``events`` has triggered."""
-        return AnyOf(self, events)

@@ -252,11 +252,3 @@ class AllOf(Condition):
     def __init__(self, env: "Environment", events: Iterable[Event]):
         super().__init__(env, events, lambda events, count: count == len(events))
 
-
-class AnyOf(Condition):
-    """Triggers as soon as any child event has triggered."""
-
-    __slots__ = ()
-
-    def __init__(self, env: "Environment", events: Iterable[Event]):
-        super().__init__(env, events, lambda events, count: count >= 1 or not events)

@@ -1,8 +1,8 @@
-"""Contention primitives: resources, stores and containers.
+"""Contention primitives: resources that grant slots in FIFO order.
 
 The Dimemas network model uses :class:`Resource` for the finite number of
-network buses and per-node input/output links, and :class:`Store` for
-message queues between the matching engine and the replay processes.
+network buses and per-node input/output links, and
+:class:`InfiniteResource` where a bus count or link count is unlimited.
 
 A resource grants slots to *tokens*: a :class:`Request` (what
 :meth:`Resource.request` returns, for processes to yield) or any object
@@ -14,7 +14,6 @@ released slot and withdrawn through the same path.
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from typing import Any, Deque, List
 
@@ -137,102 +136,3 @@ class InfiniteResource:
 
     def release(self, request: Any) -> None:
         self._count -= 1
-
-
-class StoreGet(Event):
-    """Event returned by :meth:`Store.get`."""
-
-    __slots__ = ("store",)
-
-    def __init__(self, store: "Store"):
-        Event.__init__(self, store.env)
-        self.store = store
-
-    def _default_name(self) -> str:
-        return "StoreGet"
-
-
-class Store:
-    """An unbounded FIFO queue of items with blocking ``get``."""
-
-    def __init__(self, env: Environment, name: str = "store"):
-        self.env = env
-        self.name = name
-        self._items: Deque[Any] = deque()
-        self._getters: Deque[StoreGet] = deque()
-
-    @property
-    def items(self) -> List[Any]:
-        return list(self._items)
-
-    def put(self, item: Any) -> None:
-        """Add an item; wakes the oldest waiting getter if any."""
-        if self._getters:
-            getter = self._getters.popleft()
-            getter.succeed(item, priority=PRIORITY_URGENT)
-        else:
-            self._items.append(item)
-
-    def get(self) -> StoreGet:
-        """Take the oldest item; the returned event triggers with the item."""
-        event = StoreGet(self)
-        if self._items:
-            event.succeed(self._items.popleft(), priority=PRIORITY_URGENT)
-        else:
-            self._getters.append(event)
-        return event
-
-
-class ContainerGet(Event):
-    """Event returned by :meth:`Container.get`; carries the requested amount."""
-
-    __slots__ = ("amount",)
-
-    def __init__(self, env: Environment, amount: float):
-        Event.__init__(self, env)
-        self.amount = amount
-
-    def _default_name(self) -> str:
-        return "ContainerGet"
-
-
-class Container:
-    """A continuous quantity with blocking ``get`` (used for byte budgets)."""
-
-    def __init__(self, env: Environment, init: float = 0.0,
-                 capacity: float = math.inf, name: str = "container"):
-        if init < 0 or init > capacity:
-            raise ValueError("initial level must satisfy 0 <= init <= capacity")
-        self.env = env
-        self.name = name
-        self._level = float(init)
-        self._capacity = float(capacity)
-        self._getters: Deque[Any] = deque()
-
-    @property
-    def level(self) -> float:
-        return self._level
-
-    @property
-    def capacity(self) -> float:
-        return self._capacity
-
-    def put(self, amount: float) -> None:
-        if amount < 0:
-            raise ValueError("amount must be non-negative")
-        self._level = min(self._capacity, self._level + amount)
-        self._drain()
-
-    def get(self, amount: float) -> Event:
-        if amount < 0:
-            raise ValueError("amount must be non-negative")
-        event = ContainerGet(self.env, amount)
-        self._getters.append(event)
-        self._drain()
-        return event
-
-    def _drain(self) -> None:
-        while self._getters and self._getters[0].amount <= self._level:
-            event = self._getters.popleft()
-            self._level -= event.amount
-            event.succeed(event.amount, priority=PRIORITY_URGENT)

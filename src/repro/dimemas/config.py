@@ -39,7 +39,6 @@ PLATFORM_FIELDS = {
     "processors_per_node": int,
     "intranode_bandwidth_mbps": float,
     "intranode_latency": float,
-    "cpu_contention": bool,
     "mpi_overhead": float,
     # Stored in the compact string form ("tree:radix=8,links=2"); Platform
     # parses it back into a TopologySpec.
@@ -55,18 +54,25 @@ PLATFORM_FIELDS = {
 #: Backwards-compatible private alias.
 _FIELDS = PLATFORM_FIELDS
 
+#: Platform fields that no longer exist, each with the error that a config
+#: file or experiment spec still setting it fails with.
+REMOVED_PLATFORM_FIELDS = {
+    "cpu_contention": (
+        "platform field 'cpu_contention' was removed: a node never hosts "
+        "more ranks than its processors_per_node, so no computation burst "
+        "ever waited for a CPU; delete the setting"),
+}
+
 
 def platform_to_config(platform: Platform) -> str:
     """Render ``platform`` as the text of a configuration file."""
     lines = ["# dimemas-like platform description"]
-    for field, kind in _FIELDS.items():
+    for field in _FIELDS:
         value = getattr(platform, field)
         if field == "topology":
             value = platform.topology.to_string()
         elif field == "collective_model":
             value = platform.collective_model.to_string()
-        elif kind is bool:
-            value = "true" if value else "false"
         lines.append(f"{field} = {value}")
     return "\n".join(lines) + "\n"
 
@@ -84,16 +90,14 @@ def config_to_platform(text: str) -> Platform:
         key, _, raw_value = line.partition("=")
         key = key.strip()
         raw_value = raw_value.strip()
+        if key in REMOVED_PLATFORM_FIELDS:
+            raise ConfigurationError(
+                f"line {line_number}: {REMOVED_PLATFORM_FIELDS[key]}")
         if key not in _FIELDS:
             raise ConfigurationError(f"line {line_number}: unknown platform field {key!r}")
         kind = _FIELDS[key]
         try:
-            if kind is bool:
-                if raw_value.lower() not in ("true", "false", "0", "1"):
-                    raise ValueError(raw_value)
-                values[key] = raw_value.lower() in ("true", "1")
-            else:
-                values[key] = kind(raw_value)
+            values[key] = kind(raw_value)
         except ValueError as exc:
             raise ConfigurationError(
                 f"line {line_number}: cannot parse {raw_value!r} as {kind.__name__}") from exc

@@ -46,13 +46,13 @@ def cohort_signature(trace: Trace, platform: Platform) -> Optional[Tuple]:
     Cells with equal signatures replay the same structure: the clocks are
     the only thing that differs, so they can ride one walk as vector
     lanes.  ``None`` marks a cell that must stay on the per-cell path (a
-    non-adaptive backend, CPU contention, or a trace the classifier cannot
-    prove).  Deliberately *absent* from the key: bandwidth, latency, CPU
-    speed, MPI overhead, intranode parameters (pure scalar axes) and the
-    flat bus/link counts (so a cohort may mix proven and contended cells
-    -- the contended ones peel off inside :func:`replay_cohort`).
+    non-adaptive backend, or a trace the classifier cannot prove).
+    Deliberately *absent* from the key: bandwidth, latency, CPU speed, MPI
+    overhead, intranode parameters (pure scalar axes) and the flat bus/link
+    counts (so a cohort may mix proven and contended cells -- the
+    contended ones peel off inside :func:`replay_cohort`).
     """
-    if platform.replay_backend != "adaptive" or platform.cpu_contention:
+    if platform.replay_backend != "adaptive":
         return None
     klass = protocol_class(trace, platform.eager_threshold,
                            platform.processors_per_node)

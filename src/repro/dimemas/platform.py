@@ -64,19 +64,22 @@ class Platform:
     * ``replay_backend`` selects the replay implementation: ``adaptive``
       (the default) fast-forwards whole cells with per-rank time
       recurrences instead of DES events, running the ``event`` walk for
-      cells it cannot fast-forward (decomposed collectives, CPU
-      contention, defective traces); ``event`` walks every record through
-      the generic DES and is the reference the adaptive walks are tested
-      against.  Both replay the same run to the same bytes, so result
-      caches key cells without the knob.
+      cells it cannot fast-forward (decomposed collectives, defective
+      traces); ``event`` walks every record through the generic DES and
+      is the reference the adaptive walks are tested against.  Both
+      replay the same run to the same bytes, so result caches key cells
+      without the knob.
+
+    A rank's computation bursts never wait for a processor: ``node_of``
+    places at most ``processors_per_node`` ranks on a node, one per
+    processor.
 
     Every numeric field must be finite: a ``nan`` or ``inf`` would replay
     to a non-finite total time (or silently change the adaptive backend's
     path) instead of failing where it was set.  The counts and byte sizes
-    (:data:`INTEGER_FIELDS`) must be integers, the other numbers
-    (:data:`NUMBER_FIELDS`) ints or floats, and ``cpu_contention`` a
-    ``bool``: a string would fail deep in the replay or, for the flag,
-    turn it on.  ``name`` must be a ``str``: a saved platform reads its
+    (:data:`INTEGER_FIELDS`) must be integers and the other numbers
+    (:data:`NUMBER_FIELDS`) ints or floats: a string would fail deep in
+    the replay.  ``name`` must be a ``str``: a saved platform reads its
     name back as a string, so a name of another type would not round-trip.
     """
 
@@ -91,7 +94,6 @@ class Platform:
     processors_per_node: int = 1
     intranode_bandwidth_mbps: float = 2000.0
     intranode_latency: float = 1.0e-6
-    cpu_contention: bool = False
     mpi_overhead: float = 0.0
     topology: TopologySpec = TopologySpec()
     collective_model: CollectiveSpec = CollectiveSpec()
@@ -126,9 +128,6 @@ class Platform:
                 if not isinstance(value, int) or isinstance(value, bool):
                     raise ConfigurationError(
                         f"{field_name} must be a number, got {value!r}")
-            elif field_name == "cpu_contention" and not isinstance(value, bool):
-                raise ConfigurationError(
-                    f"cpu_contention must be a boolean, got {value!r}")
             elif field_name == "name" and not isinstance(value, str):
                 raise ConfigurationError(
                     f"name must be a string, got {value!r}")

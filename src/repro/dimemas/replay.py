@@ -15,8 +15,7 @@ replays every record of every rank), so it is written as a fast path:
   table of the prepared trace (:meth:`repro.tracing.trace.Trace.prepared`)
   instead of an ``isinstance`` chain;
 * every per-iteration attribute lookup (environment clock, matcher posting
-  methods, stats object, timeout factory, CPU resource of the rank) is
-  hoisted out of the loop;
+  methods, stats object, timeout factory) is hoisted out of the loop;
 * timeline recording is pluggable: with ``collect_timeline=False`` the
   engine installs a :class:`~repro.paraver.timeline.NullRecorder` and the
   loop skips interval bookkeeping entirely.
@@ -54,7 +53,7 @@ from heapq import heappop, heappush
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.diagnostics import format_defect
-from repro.des import Environment, Event, Resource
+from repro.des import Environment, Event
 from repro.des.events import PENDING
 from repro.des.resources import InfiniteResource
 from repro.dimemas.collectives import build_collective_model
@@ -354,7 +353,6 @@ class ReplayEngine:
         self.stats = [RankStats(rank=r) for r in range(trace.num_ranks)]
         self._progress: List[int] = [0] * trace.num_ranks
         self._processes = []
-        self._cpus: Dict[int, Resource] = {}
         #: Classifier verdict of the adaptive backend (None otherwise).
         self.window_plan: Optional[WindowPlan] = None
         #: How the adaptive backend ran this cell (None otherwise):
@@ -462,15 +460,6 @@ class ReplayEngine:
             f"send names destination rank {record.dst} "
             f"outside 0..{num_ranks - 1}"))
 
-    def _cpu_resource(self, node: int) -> Optional[Resource]:
-        if not self.platform.cpu_contention:
-            return None
-        if node not in self._cpus:
-            self._cpus[node] = Resource(
-                self.env, capacity=self.platform.processors_per_node,
-                name=f"cpu[{node}]")
-        return self._cpus[node]
-
     def _rank_process(self, rank: int, ops):
         # Hot loop: every name used per record is bound locally once, the
         # record type is dispatched through the precomputed opcode, and the
@@ -490,9 +479,7 @@ class ReplayEngine:
         # stay bit-identical: instructions / (mips * 1e6 * cpu_speed).
         duration_denominator = (self.timebase.instructions_per_second
                                 * platform.relative_cpu_speed)
-        cpu = self._cpu_resource(platform.node_of(rank))
         state_running = ThreadState.RUNNING
-        state_idle = ThreadState.IDLE
         requests: Dict[int, Tuple[str, Message, int]] = {}
         collective_index = 0
         position = -1
@@ -512,34 +499,11 @@ class ReplayEngine:
                 if collect:
                     add_interval(rank, start, env._now, state_running)
             if op == OP_CPU:
-                duration = record.instructions / duration_denominator
-                if cpu is not None:
-                    queue_start = env._now
-                    grant = cpu.request()
-                    try:
-                        yield grant
-                        if env._now > queue_start:
-                            stats.cpu_queue_time += env._now - queue_start
-                            if collect:
-                                add_interval(rank, queue_start, env._now, state_idle)
-                        start = env._now
-                        yield timeout(duration)
-                        stats.compute_time += env._now - start
-                        if collect:
-                            add_interval(rank, start, env._now, state_running)
-                    finally:
-                        # The grant must go back even if this process dies
-                        # mid-burst (a failed replay elsewhere propagates
-                        # through the DES); a leaked CPU slot would wedge
-                        # every later burst on the node.  Releasing a
-                        # still-queued request simply withdraws it.
-                        cpu.release(grant)
-                else:
-                    start = env._now
-                    yield timeout(duration)
-                    stats.compute_time += env._now - start
-                    if collect:
-                        add_interval(rank, start, env._now, state_running)
+                start = env._now
+                yield timeout(record.instructions / duration_denominator)
+                stats.compute_time += env._now - start
+                if collect:
+                    add_interval(rank, start, env._now, state_running)
             elif op == OP_SEND:
                 message = post_send(rank, record)
                 stats.bytes_sent += record.size

@@ -30,7 +30,6 @@ class RankStats:
     recv_wait_time: float = 0.0
     request_wait_time: float = 0.0
     collective_time: float = 0.0
-    cpu_queue_time: float = 0.0
     bytes_sent: int = 0
     bytes_received: int = 0
     messages_sent: int = 0

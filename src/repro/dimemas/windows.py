@@ -11,14 +11,13 @@ streams (:meth:`repro.tracing.trace.Trace.prepared`):
   recurrences reproduce the event backend's semantics: analytical
   collectives (every collective is a global barrier with a closed-form
   duration -- the decomposed model injects phase traffic that must really
-  interleave), no CPU contention (a shared CPU resource's wake-up order is
-  a global property of the DES), no unknown records, cross-rank agreement
-  on collective counts and parameters (a disagreeing trace must fail
-  through the event walk so it raises the exact same error), and a clean
-  run of the static matcher from :mod:`repro.analysis.tracelint` -- the
-  zero-time symbolic replay is exact for progress semantics, so a trace it
-  proves matchable, with every send received, cannot deadlock or leave a
-  transfer unmatched under fast-forwarding.
+  interleave), no unknown records, cross-rank agreement on collective
+  counts and parameters (a disagreeing trace must fail through the event
+  walk so it raises the exact same error), and a clean run of the static
+  matcher from :mod:`repro.analysis.tracelint` -- the zero-time symbolic
+  replay is exact for progress semantics, so a trace it proves matchable,
+  with every send received, cannot deadlock or leave a transfer unmatched
+  under fast-forwarding.
 
 * **Proven cells** -- a viable cell is *proven* when the platform's
   network has no limited resource at all (per-topology classification
@@ -267,12 +266,6 @@ def classify(trace: Trace, platform: Platform) -> WindowPlan:
             viable=False,
             reason="decomposed collectives inject phase traffic that must "
                    "interleave through the DES",
-            network_uncontended=False, proven_exact=False)
-    if platform.cpu_contention:
-        return WindowPlan(
-            viable=False,
-            reason="CPU contention makes burst wake-ups a global property "
-                   "of the DES",
             network_uncontended=False, proven_exact=False)
     facts = _trace_facts(trace, platform.eager_threshold,
                          platform.processors_per_node)

@@ -25,7 +25,8 @@ from typing import Any, Dict, Iterable, Mapping, Tuple, Union
 from repro.core.mechanisms import OverlapMechanism
 from repro.core.patterns import ComputationPattern
 from repro.dimemas.collectives import CollectiveSpec
-from repro.dimemas.config import PLATFORM_FIELDS
+from repro.dimemas.config import PLATFORM_FIELDS, REMOVED_PLATFORM_FIELDS
+from repro.dimemas.platform import Platform
 from repro.dimemas.topology import TopologySpec
 from repro.errors import ConfigurationError
 from repro.experiments import _toml
@@ -212,10 +213,15 @@ class ExperimentSpec:
         _unique(self.patterns, "patterns")
         _unique(self.mechanisms, "mechanisms")
         for key, _ in self.platform:
+            if key in REMOVED_PLATFORM_FIELDS:
+                raise ConfigurationError(REMOVED_PLATFORM_FIELDS[key])
             if key not in PLATFORM_FIELDS:
                 raise ConfigurationError(
                     f"unknown platform field {key!r} "
                     f"(known: {sorted(PLATFORM_FIELDS)})")
+        # The base platform checks its own values, so a bad one fails here
+        # and not once the run has started.
+        Platform(**self.platform_dict())
         self._validate_chunking()
         if not isinstance(self.jobs, int) or isinstance(self.jobs, bool):
             raise ConfigurationError(f"jobs: expected int, got {self.jobs!r}")

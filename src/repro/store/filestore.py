@@ -2,9 +2,9 @@
 
 Every entry lives in one SQLite database in the cache directory, under a
 subdirectory named after the store format
-(:data:`~repro.store.keys.STORE_FORMAT`, so ``v3`` today)::
+(:data:`~repro.store.keys.STORE_FORMAT`, so ``v4`` today)::
 
-    <root>/v3/results.sqlite     # plus its -wal and -shm files while open
+    <root>/v4/results.sqlite     # plus its -wal and -shm files while open
 
 One row per entry holds the cell digest (the primary key), the variant and
 trace digest (provenance), the canonical payload JSON, a checksum over the

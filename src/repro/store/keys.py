@@ -40,7 +40,9 @@ from repro.dimemas.platform import Platform
 #: (src, dst, tag, pair) order, changing ``mean_transfer_time`` bytes.
 #: 3: network time aggregates are exactly rounded sums, changing the
 #: ``mean_*_time`` bytes of event results too.
-STORE_FORMAT = 3
+#: 4: the removed CPU-contention flag left every platform fingerprint, so
+#: every cell key changed.
+STORE_FORMAT = 4
 
 #: Canonical variant id of the non-overlapped execution.
 ORIGINAL_VARIANT = "original"

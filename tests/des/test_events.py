@@ -3,7 +3,7 @@
 import pytest
 
 from repro.des import Environment
-from repro.des.events import AllOf, AnyOf
+from repro.des.events import AllOf
 from repro.des.exceptions import EventAlreadyTriggered
 
 
@@ -121,15 +121,6 @@ class TestConditions:
         env.run()
         assert both.processed
         assert first in both.value and second in both.value
-
-    def test_any_of_fires_on_first(self):
-        env = Environment()
-        fast, slow = env.timeout(1.0), env.timeout(50.0)
-        either = AnyOf(env, [fast, slow])
-        env.run(until=either)
-        assert env.now == pytest.approx(1.0)
-        assert fast in either.value
-        assert slow not in either.value
 
     def test_empty_all_of_triggers_immediately(self):
         env = Environment()

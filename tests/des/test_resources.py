@@ -1,9 +1,21 @@
-"""Unit tests for resources, stores and containers."""
+"""Unit tests for resources."""
 
 import pytest
 
-from repro.des import Container, Environment, Resource, Store
+from repro.des import Environment, Resource
+from repro.des.events import PRIORITY_URGENT
 from repro.des.resources import InfiniteResource
+
+
+class Token:
+    """A slot holder that is not a Request: it records each grant."""
+
+    def __init__(self):
+        self.grants = []
+
+    def succeed(self, value, priority):
+        assert priority == PRIORITY_URGENT
+        self.grants.append(value)
 
 
 class TestResource:
@@ -76,6 +88,19 @@ class TestResource:
         env.run()
         assert order == ["first", "second", "third"]
 
+    def test_a_plain_token_is_granted_queued_and_handed_a_slot(self):
+        # Any object with an event-style succeed() can hold a slot.
+        env = Environment()
+        resource = Resource(env, capacity=1)
+        first, second, third = Token(), Token(), Token()
+        for token in (first, second, third):
+            resource.acquire(token)
+        assert first.grants == [resource] and not second.grants
+        resource.release(third)  # withdrawn while queued
+        resource.release(first)
+        assert second.grants == [resource] and not third.grants
+        assert (resource.count, resource.queue_length) == (1, 0)
+
     def test_contention_serializes_time(self):
         env = Environment()
         resource = Resource(env, capacity=1)
@@ -111,79 +136,11 @@ class TestInfiniteResource:
         resource.release(request)
         assert resource.count == 0
 
-
-class TestStore:
-    def test_put_then_get(self):
+    def test_a_plain_token_is_granted_at_once(self):
         env = Environment()
-        store = Store(env)
-        store.put("item")
-        get = store.get()
-        env.run()
-        assert get.value == "item"
-
-    def test_get_blocks_until_put(self):
-        env = Environment()
-        store = Store(env)
-        results = []
-
-        def consumer():
-            value = yield store.get()
-            results.append((env.now, value))
-
-        def producer():
-            yield env.timeout(4.0)
-            store.put("late")
-
-        env.process(consumer())
-        env.process(producer())
-        env.run()
-        assert results == [(4.0, "late")]
-
-    def test_fifo_item_order(self):
-        env = Environment()
-        store = Store(env)
-        for index in range(3):
-            store.put(index)
-        values = [store.get(), store.get(), store.get()]
-        env.run()
-        assert [get.value for get in values] == [0, 1, 2]
-
-    def test_items_property(self):
-        env = Environment()
-        store = Store(env)
-        store.put("a")
-        store.put("b")
-        assert store.items == ["a", "b"]
-
-
-class TestContainer:
-    def test_initial_level_validation(self):
-        env = Environment()
-        with pytest.raises(ValueError):
-            Container(env, init=-1.0)
-        with pytest.raises(ValueError):
-            Container(env, init=5.0, capacity=1.0)
-
-    def test_get_waits_for_level(self):
-        env = Environment()
-        container = Container(env, init=1.0)
-        get = container.get(3.0)
-        env.run()
-        assert not get.triggered
-        container.put(2.5)
-        env.run()
-        assert get.processed
-
-    def test_put_respects_capacity(self):
-        env = Environment()
-        container = Container(env, init=0.0, capacity=2.0)
-        container.put(10.0)
-        assert container.level == 2.0
-
-    def test_negative_amounts_rejected(self):
-        env = Environment()
-        container = Container(env)
-        with pytest.raises(ValueError):
-            container.put(-1.0)
-        with pytest.raises(ValueError):
-            container.get(-1.0)
+        resource = InfiniteResource(env)
+        tokens = [Token() for _ in range(3)]
+        for token in tokens:
+            resource.acquire(token)
+        assert [token.grants for token in tokens] == [[resource]] * 3
+        assert resource.count == 3

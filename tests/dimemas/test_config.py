@@ -3,6 +3,8 @@
 import pytest
 
 from repro.dimemas.config import (
+    PLATFORM_FIELDS,
+    REMOVED_PLATFORM_FIELDS,
     config_to_platform,
     load_platform,
     platform_to_config,
@@ -17,7 +19,7 @@ class TestConfigRoundTrip:
         platform = Platform(name="mn-like", relative_cpu_speed=2.0, latency=1e-6,
                             bandwidth_mbps=1000.0, num_buses=4, input_links=2,
                             output_links=2, eager_threshold=32768,
-                            processors_per_node=4, cpu_contention=True)
+                            processors_per_node=4)
         rebuilt = config_to_platform(platform_to_config(platform))
         assert rebuilt == platform
 
@@ -62,9 +64,18 @@ class TestParsing:
         assert platform.bandwidth_mbps == 10.0
         assert platform.latency == 1e-6
 
-    def test_boolean_parsing(self):
-        assert config_to_platform("cpu_contention = true").cpu_contention
-        assert not config_to_platform("cpu_contention = false").cpu_contention
+    @pytest.mark.parametrize("value", ["true", "false"])
+    def test_removed_cpu_contention_is_named(self, value):
+        with pytest.raises(ConfigurationError,
+                           match="line 2: platform field 'cpu_contention' "
+                                 "was removed: a node never hosts more ranks"):
+            config_to_platform(f"latency = 1e-6\ncpu_contention = {value}")
+
+    def test_removed_fields_are_no_platform_fields(self):
+        for field, message in REMOVED_PLATFORM_FIELDS.items():
+            assert field not in PLATFORM_FIELDS
+            assert field not in Platform.__dataclass_fields__
+            assert message.startswith(f"platform field {field!r} was removed: ")
 
     def test_unknown_field_rejected(self):
         with pytest.raises(ConfigurationError):

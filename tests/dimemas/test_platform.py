@@ -1,6 +1,7 @@
 """Unit tests for the platform description."""
 
 import re
+from collections import Counter
 
 import pytest
 
@@ -53,14 +54,6 @@ class TestPlatformValidation:
     def test_number_fields_are_the_serialized_float_fields(self):
         assert sorted(NUMBER_FIELDS) == sorted(
             name for name, kind in PLATFORM_FIELDS.items() if kind is float)
-
-    @pytest.mark.parametrize("value", ["false", "true", 0, 1, None])
-    def test_cpu_contention_takes_only_a_boolean(self, value):
-        # A non-empty string is truthy: "false" would turn contention on.
-        with pytest.raises(ConfigurationError,
-                           match=f"cpu_contention must be a boolean, "
-                                 f"got {value!r}"):
-            Platform(cpu_contention=value)
 
     @pytest.mark.parametrize("value", [5, True, None, ["a"]])
     def test_name_takes_only_a_string(self, value):
@@ -127,6 +120,16 @@ class TestNodeMapping:
     def test_negative_rank_rejected(self):
         with pytest.raises(ConfigurationError):
             Platform().node_of(-1)
+
+    def test_a_node_never_hosts_more_ranks_than_processors(self):
+        # The replay gives every rank a processor of its own on this.
+        for processors in range(1, 6):
+            platform = Platform(processors_per_node=processors)
+            for num_ranks in range(1, 18):
+                hosted = Counter(platform.node_of(r) for r in range(num_ranks))
+                assert max(hosted.values()) <= processors
+                assert sorted(hosted) == list(
+                    range(platform.num_nodes(num_ranks)))
 
 
 class TestCopies:

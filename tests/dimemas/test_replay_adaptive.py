@@ -4,9 +4,9 @@ The adaptive backend (``replay_backend="adaptive"``) classifies a cell
 and replays it without DES events: proven contention-free cells that
 record no timeline ride the lane walk (at width 1), every other
 fast-forwardable cell rides the paced walk, and cells it cannot
-fast-forward (decomposed collectives, CPU contention, defective traces)
-run the event backend's own walk.  Its contract is exactness: it replays
-the same run as the event backend, and these tests pin that contract:
+fast-forward (decomposed collectives, defective traces) run the event
+backend's own walk.  Its contract is exactness: it replays the same run
+as the event backend, and these tests pin that contract:
 
 * every registered app, original and overlapped, on contended and on
   *proven* contention-free cells (no finite buses or links, or an ideal
@@ -147,6 +147,14 @@ class TestPlatformCorners:
         self._assert_fast_forward_exact(
             _trace("nas-cg"), Platform.ideal_network())
 
+    def test_ranks_sharing_nodes(self):
+        # Four ranks per node with mixed intra- and internode traffic: no
+        # longer a fallback cause once bursts never wait for a processor.
+        self._assert_fast_forward_exact(
+            _trace("nas-bt"),
+            Platform(bandwidth_mbps=100.0, processors_per_node=4,
+                     intranode_bandwidth_mbps=1000.0))
+
     def test_equal_intranode_timing(self):
         # Intranode and internode transfers of the same size complete at
         # the same instant: adversarial for any reordering of same-time
@@ -194,12 +202,13 @@ class TestDesFallbackCorners:
                      topology="torus:torus_width=2"))
         assert "decomposed collectives" in reason
 
-    def test_cpu_contention_with_intranode_traffic(self):
+    def test_decomposed_collectives_with_intranode_traffic(self):
         reason = self._assert_fallback_exact(
             _trace("nas-bt"),
             Platform(bandwidth_mbps=100.0, processors_per_node=4,
-                     cpu_contention=True, intranode_bandwidth_mbps=1000.0))
-        assert "CPU contention" in reason
+                     collective_model="decomposed",
+                     intranode_bandwidth_mbps=1000.0))
+        assert "decomposed collectives" in reason
 
 
 class TestAcrossCollectiveModels:
@@ -217,15 +226,14 @@ class TestAcrossCollectiveModels:
 
 
 class TestDesFallbackAcrossMechanisms:
-    """Overlapped traces of every pattern and mechanism, on both DES-fallback
-    causes that a well-formed trace can hit: CPU contention with mixed
-    intra- and internode traffic, and decomposed collectives on a tree."""
+    """Overlapped traces of every pattern and mechanism on the DES-fallback
+    cause a well-formed trace can hit: decomposed collectives on a tree,
+    with mixed intra- and internode traffic."""
 
     FALLBACK_PLATFORMS = (
-        Platform(bandwidth_mbps=250.0, processors_per_node=2,
-                 cpu_contention=True, intranode_bandwidth_mbps=1000.0),
         Platform(bandwidth_mbps=250.0, topology="tree:radix=2",
-                 collective_model="decomposed"),
+                 collective_model="decomposed", processors_per_node=2,
+                 intranode_bandwidth_mbps=1000.0),
     )
 
     @pytest.mark.parametrize("mechanism", MECHANISMS)

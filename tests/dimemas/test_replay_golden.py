@@ -118,11 +118,11 @@ class TestGoldenPlatformCorners:
             Platform(bandwidth_mbps=25.0, num_buses=1, input_links=1,
                      output_links=1))
 
-    def test_intranode_with_cpu_contention(self):
+    def test_intranode_traffic(self):
         _assert_identical(
             _trace("nas-bt"),
             Platform(bandwidth_mbps=100.0, processors_per_node=4,
-                     cpu_contention=True, intranode_bandwidth_mbps=1000.0))
+                     intranode_bandwidth_mbps=1000.0))
 
     def test_ideal_network(self):
         _assert_identical(_trace("nas-cg"), Platform.ideal_network())

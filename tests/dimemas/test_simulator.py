@@ -52,6 +52,15 @@ class TestComputeOnly:
         result = simulate(trace, Platform())
         assert result.total_time == pytest.approx(0.005)
 
+    def test_ranks_sharing_a_node_compute_at_once(self, simulate):
+        # A node hosts one rank per processor, so four ranks on one node
+        # run their bursts side by side: no burst waits for another.
+        trace = _trace([[CpuBurst(instructions=3.0e6)]] * 4)
+        result = simulate(trace, Platform(processors_per_node=4))
+        assert result.total_time == pytest.approx(0.003)
+        assert [rank.compute_time for rank in result.ranks] == [
+            pytest.approx(0.003)] * 4
+
 
 class TestPointToPoint:
     def _pingpong(self, size):

@@ -92,6 +92,22 @@ class TestValidation:
         with pytest.raises(ConfigurationError, match="platform field"):
             ExperimentSpec(apps=("a",), platform={"warp_factor": 9})
 
+    @pytest.mark.parametrize("value", [True, False])
+    def test_removed_cpu_contention_is_named(self, value):
+        with pytest.raises(ConfigurationError,
+                           match="platform field 'cpu_contention' was "
+                                 "removed: a node never hosts more ranks"):
+            ExperimentSpec(apps=("a",), platform={"cpu_contention": value})
+
+    @pytest.mark.parametrize("platform, message", [
+        ({"latency": "1e-6"}, "latency must be a number, got '1e-6'"),
+        ({"name": 5}, "name must be a string, got 5"),
+    ])
+    def test_bad_platform_value_fails_when_the_spec_is_built(self, platform,
+                                                             message):
+        with pytest.raises(ConfigurationError, match=message):
+            ExperimentSpec(apps=("a",), platform=platform)
+
     def test_chunking_validation(self):
         with pytest.raises(ConfigurationError, match="policy"):
             ExperimentSpec(apps=("a",), chunking={"count": 4})

@@ -1,11 +1,14 @@
 """Tests of the command-line interface."""
 
 import dataclasses
+import gc
 
 import pytest
 
+from repro import cli
 from repro.cli import _build_parser, _experiment_from_args, _make_platform, main
 from repro.dimemas.platform import Platform
+from repro.errors import ConfigurationError
 from repro.tracing.records import CpuBurst, SendRecord
 from repro.tracing.trace import RankTrace, Trace
 
@@ -15,6 +18,23 @@ class TestCli:
         assert main(["list-apps"]) == 0
         out = capsys.readouterr().out
         assert "nas-bt" in out and "sweep3d" in out
+
+    @pytest.mark.parametrize("fails", [False, True], ids=["ok", "error"])
+    def test_a_command_runs_with_the_collector_paused(self, monkeypatch,
+                                                      capsys, fails):
+        seen = []
+
+        def command(args):
+            seen.append(gc.isenabled())
+            if fails:
+                raise ConfigurationError("bad value")
+            return 0
+
+        monkeypatch.setitem(cli._COMMANDS, "list-apps", command)
+        assert main(["list-apps"]) == (1 if fails else 0)
+        assert seen == [False]
+        assert gc.isenabled()
+        assert ("error: bad value" in capsys.readouterr().err) == fails
 
     def test_study_command(self, capsys):
         code = main(["study", "--app", "sancho-loop", "--ranks", "4",
@@ -348,6 +368,7 @@ count = 4
         captured = capsys.readouterr()
         assert "error: latency must be a number, got '1e-6'" in captured.err
         assert "Traceback" not in captured.err
+        assert captured.out == ""  # not announced as loaded first
 
     def test_run_rejects_a_platform_name_that_is_not_a_string(self, tmp_path,
                                                                capsys):
@@ -356,6 +377,16 @@ count = 4
         captured = capsys.readouterr()
         assert "error: name must be a string, got 5" in captured.err
         assert "Traceback" not in captured.err
+        assert captured.out == ""
+
+    def test_run_rejects_a_removed_platform_field(self, tmp_path, capsys):
+        path = self._write(tmp_path, "\n[platform]\ncpu_contention = false\n")
+        assert main(["run", "--spec", str(path), "--no-cache"]) == 1
+        captured = capsys.readouterr()
+        assert ("error: platform field 'cpu_contention' was removed"
+                in captured.err)
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
 
     def test_run_rejects_a_string_jobs_count(self, tmp_path, capsys):
         path = tmp_path / "experiment.toml"

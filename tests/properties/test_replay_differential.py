@@ -9,22 +9,16 @@ every, some or no message rendezvous, one or two ranks per node, and the
 bandwidth, latency, MPI-overhead and CPU-speed scalars.  Networks with 0
 links (and 0 buses, on a flat network) have no limited resource, so their
 cells are proven and the metric-only adaptive replay takes the lane walk.
-Some cells use decomposed collectives or CPU contention, which the adaptive
-backend hands to the event walk.  Every cell must meet the contract of
-``tests/replay_contract.py``.
-
-A second property replays the same draws with CPU contention on, at 1, 2
-or 4 ranks per node, and checks that no burst ever waits for a CPU.
+Some cells use decomposed collectives, which the adaptive backend hands to
+the event walk; the drawn traces are all clean, so no other cell falls
+back.  Every cell must meet the contract of ``tests/replay_contract.py``.
 """
-
-import dataclasses
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.apps.registry import APPLICATIONS
 from repro.dimemas.platform import Platform
-from repro.dimemas.replay import ReplayEngine
 
 from replay_contract import VARIANTS, app_trace, assert_bit_exact
 
@@ -45,12 +39,8 @@ def platforms(draw):
     else:
         network = {"topology": f"torus:links={links}"}
     # Cells the adaptive backend cannot fast-forward run the event walk.
-    fallback = draw(st.sampled_from(
-        (None, None, None, None, "decomposed", "cpu_contention")))
-    if fallback == "decomposed":
-        network["collective_model"] = "decomposed"
-    elif fallback == "cpu_contention":
-        network["cpu_contention"] = True
+    network["collective_model"] = draw(st.sampled_from(
+        ("analytical",) * 4 + ("decomposed",)))
     return Platform(
         bandwidth_mbps=draw(st.floats(min_value=5.0, max_value=2000.0)),
         latency=draw(st.sampled_from((0.0, 1.0e-6, 5.0e-6, 5.0e-5))),
@@ -66,25 +56,7 @@ def platforms(draw):
        variant=st.sampled_from(VARIANTS), platform=platforms())
 def test_adaptive_replays_the_event_run(app, ranks, variant, platform):
     overlap, mechanism = variant
-    assert_bit_exact(app_trace(app, overlap, mechanism, ranks=ranks),
-                     platform)
-
-
-@settings(max_examples=40, deadline=None)
-@given(app=st.sampled_from(APPS), ranks=st.sampled_from((4, 8)),
-       variant=st.sampled_from(VARIANTS), platform=platforms(),
-       processors_per_node=st.sampled_from((1, 2, 4)))
-def test_cpu_contention_never_makes_a_burst_wait(app, ranks, variant,
-                                                 platform,
-                                                 processors_per_node):
-    # A node's CPU has one processor per rank placed on it, so a burst
-    # always finds one free.  The flag still reorders same-instant events,
-    # so the results are not compared with a flag-off replay.
-    overlap, mechanism = variant
-    platform = dataclasses.replace(
-        platform, cpu_contention=True, replay_backend="event",
-        processors_per_node=processors_per_node)
-    _, stats, _, _ = ReplayEngine(
-        app_trace(app, overlap, mechanism, ranks=ranks), platform,
-        collect_timeline=False).run()
-    assert [rank.cpu_queue_time for rank in stats] == [0.0] * ranks
+    engine = assert_bit_exact(
+        app_trace(app, overlap, mechanism, ranks=ranks), platform)
+    decomposed = platform.collective_model.kind == "decomposed"
+    assert (engine.adaptive_summary["mode"] == "des-fallback") == decomposed

@@ -116,7 +116,7 @@ class TestReplayBackendKeying:
     def test_event_keys_are_pinned(self):
         # Event keys must not move when adaptive-only knobs come or go.
         assert digest_of(salt="pin") == (
-            "1ed1ccb4e82c667d47e517eedc74000114d44f93832017b26ff56ccdf29d97ce")
+            "b696f7fef9e1f9f8c66c6f28ccdac31bb8d13f30ab8dcd8145657c6a3357451a")
 
 
 class TestVariantId:

@@ -10,7 +10,7 @@ import pytest
 
 from repro.dimemas.platform import Platform
 from repro.errors import StoreError
-from repro.store import CellKey, FileResultStore, open_store
+from repro.store import STORE_FORMAT, CellKey, FileResultStore, open_store
 from repro.store.serde import CACHED_RESULT_FIELDS, is_valid_payload
 
 TRACE_DIGEST = "c" * 64
@@ -221,6 +221,19 @@ class TestMaintenance:
             FileResultStore.existing(tmp_path)
         assert sorted(path.name for path in tmp_path.rglob("*")) == [
             "ab", "v3"]
+
+    def test_a_store_of_an_earlier_format_is_not_read(self, tmp_path):
+        # A format bump changes every cell key; the old database stays
+        # where it was and is neither read nor written.
+        with FileResultStore(tmp_path) as store:
+            store.put(make_key(), make_payload())
+        current = tmp_path / f"v{STORE_FORMAT}"
+        current.rename(tmp_path / f"v{STORE_FORMAT - 1}")
+        with pytest.raises(StoreError, match="no result cache"):
+            FileResultStore.existing(tmp_path)
+        with FileResultStore(tmp_path) as store:
+            assert store.get(make_key()) is None
+            assert store.stats().entries == 0
 
 
 #: The keys both writers of the two-process test write.
