@@ -12,8 +12,8 @@ contribution:
     communication records and the memory-access (production/consumption)
     patterns on communication buffers.
 ``repro.mpi``
-    Synthetic MPI abstractions: communicators, datatypes, requests,
-    topologies and a cross-rank trace-matching validator.
+    Synthetic MPI abstractions: datatypes, process topologies and a
+    cross-rank trace-matching validator.
 ``repro.apps``
     Parameterised synthetic application models (NAS BT, NAS CG, Sweep3D,
     POP, Alya, SPECFEM and a Sancho-style synthetic loop).
@@ -33,16 +33,28 @@ contribution:
     :class:`ExperimentSpec` (built fluently or loaded from JSON/TOML), one
     runner expanding the full apps x platform-grid x variants cross-product,
     one typed :class:`ExperimentResult`.
+
+``import repro`` loads none of these packages.  Every package namespace
+exports lazily (PEP 562): a public name such as ``repro.run_experiment``
+loads its defining module when it is first used, so a command loads only
+the modules it runs.
 """
 
+from repro._lazy import lazy_exports
 from repro._version import __version__
-from repro.core.environment import OverlapStudyEnvironment
-from repro.core.mechanisms import OverlapMechanism
-from repro.core.patterns import ComputationPattern
-from repro.dimemas.platform import Platform
-from repro.dimemas.simulator import DimemasSimulator
-from repro.experiments import Experiment, ExperimentResult, ExperimentSpec, run_experiment
-from repro.tracing.machine import TracingVirtualMachine
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".core.environment": ("OverlapStudyEnvironment",),
+    ".core.mechanisms": ("OverlapMechanism",),
+    ".core.patterns": ("ComputationPattern",),
+    ".dimemas.platform": ("Platform",),
+    ".dimemas.simulator": ("DimemasSimulator",),
+    ".experiments.builder": ("Experiment",),
+    ".experiments.result": ("ExperimentResult",),
+    ".experiments.runner": ("run_experiment",),
+    ".experiments.spec": ("ExperimentSpec",),
+    ".tracing.machine": ("TracingVirtualMachine",),
+})
 
 __all__ = [
     "__version__",

@@ -14,17 +14,13 @@ fail-fast precheck in :func:`repro.experiments.runner.run_experiment`, and
 the CI gate asserting every registered app analyzes clean.
 """
 
-from repro.analysis.diagnostics import (
-    CODES,
-    AnalysisReport,
-    CodeInfo,
-    Diagnostic,
-    Severity,
-    code_table,
-    format_defect,
-    location,
-)
-from repro.analysis.tracelint import ALL_RENDEZVOUS, analyze_trace
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".diagnostics": ("CODES", "AnalysisReport", "CodeInfo", "Diagnostic",
+                     "Severity", "code_table", "format_defect", "location"),
+    ".tracelint": ("ALL_RENDEZVOUS", "analyze_trace"),
+})
 
 __all__ = [
     "ALL_RENDEZVOUS",

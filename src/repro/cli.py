@@ -14,6 +14,10 @@ The CLI exposes the full pipeline from the terminal::
 experiment API (:mod:`repro.experiments`): the first two build an
 :class:`~repro.experiments.spec.ExperimentSpec` from their flags, ``run``
 loads one from a JSON/TOML file.
+
+The parser reads only the application registry, the platform defaults and
+the topology and collective-model kinds; each command imports what it runs,
+so ``list-apps`` or ``cache stats`` never loads the replay stack.
 """
 
 from __future__ import annotations
@@ -22,35 +26,31 @@ import argparse
 import contextlib
 import os
 import sys
-from typing import ContextManager, List, Optional
+from typing import ContextManager, List, Optional, TYPE_CHECKING
 
 from repro._version import __version__
-from repro.apps.registry import APPLICATIONS, PAPER_IDEAL_SPEEDUP_PERCENT
+from repro.apps.registry import (
+    APPLICATIONS,
+    PAPER_IDEAL_SPEEDUP_PERCENT,
+    create_application,
+)
 from repro.core.analysis import geometric_bandwidths
-from repro.core.environment import OverlapStudyEnvironment
 from repro.core.executor import collector_paused
-from repro.core.chunking import FixedCountChunking, FixedSizeChunking
-from repro.core.overlap import resolve_overlap_request
 from repro.core.reporting import format_table, network_table, sweep_table, topology_table
-from repro.dimemas.collectives import (
-    COLLECTIVE_MODELS,
+from repro.dimemas.collectives.base import (
+    MODEL_KINDS,
     CollectiveSpec,
     split_collective_list,
 )
 from repro.dimemas.platform import Platform
 from repro.dimemas.topology import TOPOLOGIES, TopologySpec, split_topology_list
-from repro.dimemas.simulator import DimemasSimulator
 from repro.errors import ReproError
-from repro.experiments import (
-    Experiment,
-    ExperimentSpec,
-    preview_experiment,
-    run_experiment,
-)
-from repro.analysis import AnalysisReport, analyze_trace
-from repro.paraver.prv import export_prv
-from repro.store import FileResultStore
 from repro.tracing.trace import Trace
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.analysis import AnalysisReport
+    from repro.experiments import Experiment, ExperimentSpec
+    from repro.store import FileResultStore
 
 #: Environment variable supplying the default ``--cache-dir``.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
@@ -265,6 +265,8 @@ def _open_cache(args: argparse.Namespace, existing: bool = False
     ``existing`` is for maintenance: the directory must be named and must
     already hold a store, which is then opened without creating anything.
     """
+    from repro.store import FileResultStore
+
     if getattr(args, "no_cache", False):
         return contextlib.nullcontext()
     cache_dir = getattr(args, "cache_dir", None) or os.environ.get(CACHE_DIR_ENV)
@@ -316,7 +318,7 @@ def _add_platform_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--collective-model", default=defaults.collective_model,
                         type=_parse_collective_model,
                         help="collective cost model: "
-                             f"{'|'.join(sorted(COLLECTIVE_MODELS))}, the "
+                             f"{'|'.join(sorted(MODEL_KINDS))}, the "
                              "latter optionally with per-operation "
                              "algorithm overrides like "
                              "'decomposed:bcast=ring,allreduce=binomial'")
@@ -370,6 +372,8 @@ def _platform_options(args: argparse.Namespace) -> dict:
 
 def _experiment_from_args(args: argparse.Namespace) -> Experiment:
     """The spec builder every replaying subcommand starts from."""
+    from repro.experiments import Experiment
+
     builder = (Experiment.for_app(args.app, **_app_options(args))
                .platform(**_platform_options(args))
                .jobs(args.jobs))
@@ -400,7 +404,9 @@ def _cmd_list_apps(_args: argparse.Namespace) -> int:
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
-    from repro.apps.registry import create_application
+    from repro.core.chunking import FixedCountChunking, FixedSizeChunking
+    from repro.core.environment import OverlapStudyEnvironment
+    from repro.core.overlap import resolve_overlap_request
 
     if args.mechanism is not None and not args.overlap:
         raise ReproError(
@@ -424,6 +430,8 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
+    from repro.analysis import analyze_trace
+    from repro.experiments import ExperimentSpec
     from repro.experiments.plan import analyze_tasks, plan_experiment
 
     if args.spec:
@@ -444,7 +452,10 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 def _check_apps(args: argparse.Namespace) -> AnalysisReport:
     """``check --app``/``--all-apps``: originals plus requested variants."""
-    from repro.apps.registry import create_application
+    from repro.analysis import AnalysisReport, analyze_trace
+    from repro.core.chunking import FixedCountChunking, FixedSizeChunking
+    from repro.core.environment import OverlapStudyEnvironment
+    from repro.core.overlap import resolve_overlap_request
 
     names = sorted(APPLICATIONS) if args.all_apps else [args.app]
     mechanisms = ([label.strip() for label in args.mechanisms.split(",")]
@@ -474,6 +485,8 @@ def _check_apps(args: argparse.Namespace) -> AnalysisReport:
 
 
 def _cmd_study(args: argparse.Namespace) -> int:
+    from repro.experiments import run_experiment
+
     spec = _experiment_from_args(args).mechanism(args.mechanism).build()
     with _open_cache(args) as store:
         if store is not None:
@@ -491,6 +504,8 @@ def _cmd_study(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    from repro.experiments import run_experiment
+
     builder = _experiment_from_args(args)
     builder.bandwidths(geometric_bandwidths(
         args.min_bandwidth, args.max_bandwidth, args.samples))
@@ -610,6 +625,8 @@ def _profiled(path, call):
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    from repro.experiments import ExperimentSpec, run_experiment
+
     spec = ExperimentSpec.from_file(args.spec)
     if args.jobs is not None:
         spec = spec.with_jobs(args.jobs)
@@ -648,6 +665,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _print_dry_run(spec: ExperimentSpec,
                    store: Optional[FileResultStore]) -> int:
     """``run --dry-run``: the expanded grid and its cache status, no replays."""
+    from repro.experiments import preview_experiment
+
     preview = preview_experiment(spec, store=store)
     rows = [[key.short(), _task_cell_label(task), preview.statuses[task.index]]
             for task, key in zip(preview.plan.tasks, preview.keys)]
@@ -702,6 +721,9 @@ def _cmd_cache(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    from repro.dimemas.simulator import DimemasSimulator
+    from repro.paraver.prv import export_prv
+
     trace = Trace.load(args.trace)
     platform = _make_platform(args)
     result = _profiled(args.profile,

@@ -20,20 +20,20 @@ Sweeps, grids and ablations are experiment specs run by
 :func:`repro.experiments.run_experiment`.
 """
 
-from repro.core.analysis import (
-    BandwidthSweep,
-    SweepPoint,
-    bandwidth_reduction_factor,
-    sancho_overlap_bound,
-    speedup,
-)
-from repro.core.chunking import Chunk, ChunkingPolicy, FixedCountChunking, FixedSizeChunking
-from repro.core.environment import OverlapStudyEnvironment
-from repro.core.executor import SweepExecutor, SweepTask, SweepTaskResult
-from repro.core.mechanisms import OverlapMechanism
-from repro.core.overlap import OverlapTransformer
-from repro.core.patterns import ComputationPattern
-from repro.core.study import OverlapStudy, batch_study
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".analysis": ("BandwidthSweep", "SweepPoint", "bandwidth_reduction_factor",
+                  "sancho_overlap_bound", "speedup"),
+    ".chunking": ("Chunk", "ChunkingPolicy", "FixedCountChunking",
+                  "FixedSizeChunking"),
+    ".environment": ("OverlapStudyEnvironment",),
+    ".executor": ("SweepExecutor", "SweepTask", "SweepTaskResult"),
+    ".mechanisms": ("OverlapMechanism",),
+    ".overlap": ("OverlapTransformer",),
+    ".patterns": ("ComputationPattern",),
+    ".study": ("OverlapStudy", "batch_study"),
+})
 
 __all__ = [
     "batch_study",

@@ -17,7 +17,6 @@ from typing import Iterable, Optional, TYPE_CHECKING
 from repro.core.chunking import ChunkingPolicy, FixedSizeChunking
 from repro.core.mechanisms import OverlapMechanism
 from repro.core.patterns import ComputationPattern
-from repro.core.study import OverlapStudy
 from repro.dimemas.platform import Platform
 from repro.dimemas.results import SimulationResult
 from repro.dimemas.simulator import DimemasSimulator
@@ -26,6 +25,7 @@ from repro.tracing.trace import Trace
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.apps.base import ApplicationModel
+    from repro.core.study import OverlapStudy
 
 
 class OverlapStudyEnvironment:

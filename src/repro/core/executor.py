@@ -29,7 +29,6 @@ import gc
 import inspect
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import (
     Any,
@@ -45,16 +44,17 @@ from typing import (
 )
 
 from repro.core.analysis import ORIGINAL, SweepPoint
-from repro.dimemas.gridreplay import replay_cohort
 from repro.dimemas.platform import Platform
 from repro.dimemas.results import SimulationResult
-from repro.dimemas.simulator import DimemasSimulator
-from repro.dimemas.windows import export_facts, seed_facts
 from repro.errors import AnalysisError, ConfigurationError
 from repro.store.serde import payload_of
 from repro.tracing.trace import Trace
 
+# The replay stack and the worker pool load where they run (a fully warm
+# run replays nothing; a serial run starts no pool), so planning, the
+# result store and a warm run import none of them.
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.dimemas.simulator import DimemasSimulator
     from repro.store.base import ResultStore
     from repro.store.keys import CellKey
 
@@ -231,7 +231,9 @@ def _simulate(task: SweepTask, trace: Trace,
               simulator: Optional[DimemasSimulator],
               collect_timeline: bool) -> SimulationResult:
     """Replay one task, honouring a custom simulator when one is supplied."""
-    simulator = simulator or DimemasSimulator(task.platform)
+    if not simulator:
+        from repro.dimemas.simulator import DimemasSimulator
+        simulator = DimemasSimulator(task.platform)
     if _supports_collect_timeline(simulator):
         return simulator.simulate(trace, platform=task.platform,
                                   label=task.label,
@@ -287,6 +289,8 @@ def _run_cohort(cohort: CohortTask, trace: Trace) -> List[SweepTaskResult]:
     batch time divided by the width -- the aggregate sweep timing stays
     truthful and cached rows keep a meaningful per-cell cost.
     """
+    from repro.dimemas.gridreplay import replay_cohort
+
     tasks = cohort.tasks
     start = time.perf_counter()
     results = replay_cohort(trace, [task.platform for task in tasks],
@@ -342,6 +346,7 @@ def _init_worker(table: Dict[str, Dict[str, Any]],
         # Classification facts the parent already proved, keyed by
         # content digest: seeding them means no worker re-runs the
         # symbolic matchability proof for a trace the parent classified.
+        from repro.dimemas.windows import seed_facts
         seed_facts(facts)
 
 
@@ -496,6 +501,7 @@ class SweepExecutor:
                 raise AnalysisError(
                     "cohort batch tasks are metric-only; expand them into "
                     "per-cell tasks for full results")
+            from repro.dimemas.simulator import DimemasSimulator
             if simulator is not None and type(simulator) is not DimemasSimulator:
                 raise AnalysisError(
                     "cohort batch tasks replay through the stock simulator; "
@@ -534,6 +540,10 @@ class SweepExecutor:
             if cohorts_present:
                 results.sort(key=lambda result: result.index)
             return results
+        from concurrent.futures import ProcessPoolExecutor
+
+        from repro.dimemas.windows import export_facts
+
         table = {key: trace.to_dict() for key, trace in traces.items()}
         # Ship the classification facts the parent has (or can cheaply
         # re-derive from its memo) for every adaptive cell, so no worker

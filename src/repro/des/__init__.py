@@ -7,10 +7,14 @@ events, and resources provide contention points (the Dimemas network model
 uses them for buses and per-node links).
 """
 
-from repro.des.events import AllOf, Condition, Event, Timeout
-from repro.des.core import Environment, Process
-from repro.des.exceptions import DesError, StopProcess
-from repro.des.resources import Resource
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".events": ("AllOf", "Condition", "Event", "Timeout"),
+    ".core": ("Environment", "Process"),
+    ".exceptions": ("DesError", "StopProcess"),
+    ".resources": ("Resource",),
+})
 
 __all__ = [
     "AllOf",

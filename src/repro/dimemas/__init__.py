@@ -2,7 +2,7 @@
 
 Dimemas reconstructs the time behaviour of an MPI application on a
 configurable parallel platform from per-process trace files.  This package
-implements that machine model from scratch on top of :mod:`repro.des`:
+implements that machine model from scratch:
 
 * :mod:`repro.dimemas.platform`    -- the platform description (CPU speed,
   latency, bandwidth, buses, per-node links, eager threshold, mapping);
@@ -20,26 +20,26 @@ implements that machine model from scratch on top of :mod:`repro.des`:
 * :mod:`repro.dimemas.replay`      -- the per-rank replay processes;
 * :mod:`repro.dimemas.results`     -- per-rank statistics and aggregates;
 * :mod:`repro.dimemas.simulator`   -- the facade (`DimemasSimulator`).
+
+The package's public names export lazily.  The platform description, its
+topology and collective-model specs and the result types import without
+the replay engine; the walks and the :mod:`repro.des` kernel they run on
+load with the first replay.
 """
 
-from repro.dimemas.collectives import (
-    COLLECTIVE_MODELS,
-    AnalyticalModel,
-    CollectiveModel,
-    CollectiveSpec,
-    DecomposedModel,
-)
-from repro.dimemas.platform import Platform
-from repro.dimemas.results import RankStats, SimulationResult
-from repro.dimemas.simulator import DimemasSimulator
-from repro.dimemas.topology import (
-    TOPOLOGIES,
-    FlatBus,
-    HierarchicalTree,
-    NetworkModel,
-    TopologySpec,
-    Torus2D,
-)
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".collectives.analytical": ("AnalyticalModel",),
+    ".collectives.base": ("CollectiveModel", "CollectiveSpec"),
+    ".collectives.decomposed": ("DecomposedModel",),
+    ".collectives.registry": ("COLLECTIVE_MODELS",),
+    ".platform": ("Platform",),
+    ".results": ("RankStats", "SimulationResult"),
+    ".simulator": ("DimemasSimulator",),
+    ".topology": ("TOPOLOGIES", "FlatBus", "HierarchicalTree", "NetworkModel",
+                  "TopologySpec", "Torus2D"),
+})
 
 __all__ = [
     "AnalyticalModel",

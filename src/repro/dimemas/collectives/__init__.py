@@ -15,63 +15,27 @@ views behind one interface:
   schedules (binomial tree, ring, recursive doubling, pairwise exchange);
 * :mod:`~repro.dimemas.collectives.decomposed`  -- the backend that
   executes those schedules through the network fabric, making collective
-  cost topology-dependent and contended.
+  cost topology-dependent and contended;
+* :mod:`~repro.dimemas.collectives.registry`    -- the registry of the
+  selectable model kinds and :func:`build_collective_model`.
 
 The long-standing module-level helpers (``collective_duration``,
 ``point_to_point_time``) keep their import path:
 ``from repro.dimemas.collectives import collective_duration``.
 """
 
-from __future__ import annotations
+from repro._lazy import lazy_exports
 
-from typing import Dict, Type, TYPE_CHECKING
-
-from repro.dimemas.collectives.analytical import (
-    AnalyticalModel,
-    collective_duration,
-    point_to_point_time,
-)
-from repro.dimemas.collectives.base import (
-    ANALYTICAL,
-    DECOMPOSED,
-    CollectiveModel,
-    CollectiveSpec,
-    MODEL_KINDS,
-    split_collective_list,
-)
-from repro.dimemas.collectives.decomposed import DecomposedModel
-from repro.dimemas.collectives.schedules import (
-    ALGORITHMS,
-    DEFAULT_ALGORITHMS,
-    build_schedule,
-    supported_algorithms,
-)
-from repro.errors import ConfigurationError
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.des import Environment
-    from repro.dimemas.network import NetworkFabric
-    from repro.dimemas.platform import Platform
-
-#: Registry of the selectable collective-model kinds.
-COLLECTIVE_MODELS: Dict[str, Type[CollectiveModel]] = {
-    ANALYTICAL: AnalyticalModel,
-    DECOMPOSED: DecomposedModel,
-}
-
-
-def build_collective_model(env: "Environment", platform: "Platform",
-                           num_ranks: int,
-                           fabric: "NetworkFabric" = None) -> CollectiveModel:
-    """Instantiate the model selected by ``platform.collective_model``."""
-    try:
-        model = COLLECTIVE_MODELS[platform.collective_model.kind]
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown collective model {platform.collective_model.kind!r} "
-            f"(choose from {sorted(COLLECTIVE_MODELS)})") from None
-    return model(env, platform, num_ranks, fabric)
-
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".analytical": ("AnalyticalModel", "collective_duration",
+                    "point_to_point_time"),
+    ".base": ("ANALYTICAL", "DECOMPOSED", "CollectiveModel", "CollectiveSpec",
+              "MODEL_KINDS", "split_collective_list"),
+    ".decomposed": ("DecomposedModel",),
+    ".registry": ("COLLECTIVE_MODELS", "build_collective_model"),
+    ".schedules": ("ALGORITHMS", "DEFAULT_ALGORITHMS", "build_schedule",
+                   "supported_algorithms"),
+})
 
 __all__ = [
     "ALGORITHMS",

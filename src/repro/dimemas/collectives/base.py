@@ -43,8 +43,8 @@ if TYPE_CHECKING:  # pragma: no cover
 ANALYTICAL = "analytical"
 DECOMPOSED = "decomposed"
 
-#: The kinds ``CollectiveSpec.kind`` accepts (registry of model classes is
-#: assembled in the package ``__init__`` to keep this module import-light).
+#: The kinds ``CollectiveSpec.kind`` accepts (the registry of model classes
+#: is in ``registry.py``, which keeps this module import-light).
 MODEL_KINDS = (ANALYTICAL, DECOMPOSED)
 
 

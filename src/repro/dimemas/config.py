@@ -14,10 +14,14 @@ can be stored alongside experiments and passed around the CLI::
     output_links       = 1
     eager_threshold    = 65536
     processors_per_node = 1
+
+A ``#`` starts a comment only at the start of a line or after whitespace,
+so a value may contain one (``name = rack#2``).
 """
 
 from __future__ import annotations
 
+import re
 from pathlib import Path
 from typing import Dict, Union
 
@@ -64,8 +68,24 @@ REMOVED_PLATFORM_FIELDS = {
 }
 
 
+#: Where a comment starts: a ``#`` that opens the line or follows whitespace.
+_COMMENT = re.compile(r"(?:^|\s)#")
+
+
+def _uncommented(line: str) -> str:
+    """``line`` without its comment and surrounding whitespace."""
+    match = _COMMENT.search(line)
+    return (line if match is None else line[:match.start()]).strip()
+
+
 def platform_to_config(platform: Platform) -> str:
-    """Render ``platform`` as the text of a configuration file."""
+    """Render ``platform`` as the text of a configuration file.
+
+    Raises :class:`ConfigurationError`, naming the field, for a value that
+    would not read back unchanged: one holding a line break, starting or
+    ending with whitespace, starting with ``#`` or holding a ``#`` after
+    whitespace.
+    """
     lines = ["# dimemas-like platform description"]
     for field in _FIELDS:
         value = getattr(platform, field)
@@ -73,7 +93,15 @@ def platform_to_config(platform: Platform) -> str:
             value = platform.topology.to_string()
         elif field == "collective_model":
             value = platform.collective_model.to_string()
-        lines.append(f"{field} = {value}")
+        line = f"{field} = {value}"
+        if (line.splitlines() != [line]
+                or _uncommented(line).partition("=")[2].strip() != str(value)):
+            raise ConfigurationError(
+                f"platform field {field!r} cannot be written to a config "
+                f"file: {str(value)!r} would not read back (a value cannot "
+                f"hold a line break, start or end with whitespace, start "
+                f"with '#' or hold a '#' after whitespace)")
+        lines.append(line)
     return "\n".join(lines) + "\n"
 
 
@@ -81,7 +109,7 @@ def config_to_platform(text: str) -> Platform:
     """Parse configuration text into a :class:`Platform`."""
     values: Dict[str, object] = {}
     for line_number, raw_line in enumerate(text.splitlines(), start=1):
-        line = raw_line.split("#", 1)[0].strip()
+        line = _uncommented(raw_line)
         if not line:
             continue
         if "=" not in line:

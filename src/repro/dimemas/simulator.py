@@ -5,7 +5,6 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.dimemas.platform import Platform
-from repro.dimemas.replay import ReplayEngine
 from repro.dimemas.results import SimulationResult
 from repro.tracing.trace import Trace
 
@@ -32,6 +31,9 @@ class DimemasSimulator:
         (the returned timeline is empty, every metric is bit-identical);
         ``None`` falls back to the simulator's default.
         """
+        # The replay stack loads with the first replay, not with the facade.
+        from repro.dimemas.replay import ReplayEngine
+
         platform = platform or self.platform
         if collect_timeline is None:
             collect_timeline = self.collect_timeline

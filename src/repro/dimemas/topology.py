@@ -37,14 +37,14 @@ import math
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Tuple, TYPE_CHECKING, Type, Union
 
-from repro.des import Environment, Resource
-from repro.des.resources import InfiniteResource
 from repro.errors import ConfigurationError
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.des import Environment, Resource
+    from repro.des.resources import InfiniteResource
     from repro.dimemas.platform import Platform
 
-LinkResource = Union[Resource, InfiniteResource]
+    LinkResource = Union[Resource, InfiniteResource]
 
 #: Names of the available topology kinds (the ``--topology`` choices).
 FLAT = "flat"
@@ -188,16 +188,23 @@ class NetworkModel:
     kind: str = "abstract"
 
     def __init__(self, env: Environment, platform: "Platform", num_ranks: int):
+        # The DES kernel loads with the first model built, not with the
+        # specs a platform carries.  The classes are bound once per model,
+        # not imported in _make_resource, which runs for every link.
+        from repro.des.resources import InfiniteResource, Resource
+
         self.env = env
         self.platform = platform
         self.spec = platform.topology
         self.num_nodes = platform.num_nodes(num_ranks)
         self._routes: Dict[Tuple[int, int], List[Hop]] = {}
+        self._resource_types = (InfiniteResource, Resource)
 
     def _make_resource(self, capacity: int, name: str) -> LinkResource:
+        unlimited, limited = self._resource_types
         if capacity == 0:
-            return InfiniteResource(self.env, name=name)
-        return Resource(self.env, capacity=capacity, name=name)
+            return unlimited(self.env, name=name)
+        return limited(self.env, capacity=capacity, name=name)
 
     def route(self, src_node: int, dst_node: int) -> List[Hop]:
         """Ordered hops a message crosses from ``src_node`` to ``dst_node``.

@@ -25,24 +25,16 @@ The runner stays bit-identical to the pre-redesign drivers, ``jobs > 1``
 included.
 """
 
-from repro.experiments.builder import Experiment, log_spaced
-from repro.experiments.plan import (
-    ExperimentPlan,
-    analyze_tasks,
-    plan_experiment,
-)
-from repro.experiments.result import (
-    CellDims,
-    ExperimentCell,
-    ExperimentResult,
-    TaskProvenance,
-)
-from repro.experiments.runner import (
-    ExperimentPreview,
-    preview_experiment,
-    run_experiment,
-)
-from repro.experiments.spec import CHUNKING_POLICIES, ExperimentSpec, load_spec
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".builder": ("Experiment", "log_spaced"),
+    ".plan": ("ExperimentPlan", "analyze_tasks", "plan_experiment"),
+    ".result": ("CellDims", "ExperimentCell", "ExperimentResult",
+                "TaskProvenance"),
+    ".runner": ("ExperimentPreview", "preview_experiment", "run_experiment"),
+    ".spec": ("CHUNKING_POLICIES", "ExperimentSpec", "load_spec"),
+})
 
 __all__ = [
     "CHUNKING_POLICIES",

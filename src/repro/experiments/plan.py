@@ -27,8 +27,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
+from repro.apps.registry import create_application
 from repro.core.analysis import ORIGINAL
 from repro.core.chunking import ChunkingPolicy, FixedCountChunking, FixedSizeChunking
+from repro.core.environment import OverlapStudyEnvironment
 from repro.core.executor import CohortTask, SweepTask, validate_variant_labels
 from repro.core.mechanisms import OverlapMechanism
 from repro.core.patterns import ComputationPattern
@@ -41,7 +43,6 @@ from repro.tracing.trace import Trace
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.apps.base import ApplicationModel
-    from repro.core.environment import OverlapStudyEnvironment
 
 
 @dataclass(frozen=True)
@@ -93,7 +94,6 @@ def build_platform(spec: ExperimentSpec) -> Platform:
 
 def build_environment(spec: ExperimentSpec) -> "OverlapStudyEnvironment":
     """A study environment configured from the spec's platform and chunking."""
-    from repro.core.environment import OverlapStudyEnvironment
     return OverlapStudyEnvironment(platform=build_platform(spec),
                                    chunking=build_chunking(spec))
 
@@ -113,8 +113,6 @@ def create_apps(spec: ExperimentSpec) -> List[Tuple[str, "ApplicationModel"]]:
 
 
 def _create(name: str, options: Dict[str, object]) -> "ApplicationModel":
-    from repro.apps.registry import create_application
-
     return create_application(name, **options)
 
 

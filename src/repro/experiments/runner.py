@@ -40,7 +40,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING, Union
 
-from repro.analysis import AnalysisReport, analyze_trace
 from repro.core.analysis import BandwidthSweep
 from repro.core.executor import (
     SweepExecutor,
@@ -76,6 +75,7 @@ from repro.store import CellKey, ResultStore, open_store
 from repro.store.serde import result_kwargs
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.analysis.diagnostics import AnalysisReport
     from repro.apps.base import ApplicationModel
     from repro.core.environment import OverlapStudyEnvironment
 
@@ -181,6 +181,8 @@ def preview_experiment(spec: ExperimentSpec,
                 else ["hit" if key in store else "miss" for key in keys])
     lint = None
     if precheck:
+        from repro.analysis import AnalysisReport, analyze_trace
+
         thresholds = dict.fromkeys(
             p.eager_threshold for p in plan.flat_platforms)
         lint = AnalysisReport.merged(
@@ -291,15 +293,19 @@ def run_experiment(spec: ExperimentSpec,
                 f"replay started ({report.summary()}; rerun with "
                 f"precheck=False / --no-precheck to bypass):\n"
                 + report.render_text(), report=report)
-    units: Sequence[object] = missing
-    if not full_results and _stock_simulator(environment):
-        units = group_cohorts(missing, traces)
-    raw = executor.execute(
-        units, traces, full_results=full_results,
-        simulator=environment.simulator,
-        store=store if use_cache else None,
-        cache_keys=({task.index: keys[task.index] for task in missing}
-                    if use_cache else None))
+    raw: Sequence[object] = []
+    if missing:
+        # Grouping classifies every cell, which loads the replay stack; a
+        # fully warm run has nothing to group or execute.
+        units: Sequence[object] = missing
+        if not full_results and _stock_simulator(environment):
+            units = group_cohorts(missing, traces)
+        raw = executor.execute(
+            units, traces, full_results=full_results,
+            simulator=environment.simulator,
+            store=store if use_cache else None,
+            cache_keys=({task.index: keys[task.index] for task in missing}
+                        if use_cache else None))
     wall_seconds = time.perf_counter() - start
 
     # -- assemble ----------------------------------------------------------

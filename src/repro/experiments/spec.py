@@ -29,7 +29,6 @@ from repro.dimemas.config import PLATFORM_FIELDS, REMOVED_PLATFORM_FIELDS
 from repro.dimemas.platform import Platform
 from repro.dimemas.topology import TopologySpec
 from repro.errors import ConfigurationError
-from repro.experiments import _toml
 
 #: Chunking policies a spec may name, with the options each accepts.
 CHUNKING_POLICIES: Dict[str, Tuple[str, ...]] = {
@@ -322,6 +321,8 @@ class ExperimentSpec:
         return json.dumps(self.to_dict(), indent=indent) + "\n"
 
     def to_toml(self) -> str:
+        from repro.experiments import _toml
+
         return "# repro experiment specification\n" + _toml.dumps(self.to_dict())
 
     @classmethod
@@ -334,6 +335,10 @@ class ExperimentSpec:
 
     @classmethod
     def from_toml(cls, text: str) -> "ExperimentSpec":
+        # The TOML reader (tomllib, or the fallback parser) loads only when
+        # a TOML spec is read.
+        from repro.experiments import _toml
+
         try:
             data = _toml.loads(text)
         except _toml.TomlError as exc:

@@ -1,30 +1,24 @@
 """Synthetic MPI abstractions.
 
 The application models and the trace validator need a small amount of MPI
-machinery: datatypes (to size messages), communicators and process
-topologies (to lay out neighbours), request handles and a cross-rank
-matching validator that checks a trace is a consistent MPI program (every
-send has a matching receive, collectives are entered by all ranks in the
-same order with compatible parameters).
+machinery: datatypes (to size messages), process topologies (to lay out
+neighbours) and a cross-rank matching validator that checks a trace is a
+consistent MPI program (every send has a matching receive, collectives are
+entered by all ranks in the same order with compatible parameters).
 """
 
-from repro.mpi.communicator import Communicator
-from repro.mpi.datatypes import (
-    BYTE,
-    COMPLEX,
-    DOUBLE,
-    FLOAT,
-    INT,
-    Datatype,
-)
-from repro.mpi.topology import CartesianTopology, GraphTopology
-from repro.mpi.validation import MatchingValidator, ValidationReport
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".datatypes": ("BYTE", "COMPLEX", "DOUBLE", "FLOAT", "INT", "Datatype"),
+    ".topology": ("CartesianTopology", "GraphTopology"),
+    ".validation": ("MatchingValidator", "ValidationReport"),
+})
 
 __all__ = [
     "BYTE",
     "COMPLEX",
     "CartesianTopology",
-    "Communicator",
     "DOUBLE",
     "Datatype",
     "FLOAT",

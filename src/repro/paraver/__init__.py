@@ -11,16 +11,16 @@ quantitatively (time spent per state).  This package provides:
 * :mod:`repro.paraver.compare`  -- quantitative comparison of two timelines.
 """
 
-from repro.paraver.ascii import render_gantt
-from repro.paraver.compare import TimelineComparison, compare_timelines
-from repro.paraver.prv import export_prv, to_prv
-from repro.paraver.states import ThreadState
-from repro.paraver.timeline import (
-    CommunicationEvent,
-    NullRecorder,
-    StateInterval,
-    Timeline,
-)
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".ascii": ("render_gantt",),
+    ".compare": ("TimelineComparison", "compare_timelines"),
+    ".prv": ("export_prv", "to_prv"),
+    ".states": ("ThreadState",),
+    ".timeline": ("CommunicationEvent", "NullRecorder", "StateInterval",
+                  "Timeline"),
+})
 
 __all__ = [
     "CommunicationEvent",

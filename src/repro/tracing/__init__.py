@@ -21,21 +21,18 @@ This package reproduces that functionality for synthetic application models:
 * :mod:`repro.tracing.timebase` -- the instruction/MIPS time model.
 """
 
-from repro.tracing.buffers import Buffer
-from repro.tracing.context import RankContext
-from repro.tracing.machine import TracingVirtualMachine
-from repro.tracing.records import (
-    AccessEvent,
-    CollectiveRecord,
-    CpuBurst,
-    RecvRecord,
-    Record,
-    SendRecord,
-    WaitRecord,
-)
-from repro.tracing.trace import RankTrace, Trace
-from repro.tracing.tracer import RankTracer
-from repro.tracing.timebase import TimeBase
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".buffers": ("Buffer",),
+    ".context": ("RankContext",),
+    ".machine": ("TracingVirtualMachine",),
+    ".records": ("AccessEvent", "CollectiveRecord", "CpuBurst", "RecvRecord",
+                 "Record", "SendRecord", "WaitRecord"),
+    ".trace": ("RankTrace", "Trace"),
+    ".tracer": ("RankTracer",),
+    ".timebase": ("TimeBase",),
+})
 
 __all__ = [
     "AccessEvent",

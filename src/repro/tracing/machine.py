@@ -14,6 +14,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.errors import TracingError
+from repro.mpi.validation import MatchingValidator
 from repro.tracing.context import RankContext
 from repro.tracing.timebase import DEFAULT_MIPS
 from repro.tracing.trace import Trace
@@ -44,7 +45,5 @@ class TracingVirtualMachine:
         mips = getattr(app, "mips", DEFAULT_MIPS)
         trace = Trace(ranks=rank_traces, mips=mips, metadata=app.describe())
         if self.validate:
-            # Imported lazily to avoid a package import cycle.
-            from repro.mpi.validation import MatchingValidator
             MatchingValidator().validate(trace)
         return trace

@@ -51,6 +51,20 @@ class TestConfigRoundTrip:
         with pytest.raises(ConfigurationError):
             config_to_platform("topology = mesh")
 
+    def test_hash_inside_a_value_round_trips(self, tmp_path):
+        platform = Platform(name="rack#2")
+        path = save_platform(platform, tmp_path / "platform.cfg")
+        assert load_platform(path) == platform
+        assert load_platform(path).name == "rack#2"
+
+    @pytest.mark.parametrize("name", [
+        "rack #2", "#2", "rack\n2", "rack\r2", " rack", "rack ",
+    ])
+    def test_value_that_would_not_read_back_is_refused(self, name):
+        with pytest.raises(ConfigurationError,
+                           match="platform field 'name' cannot be written"):
+            platform_to_config(Platform(name=name))
+
 
 class TestParsing:
     def test_comments_and_blank_lines_ignored(self):
@@ -76,6 +90,12 @@ class TestParsing:
             assert field not in PLATFORM_FIELDS
             assert field not in Platform.__dataclass_fields__
             assert message.startswith(f"platform field {field!r} was removed: ")
+
+    def test_hash_after_whitespace_starts_a_comment(self):
+        platform = config_to_platform(
+            "name = rack#2 # a comment\nlatency = 1e-6\t# another")
+        assert platform.name == "rack#2"
+        assert platform.latency == 1e-6
 
     def test_unknown_field_rejected(self):
         with pytest.raises(ConfigurationError):
