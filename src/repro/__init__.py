@@ -12,8 +12,7 @@ contribution:
     communication records and the memory-access (production/consumption)
     patterns on communication buffers.
 ``repro.mpi``
-    Synthetic MPI abstractions: datatypes, process topologies and a
-    cross-rank trace-matching validator.
+    Synthetic MPI abstractions: datatypes and process topologies.
 ``repro.apps``
     Parameterised synthetic application models (NAS BT, NAS CG, Sweep3D,
     POP, Alya, SPECFEM and a Sancho-style synthetic loop).

@@ -1,13 +1,16 @@
 """Static trace analysis: MPI correctness linting before any replay runs.
 
-The package has two halves:
+The package has three parts:
 
 * :mod:`repro.analysis.diagnostics` -- the typed result surface
   (:class:`Diagnostic`, :class:`AnalysisReport`, the stable ``TL*`` code
   registry and the :func:`format_defect` formatting the replay engine
   shares for its runtime errors);
-* :mod:`repro.analysis.tracelint` -- :func:`analyze_trace`, the analyzer
-  that walks prepared record streams without instantiating the DES.
+* :mod:`repro.analysis.structure` -- the structural checks, worded from
+  the trace's message plan; the tracing virtual machine runs them on every
+  traced application model;
+* :mod:`repro.analysis.tracelint` -- :func:`analyze_trace`, which adds the
+  symbolic deadlock search, without instantiating the DES.
 
 Entry points elsewhere: the ``repro-overlap check`` CLI subcommand, the
 fail-fast precheck in :func:`repro.experiments.runner.run_experiment`, and

@@ -28,6 +28,7 @@ import os
 import sys
 from typing import ContextManager, List, Optional, TYPE_CHECKING
 
+from repro._collector import collector_paused
 from repro._version import __version__
 from repro.apps.registry import (
     APPLICATIONS,
@@ -35,7 +36,6 @@ from repro.apps.registry import (
     create_application,
 )
 from repro.core.analysis import geometric_bandwidths
-from repro.core.executor import collector_paused
 from repro.core.reporting import format_table, network_table, sweep_table, topology_table
 from repro.dimemas.collectives.base import (
     MODEL_KINDS,
@@ -784,7 +784,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     """Entry point used by both ``repro-overlap`` and ``python -m repro``.
 
     The command runs with the cyclic garbage collector paused
-    (:func:`~repro.core.executor.collector_paused`): no command body makes
+    (:func:`~repro._collector.collector_paused`): no command body makes
     reference cycles.  The argument parser does, so it is built first.
     """
     parser = _build_parser()

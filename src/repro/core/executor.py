@@ -24,7 +24,6 @@ regardless of the trace size.
 
 from __future__ import annotations
 
-import contextlib
 import gc
 import inspect
 import os
@@ -34,7 +33,6 @@ from typing import (
     Any,
     Dict,
     Iterable,
-    Iterator,
     List,
     Optional,
     Sequence,
@@ -43,6 +41,7 @@ from typing import (
     Union,
 )
 
+from repro._collector import collector_paused  # noqa: F401  (public name)
 from repro.core.analysis import ORIGINAL, SweepPoint
 from repro.dimemas.platform import Platform
 from repro.dimemas.results import SimulationResult
@@ -57,34 +56,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.dimemas.simulator import DimemasSimulator
     from repro.store.base import ResultStore
     from repro.store.keys import CellKey
-
-
-@contextlib.contextmanager
-def collector_paused() -> Iterator[None]:
-    """Run the block with Python's cyclic garbage collector paused.
-
-    The experiment pipeline makes no reference cycles: everything a run
-    creates is freed by reference counting as soon as it is dropped
-    (``tests/experiments/test_no_reference_cycles.py`` pins this).  A
-    collection during a run therefore frees nothing; it only walks the
-    live traces, prepared op streams and message plans again.
-
-    An enabled collector is disabled for the block and enabled again on
-    exit, error included.  A collector the caller already disabled is left
-    alone, so nested use is a no-op.  No collection runs on exit: the block
-    left no cycles to collect.
-
-    The collector's state is process-wide, so every other thread of the
-    process also runs without cyclic collection until the block exits.
-    """
-    if not gc.isenabled():
-        yield
-        return
-    gc.disable()
-    try:
-        yield
-    finally:
-        gc.enable()
 
 
 def validate_variant_labels(labels: Iterable[str]) -> List[str]:

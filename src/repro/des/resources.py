@@ -4,12 +4,12 @@ The Dimemas network model uses :class:`Resource` for the finite number of
 network buses and per-node input/output links, and
 :class:`InfiniteResource` where a bus count or link count is unlimited.
 
-A resource grants slots to *tokens*: a :class:`Request` (what
-:meth:`Resource.request` returns, for processes to yield) or any object
-with an event-style ``succeed(value, priority)`` that resumes its owner --
-the network fabric's transfer tasks take slots this way without a
-``Request`` per hop.  Either kind of token is granted, queued, handed a
-released slot and withdrawn through the same path.
+A resource grants slots to *tokens*: any object with an event-style
+``succeed(value, priority)`` that resumes its owner.  A process takes a
+slot with a bare event (``token = env.event()``; ``resource.acquire(token)``;
+``yield token``); the network fabric's transfer tasks take slots as
+themselves, without an event per hop.  Every token is granted, queued,
+handed a released slot and withdrawn through the same path.
 """
 
 from __future__ import annotations
@@ -18,24 +18,7 @@ from collections import deque
 from typing import Any, Deque, List
 
 from repro.des.core import Environment
-from repro.des.events import PRIORITY_URGENT, Event
-
-
-class Request(Event):
-    """Event returned by :meth:`Resource.request`.
-
-    It triggers when the resource grants the slot.  The request object itself
-    is the token to pass back to :meth:`Resource.release`.
-    """
-
-    __slots__ = ("resource",)
-
-    def __init__(self, resource: "Resource"):
-        Event.__init__(self, resource.env)
-        self.resource = resource
-
-    def _default_name(self) -> str:
-        return f"Request({self.resource.name})"
+from repro.des.events import PRIORITY_URGENT
 
 
 class Resource:
@@ -61,14 +44,8 @@ class Resource:
 
     @property
     def queue_length(self) -> int:
-        """Number of requests waiting for a slot."""
+        """Number of tokens waiting for a slot."""
         return len(self._waiting)
-
-    def request(self) -> Request:
-        """Ask for a slot.  The returned event triggers when granted."""
-        request = Request(self)
-        self.acquire(request)
-        return request
 
     def acquire(self, token: Any) -> None:
         """Ask for a slot on behalf of ``token``.
@@ -85,15 +62,15 @@ class Resource:
         else:
             self._waiting.append(token)
 
-    def release(self, request: Any) -> None:
+    def release(self, token: Any) -> None:
         """Return a previously granted slot (or withdraw a queued token)."""
-        if request in self._users:
-            self._users.remove(request)
-        elif request in self._waiting:
-            self._waiting.remove(request)
+        if token in self._users:
+            self._users.remove(token)
+        elif token in self._waiting:
+            self._waiting.remove(token)
             return
         else:
-            raise ValueError("releasing a request that was never granted")
+            raise ValueError("releasing a token that was never granted")
         if self._waiting and len(self._users) < self._capacity:
             nxt = self._waiting.popleft()
             self._users.append(nxt)
@@ -104,7 +81,7 @@ class InfiniteResource:
     """Drop-in replacement for :class:`Resource` with unbounded capacity.
 
     Used when the platform models an ideal network (no bus or link
-    contention); requests are granted immediately.
+    contention); every token is granted at once.
     """
 
     def __init__(self, env: Environment, name: str = "infinite"):
@@ -124,15 +101,10 @@ class InfiniteResource:
     def queue_length(self) -> int:
         return 0
 
-    def request(self) -> Request:
-        request = Request(self)  # type: ignore[arg-type]
-        self.acquire(request)
-        return request
-
     def acquire(self, token: Any) -> None:
         """Grant ``token`` a slot at once (see :meth:`Resource.acquire`)."""
         self._count += 1
         token.succeed(self, PRIORITY_URGENT)
 
-    def release(self, request: Any) -> None:
+    def release(self, token: Any) -> None:
         self._count -= 1

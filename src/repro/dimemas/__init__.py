@@ -16,8 +16,8 @@ implements that machine model from scratch:
   (the closed-form ``analytical`` backend and the ``decomposed`` backend
   that lowers collectives into point-to-point phases routed over the
   topology model);
-* :mod:`repro.dimemas.matching`    -- cross-rank message matching;
-* :mod:`repro.dimemas.replay`      -- the per-rank replay processes;
+* :mod:`repro.dimemas.replay`      -- the walks that replay a trace, matching
+  messages through its static plan;
 * :mod:`repro.dimemas.results`     -- per-rank statistics and aggregates;
 * :mod:`repro.dimemas.simulator`   -- the facade (`DimemasSimulator`).
 

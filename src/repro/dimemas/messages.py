@@ -1,4 +1,4 @@
-"""In-flight message state shared by the matcher and the network."""
+"""In-flight message state shared by the event walk's postings and the network."""
 
 from __future__ import annotations
 
@@ -10,9 +10,9 @@ from repro.des import Environment, Event
 class Message:
     """One point-to-point message during replay.
 
-    The object is created by whichever side (send or receive) reaches the
-    matcher first and is completed by the other side.  Three events describe
-    its life cycle:
+    The object is created by whichever side (send or receive) posts first,
+    in the message's slot of the trace's plan, and is completed by the
+    other side.  Three events describe its life cycle:
 
     * ``recv_posted``    -- the receive has been posted;
     * ``arrived``        -- the payload has fully arrived at the receiver;
@@ -20,8 +20,8 @@ class Message:
       (immediately for eager messages, at arrival for rendezvous messages).
 
     ``arrived`` and ``send_complete`` drive the replay and exist from the
-    start; ``recv_posted`` is only a notification hook (the matcher tracks
-    the posting itself through ``recv_posted_flag``/``recv_posted_time``),
+    start; ``recv_posted`` is only a notification hook (the posting itself
+    is tracked through ``recv_posted_flag``/``recv_posted_time``),
     so its event object is materialised lazily on first access -- the
     common case never allocates or schedules it.
     """

@@ -185,7 +185,7 @@ class NetworkFabric:
         _Transfer(self, message, False)
 
     def transfer_event(self, src: int, dst: int, size: int):
-        """Run one raw transfer outside the matcher; returns its arrival event.
+        """Run one raw transfer no trace message posted; returns its arrival event.
 
         This is the entry point of the decomposed collective backend: each
         phase transfer of a lowered collective crosses the fabric exactly

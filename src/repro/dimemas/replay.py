@@ -2,8 +2,10 @@
 
 Every rank of the trace becomes one DES process that walks its record list:
 computation bursts advance local time (scaled by the platform's relative CPU
-speed), point-to-point records go through the matcher and the network, and
-collective records synchronise through the :class:`CollectiveCoordinator`,
+speed), point-to-point records post their message
+(:meth:`ReplayEngine.post_send`/:meth:`ReplayEngine.post_recv`) and cross
+the network, and collective records synchronise through the
+:class:`CollectiveCoordinator`,
 which applies the platform's pluggable collective cost model
 (:mod:`repro.dimemas.collectives`: closed-form ``analytical`` durations or
 ``decomposed`` point-to-point phase schedules routed over the fabric).
@@ -14,7 +16,7 @@ replays every record of every rank), so it is written as a fast path:
 * records are dispatched through the precomputed per-record-type opcode
   table of the prepared trace (:meth:`repro.tracing.trace.Trace.prepared`)
   instead of an ``isinstance`` chain;
-* every per-iteration attribute lookup (environment clock, matcher posting
+* every per-iteration attribute lookup (environment clock, posting
   methods, stats object, timeout factory) is hoisted out of the loop;
 * timeline recording is pluggable: with ``collect_timeline=False`` the
   engine installs a :class:`~repro.paraver.timeline.NullRecorder` and the
@@ -38,12 +40,13 @@ one of two walks picked by the classifier
   handovers) runs from a FIFO; a time-ordered heap holds only the timed
   NORMAL events.
 
-Both walks match messages through the trace's static plan
+Cells neither walk can replay run the event walk, which stays the oracle.
+
+All three walks match messages through the trace's static plan
 (:meth:`repro.tracing.trace.PreparedTrace.message_plan`): the k-th send of
 a ``(src, dst, tag)`` stream meets its k-th receive on every platform, so
-each posting indexes a per-cell message slot instead of searching queues.
-
-Cells neither walk can replay run the event walk, which stays the oracle.
+each posting indexes a per-cell message slot instead of searching queues,
+and a slot holds its message only while one side has posted.
 """
 
 from __future__ import annotations
@@ -53,15 +56,16 @@ from heapq import heappop, heappush
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.diagnostics import format_defect
+from repro.analysis.structure import fault_message
 from repro.des import Environment, Event
 from repro.des.events import PENDING
 from repro.des.resources import InfiniteResource
 from repro.dimemas.collectives import build_collective_model
 from repro.dimemas.collectives.analytical import collective_duration
-from repro.dimemas.matching import MessageMatcher
 from repro.dimemas.messages import Message
 from repro.dimemas.network import NetworkFabric, NetworkStatistics
 from repro.dimemas.platform import Platform
+from repro.dimemas.protocol import Protocol
 from repro.dimemas.results import RankStats
 from repro.dimemas.topology import Hop, build_network_model
 from repro.dimemas.windows import WindowPlan, classify
@@ -78,6 +82,9 @@ from repro.tracing.trace import (
     OP_WAIT,
     Trace,
 )
+
+_EAGER = Protocol.EAGER
+_RENDEZVOUS = Protocol.RENDEZVOUS
 
 
 class _WaitAll(Event):
@@ -346,7 +353,11 @@ class ReplayEngine:
         self.network = NetworkFabric(
             self.env, platform, trace.num_ranks,
             self.timeline if collect_timeline else None)
-        self.matcher = MessageMatcher(self.env, platform, self.network)
+        #: Plan index -> the message (of the walk that runs) while only one
+        #: side has posted.
+        self._slots: List[Any] = [None] * trace.prepared().message_plan().count
+        self._eager_threshold = platform.eager_threshold
+        self.messages_matched = 0
         self.coordinator = CollectiveCoordinator(
             self.env, platform, trace.num_ranks, network=self.network)
         self.timebase = TimeBase(trace.mips)
@@ -392,9 +403,11 @@ class ReplayEngine:
                 "proven_exact": True,
                 "contended_transfers": 0,
             }
+        plan = prepared.message_plan()
         for rank, rank_ops in enumerate(prepared.ops):
-            process = self.env.process(self._rank_process(rank, rank_ops),
-                                       name=f"rank{rank}")
+            process = self.env.process(
+                self._rank_process(rank, rank_ops, plan.indices[rank]),
+                name=f"rank{rank}")
             self._processes.append(process)
         self.env.run()
         self._check_finished()
@@ -403,9 +416,72 @@ class ReplayEngine:
     def _finalize(self) -> Tuple[float, List[RankStats], Timeline, Dict[str, float]]:
         total_time = max((stats.finish_time for stats in self.stats), default=0.0)
         network_stats = _network_summary(
-            self.network.statistics, self.matcher.messages_matched,
-            self.platform)
+            self.network.statistics, self.messages_matched, self.platform)
         return total_time, self.stats, self.timeline, network_stats
+
+    # -- posting ------------------------------------------------------------
+    def post_send(self, src: int, record, index: int) -> Message:
+        """Post the send ``record`` of rank ``src``, message ``index`` of the
+        trace's plan; returns its message.
+
+        Eager messages start their transfer at the posting, and the sender
+        is complete at once.  A rendezvous message starts once both sides
+        have posted, and its sender is complete when the payload arrives.
+        """
+        env = self.env
+        slots = self._slots
+        message = slots[index]
+        if message is None:
+            message = slots[index] = Message(env)
+        else:
+            slots[index] = None
+        size = record.size
+        message.src = src
+        message.dst = record.dst
+        message.tag = record.tag
+        message.size = size
+        message.send_posted = True
+        message.send_time = env._now
+        # Same decision as select_protocol(), with the threshold hoisted.
+        if size <= self._eager_threshold:
+            message.protocol = _EAGER
+            # The sender only pays the local injection, which the paper's
+            # time model folds into the (ignored) MPI overhead.
+            message.send_complete.succeed(env._now)
+        else:
+            message.protocol = _RENDEZVOUS
+            message.arrived.add_callback(
+                lambda event, msg=message: msg.send_complete.succeed(self.env.now))
+        self._maybe_start(message)
+        return message
+
+    def post_recv(self, dst: int, record, index: int) -> Message:
+        """Post the receive ``record`` of rank ``dst``, message ``index`` of
+        the trace's plan; returns its message."""
+        env = self.env
+        slots = self._slots
+        message = slots[index]
+        if message is None:
+            message = slots[index] = Message(env)
+        else:
+            slots[index] = None
+        message.dst = dst
+        message.recv_posted_flag = True
+        message.recv_posted_time = env._now
+        notifier = message._recv_posted
+        if notifier is not None and not notifier.triggered:
+            notifier.succeed(env._now)
+        self._maybe_start(message)
+        return message
+
+    def _maybe_start(self, message: Message) -> None:
+        if message.started or not message.send_posted:
+            return
+        if message.protocol is _RENDEZVOUS and not message.recv_posted_flag:
+            return
+        message.started = True
+        self.messages_matched += 1
+        self.network.start_transfer(message)
 
     # -- internals ------------------------------------------------------------
     def _check_finished(self) -> None:
@@ -414,53 +490,30 @@ class ReplayEngine:
         if not stuck:
             self._check_sends_matched()
             return
-        details = []
-        for rank in stuck:
-            position = self._progress[rank]
-            records = self.trace[rank].records
-            record = records[position] if position < len(records) else None
-            details.append(f"rank {rank} stuck at record {position} ({record!r})")
-        unmatched = self.matcher.unmatched()
-        raise SimulationError(
-            "replay deadlocked: " + "; ".join(details)
-            + f"; unmatched postings: {unmatched}")
+        raise SimulationError(_deadlock_report(
+            self.trace, stuck, self._progress, self._slots))
 
     def _check_sends_matched(self) -> None:
         """Every rank finished, so every send must have found a receive.
 
         An eager send completes at its posting, so one that is never
         received would otherwise replay to a plausible time around a
-        phantom transfer.  The error names the earliest such send with the
-        static analyzer's code and text: TL103 when its destination lies
-        outside the trace's ranks, TL101 otherwise.
+        phantom transfer.  Every rank posted everything, so the sends left
+        unmatched are the plan's: TL101 when a send is never received,
+        TL103 when it names a rank outside the trace.  The error names the
+        earliest with the static analyzer's code and text.
         """
-        unmatched = self.matcher.unmatched_sends()
-        if not unmatched:
-            return
-        ops = self.trace.prepared().ops
-        first = []
-        for (src, dst, tag), count in unmatched.items():
-            positions = [position for position, (op, record)
-                         in enumerate(ops[src])
-                         if op == OP_SEND and record.dst == dst
-                         and record.tag == tag]
-            # Matching is FIFO per stream: its last `count` sends are the
-            # unmatched ones.
-            first.append((src, positions[-count]))
-        rank, position = min(first)
-        record = ops[rank][position][1]
-        num_ranks = self.trace.num_ranks
-        if 0 <= record.dst < num_ranks:
+        prepared = self.trace.prepared()
+        ops = prepared.ops
+        unmatched = [fault for fault in prepared.message_plan().faults
+                     if fault[0] in ("TL101", "TL103")
+                     and ops[fault[1]][fault[2]][0] == OP_SEND]
+        if unmatched:
+            fault = min(unmatched, key=lambda fault: fault[1:3])
             raise SimulationError(format_defect(
-                "TL101", rank, position,
-                f"send of {record.size} bytes to rank {record.dst} "
-                f"(tag {record.tag}) is never received"))
-        raise SimulationError(format_defect(
-            "TL103", rank, position,
-            f"send names destination rank {record.dst} "
-            f"outside 0..{num_ranks - 1}"))
+                fault[0], fault[1], fault[2], fault_message(ops, fault)))
 
-    def _rank_process(self, rank: int, ops):
+    def _rank_process(self, rank: int, ops, rank_plan):
         # Hot loop: every name used per record is bound locally once, the
         # record type is dispatched through the precomputed opcode, and the
         # branches are ordered by record frequency (bursts first).
@@ -469,8 +522,8 @@ class ReplayEngine:
         collect = self.collect_timeline
         add_interval = self.timeline.add_interval
         timeout = env.schedule_timeout
-        post_send = self.matcher.post_send
-        post_recv = self.matcher.post_recv
+        post_send = self.post_send
+        post_recv = self.post_recv
         enter_collective = self.coordinator.enter
         progress = self._progress
         platform = self.platform
@@ -505,7 +558,7 @@ class ReplayEngine:
                 if collect:
                     add_interval(rank, start, env._now, state_running)
             elif op == OP_SEND:
-                message = post_send(rank, record)
+                message = post_send(rank, record, rank_plan[position])
                 stats.bytes_sent += record.size
                 stats.messages_sent += 1
                 if record.blocking:
@@ -517,7 +570,7 @@ class ReplayEngine:
                 else:
                     requests[record.request] = ("send", message, position)
             elif op == OP_RECV:
-                message = post_recv(rank, record)
+                message = post_recv(rank, record, rank_plan[position])
                 stats.bytes_received += record.size
                 stats.messages_received += 1
                 if record.blocking:
@@ -671,8 +724,7 @@ class ReplayEngine:
             {} for _ in range(num_ranks)]
         coll_next = [0] * num_ranks
         collectives: List[_FastCollective] = []
-        #: Plan index -> the message while only one side has posted.
-        messages: List[Optional[_FastMessage]] = [None] * plan.count
+        messages = self._slots
         #: FIFO resource model for contended transfers, mirroring
         #: repro.des.resources.Resource: limited resource ->
         #: [capacity, active holds, FIFO deque of parked _TransferTask].
@@ -1254,22 +1306,9 @@ class ReplayEngine:
             # Unreachable when the classifier's symbolic-matchability proof
             # holds; kept so an inconsistency surfaces as the engine's
             # standard deadlock report instead of silent wrong numbers.
-            details = []
-            for rank in range(num_ranks):
-                if done[rank]:
-                    continue
-                position = pcs[rank]
-                records = self.trace[rank].records
-                record = records[position] if position < len(records) else None
-                details.append(
-                    f"rank {rank} stuck at record {position} ({record!r})")
-            # A slot still holds a message exactly while one side is posted.
-            pending = [message for message in messages if message is not None]
-            sends = sum(1 for message in pending if message.send_posted)
-            unmatched = {"sends": sends, "recvs": len(pending) - sends}
-            raise SimulationError(
-                "replay deadlocked: " + "; ".join(details)
-                + f"; unmatched postings: {unmatched}")
+            raise SimulationError(_deadlock_report(
+                self.trace, [rank for rank in range(num_ranks)
+                             if not done[rank]], pcs, messages))
 
         statistics.bytes_transferred += bytes_transferred
         statistics.intranode_transfers += intranode_transfers
@@ -1289,9 +1328,30 @@ class ReplayEngine:
             rank_stats.messages_received = msgs_recv_a[rank]
             rank_stats.collectives = collectives_a[rank]
         self._progress = pcs
-        self.matcher.messages_matched = matched
+        self.messages_matched = matched
         env.advance_to(max(finish_t, default=0.0))
         return contended
+
+
+def _deadlock_report(trace: Trace, stuck: Sequence[int],
+                     progress: Sequence[int], slots) -> str:
+    """The error text of a replay whose ``stuck`` ranks never finished.
+
+    ``progress`` holds each rank's record position and ``slots`` the walk's
+    per-message slots: a slot still holds its message exactly while one
+    side has posted.
+    """
+    details = []
+    for rank in stuck:
+        position = progress[rank]
+        records = trace[rank].records
+        record = records[position] if position < len(records) else None
+        details.append(f"rank {rank} stuck at record {position} ({record!r})")
+    pending = [message for message in slots if message is not None]
+    sends = sum(1 for message in pending if message.send_posted)
+    unmatched = {"sends": sends, "recvs": len(pending) - sends}
+    return ("replay deadlocked: " + "; ".join(details)
+            + f"; unmatched postings: {unmatched}")
 
 
 def _network_summary(statistics: NetworkStatistics, messages_matched: int,

@@ -13,11 +13,11 @@ streams (:meth:`repro.tracing.trace.Trace.prepared`):
   duration -- the decomposed model injects phase traffic that must really
   interleave), no unknown records, cross-rank agreement on collective
   counts and parameters (a disagreeing trace must fail through the event
-  walk so it raises the exact same error), and a clean run of the static
-  matcher from :mod:`repro.analysis.tracelint` -- the zero-time symbolic
-  replay is exact for progress semantics, so a trace it proves matchable,
-  with every send received, cannot deadlock or leave a transfer unmatched
-  under fast-forwarding.
+  walk so it raises the exact same error), and a clean run of the
+  zero-time symbolic replay of :mod:`repro.analysis.tracelint` over the
+  trace's message plan -- it is exact for progress semantics, so a trace it
+  proves matchable, with every send received, cannot deadlock or leave a
+  transfer unmatched under fast-forwarding.
 
 * **Proven cells** -- a viable cell is *proven* when the platform's
   network has no limited resource at all (per-topology classification

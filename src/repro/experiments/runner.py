@@ -40,13 +40,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING, Union
 
+from repro._collector import collector_paused
 from repro.core.analysis import BandwidthSweep
-from repro.core.executor import (
-    SweepExecutor,
-    SweepTask,
-    SweepTaskResult,
-    collector_paused,
-)
+from repro.core.executor import SweepExecutor, SweepTask, SweepTaskResult
 from repro.core.mechanisms import OverlapMechanism
 from repro.dimemas.platform import Platform
 from repro.dimemas.results import SimulationResult
@@ -246,7 +242,7 @@ def run_experiment(spec: ExperimentSpec,
     The whole call -- planning, tracing, the overlap transform, the
     precheck, every replay, the store writes and the assembly -- runs with
     Python's cyclic garbage collector paused
-    (:func:`~repro.core.executor.collector_paused`): the pipeline makes no
+    (:func:`~repro._collector.collector_paused`): the pipeline makes no
     reference cycles, so a collection would only walk the live traces
     again.  The pause is process-wide, and the collector's state is
     restored when the call returns or raises.

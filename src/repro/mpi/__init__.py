@@ -1,10 +1,9 @@
 """Synthetic MPI abstractions.
 
-The application models and the trace validator need a small amount of MPI
-machinery: datatypes (to size messages), process topologies (to lay out
-neighbours) and a cross-rank matching validator that checks a trace is a
-consistent MPI program (every send has a matching receive, collectives are
-entered by all ranks in the same order with compatible parameters).
+The application models need a small amount of MPI machinery: datatypes (to
+size messages) and process topologies (to lay out neighbours).  Whether a
+traced model is a consistent MPI program is checked at trace time by the
+structural rules of :mod:`repro.analysis.structure`.
 """
 
 from repro._lazy import lazy_exports
@@ -12,7 +11,6 @@ from repro._lazy import lazy_exports
 __getattr__, __dir__ = lazy_exports(__name__, {
     ".datatypes": ("BYTE", "COMPLEX", "DOUBLE", "FLOAT", "INT", "Datatype"),
     ".topology": ("CartesianTopology", "GraphTopology"),
-    ".validation": ("MatchingValidator", "ValidationReport"),
 })
 
 __all__ = [
@@ -24,6 +22,4 @@ __all__ = [
     "FLOAT",
     "GraphTopology",
     "INT",
-    "MatchingValidator",
-    "ValidationReport",
 ]

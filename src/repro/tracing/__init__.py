@@ -16,8 +16,9 @@ This package reproduces that functionality for synthetic application models:
 * :mod:`repro.tracing.context` -- the API application models program against
   (compute / load / store / MPI calls);
 * :mod:`repro.tracing.machine` -- the virtual machine that runs an
-  application model on every rank and assembles the full trace;
-* :mod:`repro.tracing.trace`   -- trace containers and (de)serialisation;
+  application model on every rank, assembles the full trace and checks it;
+* :mod:`repro.tracing.trace`   -- trace containers, (de)serialisation and
+  the message plan, the one static pass over a trace;
 * :mod:`repro.tracing.timebase` -- the instruction/MIPS time model.
 """
 

@@ -4,17 +4,18 @@ The paper runs every MPI process on its own Valgrind virtual machine.  Here
 the virtual machine executes the application model once per rank (the models
 are SPMD and data-independent, so ranks can be traced one after another) and
 assembles the per-rank traces into a :class:`~repro.tracing.trace.Trace`.
-Optionally the resulting trace is validated by the cross-rank matching
-validator so that an inconsistent application model is rejected at tracing
-time rather than deadlocking the replay simulator.
+By default the trace is then checked with lint's structural rules
+(:func:`repro.analysis.structure.trace_issues`) and the tracer's per-stream
+message ordinals, so that an inconsistent application model is rejected at
+tracing time rather than deadlocking the replay simulator.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.errors import TracingError
-from repro.mpi.validation import MatchingValidator
+from repro.analysis.structure import trace_issues
+from repro.errors import MatchingError, TracingError
 from repro.tracing.context import RankContext
 from repro.tracing.timebase import DEFAULT_MIPS
 from repro.tracing.trace import Trace
@@ -45,5 +46,7 @@ class TracingVirtualMachine:
         mips = getattr(app, "mips", DEFAULT_MIPS)
         trace = Trace(ranks=rank_traces, mips=mips, metadata=app.describe())
         if self.validate:
-            MatchingValidator().validate(trace)
+            issues = trace_issues(trace)
+            if issues:
+                raise MatchingError("; ".join(issues[:10]))
         return trace

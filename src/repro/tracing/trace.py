@@ -47,51 +47,155 @@ RECORD_OPCODES: Dict[type, int] = {
 
 @dataclass(frozen=True)
 class MessagePlan:
-    """The point-to-point matching of a trace, fixed before any replay.
+    """The one static pass over a prepared trace.
 
-    Matching is FIFO per ``(src, dst, tag)`` stream and every record names
-    its peer rank and tag, so the pairing is the same on every platform:
-    the k-th send of a stream meets that stream's k-th receive.
-    ``indices[rank][position]`` is the message index of the send or
-    receive at that position of the rank's prepared stream, and -1 for
-    every other op.  A matched send and receive share one index; a posting
-    without a counterpart has one of its own.  Indices run from 0 to
-    ``count - 1``.
+    **Pairing.**  Matching is FIFO per ``(src, dst, tag)`` stream and every
+    record names its peer rank and tag, so the pairing is the same on every
+    platform: the k-th send of a stream meets that stream's k-th receive.
+    ``indices[rank][position]`` is the message index of the send or receive
+    at that position of the rank's prepared stream.  A matched send and
+    receive share one index; a posting without a counterpart has one of its
+    own, and so has one whose peer rank lies outside the trace.  Indices run
+    from 0 to ``count - 1``.
+
+    **Waits.**  For a wait, ``indices[rank][position]`` is a tuple with one
+    entry per non-blocking posting it completes, in the order of its
+    request list: how many records before the wait that posting is (its
+    plan index is ``indices[rank][position - distance]``).  Requests that
+    are not outstanding are left out, and a request id reissued while
+    outstanding is completed through its latest posting, as the walks
+    complete it.  Distances repeat from wait to wait, so each distinct
+    tuple is stored once.  Every other op holds -1.
+
+    **Structure.**  ``faults`` lists the structural defects the pass finds,
+    each ``(code, rank, position, *detail)`` with a tracelint code.  Rank
+    by rank, in record order: unknown records (TL501), out-of-range peers
+    (TL103) and the request lifecycle (TL301; TL302 with the request id as
+    detail; TL303 with the position of the posting still outstanding), a
+    rank's dangling requests last.  Then, per stream in stream order, size
+    mismatches (TL104, detail: the send's position), unreceived sends
+    (TL101) and unsent receives (TL102).  ``collectives[rank]`` holds the
+    positions of the rank's collective records, and ``misordered`` the
+    ``(rank, position, ordinal)`` of every paired posting whose ``pair_seq``
+    is not its ordinal in its stream.
     """
 
-    indices: List[List[int]]
+    indices: List[List[Any]]
     count: int
+    faults: Tuple[Tuple[Any, ...], ...] = ()
+    collectives: List[List[int]] = field(default_factory=list)
+    misordered: Tuple[Tuple[int, int, int], ...] = ()
 
     @classmethod
     def compile(cls, ops: List[List[Tuple[int, Record]]]) -> "MessagePlan":
-        # Stream -> indices of its sends (receives) so far, in order.
+        num_ranks = len(ops)
+        # Stream -> positions of its sends (receives) so far, in order.
         sends: Dict[Tuple[int, int, int], List[int]] = {}
         recvs: Dict[Tuple[int, int, int], List[int]] = {}
-        indices = []
+        faults: List[Tuple[Any, ...]] = []
+        # (stream, group, ordinal, fault), sorted into stream order below.
+        stream_faults: List[Tuple[Any, ...]] = []
+        misordered = []
+        indices: List[List[Any]] = []
+        collectives: List[List[int]] = []
+        # Each distinct wait tuple, stored once.
+        shapes: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
         count = 0
         for rank, rank_ops in enumerate(ops):
-            row = []
-            for op, record in rank_ops:
-                if op == OP_SEND:
-                    key = (rank, record.dst, record.tag)
-                    posted, counterparts = sends, recvs
-                elif op == OP_RECV:
-                    key = (record.src, rank, record.tag)
-                    posted, counterparts = recvs, sends
-                else:
+            row: List[Any] = []
+            indices.append(row)
+            coll_row: List[int] = []
+            collectives.append(coll_row)
+            # Request id -> [first issue, latest issue] while outstanding.
+            outstanding: Dict[Any, List[int]] = {}
+            for position, (op, record) in enumerate(rank_ops):
+                if op == OP_CPU:
                     row.append(-1)
                     continue
-                stream = posted.setdefault(key, [])
-                others = counterparts.get(key, ())
-                if len(stream) < len(others):
-                    index = others[len(stream)]
+                if op == OP_SEND:
+                    peer = record.dst
+                    key = (rank, peer, record.tag)
+                    posted, counterparts = sends, recvs
+                elif op == OP_RECV:
+                    peer = record.src
+                    key = (peer, rank, record.tag)
+                    posted, counterparts = recvs, sends
+                elif op == OP_WAIT:
+                    distances = []
+                    for request in record.requests:
+                        issued = outstanding.pop(request, None)
+                        if issued is None or request is None:
+                            faults.append(("TL302", rank, position, request))
+                        if issued is not None:
+                            distances.append(position - issued[1])
+                    shape = tuple(distances)
+                    row.append(shapes.setdefault(shape, shape))
+                    continue
                 else:
+                    if op == OP_COLLECTIVE:
+                        coll_row.append(position)
+                    else:
+                        faults.append(("TL501", rank, position))
+                    row.append(-1)
+                    continue
+                if 0 <= peer < num_ranks:
+                    stream = posted.get(key)
+                    if stream is None:
+                        stream = posted[key] = []
+                    ordinal = len(stream)
+                    others = counterparts.get(key, ())
+                    if ordinal < len(others):
+                        mate_position = others[ordinal]
+                        index = indices[peer][mate_position]
+                        mate = ops[peer][mate_position][1]
+                        if record.size != mate.size:
+                            fault = (("TL104", rank, position, mate_position)
+                                     if op == OP_RECV else
+                                     ("TL104", peer, mate_position, position))
+                            stream_faults.append((key, 0, ordinal, fault))
+                        if record.pair_seq != ordinal:
+                            misordered.append((rank, position, ordinal))
+                        if mate.pair_seq != ordinal:
+                            misordered.append((peer, mate_position, ordinal))
+                    else:
+                        index = count
+                        count += 1
+                    stream.append(position)
+                else:
+                    faults.append(("TL103", rank, position))
                     index = count
                     count += 1
-                stream.append(index)
                 row.append(index)
-            indices.append(row)
-        return cls(indices=indices, count=count)
+                if not record.blocking:
+                    request = record.request
+                    issued = outstanding.get(request)
+                    if request is None:
+                        faults.append(("TL301", rank, position))
+                    elif issued is not None:
+                        faults.append(("TL303", rank, position, issued[0]))
+                    if issued is None:
+                        outstanding[request] = [position, position]
+                    else:
+                        # A wait completes the latest issue, as in the walks.
+                        issued[1] = position
+            if outstanding:
+                for request, (position, _) in sorted(
+                        outstanding.items(), key=lambda item: item[1][0]):
+                    if request is not None:
+                        faults.append(("TL301", rank, position))
+
+        for key, stream in sends.items():
+            for ordinal in range(len(recvs.get(key, ())), len(stream)):
+                stream_faults.append(
+                    (key, 1, ordinal, ("TL101", key[0], stream[ordinal])))
+        for key, stream in recvs.items():
+            for ordinal in range(len(sends.get(key, ())), len(stream)):
+                stream_faults.append(
+                    (key, 2, ordinal, ("TL102", key[1], stream[ordinal])))
+        stream_faults.sort(key=lambda entry: entry[:3])
+        faults.extend(entry[3] for entry in stream_faults)
+        return cls(indices=indices, count=count, faults=tuple(faults),
+                   collectives=collectives, misordered=tuple(misordered))
 
 
 @dataclass
@@ -118,10 +222,11 @@ class PreparedTrace:
         return cls(ops=ops)
 
     def message_plan(self) -> MessagePlan:
-        """The static message matching of these streams, built on first use.
+        """The static pass over these streams, built on first use.
 
-        Only the adaptive walks read it.  It is kept on the prepared trace,
-        so every replay of the same content shares one plan.
+        The trace-time checks, lint, the symbolic replay and every walk
+        read it.  It is kept on the prepared trace, so all of them share
+        one plan per trace content.
         """
         plan = self._message_plan
         if plan is None:

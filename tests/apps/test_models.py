@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.analysis.structure import trace_issues
 from repro.apps import (
     APPLICATIONS,
     Alya,
@@ -16,7 +17,6 @@ from repro.apps import (
 )
 from repro.apps.registry import PAPER_IDEAL_SPEEDUP_PERCENT
 from repro.errors import ConfigurationError
-from repro.mpi.validation import MatchingValidator
 from repro.tracing import TracingVirtualMachine
 from repro.tracing.records import RecvRecord, SendRecord
 
@@ -36,8 +36,7 @@ SMALL_MODELS = [
 class TestEveryModel:
     def test_trace_is_consistent(self, app):
         trace = TracingVirtualMachine(validate=False).trace(app)
-        report = MatchingValidator(strict=False).validate(trace)
-        assert report.ok, report.issues
+        assert trace_issues(trace) == []
 
     def test_trace_has_compute_and_communication(self, app):
         trace = TracingVirtualMachine().trace(app)

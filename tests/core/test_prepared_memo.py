@@ -101,6 +101,8 @@ class TestWorkerMemo:
     def test_worker_without_digests_still_caches_per_key(self,
                                                          compile_counter):
         variants = make_variants()
+        # Tracing prepared the original in this process; count the worker's.
+        compile_counter.clear()
         table = {"original": variants["original"].to_dict()}
         executor_module._init_worker(table)
         first = executor_module._worker_trace("original")

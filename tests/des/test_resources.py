@@ -7,8 +7,15 @@ from repro.des.events import PRIORITY_URGENT
 from repro.des.resources import InfiniteResource
 
 
+def _acquire(env, resource):
+    """Take a slot through a bare event, as a process does."""
+    token = env.event()
+    resource.acquire(token)
+    return token
+
+
 class Token:
-    """A slot holder that is not a Request: it records each grant."""
+    """A slot holder that is not an event: it records each grant."""
 
     def __init__(self):
         self.grants = []
@@ -27,7 +34,7 @@ class TestResource:
     def test_grant_within_capacity_is_immediate(self):
         env = Environment()
         resource = Resource(env, capacity=2)
-        first, second = resource.request(), resource.request()
+        first, second = _acquire(env, resource), _acquire(env, resource)
         env.run()
         assert first.processed and second.processed
         assert resource.count == 2
@@ -35,8 +42,8 @@ class TestResource:
     def test_request_beyond_capacity_queues(self):
         env = Environment()
         resource = Resource(env, capacity=1)
-        first = resource.request()
-        second = resource.request()
+        first = _acquire(env, resource)
+        second = _acquire(env, resource)
         env.run()
         assert first.processed
         assert not second.triggered
@@ -45,8 +52,8 @@ class TestResource:
     def test_release_grants_next_waiter(self):
         env = Environment()
         resource = Resource(env, capacity=1)
-        first = resource.request()
-        second = resource.request()
+        first = _acquire(env, resource)
+        second = _acquire(env, resource)
         env.run()
         resource.release(first)
         env.run()
@@ -56,7 +63,7 @@ class TestResource:
     def test_release_unknown_request_raises(self):
         env = Environment()
         resource = Resource(env, capacity=1)
-        granted = resource.request()
+        granted = _acquire(env, resource)
         env.run()
         resource.release(granted)
         with pytest.raises(ValueError):
@@ -65,8 +72,8 @@ class TestResource:
     def test_release_queued_request_cancels_it(self):
         env = Environment()
         resource = Resource(env, capacity=1)
-        resource.request()
-        waiting = resource.request()
+        _acquire(env, resource)
+        waiting = _acquire(env, resource)
         env.run()
         resource.release(waiting)
         assert resource.queue_length == 0
@@ -77,7 +84,7 @@ class TestResource:
         order = []
 
         def user(name, hold):
-            request = resource.request()
+            request = _acquire(env, resource)
             yield request
             order.append(name)
             yield env.timeout(hold)
@@ -107,7 +114,7 @@ class TestResource:
         finish = []
 
         def user():
-            request = resource.request()
+            request = _acquire(env, resource)
             yield request
             yield env.timeout(2.0)
             resource.release(request)
@@ -123,7 +130,7 @@ class TestInfiniteResource:
     def test_never_blocks(self):
         env = Environment()
         resource = InfiniteResource(env)
-        requests = [resource.request() for _ in range(100)]
+        requests = [_acquire(env, resource) for _ in range(100)]
         env.run()
         assert all(request.processed for request in requests)
         assert resource.queue_length == 0
@@ -131,7 +138,7 @@ class TestInfiniteResource:
     def test_count_tracks_outstanding(self):
         env = Environment()
         resource = InfiniteResource(env)
-        request = resource.request()
+        request = _acquire(env, resource)
         assert resource.count == 1
         resource.release(request)
         assert resource.count == 0

@@ -118,7 +118,8 @@ class _LegacyNetworkFabric:
             if not intranode:
                 for resource in (self._output_link(src_node),
                                  self._input_link(dst_node), self._buses):
-                    request = resource.request()
+                    request = self.env.event()
+                    resource.acquire(request)
                     requests.append((resource, request))
                     yield request
             message.transfer_start = self.env.now

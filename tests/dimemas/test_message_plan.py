@@ -1,10 +1,10 @@
-"""The static message plan the adaptive walks match through.
+"""The static message plan every walk matches through.
 
 Matching is FIFO per ``(src, dst, tag)`` stream, so the k-th send of a
 stream meets that stream's k-th receive on every platform.  The plan
-fixes that pairing once per prepared trace; both adaptive walks index a
-per-cell message slot with it, and release the slot as soon as both
-sides have posted.
+fixes that pairing once per prepared trace; every walk indexes a per-cell
+message slot with it, and releases the slot as soon as both sides have
+posted.
 """
 
 import pytest
@@ -51,8 +51,46 @@ class TestMessagePlan:
             [RecvRecord(src=0, size=8, tag=0),
              RecvRecord(src=0, size=8, tag=0)])
         plan = trace.prepared().message_plan()
-        assert plan.indices == [[0, -1], [0, 1]]
+        # The wait holds how far back the isend it completes is.
+        assert plan.indices == [[0, (1,)], [0, 1]]
         assert plan.count == 2
+
+    def test_waits_of_one_shape_share_their_tuple(self):
+        exchange = [SendRecord(dst=1, size=8, blocking=False, request=1),
+                    RecvRecord(src=1, size=8, blocking=False, request=2),
+                    WaitRecord(requests=(1, 2))]
+        trace = _trace(exchange * 2, [RecvRecord(src=0, size=8),
+                                      SendRecord(dst=0, size=8)] * 2)
+        row = trace.prepared().message_plan().indices[0]
+        assert row[2] == (2, 1)
+        assert row[5] is row[2]
+
+    def test_a_reissued_request_is_completed_through_its_latest_posting(self):
+        trace = _trace(
+            [SendRecord(dst=1, size=8, tag=0, blocking=False, request=4),
+             SendRecord(dst=1, size=8, tag=1, blocking=False, request=4),
+             WaitRecord(requests=(4, 9))],
+            [RecvRecord(src=0, size=8, tag=0),
+             RecvRecord(src=0, size=8, tag=1)])
+        plan = trace.prepared().message_plan()
+        assert plan.indices[0] == [0, 1, (1,)]
+        assert plan.faults == (("TL303", 0, 1, 0), ("TL302", 0, 2, 9))
+
+    def test_out_of_range_peers_are_left_out_of_pairing(self):
+        trace = _trace(
+            [SendRecord(dst=5, size=8, tag=0), SendRecord(dst=1, size=8)],
+            [RecvRecord(src=7, size=8, tag=0), RecvRecord(src=0, size=8)])
+        plan = trace.prepared().message_plan()
+        assert plan.indices == [[0, 1], [2, 1]]
+        assert plan.faults == (("TL103", 0, 0), ("TL103", 1, 0))
+
+    def test_ordinals_are_checked_against_pair_seq(self):
+        trace = _trace(
+            [SendRecord(dst=1, size=8, pair_seq=0),
+             SendRecord(dst=1, size=8, pair_seq=0)],
+            [RecvRecord(src=0, size=8, pair_seq=0),
+             RecvRecord(src=0, size=8, pair_seq=1)])
+        assert trace.prepared().message_plan().misordered == ((0, 1, 1),)
 
     def test_the_plan_is_built_once_per_prepared_trace(self, monkeypatch):
         calls = []
@@ -68,11 +106,6 @@ class TestMessagePlan:
             ReplayEngine(trace, Platform(bandwidth_mbps=bandwidth)).run()
         assert len(calls) == 1
         assert trace.prepared().message_plan() is trace.prepared().message_plan()
-
-    def test_the_event_walk_never_builds_it(self):
-        trace = _nas_cg()
-        ReplayEngine(trace, Platform(replay_backend="event")).run()
-        assert trace.prepared()._message_plan is None
 
     def test_the_paced_walk_reports_postings_left_in_their_slots(self):
         # Both ranks block on a posting the other never reaches; the

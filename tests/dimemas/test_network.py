@@ -54,7 +54,8 @@ class TestTransferResourceSafety:
         idle = _occupancy(fabric)
         monkeypatch.setattr(fabric.model.route(0, 1)[0], "transfer_time",
                             _failing_transfer_time)
-        holder = fabric.model.buses.request()  # one bus slot held elsewhere
+        holder = env.event()  # one bus slot held elsewhere
+        fabric.model.buses.acquire(holder)
         message = _message(env)
         fabric.start_transfer(message)
         env.run()  # both links granted, queued for the bus
@@ -71,7 +72,8 @@ class TestTransferResourceSafety:
                                                         monkeypatch):
         fabric = NetworkFabric(env, platform, num_ranks=2)
         buses = fabric.model.buses
-        holder = buses.request()  # occupy the single bus
+        holder = env.event()  # occupy the single bus
+        buses.acquire(holder)
         acquire = buses.acquire
 
         def acquire_then_fail(token):

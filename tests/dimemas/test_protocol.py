@@ -23,23 +23,26 @@ class TestProtocolSelection:
         assert select_protocol(0, platform) is Protocol.EAGER
 
 
-class TestMatcherAgreesWithSelectProtocol:
-    """The matcher inlines the protocol decision (hoisted threshold); it
-    must never diverge from the public :func:`select_protocol` helper."""
+class TestPostingAgreesWithSelectProtocol:
+    """The event walk's send posting inlines the protocol decision (hoisted
+    threshold); it must never diverge from the public
+    :func:`select_protocol` helper."""
 
     def test_posted_messages_carry_the_selected_protocol(self):
-        from repro.des import Environment
-        from repro.dimemas.matching import MessageMatcher
-        from repro.dimemas.network import NetworkFabric
+        from repro.dimemas.replay import ReplayEngine
         from repro.tracing.records import SendRecord
+        from repro.tracing.trace import RankTrace, Trace
 
         for threshold in (0, 1024, 65536):
             platform = Platform(eager_threshold=threshold)
-            env = Environment()
-            matcher = MessageMatcher(
-                env, platform, NetworkFabric(env, platform, num_ranks=2))
-            for size in (0, threshold, threshold + 1, 10 * threshold + 7):
-                message = matcher.post_send(
-                    0, SendRecord(dst=1, size=size, tag=size))
-                assert message.protocol is select_protocol(size, platform), \
-                    (threshold, size)
+            sends = [SendRecord(dst=1, size=size, tag=size)
+                     for size in (0, threshold, threshold + 1,
+                                  10 * threshold + 7)]
+            trace = Trace(ranks=[RankTrace(rank=0, records=sends),
+                                 RankTrace(rank=1)])
+            engine = ReplayEngine(trace, platform)
+            plan = trace.prepared().message_plan()
+            for record, index in zip(sends, plan.indices[0]):
+                message = engine.post_send(0, record, index)
+                assert message.protocol is select_protocol(
+                    record.size, platform), (threshold, record.size)

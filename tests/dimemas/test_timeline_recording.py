@@ -139,17 +139,22 @@ class TestSpecWiring:
 
 
 class TestLazyRecvPostedHook:
-    def test_access_after_posting_is_already_processed(self):
-        from repro.des import Environment
-        from repro.dimemas.matching import MessageMatcher
-        from repro.dimemas.network import NetworkFabric
+    @staticmethod
+    def _engine():
         from repro.tracing.records import RecvRecord, SendRecord
+        from repro.tracing.trace import RankTrace, Trace
 
-        env = Environment()
-        p = Platform()
-        matcher = MessageMatcher(env, p, NetworkFabric(env, p, num_ranks=2))
-        matcher.post_send(0, SendRecord(dst=1, size=10))
-        message = matcher.post_recv(1, RecvRecord(src=0, size=10))
+        trace = Trace(ranks=[
+            RankTrace(rank=0, records=[SendRecord(dst=1, size=10)]),
+            RankTrace(rank=1, records=[RecvRecord(src=0, size=10)])])
+        engine = ReplayEngine(trace, Platform())
+        return engine, trace[0].records[0], trace[1].records[0]
+
+    def test_access_after_posting_is_already_processed(self):
+        engine, send, recv = self._engine()
+        env = engine.env
+        engine.post_send(0, send, 0)
+        message = engine.post_recv(1, recv, 0)
         # Both the heap and the urgent FIFO count as enqueued.
         queued_before = len(env._queue) + len(env._urgent)
         hook = message.recv_posted
@@ -160,16 +165,9 @@ class TestLazyRecvPostedHook:
         assert len(env._queue) + len(env._urgent) == queued_before
 
     def test_access_before_posting_waits_for_the_posting(self):
-        from repro.des import Environment
-        from repro.dimemas.matching import MessageMatcher
-        from repro.dimemas.network import NetworkFabric
-        from repro.tracing.records import RecvRecord, SendRecord
-
-        env = Environment()
-        p = Platform()
-        matcher = MessageMatcher(env, p, NetworkFabric(env, p, num_ranks=2))
-        message = matcher.post_send(0, SendRecord(dst=1, size=10))
+        engine, send, recv = self._engine()
+        message = engine.post_send(0, send, 0)
         hook = message.recv_posted
         assert not hook.triggered
-        matcher.post_recv(1, RecvRecord(src=0, size=10))
+        engine.post_recv(1, recv, 0)
         assert hook.triggered

@@ -1,11 +1,12 @@
 """The per-trace layers do their work once: one symbolic replay per (trace,
 eager threshold), shared by lint and classification; one content digest per
 app, none per overlapped variant; and one message plan per trace, shared by
-every adaptive cell."""
+the trace-time checks, lint and every cell."""
 
 import pytest
 
 from repro.analysis import tracelint
+from repro.core.overlap import OverlapTransformer
 from repro.dimemas import windows
 from repro.dimemas.platform import Platform
 from repro.dimemas.replay import ReplayEngine
@@ -13,6 +14,7 @@ from repro.experiments import ExperimentSpec, run_experiment
 from repro.experiments.plan import ExperimentPlan
 from repro.store import FileResultStore
 from repro.tracing import trace as trace_module
+from repro.tracing.machine import TracingVirtualMachine
 from repro.tracing.trace import MessagePlan, Trace
 
 #: One app x 3 variants (original, real, ideal) x 2 bandwidths on a proven
@@ -37,13 +39,13 @@ def fresh_facts_memo(monkeypatch):
 def symbolic_runs(monkeypatch):
     """Count the symbolic replays that run to their fixpoint."""
     runs = []
-    original = tracelint._SymbolicReplay.run
+    original = tracelint._symbolic_replay
 
-    def counting(self):
-        runs.append(self.eager_threshold)
-        return original(self)
+    def counting(ops, plan, eager_threshold):
+        runs.append(eager_threshold)
+        return original(ops, plan, eager_threshold)
 
-    monkeypatch.setattr(tracelint._SymbolicReplay, "run", counting)
+    monkeypatch.setattr(tracelint, "_symbolic_replay", counting)
     return runs
 
 
@@ -103,15 +105,8 @@ class TestOneSymbolicReplayPerTraceAndThreshold:
         for trace in table.values():
             verdicts = trace._symbolic_verdicts
             assert list(verdicts) == [Platform().eager_threshold]
-            for memoized in _memoized_values(vars(trace)):
-                assert not isinstance(memoized, tracelint._SymbolicReplay)
-
-
-def _memoized_values(mapping):
-    for value in mapping.values():
-        yield value
-        if isinstance(value, dict):
-            yield from _memoized_values(value)
+            assert all(isinstance(verdict, tracelint.SymbolicVerdict)
+                       for verdict in verdicts.values())
 
 
 class TestNoVariantHashing:
@@ -123,8 +118,8 @@ class TestNoVariantHashing:
 
 
 class TestOneMessagePlanPerTrace:
-    """Every cell of the default platform runs the paced walk on its own;
-    the cells of one trace share its plan."""
+    """The trace-time checks, lint, the classifier and every walk read one
+    plan per trace."""
 
     @pytest.fixture
     def plans_built(self, monkeypatch):
@@ -140,15 +135,43 @@ class TestOneMessagePlanPerTrace:
         monkeypatch.setattr(MessagePlan, "compile", classmethod(counting))
         return built
 
+    @pytest.fixture
+    def built_traces(self, monkeypatch):
+        """Every trace a run traces or transforms."""
+        built = []
+        for owner, name in ((TracingVirtualMachine, "trace"),
+                            (OverlapTransformer, "transform")):
+            original = getattr(owner, name)
+
+            def recording(self, *args, _original=original, **kwargs):
+                trace = _original(self, *args, **kwargs)
+                built.append(trace)
+                return trace
+
+            monkeypatch.setattr(owner, name, recording)
+        return built
+
     def _spec(self, backend):
         return ExperimentSpec(
             apps=("sancho-loop",),
             app_options={"num_ranks": 4, "iterations": 2},
             bandwidths=(50.0, 200.0, 800.0),
             platform={"replay_backend": backend},
-            chunking={"policy": "fixed-count", "count": 4})
+            chunking={"policy": "fixed-count", "count": 4},
+            jobs=1)
 
-    def test_a_three_bandwidth_run_builds_one_plan_per_trace(
+    @pytest.mark.parametrize("precheck", [True, False],
+                             ids=["precheck", "no-precheck"])
+    @pytest.mark.parametrize("backend", ["adaptive", "event"])
+    def test_a_run_compiles_one_plan_per_trace(self, plans_built,
+                                               built_traces, backend,
+                                               precheck):
+        run_experiment(self._spec(backend), precheck=precheck)
+        assert len(built_traces) == 3
+        assert sorted(map(id, plans_built)) == sorted(
+            id(trace.prepared().ops) for trace in built_traces)
+
+    def test_a_three_bandwidth_run_shares_each_plan_across_cells(
             self, plans_built, monkeypatch):
         paced = []
         original = ReplayEngine._run_adaptive
@@ -161,7 +184,3 @@ class TestOneMessagePlanPerTrace:
         run_experiment(self._spec("adaptive"))
         assert len(paced) == 9
         assert len(plans_built) == 3
-
-    def test_the_event_backend_builds_none(self, plans_built):
-        run_experiment(self._spec("event"))
-        assert plans_built == []

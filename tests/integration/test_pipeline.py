@@ -2,10 +2,10 @@
 
 import pytest
 
+from repro.analysis.structure import trace_issues
 from repro.core import ComputationPattern, OverlapMechanism, OverlapStudyEnvironment
 from repro.core.chunking import FixedCountChunking
 from repro.dimemas import Platform
-from repro.mpi.validation import MatchingValidator
 from repro.paraver.compare import compare_timelines
 from repro.paraver.prv import to_prv
 
@@ -17,8 +17,8 @@ class TestFullPipeline:
         overlapped_trace = environment.overlap(original_trace)
 
         # Both traces are valid MPI programs.
-        assert MatchingValidator(strict=False).validate(original_trace).ok
-        assert MatchingValidator(strict=False).validate(overlapped_trace).ok
+        assert trace_issues(original_trace) == []
+        assert trace_issues(overlapped_trace) == []
 
         # Both traces replay on the same platform.
         original = environment.simulate(original_trace, label="original")

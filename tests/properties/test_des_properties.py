@@ -52,7 +52,8 @@ def test_resource_serialization_bounds_makespan(holds, capacity):
     resource = Resource(env, capacity=capacity)
 
     def user(hold):
-        request = resource.request()
+        request = env.event()
+        resource.acquire(request)
         yield request
         yield env.timeout(hold)
         resource.release(request)
@@ -74,7 +75,8 @@ def test_all_waiters_eventually_granted(count):
     completed = []
 
     def user(index):
-        request = resource.request()
+        request = env.event()
+        resource.acquire(request)
         yield request
         yield env.timeout(1.0)
         resource.release(request)
@@ -172,7 +174,8 @@ def _callback_order(env, program, capacities, drive):
                 yield env.timeout(step[1])
             elif step[0] == "use":
                 resource = resources[step[1]]
-                request = resource.request()
+                request = env.event()
+                resource.acquire(request)
                 yield request
                 order.append((path + (index, "granted"), env.now))
                 yield env.timeout(step[2])

@@ -4,11 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analysis.structure import trace_issues
 from repro.core.chunking import FixedCountChunking
 from repro.core.mechanisms import OverlapMechanism
 from repro.core.overlap import OverlapTransformer
 from repro.core.patterns import ComputationPattern
-from repro.mpi.validation import MatchingValidator
 from repro.tracing.machine import TracingVirtualMachine
 from repro.tracing.records import RecvRecord, SendRecord, WaitRecord
 from repro.workloads import generate_workload
@@ -59,8 +59,7 @@ def test_transformed_trace_is_a_valid_mpi_program(spec, pattern, mechanism, coun
     transformer = OverlapTransformer(chunking=FixedCountChunking(count=count),
                                      pattern=pattern, mechanism=mechanism)
     overlapped = transformer.transform(trace)
-    report = MatchingValidator(strict=False).validate(overlapped)
-    assert report.ok, report.issues
+    assert trace_issues(overlapped) == []
 
 
 @settings(max_examples=25, deadline=None)

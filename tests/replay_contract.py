@@ -12,6 +12,10 @@ Adaptive replays each cell twice, recording a timeline and metric-only,
 because the two can take different walks: a proven cell runs the paced
 walk when it records a timeline and the lane walk when it does not.
 Both runs must meet the contract, so they also agree with each other.
+
+:func:`fifo_pairs` is a short pairing reference written apart from
+:class:`repro.tracing.trace.MessagePlan`, so that the plan every walk
+matches through is not checked against itself.
 """
 
 from repro.apps.registry import create_application
@@ -20,6 +24,7 @@ from repro.core.environment import OverlapStudyEnvironment
 from repro.core.mechanisms import OverlapMechanism
 from repro.core.patterns import ComputationPattern
 from repro.dimemas.replay import ReplayEngine
+from repro.tracing.records import RecvRecord, SendRecord
 
 _TRACES = {}
 
@@ -81,3 +86,21 @@ def assert_bit_exact(trace, platform):
     assert (sorted(adaptive_timeline.communications, key=_communication_key)
             == sorted(event_timeline.communications, key=_communication_key))
     return engine
+
+
+def fifo_pairs(trace):
+    """``{(send rank, position): (receive rank, position)}`` of every matched
+    message: per ``(src, dst, tag)`` stream, the k-th send meets the k-th
+    receive."""
+    sends, recvs = {}, {}
+    for rank_trace in trace:
+        rank = rank_trace.rank
+        for position, record in enumerate(rank_trace.records):
+            if isinstance(record, SendRecord):
+                sends.setdefault((rank, record.dst, record.tag),
+                                 []).append((rank, position))
+            elif isinstance(record, RecvRecord):
+                recvs.setdefault((record.src, rank, record.tag),
+                                 []).append((rank, position))
+    return {send: recv for stream, stream_sends in sends.items()
+            for send, recv in zip(stream_sends, recvs.get(stream, ()))}

@@ -115,6 +115,23 @@ def test_light_command_loads_no_deferred_module(command, filled_store):
     assert _deferred_in(imported) == []
 
 
+#: Modules the parser and the light commands must not load either: the
+#: sweep executor and, through it, the result store.
+_HEAVY_FOR_LIGHT_COMMANDS = ("repro.core.executor", "repro.store")
+
+
+@pytest.mark.parametrize("command", [
+    ["-c", "import repro.cli"],
+    ["-m", "repro", "list-apps"],
+    ["-m", "repro", "--help"],
+], ids=["import", "list-apps", "help"])
+def test_the_cli_loads_neither_executor_nor_store(command):
+    imported = _imported(_python("-X", "importtime", *command).stderr)
+    assert "repro.cli" in imported
+    assert [name for name in _HEAVY_FOR_LIGHT_COMMANDS
+            if name in imported] == []
+
+
 def test_fully_warm_run_loads_no_deferred_module(filled_store):
     store, cold = filled_store
     warm = json.loads(_python("-c", _RUN, str(store), *DEFERRED).stdout)

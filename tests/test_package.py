@@ -76,5 +76,5 @@ class TestColdImports:
             capture_output=True, text=True, timeout=60)
         assert completed.returncode == 0, completed.stderr
         imported = completed.stdout.split()
-        assert len(imported) == 16
+        assert len(imported) == 17
         assert {"apps", "cli", "workloads", "__main__"} <= set(imported)
