@@ -15,7 +15,7 @@ replay regimes -- through two engines:
 Both engines produce bit-identical simulated times (asserted on every
 cell; the golden tests in ``tests/dimemas/test_replay_golden.py`` pin the
 full result surface), so the comparison isolates pure interpreter cost.
-The results -- wall time and heap events/second per application plus the
+The results -- wall time and events/second per application plus the
 aggregate speedups -- are printed as a table and written to
 ``BENCH_replay_core.json`` so the perf trajectory of the replay core is
 recorded per PR.  ``--min-speedup`` turns the run into a CI perf guard.
@@ -735,21 +735,20 @@ def _build_workload(apps, ranks, iterations, samples):
 
 
 def _run_engine(build_engine, variants, platforms):
-    """Replay every (variant, platform) cell; return (seconds, events, times)."""
+    """Replay every (variant, platform) cell; return (seconds, heap
+    entries, times)."""
     start = time.perf_counter()
-    events = 0
+    entries = 0
     times = []
     for _label, trace in variants:
         for platform in platforms:
             engine = build_engine(trace, platform)
             total_time = engine.run()[0]
             times.append(total_time)
-            # The itertools counter has numbered every heap entry (the
-            # event backend runs same-instant urgent work from a FIFO and
-            # does not number it; the legacy engine numbers every event);
-            # reading it afterwards costs the hot loop nothing.
-            events += next(engine.env._eid)
-    return time.perf_counter() - start, events, times
+            # The itertools counter has numbered every heap entry; reading
+            # it afterwards costs the hot loop nothing.
+            entries += next(engine.env._eid)
+    return time.perf_counter() - start, entries, times
 
 
 def _fast_engine(trace, platform):
@@ -796,16 +795,19 @@ def main(argv=None) -> int:
         "apps": {},
     }
     total_legacy = total_fast = 0.0
-    total_events_fast = 0
+    total_events = 0
     for name, variants in workload.items():
         legacy_seconds = fast_seconds = float("inf")
         for _ in range(max(1, args.repeat)):
             # Interleave the engines inside every repeat so machine drift
-            # hits both comparably.
-            seconds, legacy_events, legacy_times = _run_engine(
+            # hits both comparably.  The legacy engine keeps every event on
+            # its heap, so its entries count the workload's events; the
+            # event backend runs same-instant work from FIFOs and numbers
+            # only its future events, so both rates divide the legacy count.
+            seconds, events, legacy_times = _run_engine(
                 LegacyReplayEngine, variants, platforms)
             legacy_seconds = min(legacy_seconds, seconds)
-            seconds, fast_events, fast_times = _run_engine(
+            seconds, heap_entries, fast_times = _run_engine(
                 _fast_engine, variants, platforms)
             fast_seconds = min(fast_seconds, seconds)
         if legacy_times != fast_times:
@@ -816,15 +818,15 @@ def main(argv=None) -> int:
         speedup = legacy_seconds / fast_seconds if fast_seconds else float("inf")
         total_legacy += legacy_seconds
         total_fast += fast_seconds
-        total_events_fast += fast_events
+        total_events += events
         report["apps"][name] = {
             "records_replayed": records * len(platforms),
-            "events_legacy": legacy_events,
-            "events_fast": fast_events,
+            "events": events,
+            "heap_entries_fast": heap_entries,
             "legacy_seconds": legacy_seconds,
             "fast_seconds": fast_seconds,
-            "events_per_second_legacy": legacy_events / legacy_seconds,
-            "events_per_second_fast": fast_events / fast_seconds,
+            "events_per_second_legacy": events / legacy_seconds,
+            "events_per_second_fast": events / fast_seconds,
             "speedup": speedup,
         }
         rows.append([name, records * len(platforms),
@@ -835,7 +837,7 @@ def main(argv=None) -> int:
     report["aggregate"] = {
         "legacy_seconds": total_legacy,
         "fast_seconds": total_fast,
-        "events_per_second_fast": total_events_fast / total_fast,
+        "events_per_second_fast": total_events / total_fast,
         "speedup": aggregate_speedup,
     }
     print(format_table(

@@ -23,9 +23,9 @@ symbolic replay or the replay stack.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Any, Dict, List
+from typing import Any, Dict, List, Optional
 
-from repro.analysis.diagnostics import Diagnostic
+from repro.analysis.diagnostics import Diagnostic, format_defect
 from repro.tracing.trace import OP_SEND, Trace
 
 #: Collective operations whose ``root`` parameter is meaningful; the others
@@ -75,6 +75,17 @@ def fault_message(ops, fault) -> str:
     """The diagnostic text of one of the plan's ``faults`` on ``ops``."""
     code, rank, position, *detail = fault
     return _MESSAGES[code](ops, rank, position, *detail)
+
+
+def first_defect(trace: Trace, code: str) -> Optional[str]:
+    """The plan's first ``code`` fault of ``trace``, formatted as lint
+    formats it, or None when the plan found none."""
+    prepared = trace.prepared()
+    for fault in prepared.message_plan().faults:
+        if fault[0] == code:
+            return format_defect(code, fault[1], fault[2],
+                                 fault_message(prepared.ops, fault))
+    return None
 
 
 def _kind(op: int) -> str:

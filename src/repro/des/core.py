@@ -5,9 +5,11 @@ events flow through :meth:`Environment.run` per simulated application, so
 the scheduling paths are written for speed -- ``__slots__`` classes, a
 :meth:`Environment.schedule_timeout` fast path that builds a plain-delay
 :class:`Timeout` without the generic event machinery, a drain loop that
-binds its hot attributes once instead of per event, and a FIFO for
-same-instant urgent work (resource grants, process starts and ends) so
-that work never touches the heap.  The semantics are unchanged from the
+binds its hot attributes once instead of per event, and two FIFOs for
+the work due at the current instant -- one for URGENT work (resource
+grants, process starts and ends), one for NORMAL work (message arrivals,
+send completions, satisfied waits, zero-length delays) -- so the heap
+holds only future events.  The semantics are unchanged from the
 straightforward single-heap implementation: same event ordering (time,
 then priority, then insertion order), same error surfacing.
 """
@@ -115,28 +117,31 @@ class Process(Event):
 class Environment:
     """Owns simulation time and the event queue.
 
-    The queue is kept in two parts.  A heap orders timed entries by (time,
-    priority, creation id).  A FIFO holds the urgent work of the current
-    instant: every event triggered at :data:`PRIORITY_URGENT` (resource
-    grants, process starts and ends) is due *now*, sorts before every
-    NORMAL entry at this instant and every later entry, and among its
-    peers in creation order -- which is FIFO order.  The environment runs
-    the FIFO dry before it pops the heap, which is exactly the single
-    heap's order as long as the heap never holds an URGENT entry for the
-    current instant.  The one way such an entry arises is an URGENT event
-    scheduled with a delay: when one pops, every other URGENT heap entry
-    of its instant moves onto the FIFO before its callbacks run (they were
-    all created before that instant, so they precede anything created at
-    it).
+    The queue is kept in three parts.  A heap orders future entries by
+    (time, priority, creation id).  Two FIFOs hold the work due at the
+    current instant, one per priority: an event triggered now, or
+    scheduled with a delay that leaves the clock where it is, joins the
+    FIFO of its priority instead of the heap.  Among the entries of one
+    instant and priority, creation order is FIFO order, so the
+    environment runs the URGENT FIFO dry, then the NORMAL one, and pops
+    the heap only when both are empty -- exactly the single heap's order,
+    as long as the heap never holds an URGENT or NORMAL entry for the
+    current instant.  Such entries are the ones scheduled earlier with a
+    delay that ends now: when the clock moves to an instant, by a pop or
+    by :meth:`advance_to`, they all move onto the FIFOs of their
+    priorities before anything runs there.  They were created before that
+    instant, so they precede everything created at it.
     """
 
-    __slots__ = ("_now", "_queue", "_urgent", "_eid", "_active_process")
+    __slots__ = ("_now", "_queue", "_urgent", "_normal", "_eid",
+                 "_active_process")
 
     def __init__(self, initial_time: float = 0.0):
         self._now = float(initial_time)
         self._queue: List[Tuple[float, int, int, Event]] = []
-        #: Urgent work due at the current instant, in creation order.
+        #: Work due at the current instant, in creation order, per priority.
         self._urgent: Deque[Event] = deque()
+        self._normal: Deque[Event] = deque()
         self._eid = count()
         self._active_process: Optional[Process] = None
 
@@ -153,7 +158,7 @@ class Environment:
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if the queue is empty."""
-        if self._urgent:
+        if self._urgent or self._normal:
             return self._now
         return self._queue[0][0] if self._queue else float("inf")
 
@@ -163,13 +168,16 @@ class Environment:
         """Insert ``event`` into the queue ``delay`` time units from now."""
         if delay < 0:
             raise ValueError(f"cannot schedule an event in the past (delay={delay!r})")
+        if priority < PRIORITY_URGENT:
+            raise priority_error(priority)
         now = self._now
-        if priority == PRIORITY_URGENT:
-            if now + delay == now:
+        if now + delay == now:
+            if priority == PRIORITY_NORMAL:
+                self._normal.append(event)
+                return
+            if priority == PRIORITY_URGENT:
                 self._urgent.append(event)
                 return
-        elif priority < PRIORITY_URGENT:
-            raise priority_error(priority)
         heappush(self._queue, (now + delay, priority, next(self._eid), event))
 
     def schedule_timeout(self, delay: float, value: Any = None) -> Timeout:
@@ -189,8 +197,12 @@ class Environment:
         event._ok = True
         event._defused = False
         event._delay = delay
-        heappush(self._queue,
-                 (self._now + delay, PRIORITY_NORMAL, next(self._eid), event))
+        now = self._now
+        if now + delay == now:
+            self._normal.append(event)
+        else:
+            heappush(self._queue,
+                     (now + delay, PRIORITY_NORMAL, next(self._eid), event))
         return event
 
     def advance_to(self, when: float) -> float:
@@ -202,7 +214,7 @@ class Environment:
         the window elided.  Jumping is only legal when no scheduled event
         would have fired on the way -- otherwise the elision would have
         skipped an observable side effect -- so the call refuses to leap
-        over a pending event, urgent work of the current instant included
+        over a pending event, work due at the current instant included
         (events scheduled exactly *at* ``when`` are fine: they have not
         fired yet at that instant).
         """
@@ -210,9 +222,10 @@ class Environment:
             raise ValueError(
                 f"cannot advance the clock backwards "
                 f"(when={when!r}, now={self._now!r})")
-        if self._urgent and self._now < when:
+        if (self._urgent or self._normal) and self._now < when:
+            kind = "urgent" if self._urgent else "normal"
             raise DesError(
-                f"cannot advance to {when!r}: urgent work is pending at "
+                f"cannot advance to {when!r}: {kind} work is pending at "
                 f"{self._now!r}")
         queue = self._queue
         if queue and queue[0][0] < when:
@@ -224,16 +237,22 @@ class Environment:
         return self._now
 
     def _promote(self, when: float) -> None:
-        """Move the heap's URGENT entries for instant ``when`` onto the FIFO.
+        """Move the heap's URGENT and NORMAL entries for instant ``when``
+        onto the FIFOs of their priorities.
 
-        Called when the clock reaches ``when`` with such entries left (an
-        URGENT event scheduled with a delay), so the heap never holds
-        urgent work of the current instant.
+        Called when the clock reaches ``when``, so the heap never holds
+        URGENT or NORMAL work of the current instant.
         """
         queue = self._queue
-        urgent = self._urgent
-        while queue and queue[0][0] == when and queue[0][1] == PRIORITY_URGENT:
-            urgent.append(heappop(queue)[3])
+        while queue:
+            entry = queue[0]
+            if entry[0] != when or entry[1] > PRIORITY_NORMAL:
+                return
+            heappop(queue)
+            if entry[1] == PRIORITY_NORMAL:
+                self._normal.append(entry[3])
+            else:
+                self._urgent.append(entry[3])
 
     def _pop(self) -> Event:
         """Take the next event off a non-empty queue, moving the clock to it.
@@ -242,15 +261,18 @@ class Environment:
         """
         if self._urgent:
             return self._urgent.popleft()
-        when, priority, _eid, event = heappop(self._queue)
+        if self._normal:
+            return self._normal.popleft()
+        queue = self._queue
+        when, _priority, _eid, event = heappop(queue)
         self._now = when
-        if priority == PRIORITY_URGENT:
+        if queue and queue[0][0] == when:
             self._promote(when)
         return event
 
     def step(self) -> None:
         """Process the next scheduled event."""
-        if not self._urgent and not self._queue:
+        if not self._urgent and not self._normal and not self._queue:
             raise EmptySchedule("no more events scheduled")
         event = self._pop()
         callbacks, event.callbacks = event.callbacks, None
@@ -269,18 +291,22 @@ class Environment:
         """
         queue = self._queue
         urgent = self._urgent
+        normal = self._normal
 
         if until is None:
             # Drain loop (the replay path): no stop checks per event.
             timeout_class = Timeout
-            popleft = urgent.popleft
+            urgent_popleft = urgent.popleft
+            normal_popleft = normal.popleft
             while True:
                 if urgent:
-                    event = popleft()
+                    event = urgent_popleft()
+                elif normal:
+                    event = normal_popleft()
                 elif queue:
-                    when, priority, _eid, event = heappop(queue)
+                    when, _priority, _eid, event = heappop(queue)
                     self._now = when
-                    if priority == PRIORITY_URGENT:
+                    if queue and queue[0][0] == when:
                         self._promote(when)
                     if type(event) is timeout_class:
                         # Skip-ahead fast path: a plain timeout is always
@@ -316,9 +342,9 @@ class Environment:
                     stop_event.defuse()
                     raise stop_event._value
                 return stop_event._value
-            # Urgent work is due now, and now <= stop_time: only an empty
-            # FIFO lets the run stop.
-            if not urgent:
+            # FIFO work is due now, and now <= stop_time: only empty FIFOs
+            # let the run stop.
+            if not urgent and not normal:
                 if not queue:
                     if stop_event is not None:
                         raise EmptySchedule(

@@ -15,9 +15,10 @@ tuned for allocation speed: every class carries ``__slots__`` (no per-event
 ``__dict__``) and display names are computed *lazily* -- an event that is
 never printed never pays for its name string.
 
-Triggering schedules the event at the current instant.  At
-:data:`PRIORITY_URGENT` it joins the environment's FIFO of same-instant
-urgent work instead of the time-ordered heap (see
+Triggering schedules the event at the current instant: at
+:data:`PRIORITY_URGENT` or :data:`PRIORITY_NORMAL` it joins the
+environment's FIFO of same-instant work of that priority, never the
+time-ordered heap, which holds only future events (see
 :class:`~repro.des.core.Environment`).
 """
 
@@ -112,7 +113,9 @@ class Event:
         # triggering is the second-hottest path after the drain loop, and a
         # zero delay needs no validation.
         env = self.env
-        if priority == PRIORITY_URGENT:
+        if priority == PRIORITY_NORMAL:
+            env._normal.append(self)
+        elif priority == PRIORITY_URGENT:
             env._urgent.append(self)
         elif priority > PRIORITY_URGENT:
             heappush(env._queue, (env._now, priority, next(env._eid), self))

@@ -16,12 +16,15 @@ wrap-around torus rings included -- deadlock-free.
 
 Each transfer is one callback task (:class:`_Transfer`), not a generator
 process: the DES runs its steps exactly where a process's events would
-sit -- its start and every resource grant on the urgent FIFO, every wire
-end on the heap -- without a process, a bootstrap event, a ``Request`` per
-resource or a generator resume per step.  A step that raises returns every
-slot the task holds and withdraws the one it waits for before the error
-leaves :meth:`~repro.des.Environment.run`, so a failed transfer never
-leaks capacity.
+sit -- its start and every resource grant on the URGENT FIFO, every wire
+end on the heap (or, for a wire of zero length, on the NORMAL FIFO) --
+without a process, a bootstrap event, a ``Request`` per resource or a
+generator resume per step.  A grant that leaves the task alone on the
+URGENT FIFO is the very next thing the DES would run, so the task takes
+it in place.  A step that raises returns every slot the task holds and
+withdraws the one it waits for before the error leaves
+:meth:`~repro.des.Environment.run`, so a failed transfer never leaks
+capacity.
 """
 
 from __future__ import annotations
@@ -213,12 +216,14 @@ class _Transfer:
     it calls the task's ``callbacks`` -- always :data:`_STEPS`, a shared
     tuple, so a task never references itself -- with the task.  Each step
     sits where the former transfer process's event sat: the start on the
-    urgent FIFO (the process's bootstrap), each resource grant on the FIFO
+    URGENT FIFO (the process's bootstrap), each resource grant on that FIFO
     (the ``Request``'s grant; :meth:`succeed` is how a resource hands the
-    task a slot), each wire end on the heap as a NORMAL entry numbered when
-    the wire is entered (the ``Timeout``).  The process's end event had no
-    callbacks, so leaving it out moves nothing else.  A finished task is
-    referenced by nothing and is freed at once.
+    task a slot), each wire end as a NORMAL entry scheduled when the wire
+    is entered (the ``Timeout``).  A grant that finds the task alone on the
+    URGENT FIFO runs in place: the step takes the task back off the FIFO
+    and goes on, as the DES would have run it next.  The process's end
+    event had no callbacks, so leaving it out moves nothing else.  A
+    finished task is referenced by nothing and is freed at once.
     """
 
     __slots__ = ("callbacks", "fabric", "message", "collective", "phase",
@@ -285,6 +290,14 @@ class _Transfer:
                     self._wire(env, self.duration)
                     return
                 self.route = fabric.model.route(src_node, dst_node)
+                if not self.route:
+                    # Only a rank outside the trace has no route (a torus
+                    # wraps its node onto the sender's).  The message
+                    # arrives at once, and the walk's end check names the
+                    # send (TL103), as on every other topology.
+                    message.transfer_start = env._now
+                    self._finish(False)
+                    return
                 self.requested_at = env._now
                 self.phase = _ACQUIRING
             elif phase == _COPYING:
@@ -296,11 +309,17 @@ class _Transfer:
             # orders; with all of them held, cross the wire.
             hop = self.route[self.hop_index]
             resources = hop.resources
+            urgent = env._urgent
             requested = self.requested
-            if requested < len(resources):
+            while requested < len(resources):
                 self.requested = requested + 1
                 resources[requested].acquire(self)
-                return
+                if len(urgent) != 1 or urgent[0] is not self:
+                    return
+                # Granted, and nothing else is due first: the grant's step
+                # is the DES's next one, so take it here.
+                urgent.pop()
+                requested += 1
             now = env._now
             self.hop_queue = now - self.requested_at
             if message.transfer_start is None:
@@ -324,8 +343,12 @@ class _Transfer:
         if duration < 0:
             raise ValueError(f"negative timeout delay: {duration!r}")
         self.callbacks = _STEPS
-        heappush(env._queue, (env._now + duration, PRIORITY_NORMAL,
-                              next(env._eid), self))
+        now = env._now
+        if now + duration == now:
+            env._normal.append(self)
+        else:
+            heappush(env._queue, (now + duration, PRIORITY_NORMAL,
+                                  next(env._eid), self))
 
     def _finish(self, intranode: bool) -> None:
         fabric = self.fabric

@@ -56,7 +56,7 @@ from heapq import heappop, heappush
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.diagnostics import format_defect
-from repro.analysis.structure import fault_message
+from repro.analysis.structure import fault_message, first_defect
 from repro.des import Environment, Event
 from repro.des.events import PENDING
 from repro.des.resources import InfiniteResource
@@ -403,6 +403,12 @@ class ReplayEngine:
                 "proven_exact": True,
                 "contended_transfers": 0,
             }
+        # A request id reissued while outstanding would overwrite the
+        # posting the walk still tracks, and its wait would complete only
+        # the latest one: refuse the trace before anything runs.
+        reissued = first_defect(self.trace, "TL303")
+        if reissued is not None:
+            raise SimulationError(reissued)
         plan = prepared.message_plan()
         for rank, rank_ops in enumerate(prepared.ops):
             process = self.env.process(

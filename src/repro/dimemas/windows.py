@@ -11,13 +11,14 @@ streams (:meth:`repro.tracing.trace.Trace.prepared`):
   recurrences reproduce the event backend's semantics: analytical
   collectives (every collective is a global barrier with a closed-form
   duration -- the decomposed model injects phase traffic that must really
-  interleave), no unknown records, cross-rank agreement on collective
-  counts and parameters (a disagreeing trace must fail through the event
-  walk so it raises the exact same error), and a clean run of the
-  zero-time symbolic replay of :mod:`repro.analysis.tracelint` over the
-  trace's message plan -- it is exact for progress semantics, so a trace it
-  proves matchable, with every send received, cannot deadlock or leave a
-  transfer unmatched under fast-forwarding.
+  interleave), no unknown records, no request id reissued while
+  outstanding, cross-rank agreement on collective counts and parameters
+  (a disagreeing trace must fail through the event walk so it raises the
+  exact same error), and a clean run of the zero-time symbolic replay of
+  :mod:`repro.analysis.tracelint` over the trace's message plan -- it is
+  exact for progress semantics, so a trace it proves matchable, with every
+  send received, cannot deadlock or leave a transfer unmatched under
+  fast-forwarding.
 
 * **Proven cells** -- a viable cell is *proven* when the platform's
   network has no limited resource at all (per-topology classification
@@ -47,6 +48,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.analysis.structure import first_defect
 from repro.analysis.tracelint import symbolic_verdict
 from repro.dimemas.collectives.base import ANALYTICAL
 from repro.dimemas.platform import Platform
@@ -95,6 +97,12 @@ _FACTS_MEMO_LIMIT = 256
 def _compute_facts(trace: Trace, eager_threshold: int,
                    processors_per_node: int) -> _TraceFacts:
     ops = trace.prepared().ops
+
+    # A reissued request id (TL303): the event walk refuses the trace
+    # before it replays anything.
+    reissued = first_defect(trace, "TL303")
+    if reissued is not None:
+        return _TraceFacts(defect=reissued)
 
     # Structural sanity: unknown records would raise mid-replay, and the
     # collective coordinator's TL201/TL203 checks must fire from the real

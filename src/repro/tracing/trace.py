@@ -63,9 +63,10 @@ class MessagePlan:
     request list: how many records before the wait that posting is (its
     plan index is ``indices[rank][position - distance]``).  Requests that
     are not outstanding are left out, and a request id reissued while
-    outstanding is completed through its latest posting, as the walks
-    complete it.  Distances repeat from wait to wait, so each distinct
-    tuple is stored once.  Every other op holds -1.
+    outstanding is completed through its latest posting.  That is a TL303
+    fault, and every walk refuses a trace with one before it replays
+    anything.  Distances repeat from wait to wait, so each distinct tuple
+    is stored once.  Every other op holds -1.
 
     **Structure.**  ``faults`` lists the structural defects the pass finds,
     each ``(code, rank, position, *detail)`` with a tracelint code.  Rank
@@ -176,7 +177,7 @@ class MessagePlan:
                     if issued is None:
                         outstanding[request] = [position, position]
                     else:
-                        # A wait completes the latest issue, as in the walks.
+                        # A wait completes the latest issue.
                         issued[1] = position
             if outstanding:
                 for request, (position, _) in sorted(

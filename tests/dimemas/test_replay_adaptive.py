@@ -29,12 +29,14 @@ that difference: ``to_prv`` writes the same file on both backends.
 
 import pytest
 
+from repro.analysis import analyze_trace
 from repro.apps.registry import APPLICATIONS
 from repro.cli import main
 from repro.dimemas.config import config_to_platform
 from repro.dimemas.platform import Platform
 from repro.dimemas.replay import ReplayEngine
 from repro.dimemas.simulator import DimemasSimulator
+from repro.dimemas.topology import TopologySpec
 from repro.errors import ConfigurationError, SimulationError
 from repro.experiments import Experiment, ExperimentSpec, run_experiment
 from repro.paraver.prv import to_prv
@@ -285,6 +287,46 @@ class TestLeftoverRequests:
                                      replay_backend=backend)).run()
 
 
+class TestReissuedRequests:
+    """A request id reissued while outstanding (TL303) would overwrite the
+    posting the walk still tracks: every backend refuses the trace before
+    it replays anything, with lint's text."""
+
+    TRACE = Trace(ranks=[
+        RankTrace(rank=0, records=[
+            SendRecord(dst=1, size=8, tag=0, blocking=False, request=1),
+            SendRecord(dst=1, size=8, tag=0, blocking=False, request=1),
+            WaitRecord(requests=[1]),
+        ]),
+        RankTrace(rank=1, records=[RecvRecord(src=0, size=8, tag=0),
+                                   RecvRecord(src=0, size=8, tag=0)]),
+    ], metadata={"name": "reissued"})
+    ERROR = ("TL303 request-id-reused at rank 0, record 1: isend reuses "
+             "request id 1 while the isend issued at record 0 is still "
+             "outstanding")
+
+    @pytest.mark.parametrize("backend", ["event", "adaptive"])
+    def test_a_reissued_request_raises_lints_text(self, backend):
+        (lint,) = [diagnostic.format() for diagnostic
+                   in analyze_trace(self.TRACE).diagnostics
+                   if diagnostic.code == "TL303"]
+        assert lint == self.ERROR
+        with pytest.raises(SimulationError) as excinfo:
+            DimemasSimulator().simulate(
+                self.TRACE, Platform(replay_backend=backend))
+        assert str(excinfo.value) == self.ERROR
+
+    def test_the_classifier_names_tl303(self):
+        for platform in (Platform(), PROVEN["flat"]):
+            engine = ReplayEngine(self.TRACE,
+                                  platform.with_replay_backend("adaptive"),
+                                  collect_timeline=False)
+            with pytest.raises(SimulationError):
+                engine.run()
+            assert engine.adaptive_summary["mode"] == "des-fallback"
+            assert engine.adaptive_summary["fallback_reason"] == self.ERROR
+
+
 class TestUnmatchedSends:
     """An eager send that no receive matches completes at its posting, so
     unchecked it would replay to a plausible time around a phantom
@@ -315,6 +357,22 @@ class TestUnmatchedSends:
         platform = CONTENDED[topology].with_replay_backend(backend)
         with pytest.raises(SimulationError, match=error):
             ReplayEngine(self._trace(dst), platform).run()
+
+    @pytest.mark.parametrize("kind", ["flat", "tree", "torus"])
+    @pytest.mark.parametrize("backend", ["event", "adaptive"])
+    def test_a_rank_the_torus_wraps_onto_the_sender(self, backend, kind):
+        # With one rank per node the torus maps node 4 onto node 0, so the
+        # send has no route; it fails as it does on a flat bus and a tree.
+        trace = Trace(ranks=[
+            RankTrace(rank=0, records=[SendRecord(dst=4, size=100, tag=0)]),
+            *(RankTrace(rank=rank, records=[]) for rank in (1, 2, 3))])
+        platform = Platform(topology=TopologySpec(kind=kind),
+                            processors_per_node=1, replay_backend=backend)
+        with pytest.raises(SimulationError) as excinfo:
+            DimemasSimulator().simulate(trace, platform)
+        assert str(excinfo.value) == (
+            "TL103 peer-out-of-range at rank 0, record 0: send names "
+            "destination rank 4 outside 0..3")
 
     @pytest.mark.parametrize("dst, error", [(1, NEVER_RECEIVED),
                                             (7, OUT_OF_RANGE)],

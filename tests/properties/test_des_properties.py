@@ -89,18 +89,20 @@ def test_all_waiters_eventually_granted(count):
 
 
 class _HeapFifo:
-    """The reference kernel's stand-in for the urgent FIFO: it pushes every
-    urgent entry onto the heap, numbered at creation like any other."""
+    """The reference kernel's stand-in for a same-instant FIFO: it pushes
+    every entry of its priority onto the heap, numbered at creation like
+    any other."""
 
-    __slots__ = ("env",)
+    __slots__ = ("env", "priority")
 
-    def __init__(self, env):
+    def __init__(self, env, priority):
         self.env = env
+        self.priority = priority
 
     def append(self, event):
         env = self.env
         heapq.heappush(env._queue,
-                       (env._now, PRIORITY_URGENT, next(env._eid), event))
+                       (env._now, self.priority, next(env._eid), event))
 
 
 class _HeapEnvironment(Environment):
@@ -112,7 +114,8 @@ class _HeapEnvironment(Environment):
 
     def __init__(self):
         super().__init__()
-        self._urgent = _HeapFifo(self)
+        self._urgent = _HeapFifo(self, PRIORITY_URGENT)
+        self._normal = _HeapFifo(self, PRIORITY_NORMAL)
 
     def schedule(self, event, delay=0.0, priority=PRIORITY_NORMAL):
         heapq.heappush(self._queue, (self._now + delay, priority,

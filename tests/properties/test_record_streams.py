@@ -22,10 +22,6 @@ head-to-head rendezvous exchange.  Then:
   A deadlock happens only on a stream lint rejects, and a ``TL401`` stream
   always wedges.  A size change is only a ``TL104`` warning: the stream
   replays bit-exact.
-
-A reused request id is the one defect the replay does not detect: every
-walk completes a reissued id through its latest posting, as the plan
-does, and drops the earlier one.  For it, only lint's ``TL303`` is checked.
 """
 
 from hypothesis import given, settings
@@ -250,9 +246,6 @@ def test_a_defective_stream_fails_as_lint_says(drawn):
         return
     assert errors, defect
     first = errors[0]
-    if defect == "reuse":
-        assert first.code == "TL303"
-        return
     event = _replay_error(trace, "event")
     assert event is not None, (defect, first.format())
     assert _replay_error(trace, "adaptive") == event
