@@ -7,7 +7,7 @@ from dataclasses import dataclass, replace
 from typing import Union
 
 from repro.dimemas.collectives.base import CollectiveSpec
-from repro.dimemas.topology import TopologySpec
+from repro.dimemas.topology import INFINITY, TopologySpec
 from repro.errors import ConfigurationError
 
 #: Bytes in a megabyte, used to convert the Dimemas-style MB/s bandwidth.
@@ -162,13 +162,13 @@ class Platform:
     def bandwidth_bytes_per_second(self) -> float:
         """Inter-node bandwidth in bytes/s (``inf`` for an ideal network)."""
         if self.bandwidth_mbps == 0:
-            return float("inf")
+            return INFINITY
         return self.bandwidth_mbps * MEGABYTE
 
     @property
     def intranode_bandwidth_bytes_per_second(self) -> float:
         if self.intranode_bandwidth_mbps == 0:
-            return float("inf")
+            return INFINITY
         return self.intranode_bandwidth_mbps * MEGABYTE
 
     def node_of(self, rank: int) -> int:
@@ -193,7 +193,7 @@ class Platform:
         else:
             bandwidth = self.bandwidth_bytes_per_second
             latency = self.latency
-        if bandwidth == float("inf"):
+        if bandwidth == INFINITY:
             return latency
         return latency + size / bandwidth
 

@@ -35,10 +35,13 @@ one of two walks picked by the classifier
   1, the cohort replay of :mod:`repro.dimemas.gridreplay` at any width;
 * the *paced walk* (:meth:`ReplayEngine._run_adaptive`) for every other
   fast-forwardable cell: scalar clocks paced in the DES's event order, with
-  a FIFO resource micro-model for contended transfers.  Same-instant
-  URGENT work (rank starts, transfer starts, resource grants, slot
-  handovers) runs from a FIFO; a time-ordered heap holds only the timed
-  NORMAL events.
+  a FIFO resource micro-model for contended transfers, each message
+  carrying its own transfer.  Same-instant URGENT work (rank starts,
+  transfer starts, resource grants, slot handovers) runs from one FIFO and
+  same-instant NORMAL work (notifications, wake-ups, zero-length delays)
+  from a second; a time-ordered heap holds only future events.  A heap pop
+  that reaches a new instant first moves that instant's other entries onto
+  the NORMAL FIFO in creation order, as the DES kernel does.
 
 Cells neither walk can replay run the event walk, which stays the oracle.
 
@@ -67,7 +70,7 @@ from repro.dimemas.network import NetworkFabric, NetworkStatistics
 from repro.dimemas.platform import Platform
 from repro.dimemas.protocol import Protocol
 from repro.dimemas.results import RankStats
-from repro.dimemas.topology import Hop, build_network_model
+from repro.dimemas.topology import INFINITY, Hop, build_network_model
 from repro.dimemas.windows import WindowPlan, classify
 from repro.errors import SimulationError
 from repro.paraver.states import ThreadState
@@ -219,11 +222,28 @@ class _FastMessage:
     first posting of a message creates it in the cell's slot for its plan
     index; the second takes it out, so the slot never keeps a matched
     message alive.
+
+    A message on a route with a limited resource also carries its own
+    transfer, set when the transfer starts.  It walks the route exactly
+    like the event walk's transfer task
+    (:class:`~repro.dimemas.network.NetworkFabric`): acquire the hop's
+    resources in the hop's fixed order (FIFO per limited resource, holding
+    earlier ones while queued on later ones), cross the wire, hand released
+    slots to queue heads, move to the next hop.  ``hop_states`` holds, per
+    hop, the busy state of each resource (``None`` for an unlimited one),
+    shared with every other route through that resource; ``held`` the
+    states of the slots held on the current hop; ``phase`` is 0 while
+    acquiring the current hop's resources and 1 while crossing its wire.
+    So the walk's FIFOs, its heap and the resource queues hold the message
+    itself.
     """
 
     __slots__ = ("src", "dst", "tag", "size", "eager", "send_posted",
                  "send_time", "recv_time", "arrival", "transfer_start",
-                 "waiters", "r_notified", "s_notified")
+                 "waiters", "r_notified", "s_notified",
+                 # The contended transfer (unset on every other message).
+                 "route", "hop_states", "hop_idx", "res_idx", "requested_at",
+                 "held", "queue_time", "duration", "phase")
 
     def __init__(self, src: int, dst: int, tag: int):
         self.src = src
@@ -264,37 +284,6 @@ class _FastCollective:
         self.count = 0
         self.last = 0.0
         self.waiters: List[Tuple[int, float]] = []
-
-
-class _TransferTask:
-    """One in-flight contended transfer of the paced walk.
-
-    Walks its route exactly like the event walk's transfer task
-    (:class:`~repro.dimemas.network.NetworkFabric`): acquire the
-    hop's resources in the hop's fixed order (FIFO per limited resource,
-    holding earlier ones while queued on later ones), cross the wire, hand
-    released slots to queue heads, move to the next hop.  ``hop_states``
-    holds, per hop, the busy state of each resource (``None`` for an
-    unlimited one), shared with every other route through that resource.
-    Its start, grants and handovers run from the walk's URGENT FIFO, its
-    wire ends from the timed heap, instead of as DES events.
-    """
-
-    __slots__ = ("message", "route", "hop_states", "hop_idx", "res_idx",
-                 "requested_at", "held", "queue_time", "duration", "phase")
-
-    def __init__(self, message: _FastMessage, route, hop_states, now: float):
-        self.message = message
-        self.route = route
-        self.hop_states = hop_states
-        self.hop_idx = 0
-        self.res_idx = 0
-        self.requested_at = now
-        self.held: List[Any] = []
-        self.queue_time = 0.0
-        self.duration = 0.0
-        #: 0 = acquiring the current hop's resources, 1 = crossing its wire.
-        self.phase = 0
 
 
 class _GridMessage:
@@ -658,13 +647,22 @@ class ReplayEngine:
 
         No DES events: every rank carries a scalar clock advanced by the
         same float expressions as the per-record walk, and the walk plays
-        the DES queue with two structures.  Same-instant URGENT work --
+        the DES queue with three structures, as
+        :class:`~repro.des.Environment` does.  Same-instant URGENT work --
         rank starts, transfer starts, resource grants and slot handovers --
-        runs from a FIFO; a time-ordered heap holds the timed NORMAL events
-        (bursts, wire ends, completion notifications, rank wake-ups) in
-        creation order.  Every URGENT event is created at the current
-        instant and sorts before every NORMAL one there, so draining the
-        FIFO before popping the heap is exactly the DES's order.  Blocking
+        runs from one FIFO, same-instant NORMAL work -- completion
+        notifications, rank wake-ups, satisfied waits, eager blocking
+        sends, collective exits, zero-length bursts and wires -- from a
+        second, and a time-ordered heap holds only future NORMAL events
+        (bursts, wire ends, closed-form transfer ends) in creation order.
+        The walk runs the URGENT FIFO dry, then the NORMAL one, and only
+        then pops the heap.  A pop reaches a new instant: it first moves
+        that instant's other heap entries onto the NORMAL FIFO in creation
+        order (the rule of ``Environment._promote``), since they were
+        created before anything the instant creates.  So the order is the
+        DES's (time, priority, creation) order.  A continuation runs inline,
+        and advances the current instant, when nothing could run before it:
+        both FIFOs are empty and the heap's head is later.  Blocking
         operations either jump the clock to an already-notified completion
         instant or park the rank on the message/collective that will wake
         it.  Transfers that cross a limited resource walk their route
@@ -733,24 +731,30 @@ class ReplayEngine:
         messages = self._slots
         #: FIFO resource model for contended transfers, mirroring
         #: repro.des.resources.Resource: limited resource ->
-        #: [capacity, active holds, FIFO deque of parked _TransferTask].
+        #: [capacity, active holds, FIFO deque of parked messages].
         busy: Dict[Any, List[Any]] = {}
         #: (src_node, dst_node) -> (route, hop_states): per hop, the busy
         #: state of each resource (None for an unlimited one); hop_states
         #: is None when no hop is limited, i.e. the route's transfers have
         #: a closed (bit-exact) form.
         routes: Dict[Tuple[int, int], Tuple[Any, Any]] = {}
-        #: Same-instant URGENT work as (time, payload), payload a rank
-        #: number (its initial start) or an in-flight _TransferTask.  Every
-        #: entry is at the current instant.
-        urgent = deque((0.0, rank) for rank in range(num_ranks))
-        #: The timed heap of NORMAL events: (time, seq, payload) where
-        #: payload is a rank number, an in-flight _TransferTask at its wire
-        #: end or a completion-chain tuple.  `seq` plays the DES event id --
+        #: The current instant: the time of the last heap pop, or later
+        #: once a continuation has run inline.
+        now = 0.0
+        #: Same-instant URGENT work: a rank number (its initial start) or a
+        #: message whose contended transfer takes its next step.
+        urgent = deque(range(num_ranks))
+        #: Same-instant NORMAL work, in creation order: a rank number (its
+        #: continuation), a message (its arrival notification once its
+        #: arrival is known, else its wire end) or a completion-chain
+        #: tuple.
+        normal = deque()
+        #: The heap of future NORMAL events: (time, seq, payload) where
+        #: payload is a rank number, a message at its wire end or a
+        #: closed-form transfer end.  `seq` plays the DES event id --
         #: allocated in creation order, so same-instant ties break as the
         #: DES eid does -- and is unique, so the payload is never compared.
-        #: An inline continuation at time `t2` is exact when the FIFO is
-        #: empty and the heap's head is later than `t2`.
+        #: Every entry is due after the current instant.
         heap: List[Any] = []
         event_seq = 0
         done = [False] * num_ranks
@@ -786,8 +790,11 @@ class ReplayEngine:
 
         def wake_rank(waiter: int, arrival: float) -> None:
             """Complete one parked side for ``waiter``; schedules its
-            continuation once its blocking condition is fully satisfied."""
-            nonlocal event_seq
+            continuation once its blocking condition is fully satisfied.
+
+            A notification runs at its message's arrival instant and every
+            other completion the waiter waited for lies at or before it, so
+            the continuation is due now."""
             state = pending_states[waiter]
             kind = state[0]
             if kind == "wait":
@@ -818,8 +825,7 @@ class ReplayEngine:
                     add_interval(waiter, t0, t2, state_send_wait)
             pending_states[waiter] = None
             pcs[waiter] += 1
-            event_seq += 1
-            heappush(heap, (t2, event_seq, waiter))
+            normal.append(waiter)
 
         def wake_all(message: _FastMessage) -> None:
             """Wake every rank parked on ``message``, in park order."""
@@ -835,21 +841,21 @@ class ReplayEngine:
             send's ``send_complete`` -- registered at the send posting, the
             ``"sc"`` entry -- is scheduled at its own place among them, one
             generation later.  Ranks parked on ``send_complete`` stay."""
-            nonlocal event_seq
             message.r_notified = True
             waiters = message.waiters
+            if not waiters:
+                return
             message.waiters = [entry for entry in waiters if entry[0] == "s"]
             arrival = message.arrival
             for side, waiter in waiters:
                 if side == "r":
                     wake_rank(waiter, arrival)
                 elif side == "sc":
-                    event_seq += 1
-                    heappush(heap, (arrival, event_seq, ("sc", message)))
+                    normal.append(("sc", message))
 
         def finish_message(message: _FastMessage, arrival: float) -> None:
-            """The transfer is complete: publish the arrival instant and
-            schedule the ``arrived`` notification.
+            """The transfer is complete at ``arrival``, the current instant:
+            publish it and schedule the ``arrived`` notification.
 
             The DES delivers completion as a chain of NORMAL events: the
             ``arrived`` notification pops one generation after the wire
@@ -858,18 +864,17 @@ class ReplayEngine:
             multi-rank wake-ups at one instant order the way the event
             backend orders them.
             """
-            nonlocal event_seq
             message.arrival = arrival
             if collect:
                 add_communication(
                     src=message.src, dst=message.dst, size=message.size,
                     tag=message.tag, send_time=message.transfer_start,
                     recv_time=arrival)
-            event_seq += 1
-            heappush(heap, (arrival, event_seq, ("arr", message)))
+            normal.append(message)
 
-        def advance_transfer(task: _TransferTask, now: float) -> None:
-            """One DES pop's worth of progress for a contended transfer.
+        def advance_transfer(message: _FastMessage, now: float) -> float:
+            """One DES pop's worth of progress for a contended transfer;
+            returns the current instant.
 
             Each invocation mirrors exactly one step of the event walk's
             transfer task: request the current hop's next resource --
@@ -881,84 +886,90 @@ class ReplayEngine:
             wire, or, at the wire's end, release the hop (handing slots
             straight to queue heads, the DES release semantics) and start
             requesting the next hop.  Grants and handovers join the URGENT
-            FIFO and wire ends the timed heap, so same-instant grant races
-            resolve the way the event backend resolves them.  A step
-            continues inline when nothing else could run before it.
+            FIFO and wire ends the heap (the NORMAL FIFO when the wire has
+            no length), so same-instant grant races resolve the way the
+            event backend resolves them.  A step continues inline when
+            nothing else could run before it.
             """
             nonlocal event_seq, contended, bytes_transferred
-            message = task.message
             size = message.size
-            route = task.route
-            hop_states = task.hop_states
+            route = message.route
+            hop_states = message.hop_states
             while True:
-                if task.phase == 1:
+                if message.phase == 1:
                     # The wire of hop `hop_idx` was crossed at `now`:
                     # release.
-                    for state in task.held:
+                    for state in message.held:
                         waiting = state[2]
                         if waiting:
                             waiter = waiting.popleft()
                             waiter.held.append(state)
                             waiter.res_idx += 1
-                            urgent.append((now, waiter))
+                            urgent.append(waiter)
                         else:
                             state[1] -= 1
-                    task.held = []
-                    task.hop_idx += 1
-                    if task.hop_idx >= len(route):
+                    message.held = []
+                    message.hop_idx += 1
+                    if message.hop_idx >= len(route):
                         bytes_transferred += size
-                        record_queue_time(task.queue_time)
-                        record_transfer_time(task.duration)
+                        record_queue_time(message.queue_time)
+                        record_transfer_time(message.duration)
                         finish_message(message, now)
-                        return
-                    task.res_idx = 0
-                    task.requested_at = now
-                    task.phase = 0
+                        return now
+                    message.res_idx = 0
+                    message.requested_at = now
+                    message.phase = 0
                     # Fall through: request the next hop's first resource.
-                states = hop_states[task.hop_idx]
-                i = task.res_idx
+                states = hop_states[message.hop_idx]
+                i = message.res_idx
                 if i < len(states):
                     state = states[i]
-                    task.res_idx = i + 1
+                    message.res_idx = i + 1
                     if state is not None:
                         if state[1] >= state[0]:
                             # At capacity: park in the FIFO queue (rewinding
                             # res_idx; the release that hands the slot over
                             # re-advances it).
-                            task.res_idx = i
-                            state[2].append(task)
+                            message.res_idx = i
+                            state[2].append(message)
                             contended += 1
-                            return
+                            return now
                         state[1] += 1
-                        task.held.append(state)
+                        message.held.append(state)
                     # The continuation is one URGENT event later in the
                     # DES: it runs inline unless earlier URGENT work is
                     # pending.
                     if urgent:
-                        urgent.append((now, task))
-                        return
+                        urgent.append(message)
+                        return now
                     continue
                 # Every resource of the hop held: cross the wire (a NORMAL
                 # timeout in the DES, its id allocated now, at scheduling).
-                hop = route[task.hop_idx]
-                hop_queue = now - task.requested_at
+                hop = route[message.hop_idx]
+                hop_queue = now - message.requested_at
                 if message.transfer_start is None:
                     message.transfer_start = now
-                hop_duration = hop.transfer_time(size)
-                task.queue_time += hop_queue
-                task.duration += hop_duration
+                # Hop.transfer_time's expression, inline.
+                bandwidth = hop.bandwidth_bytes_per_second
+                hop_duration = (hop.latency if bandwidth == INFINITY
+                                else hop.latency + size / bandwidth)
+                message.queue_time += hop_queue
+                message.duration += hop_duration
                 # Looked up per crossing, so the keys keep first-crossing
                 # order.
                 times = hop_queue_times.get(hop.name)
                 if times is None:
                     times = hop_queue_times[hop.name] = []
                 times.append(hop_queue)
-                task.phase = 1
+                message.phase = 1
                 end = now + hop_duration
-                if urgent or (heap and heap[0][0] <= end):
-                    event_seq += 1
-                    heappush(heap, (end, event_seq, task))
-                    return
+                if urgent or normal or (heap and heap[0][0] <= end):
+                    if end == now:
+                        normal.append(message)
+                    else:
+                        event_seq += 1
+                        heappush(heap, (end, event_seq, message))
+                    return now
                 now = end
 
         def resolve(message: _FastMessage) -> None:
@@ -1003,9 +1014,16 @@ class ReplayEngine:
                     # later posting, which is the rank running right now),
                     # so the start is the current instant; it is URGENT,
                     # as the transfer task's first step in the DES.
-                    urgent.append(
-                        (start, _TransferTask(message, route, hop_states,
-                                              start)))
+                    message.route = route
+                    message.hop_states = hop_states
+                    message.hop_idx = 0
+                    message.res_idx = 0
+                    message.requested_at = start
+                    message.held = []
+                    message.queue_time = 0.0
+                    message.duration = 0.0
+                    message.phase = 0
+                    urgent.append(message)
                     return
                 ready = start
                 duration = 0.0
@@ -1020,39 +1038,58 @@ class ReplayEngine:
                 record_queue_time(0.0)
                 record_transfer_time(duration)
                 arrival = ready
-            # Pace even the closed-form completion through the heap (the
-            # DES delivers it as a wire-end timeout whose id was allocated
-            # at the transfer start), so its wake-ups tie-break against
-            # in-flight contended transfers the way the event backend's do.
-            event_seq += 1
-            heappush(heap, (arrival, event_seq, ("fin", message, arrival)))
+            # Pace even the closed-form completion like a wire end (the DES
+            # delivers it as a timeout whose id was allocated at the
+            # transfer start, which is now), so its wake-ups tie-break
+            # against in-flight contended transfers the way the event
+            # backend's do.
+            if arrival == start:
+                normal.append(("fin", message, arrival))
+            else:
+                event_seq += 1
+                heappush(heap, (arrival, event_seq, ("fin", message, arrival)))
 
         while True:
             if urgent:
-                t, payload = urgent.popleft()
-                if type(payload) is _TransferTask:
-                    advance_transfer(payload, t)
+                payload = urgent.popleft()
+                if type(payload) is _FastMessage:
+                    now = advance_transfer(payload, now)
                     continue
-            elif heap:
-                t, _, payload = heappop(heap)
+            elif normal:
+                payload = normal.popleft()
                 kind = type(payload)
-                if kind is _TransferTask:
-                    advance_transfer(payload, t)
+                if kind is _FastMessage:
+                    if payload.arrival is None:  # a wire end
+                        now = advance_transfer(payload, now)
+                    else:  # the DES `arrived` event pop
+                        arrived(payload)
                     continue
                 if kind is tuple:  # completion-chain notification
-                    tag = payload[0]
-                    if tag == "fin":  # deferred closed-form wire end
-                        finish_message(payload[1], payload[2])
-                    elif tag == "arr":  # the DES `arrived` event pop
-                        arrived(payload[1])
-                    else:  # "sc": the DES send_complete event pop
+                    if payload[0] == "sc":  # the DES send_complete pop
                         message = payload[1]
                         message.s_notified = True
                         wake_all(message)
+                    else:  # "fin": a closed-form transfer end
+                        finish_message(payload[1], payload[2])
+                    continue
+            elif heap:
+                now, _, payload = heappop(heap)
+                # A new instant.  Its other heap entries were created
+                # before anything created here, so they join the NORMAL
+                # FIFO first, in creation order.
+                while heap and heap[0][0] == now:
+                    normal.append(heappop(heap)[2])
+                kind = type(payload)
+                if kind is _FastMessage:  # a wire end
+                    now = advance_transfer(payload, now)
+                    continue
+                if kind is tuple:  # a closed-form transfer end
+                    finish_message(payload[1], payload[2])
                     continue
             else:
                 break
             rank = payload
+            t = now
             rank_ops = ops_by_rank[rank]
             rank_plan = plan_by_rank[rank]
             n = lens[rank]
@@ -1068,13 +1105,15 @@ class ReplayEngine:
                         add_interval(rank, t, t2, state_running)
                     pc += 1
                     # The burst is a NORMAL timeout in the DES: pace the
-                    # continuation through the heap -- unless no other
-                    # event can run before it, in which case the walk
-                    # continues inline.
-                    if urgent or (heap and heap[0][0] <= t2):
+                    # continuation -- unless no other event can run before
+                    # it, in which case the walk continues inline.
+                    if urgent or normal or (heap and heap[0][0] <= t2):
                         pcs[rank] = pc
-                        event_seq += 1
-                        heappush(heap, (t2, event_seq, rank))
+                        if t2 == t:
+                            normal.append(rank)
+                        else:
+                            event_seq += 1
+                            heappush(heap, (t2, event_seq, rank))
                         running = False
                         break
                     t = t2
@@ -1089,11 +1128,14 @@ class ReplayEngine:
                             add_interval(rank, t, t2, state_running)
                         # Pace the overhead charge too; the op itself runs
                         # at the wake-up.
-                        if urgent or (heap and heap[0][0] <= t2):
+                        if urgent or normal or (heap and heap[0][0] <= t2):
                             overhead_pending[rank] = True
                             pcs[rank] = pc
-                            event_seq += 1
-                            heappush(heap, (t2, event_seq, rank))
+                            if t2 == t:
+                                normal.append(rank)
+                            else:
+                                event_seq += 1
+                                heappush(heap, (t2, event_seq, rank))
                             running = False
                             break
                         t = t2
@@ -1123,11 +1165,11 @@ class ReplayEngine:
                                 add_interval(rank, t, t, state_send_wait)
                             # The DES sender still parks one generation on
                             # the (already succeeded) send_complete event's
-                            # pop.
-                            if urgent or (heap and heap[0][0] <= t):
+                            # pop, due now (the heap holds only later
+                            # entries).
+                            if urgent or normal:
                                 pcs[rank] = pc + 1
-                                event_seq += 1
-                                heappush(heap, (t, event_seq, rank))
+                                normal.append(rank)
                                 running = False
                                 break
                         else:
@@ -1231,11 +1273,11 @@ class ReplayEngine:
                             add_interval(rank, t, t2, state_request_wait)
                         # A fully satisfied wait still pops once in the DES
                         # (_WaitAll succeeds at construction, the process
-                        # resumes at its pop).
-                        if urgent or (heap and heap[0][0] <= t2):
+                        # resumes at its pop), due now: every completion it
+                        # waited for was notified at or before now.
+                        if urgent or normal:
                             pcs[rank] = pc + 1
-                            event_seq += 1
-                            heappush(heap, (t2, event_seq, rank))
+                            normal.append(rank)
                             running = False
                             break
                         t = t2
@@ -1269,11 +1311,11 @@ class ReplayEngine:
                         collective_t[rank] += exit_time - t
                         if collect:
                             add_interval(rank, t, exit_time, state_collective)
-                        # The departures are paced through the heap in the
-                        # DES's resume order: every rank resumes at the
-                        # all_arrived pop in callback-registration order --
-                        # the waiters in entry order, the last entrant (who
-                        # registered after succeeding the event) last.
+                        # The departures are paced in the DES's resume
+                        # order: every rank resumes at the all_arrived pop
+                        # in callback-registration order -- the waiters in
+                        # entry order, the last entrant (who registered
+                        # after succeeding the event) last.
                         for waiter, t0 in instance.waiters:
                             collective_t[waiter] += exit_time - t0
                             if collect:
@@ -1281,12 +1323,18 @@ class ReplayEngine:
                                              state_collective)
                             pending_states[waiter] = None
                             pcs[waiter] += 1
-                            event_seq += 1
-                            heappush(heap, (exit_time, event_seq, waiter))
+                            if exit_time == t:
+                                normal.append(waiter)
+                            else:
+                                event_seq += 1
+                                heappush(heap, (exit_time, event_seq, waiter))
                         instance.waiters = []
                         pcs[rank] = pc + 1
-                        event_seq += 1
-                        heappush(heap, (exit_time, event_seq, rank))
+                        if exit_time == t:
+                            normal.append(rank)
+                        else:
+                            event_seq += 1
+                            heappush(heap, (exit_time, event_seq, rank))
                         running = False
                         break
                     if t > instance.last:
@@ -1300,6 +1348,7 @@ class ReplayEngine:
                     raise SimulationError(
                         f"rank {rank}: unknown record {record!r}")
                 pc += 1
+            now = t
             if running:
                 if reqs:
                     self._leftover_requests(rank, reqs)

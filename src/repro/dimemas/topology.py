@@ -51,6 +51,10 @@ FLAT = "flat"
 TREE = "tree"
 TORUS = "torus"
 
+#: The bandwidth of an ideal link, built once: every transfer-time check
+#: compares against this instead of building ``float("inf")`` per call.
+INFINITY = math.inf
+
 
 @dataclass(frozen=True)
 class TopologySpec:
@@ -173,7 +177,7 @@ class Hop:
 
     def transfer_time(self, size: int) -> float:
         """Uncontended time to push ``size`` bytes across this hop."""
-        if self.bandwidth_bytes_per_second == float("inf"):
+        if self.bandwidth_bytes_per_second == INFINITY:
             return self.latency
         return self.latency + size / self.bandwidth_bytes_per_second
 
@@ -313,7 +317,7 @@ class HierarchicalTree(NetworkModel):
 
     def _level_bandwidth(self, level: int) -> float:
         base = self.platform.bandwidth_bytes_per_second
-        if base == float("inf"):
+        if base == INFINITY:
             return base
         return base * self.spec.bandwidth_scale ** level
 

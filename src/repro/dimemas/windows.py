@@ -28,8 +28,9 @@ streams (:meth:`repro.tracing.trace.Trace.prepared`):
   (:mod:`repro.dimemas.gridreplay`); every other viable cell rides the
   paced walk, which runs a FIFO resource micro-model and plays the DES
   queue in its event-creation order: same-instant URGENT work (rank and
-  transfer starts, grants, handovers) runs from a FIFO and a time-ordered
-  heap holds only the timed events, reproducing the DES's sequential
+  transfer starts, grants, handovers) runs from one FIFO, same-instant
+  NORMAL work (notifications, wake-ups) from a second, and a time-ordered
+  heap holds only future events, reproducing the DES's sequential
   acquisition, FIFO grants and same-instant tie order.  Either way the
   times equal the event backend's (checked by the differential tests and
   the accuracy harness, ``benchmarks/bench_adaptive.py``).
