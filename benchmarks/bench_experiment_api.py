@@ -52,8 +52,7 @@ def _raw_executor_points(app_name, options, bandwidths, jobs):
         variants[pattern.value] = environment.overlap(original, pattern=pattern)
     executor = SweepExecutor(jobs=jobs)
     points, _ = executor.run_sweep(variants, environment.platform, bandwidths,
-                                   app_name=app.name,
-                                   simulator=environment.simulator)
+                                   app_name=app.name)
     return points
 
 

@@ -96,9 +96,9 @@ def main(argv=None) -> int:
     simulations = []
     original_simulate = executor_module._simulate
 
-    def counting(task, trace, simulator, **kwargs):
+    def counting(task, trace, collect_timeline):
         simulations.append(task.index)
-        return original_simulate(task, trace, simulator, **kwargs)
+        return original_simulate(task, trace, collect_timeline)
 
     executor_module._simulate = counting
     try:

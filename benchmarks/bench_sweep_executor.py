@@ -39,7 +39,9 @@ def _identical(serial, parallel) -> bool:
         and [p.original_communication_fraction for p in serial.points]
         == [p.original_communication_fraction for p in parallel.points]
         and [p.original_compute_time for p in serial.points]
-        == [p.original_compute_time for p in parallel.points])
+        == [p.original_compute_time for p in parallel.points]
+        and [p.network for p in serial.points]
+        == [p.network for p in parallel.points])
 
 
 def main(argv=None) -> int:

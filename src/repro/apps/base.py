@@ -132,9 +132,3 @@ class ApplicationModel(ABC):
         seed = (low * 73856093 + high * 19349663) % 1000
         deviation = (seed / 999.0) * 2.0 - 1.0
         return max(1, int(base_size * (1.0 + variation * deviation)))
-
-
-def paper_note(application: str, structure: str) -> str:
-    """One-line provenance note stored in app docstrings/metadata."""
-    return (f"{application}: synthetic stand-in reproducing the communication "
-            f"structure of the real code ({structure}).")

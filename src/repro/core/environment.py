@@ -37,7 +37,6 @@ class OverlapStudyEnvironment:
         self.platform = platform or Platform()
         self.chunking = chunking or FixedSizeChunking(chunk_bytes=16384, max_chunks=64)
         self.machine = TracingVirtualMachine(validate=validate)
-        self.simulator = DimemasSimulator(self.platform)
 
     # -- stage 1: tracing -----------------------------------------------------
     def trace(self, app: "ApplicationModel") -> Trace:
@@ -62,7 +61,7 @@ class OverlapStudyEnvironment:
         platform = platform or self.platform
         if bandwidth_mbps is not None:
             platform = platform.with_bandwidth(bandwidth_mbps)
-        return self.simulator.simulate(trace, platform=platform, label=label)
+        return DimemasSimulator(platform).simulate(trace, label=label)
 
     # -- one-stop study -----------------------------------------------------------
     def study(self, app: "ApplicationModel",

@@ -7,9 +7,10 @@ x applications), and every replay is independent of the others.  The
 
 1. a sweep is *expanded* into self-contained :class:`SweepTask` units, one
    per (trace variant, platform point) pair;
-2. the tasks are *executed* either serially in-process (``jobs=1``, the
-   default, so a plain sweep stays deterministic and dependency-free) or
-   fanned out over a :class:`concurrent.futures.ProcessPoolExecutor`;
+2. the units -- tasks, or :class:`CohortTask` batches of them -- are
+   *executed* by one unit runner, either serially in-process (``jobs=1``,
+   the default, so a plain sweep stays deterministic and dependency-free)
+   or fanned out over a :class:`concurrent.futures.ProcessPoolExecutor`;
 3. the per-task results are *merged* back deterministically, grouped by
    platform point and sorted in bandwidth order, so a parallel sweep is
    bit-identical to the serial one.
@@ -25,7 +26,6 @@ regardless of the trace size.
 from __future__ import annotations
 
 import gc
-import inspect
 import os
 import time
 from dataclasses import dataclass
@@ -53,7 +53,6 @@ from repro.tracing.trace import Trace
 # run replays nothing; a serial run starts no pool), so planning, the
 # result store and a warm run import none of them.
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.dimemas.simulator import DimemasSimulator
     from repro.store.base import ResultStore
     from repro.store.keys import CellKey
 
@@ -84,11 +83,6 @@ class SweepTask:
     ``point`` is the ordinal of the platform point within the sweep grid;
     :meth:`SweepExecutor.merge` groups by it, so two grid points that happen
     to share a bandwidth value stay separate sweep rows.
-
-    ``collect_timeline`` selects the timeline recorder for metric-only
-    replays: sweeps discard timelines, so it defaults off and the replay
-    skips the recording cost entirely (every metric is bit-identical).
-    Full-result executions (studies) always record.
     """
 
     index: int
@@ -97,7 +91,16 @@ class SweepTask:
     platform: Platform
     label: str
     point: int = 0
-    collect_timeline: bool = False
+
+
+def task_label(app_name: str, variant: str, platform: Platform) -> str:
+    """The replay label of one variant on one platform point."""
+    label = f"{app_name}:{variant}@{platform.bandwidth_mbps}MBps"
+    if platform.topology.kind != "flat":
+        label += f"/{platform.topology.kind}"
+    if platform.collective_model.kind != "analytical":
+        label += f"/{platform.collective_model.kind}"
+    return label
 
 
 @dataclass(frozen=True)
@@ -173,49 +176,12 @@ class SweepTaskResult:
 
 # -- task execution (both sides) ----------------------------------------------
 
-# Custom simulators predate the collect_timeline kwarg and only promise
-# ``simulate(trace, platform=..., label=...)``; probe whether a simulator
-# accepts the recorder toggle before passing it.  The result is cached per
-# underlying ``simulate`` callable (one entry per class for ordinary
-# methods, one per callable for instance-attribute simulate functions), so
-# two instances never share a wrong answer.
-_COLLECT_KWARG_SUPPORT: Dict[Any, bool] = {}
-
-
-def _supports_collect_timeline(simulator: DimemasSimulator) -> bool:
-    simulate = getattr(simulator, "simulate", None)
-    probe_key = getattr(simulate, "__func__", simulate)
-    supported = _COLLECT_KWARG_SUPPORT.get(probe_key)
-    if supported is None:
-        try:
-            parameters = inspect.signature(simulate).parameters
-            supported = ("collect_timeline" in parameters
-                         or any(parameter.kind is parameter.VAR_KEYWORD
-                                for parameter in parameters.values()))
-        except (TypeError, ValueError):
-            supported = False
-        _COLLECT_KWARG_SUPPORT[probe_key] = supported
-    return supported
-
-
 def _simulate(task: SweepTask, trace: Trace,
-              simulator: Optional[DimemasSimulator],
               collect_timeline: bool) -> SimulationResult:
-    """Replay one task, honouring a custom simulator when one is supplied."""
-    if not simulator:
-        from repro.dimemas.simulator import DimemasSimulator
-        simulator = DimemasSimulator(task.platform)
-    if _supports_collect_timeline(simulator):
-        return simulator.simulate(trace, platform=task.platform,
-                                  label=task.label,
-                                  collect_timeline=collect_timeline)
-    return simulator.simulate(trace, platform=task.platform, label=task.label)
-
-
-def _replay(task: SweepTask, trace: Trace,
-            simulator: Optional[DimemasSimulator]) -> SimulationResult:
-    """Full-result replay: shipped results carry timelines by contract."""
-    return _simulate(task, trace, simulator, collect_timeline=True)
+    """Replay one task through a fresh stock simulator."""
+    from repro.dimemas.simulator import DimemasSimulator
+    return DimemasSimulator(task.platform).simulate(
+        trace, label=task.label, collect_timeline=collect_timeline)
 
 
 def _task_result(task: SweepTask, result: SimulationResult,
@@ -244,14 +210,6 @@ def _task_result(task: SweepTask, result: SimulationResult,
         collective_share=network.get("collective_share", 0.0))
 
 
-def _metrics(task: SweepTask, trace: Trace,
-             simulator: Optional[DimemasSimulator]) -> SweepTaskResult:
-    start = time.perf_counter()
-    result = _simulate(task, trace, simulator,
-                       collect_timeline=task.collect_timeline)
-    return _task_result(task, result, time.perf_counter() - start)
-
-
 def _run_cohort(cohort: CohortTask, trace: Trace) -> List[SweepTaskResult]:
     """Replay one cohort batch; the batch wall time is apportioned evenly.
 
@@ -271,6 +229,38 @@ def _run_cohort(cohort: CohortTask, trace: Trace) -> List[SweepTaskResult]:
             for task, result in zip(tasks, results)]
 
 
+def _run_unit(unit: Union[SweepTask, CohortTask], trace: Trace,
+              full_results: bool, store: Optional["ResultStore"],
+              cache_keys: Dict[int, "CellKey"]) -> List[Any]:
+    """Replay one unit and return its results in task order.
+
+    The serial loop and the pool's worker entry both run every unit
+    through here.  A cohort replays through the grid-vectorized walk; a
+    single task through a fresh stock simulator, which records a timeline
+    only for ``full_results`` and then returns the whole result.  Metric
+    results are written through ``store`` the moment they exist -- in the
+    process that computed them, before anything is shipped back -- and
+    commit together, so an interrupted sweep keeps every completed unit
+    and a re-run only replays the unfinished ones.
+    """
+    if type(unit) is CohortTask:
+        tasks, results = unit.tasks, _run_cohort(unit, trace)
+    else:
+        start = time.perf_counter()
+        result = _simulate(unit, trace, full_results)
+        if full_results:
+            return [result]
+        tasks = (unit,)
+        results = [_task_result(unit, result, time.perf_counter() - start)]
+    if store is not None:
+        with store.batch():
+            for task, result in zip(tasks, results):
+                key = cache_keys.get(task.index)
+                if key is not None:
+                    store.put(key, payload_of(result))
+    return results
+
+
 def _lookup_trace(traces: Dict[str, Any], key: str) -> Any:
     try:
         return traces[key]
@@ -280,28 +270,25 @@ def _lookup_trace(traces: Dict[str, Any], key: str) -> Any:
 
 
 # -- worker side --------------------------------------------------------------
-# The serialised variant table (and the optional custom simulator) is
-# installed once per worker process through the pool initializer, so it is
-# pickled once per worker rather than once per task; tasks reference it by
-# key, and each worker deserialises a variant at most once.  The serial path
-# never touches these globals, so in-process execution is reentrant.
+# The serialised variant table is installed once per worker process through
+# the pool initializer, so it is pickled once per worker rather than once per
+# task; tasks reference it by key, and each worker deserialises a variant at
+# most once.  The serial path never touches these globals, so in-process
+# execution is reentrant.
 
 _TRACE_TABLE: Dict[str, Dict[str, Any]] = {}
 _TRACE_CACHE: Dict[str, Trace] = {}
 _TRACE_DIGESTS: Dict[str, str] = {}
-_SIMULATOR: Optional[DimemasSimulator] = None
 _STORE: Optional["ResultStore"] = None
 _CACHE_KEYS: Dict[int, "CellKey"] = {}
 
 
 def _init_worker(table: Dict[str, Dict[str, Any]],
-                 simulator: Optional[DimemasSimulator] = None,
                  store: Optional["ResultStore"] = None,
                  cache_keys: Optional[Dict[int, "CellKey"]] = None,
                  digests: Optional[Dict[str, str]] = None,
                  facts: Optional[List[Tuple[Any, ...]]] = None) -> None:
-    global _TRACE_TABLE, _TRACE_CACHE, _TRACE_DIGESTS
-    global _SIMULATOR, _STORE, _CACHE_KEYS
+    global _TRACE_TABLE, _TRACE_CACHE, _TRACE_DIGESTS, _STORE, _CACHE_KEYS
     # A worker lives for one ``execute`` call and, like the parent inside
     # :func:`collector_paused`, makes no reference cycles.  Disable the
     # collector here rather than rely on fork: spawn and forkserver workers
@@ -310,7 +297,6 @@ def _init_worker(table: Dict[str, Dict[str, Any]],
     _TRACE_TABLE = table
     _TRACE_CACHE = {}
     _TRACE_DIGESTS = digests or {}
-    _SIMULATOR = simulator
     _STORE = store
     _CACHE_KEYS = cache_keys or {}
     if facts:
@@ -340,48 +326,11 @@ def _worker_trace(key: str) -> Trace:
     return trace
 
 
-def _store_results(tasks: Sequence[SweepTask],
-                   results: Sequence[SweepTaskResult],
-                   store: Optional["ResultStore"],
-                   cache_keys: Dict[int, "CellKey"]) -> None:
-    """Write one finished unit back through the result store (if keyed).
-
-    A unit's results are persisted the moment they exist -- in the worker
-    process, before anything is shipped back -- and commit together, so an
-    interrupted sweep keeps every completed unit and a re-run only replays
-    the unfinished ones.
-    """
-    if store is None:
-        return
-    with store.batch():
-        for task, result in zip(tasks, results):
-            key = cache_keys.get(task.index)
-            if key is not None:
-                store.put(key, payload_of(result))
-
-
-def _run_task_full(task: SweepTask) -> SimulationResult:
-    return _replay(task, _worker_trace(task.trace_key), _SIMULATOR)
-
-
-def _run_task_metrics(task: SweepTask) -> SweepTaskResult:
-    result = _metrics(task, _worker_trace(task.trace_key), _SIMULATOR)
-    _store_results((task,), (result,), _STORE, _CACHE_KEYS)
-    return result
-
-
-def _run_cohort_metrics(cohort: CohortTask) -> List[SweepTaskResult]:
-    results = _run_cohort(cohort, _worker_trace(cohort.trace_key))
-    _store_results(cohort.tasks, results, _STORE, _CACHE_KEYS)
-    return results
-
-
-def _run_unit_metrics(unit: Union[SweepTask, "CohortTask"]
-                      ) -> List[SweepTaskResult]:
-    """Pool worker for mixed task/cohort streams: always returns a batch."""
-    if type(unit) is CohortTask:
-        return _run_cohort_metrics(unit)
-    return [_run_task_metrics(unit)]
+def _run_pooled_unit(unit: Union[SweepTask, CohortTask],
+                     full_results: bool) -> List[Any]:
+    """The one pool worker entry: :func:`_run_unit` on this worker's tables."""
+    return _run_unit(unit, _worker_trace(unit.trace_key), full_results,
+                     _STORE, _CACHE_KEYS)
 
 
 class SweepExecutor:
@@ -406,27 +355,16 @@ class SweepExecutor:
     @staticmethod
     def expand(variants: Dict[str, Trace], platforms: Sequence[Platform],
                app_name: str = "trace") -> List[SweepTask]:
-        """Expand a variant x platform grid into self-contained tasks.
-
-        Expanded tasks are metric-only and run timeline-free (the
-        :class:`SweepTask` default); callers that need recorded timelines
-        execute with ``full_results`` or build tasks with
-        ``collect_timeline=True`` themselves.
-        """
+        """Expand a variant x platform grid into self-contained tasks."""
         tasks: List[SweepTask] = []
         for point, platform in enumerate(platforms):
             for variant in variants:
-                label = f"{app_name}:{variant}@{platform.bandwidth_mbps}MBps"
-                if platform.topology.kind != "flat":
-                    label += f"/{platform.topology.kind}"
-                if platform.collective_model.kind != "analytical":
-                    label += f"/{platform.collective_model.kind}"
                 tasks.append(SweepTask(
                     index=len(tasks),
                     variant=variant,
                     trace_key=variant,
                     platform=platform,
-                    label=label,
+                    label=task_label(app_name, variant, platform),
                     point=point))
         return tasks
 
@@ -434,18 +372,19 @@ class SweepExecutor:
     def execute(self, tasks: Sequence[Union[SweepTask, CohortTask]],
                 traces: Dict[str, Trace],
                 full_results: bool = False,
-                simulator: Optional[DimemasSimulator] = None,
                 store: Optional["ResultStore"] = None,
                 cache_keys: Optional[Dict[int, "CellKey"]] = None
                 ) -> Union[List[SweepTaskResult], List[SimulationResult]]:
-        """Run every task and return the results in task order.
+        """Return metric results by task index and full results in unit order.
 
-        With ``full_results`` the workers ship back whole
-        :class:`SimulationResult` objects (timelines included) instead of the
-        scalar :class:`SweepTaskResult` metrics; batch studies need the
-        former, bandwidth sweeps only the latter.  ``simulator`` replays the
-        tasks through a caller-supplied (picklable) simulator instead of a
-        fresh :class:`DimemasSimulator` per task.
+        Every unit -- a :class:`SweepTask` or a :class:`CohortTask` batch
+        (metric mode only) -- runs through one unit runner, in-process or in
+        a pool worker.  Tasks replay through a fresh stock
+        :class:`DimemasSimulator` and cohorts through the grid-vectorized
+        walk.  With ``full_results`` the replays record timelines and ship
+        back whole :class:`SimulationResult` objects instead of the scalar
+        :class:`SweepTaskResult` metrics; batch studies need the former,
+        bandwidth sweeps only the latter, which replay without a timeline.
 
         ``store`` plus ``cache_keys`` (task index -> :class:`CellKey`)
         enables write-through: the process that computed a unit (a cohort
@@ -454,125 +393,85 @@ class SweepExecutor:
         resumable.  Full-result replays are never written through
         (timelines are not cached).
 
-        The sequence may mix :class:`SweepTask` units with
-        :class:`CohortTask` batches (metric mode only).  When it does, the
-        flattened per-cell results come back sorted by task index -- batch
-        execution order is a scheduling detail, never an output order --
-        and parallel runs submit units largest-first (estimated trace
-        records x cohort width) so one fat batch cannot serialize the tail
-        of the sweep.
+        Metric results come back sorted by task index -- batch execution
+        order is a scheduling detail, never an output order -- and
+        parallel runs submit units largest-first (estimated trace records
+        x cohort width) so one fat batch cannot serialize the tail of the
+        sweep.
         """
         cache_keys = cache_keys or {}
         if full_results or not cache_keys:
             store = None
         units = list(tasks)
-        cohorts_present = any(type(unit) is CohortTask for unit in units)
-        if cohorts_present:
-            if full_results:
-                raise AnalysisError(
-                    "cohort batch tasks are metric-only; expand them into "
-                    "per-cell tasks for full results")
-            from repro.dimemas.simulator import DimemasSimulator
-            if simulator is not None and type(simulator) is not DimemasSimulator:
-                raise AnalysisError(
-                    "cohort batch tasks replay through the stock simulator; "
-                    "custom simulators need per-cell tasks")
-        flat_tasks: List[SweepTask] = []
-        for unit in units:
-            if type(unit) is CohortTask:
-                flat_tasks.extend(unit.tasks)
-            else:
-                flat_tasks.append(unit)
+        if full_results and any(type(unit) is CohortTask for unit in units):
+            raise AnalysisError(
+                "cohort batch tasks are metric-only; expand them into "
+                "per-cell tasks for full results")
         if self.jobs == 1 or len(units) <= 1:
             # Warm the preparation cache up front so the first task of a
             # variant is not charged for the normalisation of all of them.
             # Nothing here hashes trace content: cell keys need only the
             # originals' digests (the plan computes those), and within one
             # run every memo lives on the trace objects themselves.
-            for task in flat_tasks:
-                _lookup_trace(traces, task.trace_key).prepared()
-            results: List[Any] = []
             for unit in units:
-                if type(unit) is CohortTask:
-                    batch = _run_cohort(
-                        unit, _lookup_trace(traces, unit.trace_key))
-                    _store_results(unit.tasks, batch, store, cache_keys)
-                    results.extend(batch)
-                elif full_results:
-                    results.append(_replay(
-                        unit, _lookup_trace(traces, unit.trace_key),
-                        simulator))
-                else:
-                    result = _metrics(
-                        unit, _lookup_trace(traces, unit.trace_key),
-                        simulator)
-                    _store_results((unit,), (result,), store, cache_keys)
-                    results.append(result)
-            if cohorts_present:
-                results.sort(key=lambda result: result.index)
-            return results
-        from concurrent.futures import ProcessPoolExecutor
+                _lookup_trace(traces, unit.trace_key).prepared()
+            batches = [_run_unit(unit, traces[unit.trace_key], full_results,
+                                 store, cache_keys)
+                       for unit in units]
+        else:
+            from concurrent.futures import ProcessPoolExecutor
+            from itertools import repeat
 
-        from repro.dimemas.windows import export_facts
+            from repro.dimemas.windows import export_facts
 
-        table = {key: trace.to_dict() for key, trace in traces.items()}
-        # Ship the classification facts the parent has (or can cheaply
-        # re-derive from its memo) for every adaptive cell, so no worker
-        # re-proves what the parent already proved.  Facts are
-        # digest-keyed, so shipping them requires shipping digests too.
-        facts_rows: List[Tuple[Any, ...]] = []
-        facts_seen = set()
-        if not full_results:
-            for task in flat_tasks:
-                platform = task.platform
-                if platform.replay_backend != "adaptive":
-                    continue
-                fact_key = (task.trace_key, platform.eager_threshold,
-                            platform.processors_per_node)
-                if fact_key in facts_seen:
-                    continue
-                facts_seen.add(fact_key)
-                trace = _lookup_trace(traces, task.trace_key)
-                trace.digest()
-                row = export_facts(trace, platform.eager_threshold,
-                                   platform.processors_per_node)
-                if row is not None:
-                    facts_rows.append(row)
-        digests = ({key: trace.digest() for key, trace in traces.items()}
-                   if store is not None or facts_rows else None)
-        if store is not None:
-            # A store connection must not cross fork: workers open their own.
-            store.close()
-        initargs = (table, simulator, store, cache_keys, digests, facts_rows)
-        if cohorts_present:
+            table = {key: trace.to_dict() for key, trace in traces.items()}
+            # Ship the classification facts the parent has (or can cheaply
+            # re-derive from its memo) for every adaptive cell, so no worker
+            # re-proves what the parent already proved.  Facts are
+            # digest-keyed, so shipping them requires shipping digests too.
+            facts_rows: List[Tuple[Any, ...]] = []
+            facts_seen = set()
+            if not full_results:
+                for unit in units:
+                    for task in getattr(unit, "tasks", (unit,)):
+                        platform = task.platform
+                        if platform.replay_backend != "adaptive":
+                            continue
+                        fact_key = (task.trace_key, platform.eager_threshold,
+                                    platform.processors_per_node)
+                        if fact_key in facts_seen:
+                            continue
+                        facts_seen.add(fact_key)
+                        trace = _lookup_trace(traces, task.trace_key)
+                        trace.digest()
+                        row = export_facts(trace, platform.eager_threshold,
+                                           platform.processors_per_node)
+                        if row is not None:
+                            facts_rows.append(row)
+            digests = ({key: trace.digest() for key, trace in traces.items()}
+                       if store is not None or facts_rows else None)
+            if store is not None:
+                # A store connection must not cross fork: workers open
+                # their own.
+                store.close()
             sizes = {key: sum(len(rank_trace) for rank_trace in trace)
                      for key, trace in traces.items()}
-
-            def _estimate(unit) -> int:
-                records = sizes.get(unit.trace_key, 1)
-                if type(unit) is CohortTask:
-                    return records * unit.width
-                return records
-
-            def _first_index(unit) -> int:
-                return (unit.tasks[0].index if type(unit) is CohortTask
-                        else unit.index)
-
-            ordered = sorted(units, key=lambda unit: (-_estimate(unit),
-                                                      _first_index(unit)))
-            with ProcessPoolExecutor(max_workers=min(self.jobs, len(units)),
-                                     initializer=_init_worker,
-                                     initargs=initargs) as pool:
-                results = [result
-                           for batch in pool.map(_run_unit_metrics, ordered)
-                           for result in batch]
+            order = sorted(range(len(units)), key=lambda position: (
+                -sizes.get(units[position].trace_key, 1)
+                * getattr(units[position], "width", 1), position))
+            with ProcessPoolExecutor(
+                    max_workers=min(self.jobs, len(units)),
+                    initializer=_init_worker,
+                    initargs=(table, store, cache_keys, digests, facts_rows)
+                    ) as pool:
+                done = dict(zip(order, pool.map(
+                    _run_pooled_unit, [units[position] for position in order],
+                    repeat(full_results))))
+            batches = [done[position] for position in range(len(units))]
+        results = [result for batch in batches for result in batch]
+        if not full_results:
             results.sort(key=lambda result: result.index)
-            return results
-        worker = _run_task_full if full_results else _run_task_metrics
-        with ProcessPoolExecutor(max_workers=min(self.jobs, len(units)),
-                                 initializer=_init_worker,
-                                 initargs=initargs) as pool:
-            return list(pool.map(worker, units))
+        return results
 
     # -- merging -----------------------------------------------------------
     @staticmethod
@@ -604,8 +503,7 @@ class SweepExecutor:
 
     # -- convenience -------------------------------------------------------
     def run_sweep(self, variants: Dict[str, Trace], base_platform: Platform,
-                  bandwidths_mbps: Sequence[float], app_name: str = "trace",
-                  simulator: Optional[DimemasSimulator] = None
+                  bandwidths_mbps: Sequence[float], app_name: str = "trace"
                   ) -> Tuple[List[SweepPoint], float]:
         """Replay every variant at every bandwidth and merge the results.
 
@@ -619,6 +517,6 @@ class SweepExecutor:
                      for bandwidth in bandwidths_mbps]
         tasks = self.expand(variants, platforms, app_name=app_name)
         start = time.perf_counter()
-        results = self.execute(tasks, variants, simulator=simulator)
+        results = self.execute(tasks, variants)
         wall_seconds = time.perf_counter() - start
         return self.merge(results), wall_seconds

@@ -10,7 +10,7 @@ uses them for buses and per-node links).
 from repro._lazy import lazy_exports
 
 __getattr__, __dir__ = lazy_exports(__name__, {
-    ".events": ("AllOf", "Condition", "Event", "Timeout"),
+    ".events": ("AllOf", "Event", "Timeout"),
     ".core": ("Environment", "Process"),
     ".exceptions": ("DesError", "StopProcess"),
     ".resources": ("Resource",),
@@ -18,7 +18,6 @@ __getattr__, __dir__ = lazy_exports(__name__, {
 
 __all__ = [
     "AllOf",
-    "Condition",
     "DesError",
     "Environment",
     "Event",

@@ -19,7 +19,7 @@ from __future__ import annotations
 from collections import deque
 from heapq import heappop, heappush
 from itertools import count
-from typing import Any, Deque, Generator, Iterable, List, Optional, Tuple, Union
+from typing import Any, Deque, Generator, List, Optional, Sequence, Tuple, Union
 
 from repro.des.events import (
     PENDING,
@@ -380,6 +380,6 @@ class Environment:
         """A bare event that user code triggers explicitly."""
         return Event(self, name=name)
 
-    def all_of(self, events: Iterable[Event]) -> AllOf:
+    def all_of(self, events: Sequence[Event]) -> AllOf:
         """An event that triggers when all ``events`` have triggered."""
         return AllOf(self, events)

@@ -25,7 +25,7 @@ time-ordered heap, which holds only future events (see
 from __future__ import annotations
 
 from heapq import heappush
-from typing import Any, Callable, Iterable, List, Optional
+from typing import Any, Callable, List, Optional, Sequence
 
 from repro.des.exceptions import EventAlreadyTriggered
 
@@ -200,58 +200,36 @@ class Initialize(Event):
         return "Initialize"
 
 
-class Condition(Event):
-    """Composite event that triggers based on a set of child events.
+class AllOf(Event):
+    """Triggers when every child event has triggered.
 
-    ``evaluate`` receives the list of child events and the number of children
-    that have triggered so far and returns True when the condition holds.
-    A failing child fails the whole condition immediately.
+    The children are counted up front, and the barrier succeeds, with
+    ``None``, in the callback of the last one; a failing child fails it at
+    once.  With no children it succeeds immediately.
     """
 
-    __slots__ = ("_events", "_evaluate", "_count")
+    __slots__ = ("_remaining",)
 
-    def __init__(self, env: "Environment", events: Iterable[Event],
-                 evaluate: Callable[[List[Event], int], bool]):
+    def __init__(self, env: "Environment", events: Sequence[Event]):
         Event.__init__(self, env)
-        self._events: List[Event] = list(events)
-        self._evaluate = evaluate
-        self._count = 0
-        for event in self._events:
-            if event.env is not env:
-                raise ValueError("all events of a condition must share the environment")
-        if not self._events:
-            self.succeed(self._collect())
+        self._remaining = len(events)
+        if not events:
+            self.succeed()
             return
-        for event in self._events:
-            event.add_callback(self._check)
-
-    def _default_name(self) -> str:
-        return self.__class__.__name__
-
-    def _collect(self) -> dict:
-        return {
-            event: event._value
-            for event in self._events
-            if event.processed and event._ok
-        }
+        check = self._check
+        for event in events:
+            if event.env is not env:
+                raise ValueError(
+                    "all events of a barrier must share the environment")
+            event.add_callback(check)
 
     def _check(self, event: Event) -> None:
-        if self.triggered:
+        if self._value is not PENDING:
             return
         if not event._ok:
             event.defuse()
             self.fail(event._value)
             return
-        self._count += 1
-        if self._evaluate(self._events, self._count):
-            self.succeed(self._collect())
-
-
-class AllOf(Condition):
-    """Triggers when every child event has triggered."""
-
-    __slots__ = ()
-
-    def __init__(self, env: "Environment", events: Iterable[Event]):
-        super().__init__(env, events, lambda events, count: count == len(events))
-
+        self._remaining -= 1
+        if not self._remaining:
+            self.succeed()

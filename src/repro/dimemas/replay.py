@@ -60,8 +60,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.diagnostics import format_defect
 from repro.analysis.structure import fault_message, first_defect
-from repro.des import Environment, Event
-from repro.des.events import PENDING
+from repro.des import AllOf, Environment, Event
 from repro.des.resources import InfiniteResource
 from repro.dimemas.collectives import build_collective_model
 from repro.dimemas.collectives.analytical import collective_duration
@@ -88,37 +87,6 @@ from repro.tracing.trace import (
 
 _EAGER = Protocol.EAGER
 _RENDEZVOUS = Protocol.RENDEZVOUS
-
-
-class _WaitAll(Event):
-    """Barrier on a list of events, specialised for the replay wait path.
-
-    Triggers exactly when :class:`~repro.des.AllOf` would (the callback of
-    the last child event), but skips the generic condition machinery -- no
-    evaluate closure per child, no value dictionary -- because the replay
-    loop never reads the wait's value.  A failing child fails the wait, as
-    with the generic condition.
-    """
-
-    __slots__ = ("_remaining",)
-
-    def __init__(self, env: Environment, events):
-        Event.__init__(self, env)
-        self._remaining = len(events)
-        check = self._check
-        for event in events:
-            event.add_callback(check)
-
-    def _check(self, event: Event) -> None:
-        if self._value is not PENDING:
-            return
-        if not event._ok:
-            event.defuse()
-            self.fail(event._value)
-            return
-        self._remaining -= 1
-        if not self._remaining:
-            self.succeed(None)
 
 
 class _CollectiveInstance:
@@ -436,7 +404,6 @@ class ReplayEngine:
         message.tag = record.tag
         message.size = size
         message.send_posted = True
-        message.send_time = env._now
         # Same decision as select_protocol(), with the threshold hoisted.
         if size <= self._eager_threshold:
             message.protocol = _EAGER
@@ -453,19 +420,14 @@ class ReplayEngine:
     def post_recv(self, dst: int, record, index: int) -> Message:
         """Post the receive ``record`` of rank ``dst``, message ``index`` of
         the trace's plan; returns its message."""
-        env = self.env
         slots = self._slots
         message = slots[index]
         if message is None:
-            message = slots[index] = Message(env)
+            message = slots[index] = Message(self.env)
         else:
             slots[index] = None
         message.dst = dst
         message.recv_posted_flag = True
-        message.recv_posted_time = env._now
-        notifier = message._recv_posted
-        if notifier is not None and not notifier.triggered:
-            notifier.succeed(env._now)
         self._maybe_start(message)
         return message
 
@@ -590,7 +552,7 @@ class ReplayEngine:
                 if not events:
                     continue
                 start = env._now
-                yield _WaitAll(env, events)
+                yield AllOf(env, events)
                 stats.request_wait_time += env._now - start
                 if collect:
                     add_interval(rank, start, env._now, ThreadState.REQUEST_WAIT)
@@ -1272,7 +1234,7 @@ class ReplayEngine:
                         if collect:
                             add_interval(rank, t, t2, state_request_wait)
                         # A fully satisfied wait still pops once in the DES
-                        # (_WaitAll succeeds at construction, the process
+                        # (AllOf succeeds at construction, the process
                         # resumes at its pop), due now: every completion it
                         # waited for was notified at or before now.
                         if urgent or normal:

@@ -47,13 +47,6 @@ class RankStats:
         return (self.send_wait_time + self.recv_wait_time
                 + self.request_wait_time + self.collective_time)
 
-    @property
-    def blocked_fraction(self) -> float:
-        """Fraction of this rank's execution spent blocked."""
-        if self.finish_time <= 0:
-            return 0.0
-        return self.communication_time / self.finish_time
-
 
 @dataclass
 class SimulationResult:
@@ -77,9 +70,6 @@ class SimulationResult:
     # their historical meaning on platforms with mpi_overhead > 0.
     def total_compute_time(self) -> float:
         return sum(r.busy_time for r in self.ranks)
-
-    def total_mpi_overhead_time(self) -> float:
-        return sum(r.mpi_overhead_time for r in self.ranks)
 
     def total_communication_time(self) -> float:
         return sum(r.communication_time for r in self.ranks)
@@ -106,12 +96,6 @@ class SimulationResult:
         if not 0 <= rank < self.num_ranks:
             raise AnalysisError(f"rank {rank} outside result of {self.num_ranks} ranks")
         return self.ranks[rank]
-
-    def speedup_over(self, other: "SimulationResult") -> float:
-        """How much faster this result is than ``other`` (>1 = faster)."""
-        if self.total_time <= 0:
-            raise AnalysisError("cannot compute a speedup over a zero-time result")
-        return other.total_time / self.total_time
 
     def describe(self) -> Dict[str, Any]:
         """Summary dictionary used by reports and the CLI."""

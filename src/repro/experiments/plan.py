@@ -31,7 +31,12 @@ from repro.apps.registry import create_application
 from repro.core.analysis import ORIGINAL
 from repro.core.chunking import ChunkingPolicy, FixedCountChunking, FixedSizeChunking
 from repro.core.environment import OverlapStudyEnvironment
-from repro.core.executor import CohortTask, SweepTask, validate_variant_labels
+from repro.core.executor import (
+    CohortTask,
+    SweepTask,
+    task_label,
+    validate_variant_labels,
+)
 from repro.core.mechanisms import OverlapMechanism
 from repro.core.patterns import ComputationPattern
 from repro.dimemas.platform import Platform
@@ -158,15 +163,6 @@ def expand_grid(spec: ExperimentSpec, base: Platform
                                 cell_platform.with_bandwidth(bandwidth)
                                 for bandwidth in bandwidths)
     return cells, platforms, len(bandwidths)
-
-
-def _task_label(app_label: str, variant: str, platform: Platform) -> str:
-    label = f"{app_label}:{variant}@{platform.bandwidth_mbps}MBps"
-    if platform.topology.kind != "flat":
-        label += f"/{platform.topology.kind}"
-    if platform.collective_model.kind != "analytical":
-        label += f"/{platform.collective_model.kind}"
-    return label
 
 
 def _trace_key(app_label: str, variant: str) -> str:
@@ -336,7 +332,7 @@ def group_cohorts(tasks: Sequence[SweepTask],
                   traces: Dict[str, Trace]) -> List[object]:
     """Group missing sweep tasks into grid-vectorizable cohort batches.
 
-    Exactly the proven metric-only tasks batch: tasks sharing one trace
+    Exactly the proven tasks batch: tasks sharing one trace
     variant and one structural signature (topology shape, node mapping,
     collective model, eager protocol class -- see
     :func:`repro.dimemas.gridreplay.cohort_signature`) whose cells the
@@ -357,7 +353,7 @@ def group_cohorts(tasks: Sequence[SweepTask],
     placement: Dict[int, Tuple] = {}
     for task in tasks:
         trace = traces.get(task.trace_key)
-        if task.collect_timeline or trace is None:
+        if trace is None:
             continue
         signature = cohort_signature(trace, task.platform)
         if (signature is None
@@ -414,7 +410,7 @@ def plan_experiment(spec: ExperimentSpec,
                     variant=variant,
                     trace_key=_trace_key(app_label, variant),
                     platform=task_platform,
-                    label=_task_label(app_label, variant, task_platform),
+                    label=task_label(app_label, variant, task_platform),
                     point=app_index * total_points + offset))
 
     return ExperimentPlan(

@@ -42,11 +42,15 @@ from typing import Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING, Union
 
 from repro._collector import collector_paused
 from repro.core.analysis import BandwidthSweep
-from repro.core.executor import SweepExecutor, SweepTask, SweepTaskResult
+from repro.core.executor import (
+    SweepExecutor,
+    SweepTask,
+    SweepTaskResult,
+    _task_result,
+)
 from repro.core.mechanisms import OverlapMechanism
 from repro.dimemas.platform import Platform
 from repro.dimemas.results import SimulationResult
-from repro.dimemas.simulator import DimemasSimulator
 from repro.errors import TraceLintError
 from repro.experiments.plan import (  # noqa: F401  (re-exported legacy surface)
     ExperimentPlan,
@@ -76,31 +80,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.core.environment import OverlapStudyEnvironment
 
 
-def _metrics_from_result(task: SweepTask, result: SimulationResult) -> SweepTaskResult:
-    """Scalar metrics of an already-replayed task (full-results mode)."""
-    network = result.network
-    return SweepTaskResult(
-        index=task.index,
-        variant=task.variant,
-        bandwidth_mbps=task.platform.bandwidth_mbps,
-        total_time=result.total_time,
-        communication_fraction=result.communication_fraction(),
-        max_compute_time=result.max_compute_time(),
-        elapsed_seconds=0.0,
-        worker_pid=os.getpid(),
-        point=task.point,
-        topology=task.platform.topology.kind,
-        collective_model=task.platform.collective_model.to_string(),
-        transfers=network.get("transfers", 0),
-        bytes_transferred=network.get("bytes_transferred", 0),
-        mean_queue_time=network.get("mean_queue_time", 0.0),
-        mean_transfer_time=network.get("mean_transfer_time", 0.0),
-        intranode_share=network.get("intranode_share", 0.0),
-        collective_transfers=network.get("collective_transfers", 0),
-        collective_bytes=network.get("collective_bytes", 0),
-        collective_share=network.get("collective_share", 0.0))
-
-
 def _result_from_payload(task: SweepTask, payload: Dict[str, object]
                          ) -> Optional[SweepTaskResult]:
     """Rehydrate a cached payload for ``task`` (``None`` -> treat as miss)."""
@@ -110,18 +89,6 @@ def _result_from_payload(task: SweepTask, payload: Dict[str, object]
         return None
     return SweepTaskResult(index=task.index, variant=task.variant,
                            point=task.point, worker_pid=os.getpid(), **kwargs)
-
-
-def _stock_simulator(environment: "OverlapStudyEnvironment") -> bool:
-    """Whether the environment replays through the stock simulator.
-
-    Cohort batching replays cells directly through :func:`replay_cohort`,
-    which is only equivalent to per-cell execution for the unmodified
-    :class:`DimemasSimulator`; injected test doubles or subclasses opt the
-    run out of grid vectorization entirely.
-    """
-    simulator = getattr(environment, "simulator", None)
-    return simulator is None or type(simulator) is DimemasSimulator
 
 
 @dataclass(frozen=True)
@@ -204,8 +171,8 @@ def run_experiment(spec: ExperimentSpec,
     """Execute ``spec`` and return the typed result.
 
     ``environment``, ``platform`` and ``apps`` supply already-built objects
-    in place of the spec's sections.  An environment (its platform,
-    chunking policy and simulator) replaces the ``[platform]`` and
+    in place of the spec's sections.  An environment (its platform and
+    chunking policy) replaces the ``[platform]`` and
     ``[chunking]`` sections; a platform replaces the environment's as the
     grid's base; app instances, labelled by their names, replace the apps
     the ``apps`` and ``[app]`` sections would create.  When omitted,
@@ -237,7 +204,8 @@ def run_experiment(spec: ExperimentSpec,
     cohorts (:func:`~repro.experiments.plan.group_cohorts`), so one pass
     over each trace evaluates a whole grid slice at once; results are
     reassembled by task index and are identical to the per-cell path's.
-    Full-results runs and custom simulators run every task per cell.
+    Full-results runs replay every task per cell.  Every replay runs the
+    stock :class:`~repro.dimemas.simulator.DimemasSimulator` model.
 
     The whole call -- planning, tracing, the overlap transform, the
     precheck, every replay, the store writes and the assembly -- runs with
@@ -293,12 +261,9 @@ def run_experiment(spec: ExperimentSpec,
     if missing:
         # Grouping classifies every cell, which loads the replay stack; a
         # fully warm run has nothing to group or execute.
-        units: Sequence[object] = missing
-        if not full_results and _stock_simulator(environment):
-            units = group_cohorts(missing, traces)
+        units = missing if full_results else group_cohorts(missing, traces)
         raw = executor.execute(
             units, traces, full_results=full_results,
-            simulator=environment.simulator,
             store=store if use_cache else None,
             cache_keys=({task.index: keys[task.index] for task in missing}
                         if use_cache else None))
@@ -307,12 +272,12 @@ def run_experiment(spec: ExperimentSpec,
     # -- assemble ----------------------------------------------------------
     if full_results:
         simulation_results: Optional[Tuple[SimulationResult, ...]] = tuple(raw)
-        task_results = [_metrics_from_result(task, result)
+        task_results = [_task_result(task, result, 0.0)
                         for task, result in zip(plan.tasks, raw)]
     else:
         simulation_results = None
-        # Cohort batches may reorder execution, so the merge keys on the
-        # index carried by each result rather than on submission order.
+        # Fresh results cover only the missing tasks, so the merge keys on
+        # the index carried by each result.
         fresh = {result.index: result for result in raw}
         task_results = [cached[index] if index in cached else fresh[index]
                         for index in range(len(plan.tasks))]

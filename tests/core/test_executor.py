@@ -7,12 +7,14 @@ and the merge step only depends on task metadata, never on completion order.
 
 import gc
 import random
+from contextlib import contextmanager
 
 import pytest
 
-from repro.apps import NasCG
+from repro.apps import NasBT, NasCG
 from repro.core.analysis import ORIGINAL
 from repro.core.executor import (
+    CohortTask,
     SweepExecutor,
     SweepTask,
     SweepTaskResult,
@@ -20,7 +22,7 @@ from repro.core.executor import (
     validate_variant_labels,
 )
 from repro.core.study import batch_study
-from repro.dimemas.simulator import DimemasSimulator
+from repro.dimemas.platform import Platform
 from repro.errors import AnalysisError, ConfigurationError
 from repro.experiments import ExperimentSpec, run_experiment
 
@@ -156,22 +158,60 @@ class TestExecutor:
         assert sweep.metadata["replay_wall_seconds"] > 0.0
 
 
-class _TaggingSimulator(DimemasSimulator):
-    """A custom simulator whose results are recognisable in sweep output."""
+class _RecordingStore:
+    """A store stand-in that records which keys each batch wrote."""
 
-    def simulate(self, trace, platform=None, label=None):
-        result = super().simulate(trace, platform=platform, label=label)
-        result.metadata["simulated_by"] = "tagging"
-        return result
+    def __init__(self):
+        self.batches = []
+
+    @contextmanager
+    def batch(self):
+        self.batches.append([])
+        yield
+
+    def put(self, key, payload):
+        self.batches[-1].append(key)
+
+    def close(self):
+        pass
 
 
-class TestEnvironmentSimulatorIsHonoured:
-    def test_study_routes_through_the_environment_simulator(
-            self, small_bt, environment):
-        environment.simulator = _TaggingSimulator(environment.platform)
-        study = environment.study(small_bt)
-        assert study.original_result.metadata["simulated_by"] == "tagging"
-        assert study.result("ideal").metadata["simulated_by"] == "tagging"
+class TestUnitRunner:
+    def test_pool_returns_full_results_in_unit_order(
+            self, small_bt, environment, platform):
+        # The pool submits the largest unit first; full results are not
+        # sorted by index afterwards, so the pool itself must put them
+        # back in unit order.
+        small = environment.trace(small_bt)
+        large = environment.trace(NasBT(num_ranks=4, iterations=4,
+                                        face_bytes=60_000,
+                                        instructions_per_phase=1.0e6))
+        assert sum(map(len, large)) > sum(map(len, small))
+        variants = {ORIGINAL: small, "large": large}
+        tasks = SweepExecutor.expand(variants, [platform])
+        serial = SweepExecutor().execute(tasks, variants, full_results=True)
+        pooled = SweepExecutor(jobs=2).execute(tasks, variants,
+                                               full_results=True)
+        labels = [task.label for task in tasks]
+        assert [result.metadata["label"] for result in pooled] == labels
+        assert [result.metadata["label"] for result in serial] == labels
+        assert ([result.total_time for result in pooled]
+                == [result.total_time for result in serial])
+
+    def test_a_unit_writes_its_metrics_through_in_one_batch(
+            self, small_cg, environment):
+        trace = environment.trace(small_cg)
+        platforms = [Platform(bandwidth_mbps=bandwidth, num_buses=0,
+                              input_links=0, output_links=0)
+                     for bandwidth in (10.0, 100.0, 1000.0, 5000.0)]
+        tasks = SweepExecutor.expand({ORIGINAL: trace}, platforms)
+        units = [CohortTask(tuple(tasks[:3])), tasks[3]]
+        store = _RecordingStore()
+        results = SweepExecutor().execute(
+            units, {ORIGINAL: trace}, store=store,
+            cache_keys={task.index: f"cell-{task.index}" for task in tasks})
+        assert store.batches == [["cell-0", "cell-1", "cell-2"], ["cell-3"]]
+        assert [result.index for result in results] == [0, 1, 2, 3]
 
 
 class TestSerialReentrancy:

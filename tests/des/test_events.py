@@ -118,9 +118,24 @@ class TestConditions:
         env = Environment()
         first, second = env.timeout(1.0), env.timeout(2.0)
         both = AllOf(env, [first, second])
+        env.run(until=first)
+        assert not both.triggered
         env.run()
-        assert both.processed
-        assert first in both.value and second in both.value
+        assert both.processed and both.value is None
+
+    def test_all_of_counts_processed_children_at_construction(self):
+        # Children are counted up front: a processed child counts as it
+        # registers, and the barrier still waits for a pending one.
+        env = Environment()
+        done, pending = env.timeout(1.0), env.event()
+        env.run()
+        waiting = AllOf(env, [done, pending])
+        satisfied = AllOf(env, [done])
+        assert not waiting.triggered
+        assert satisfied.triggered and satisfied.value is None
+        pending.succeed()
+        env.run()
+        assert waiting.processed and waiting.value is None
 
     def test_empty_all_of_triggers_immediately(self):
         env = Environment()

@@ -227,11 +227,12 @@ class TestCohortGrouping:
         assert len(units) == 2
 
     def test_timeline_tasks_stay_per_cell(self):
-        trace = _trace("nas-cg")
-        tasks = [dataclasses.replace(task, collect_timeline=True)
-                 for task in self._tasks(_cohort_of(PROVEN["flat"],
-                                                    (10.0, 50.0)))]
-        assert group_cohorts(tasks, {"app:original": trace}) == tasks
+        # Full-result runs record timelines, which only per-cell replays
+        # do: on a grid of proven cells the runner must not group them.
+        full = run_experiment(SWEEP_SPEC, full_results=True)
+        assert all(result.timeline.intervals
+                   for result in full.simulation_results)
+        assert _stable_rows(full) == _stable_rows(run_experiment(SWEEP_SPEC))
 
     def test_cohort_task_validation(self):
         tasks = self._tasks(_cohort_of(PROVEN["flat"], (10.0, 50.0)))
@@ -333,6 +334,17 @@ class TestSweepIntegration:
         serial = run_experiment(SWEEP_SPEC.with_jobs(1))
         parallel = run_experiment(SWEEP_SPEC.with_jobs(2))
         assert _stable_rows(parallel) == _stable_rows(serial)
+
+    def test_parallel_equals_serial_on_a_proven_tree(self):
+        spec = dataclasses.replace(SWEEP_SPEC, platform={
+            "replay_backend": "adaptive", "topology": "tree:radix=2,links=0"})
+        plan = plan_experiment(spec)
+        units = group_cohorts(plan.tasks, plan.traces_for(plan.tasks))
+        assert all(isinstance(unit, CohortTask) for unit in units)
+        serial = run_experiment(spec.with_jobs(1))
+        parallel = run_experiment(spec.with_jobs(2))
+        assert _stable_rows(parallel) == _stable_rows(serial)
+        assert any(row["transfers"] for row in _stable_rows(serial))
 
     def test_warm_run_serves_grid_written_entries(self, store):
         run_experiment(SWEEP_SPEC, store=store)

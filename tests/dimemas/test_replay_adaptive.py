@@ -173,16 +173,25 @@ class TestRendezvousCompletionOrder:
     """A rendezvous send registers its completion as a callback of the
     message's arrival when it is posted, so at the arrival instant the
     sender resumes *before* receivers that parked after that posting.  On
-    these cells the two resumptions queue competing transfers on one FIFO
-    link at the same instant; waking every receiver first replays sweep3d
-    9.96% and 0.56% slow."""
+    the first two cells the two resumptions queue competing transfers on
+    one FIFO link at the same instant; waking every receiver first replays
+    sweep3d 9.96% and 0.56% slow.
+
+    A rank woken by a notification resumes from the paced walk's FIFO of
+    work due now, as the DES runs it: before work queued later at that
+    instant.  On the third cell (72 contended transfers) resuming it
+    through the heap instead lets later same-instant transfers take the
+    links first, and ``mean_queue_time`` drifts from the event walk's."""
 
     @pytest.mark.parametrize("platform", [
         Platform(bandwidth_mbps=10.0, topology="tree:radix=2,links=1",
                  eager_threshold=0),
         Platform(bandwidth_mbps=10.0, latency=0.0, num_buses=1,
                  input_links=2, output_links=2, eager_threshold=0),
-    ], ids=["tree", "flat"])
+        Platform(bandwidth_mbps=5.0, latency=1e-6, eager_threshold=1024,
+                 processors_per_node=1, num_buses=0, input_links=2,
+                 output_links=2),
+    ], ids=["tree", "flat", "wake-up"])
     def test_same_instant_completions_bit_exact(self, platform):
         engine = _assert_bit_exact(_trace("sweep3d", overlap="ideal"),
                                    platform)

@@ -1,7 +1,7 @@
 """Pluggable timeline recording: the NullRecorder and its wiring.
 
 ``collect_timeline`` flows from the entry points down to the replay engine:
-metric-only sweep tasks default to the null recorder, full-result
+metric-only sweeps replay with the null recorder, full-result
 executions (studies) always record, the experiment spec exposes
 ``collect_timelines``, and the interactive ``simulate`` path keeps
 recording by default.
@@ -74,18 +74,37 @@ class TestEngineFlag:
 
 
 class TestExecutorWiring:
-    def test_metric_tasks_default_to_null_recorder(self, trace, platform):
-        tasks = SweepExecutor.expand({ORIGINAL: trace}, [platform])
-        assert all(task.collect_timeline is False for task in tasks)
+    def test_metric_tasks_default_to_null_recorder(self, trace, platform,
+                                                   monkeypatch):
+        from repro.core import executor as executor_module
 
-    def test_task_flag_reaches_the_replay(self, trace, platform):
-        from dataclasses import replace
-        task = replace(SweepExecutor.expand({ORIGINAL: trace}, [platform])[0],
-                       collect_timeline=True)
-        # Metric rows don't ship timelines, but the flag must still select
-        # the recording replay path (simulator honours it per task).
-        result = SweepExecutor().execute([task], {ORIGINAL: trace})
-        assert result[0].total_time > 0
+        simulate = executor_module._simulate
+        recorded = []
+
+        def recording(task, trace, collect_timeline):
+            recorded.append(collect_timeline)
+            return simulate(task, trace, collect_timeline)
+
+        monkeypatch.setattr(executor_module, "_simulate", recording)
+        tasks = SweepExecutor.expand({ORIGINAL: trace}, [platform])
+        SweepExecutor().execute(tasks, {ORIGINAL: trace})
+        assert recorded == [False]
+
+    def test_full_results_select_the_recording_replay(self, trace, platform,
+                                                      monkeypatch):
+        from repro.core import executor as executor_module
+
+        simulate = executor_module._simulate
+        recorded = []
+
+        def recording(task, trace, collect_timeline):
+            recorded.append(collect_timeline)
+            return simulate(task, trace, collect_timeline)
+
+        monkeypatch.setattr(executor_module, "_simulate", recording)
+        tasks = SweepExecutor.expand({ORIGINAL: trace}, [platform])
+        SweepExecutor().execute(tasks, {ORIGINAL: trace}, full_results=True)
+        assert recorded == [True]
 
     def test_full_results_always_carry_timelines(self, trace, platform):
         tasks = SweepExecutor.expand({ORIGINAL: trace}, [platform])
@@ -136,38 +155,3 @@ class TestSpecWiring:
         timeline = Timeline(num_ranks=1)
         with pytest.raises(AnalysisError):
             timeline.add_interval(5, 0.0, 1.0, ThreadState.RUNNING)
-
-
-class TestLazyRecvPostedHook:
-    @staticmethod
-    def _engine():
-        from repro.tracing.records import RecvRecord, SendRecord
-        from repro.tracing.trace import RankTrace, Trace
-
-        trace = Trace(ranks=[
-            RankTrace(rank=0, records=[SendRecord(dst=1, size=10)]),
-            RankTrace(rank=1, records=[RecvRecord(src=0, size=10)])])
-        engine = ReplayEngine(trace, Platform())
-        return engine, trace[0].records[0], trace[1].records[0]
-
-    def test_access_after_posting_is_already_processed(self):
-        engine, send, recv = self._engine()
-        env = engine.env
-        engine.post_send(0, send, 0)
-        message = engine.post_recv(1, recv, 0)
-        # Both the heap and the urgent FIFO count as enqueued.
-        queued_before = len(env._queue) + len(env._urgent)
-        hook = message.recv_posted
-        # Materialised in the processed state at the posting time: a waiter
-        # resumes synchronously and nothing was enqueued retroactively.
-        assert hook.processed and hook.triggered and hook.ok
-        assert hook.value == 0.0
-        assert len(env._queue) + len(env._urgent) == queued_before
-
-    def test_access_before_posting_waits_for_the_posting(self):
-        engine, send, recv = self._engine()
-        message = engine.post_send(0, send, 0)
-        hook = message.recv_posted
-        assert not hook.triggered
-        engine.post_recv(1, recv, 0)
-        assert hook.triggered

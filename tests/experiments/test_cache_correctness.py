@@ -36,9 +36,9 @@ def count_simulations(monkeypatch):
     calls = []
     original = executor_module._simulate
 
-    def counting(task, trace, simulator, **kwargs):
+    def counting(task, trace, collect_timeline):
         calls.append(task.label)
-        return original(task, trace, simulator, **kwargs)
+        return original(task, trace, collect_timeline)
 
     monkeypatch.setattr(executor_module, "_simulate", counting)
     return calls

@@ -79,8 +79,7 @@ def _legacy_bandwidth_points(jobs=1):
     variants = _legacy_variants(environment, _app())
     executor = SweepExecutor(jobs=jobs)
     points, _ = executor.run_sweep(variants, environment.platform, BANDWIDTHS,
-                                   app_name="sancho-loop",
-                                   simulator=environment.simulator)
+                                   app_name="sancho-loop")
     return points
 
 
@@ -95,7 +94,7 @@ def _legacy_topology_points(jobs=1):
         platforms.extend(on_topology.with_bandwidth(b) for b in BANDWIDTHS)
     executor = SweepExecutor(jobs=jobs)
     tasks = executor.expand(variants, platforms, app_name="sancho-loop")
-    results = executor.execute(tasks, variants, simulator=environment.simulator)
+    results = executor.execute(tasks, variants)
     per_topology = {}
     for index, topology in enumerate(TOPOLOGIES):
         first = index * len(BANDWIDTHS)
