@@ -43,7 +43,12 @@ from repro.dimemas.platform import Platform
 from repro.errors import AnalysisError
 from repro.experiments.result import CellDims
 from repro.experiments.spec import ExperimentSpec
-from repro.store.keys import CellKey, variant_id
+from repro.store.keys import (
+    CellKey,
+    platform_key_state,
+    variant_id,
+    variant_key_bytes,
+)
 from repro.tracing.trace import Trace
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -288,15 +293,27 @@ class ExperimentPlan:
         Needs the original trace of every app (for its content digest) but
         no overlapped variant: the key addresses the variant by its
         derivation, so a warm lookup never runs the overlap transformation.
+        Each platform point's hash prefix and each trace key's suffix are
+        serialized once, so a key costs one copy and one update of a hash
+        (the bytes are :meth:`CellKey.compute`'s).
         """
         ids = self.variant_ids()
         digests = {label: self.original_trace(label).digest()
                    for label in self.app_labels}
+        prefixes = [platform_key_state(platform, salt)
+                    for platform in self.flat_platforms]
+        suffixes = {
+            _trace_key(label, variant): (
+                variant_key_bytes(digests[label], ids[variant]),
+                digests[label], ids[variant])
+            for label in self.app_labels for variant in self.variant_labels}
         keys: List[CellKey] = []
+        total_points = self.total_points
         for task in self.tasks:
-            app_label, variant = _split_trace_key(task.trace_key)
-            keys.append(CellKey.compute(
-                digests[app_label], task.platform, ids[variant], salt=salt))
+            suffix, trace_digest, derivation = suffixes[task.trace_key]
+            state = prefixes[task.point % total_points].copy()
+            state.update(suffix)
+            keys.append(CellKey(state.hexdigest(), trace_digest, derivation))
         return keys
 
 

@@ -34,9 +34,10 @@ drivers.
 
 from __future__ import annotations
 
+import operator
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING, Union
 
@@ -72,7 +73,6 @@ from repro.experiments.result import (
 )
 from repro.experiments.spec import ExperimentSpec
 from repro.store import CellKey, ResultStore, open_store
-from repro.store.serde import result_kwargs
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.analysis.diagnostics import AnalysisReport
@@ -80,15 +80,36 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.core.environment import OverlapStudyEnvironment
 
 
-def _result_from_payload(task: SweepTask, payload: Dict[str, object]
-                         ) -> Optional[SweepTaskResult]:
-    """Rehydrate a cached payload for ``task`` (``None`` -> treat as miss)."""
-    try:
-        kwargs = result_kwargs(payload)
-    except (KeyError, TypeError):
-        return None
-    return SweepTaskResult(index=task.index, variant=task.variant,
-                           point=task.point, worker_pid=os.getpid(), **kwargs)
+#: A task result's fields in declaration order: the cached fields and the
+#: run-local ``index``, ``variant``, ``worker_pid`` and ``point``.
+_RESULT_FIELDS = tuple(field.name for field in fields(SweepTaskResult))
+_result_values = operator.itemgetter(*_RESULT_FIELDS)
+
+
+def _lookup(tasks: Sequence[SweepTask], keys: Sequence[CellKey],
+            store: ResultStore) -> Dict[int, SweepTaskResult]:
+    """The results ``store`` serves for ``tasks``, by task index.
+
+    One ``get`` per task; the store answers a damaged entry with ``None``,
+    so a task is served exactly when its result is here.  A hit binds the
+    payload's :data:`~repro.store.serde.CACHED_RESULT_FIELDS`, and no other
+    key of it, with the task's run-local fields and this process's pid into
+    a frozen :class:`SweepTaskResult`, without running its constructor.
+    The fields go in in declaration order, so the instance shares its
+    class's attribute-key table as a constructed one does.
+    """
+    pid = os.getpid()
+    served: Dict[int, SweepTaskResult] = {}
+    for task, key in zip(tasks, keys):
+        payload = store.get(key)
+        if payload is None:
+            continue
+        result = object.__new__(SweepTaskResult)
+        result.__dict__.update(zip(_RESULT_FIELDS, _result_values(dict(
+            payload, index=task.index, variant=task.variant,
+            worker_pid=pid, point=task.point))))
+        served[task.index] = result
+    return served
 
 
 @dataclass(frozen=True)
@@ -140,8 +161,12 @@ def preview_experiment(spec: ExperimentSpec,
     plan = plan_experiment(spec, environment=environment, platform=platform,
                            apps=apps)
     keys = plan.cell_keys()
-    statuses = (["uncached"] * len(keys) if store is None
-                else ["hit" if key in store else "miss" for key in keys])
+    if store is None:
+        statuses = ["uncached"] * len(keys)
+    else:
+        served = _lookup(plan.tasks, keys, store)
+        statuses = ["hit" if task.index in served else "miss"
+                    for task in plan.tasks]
     lint = None
     if precheck:
         from repro.analysis import AnalysisReport, analyze_trace
@@ -233,13 +258,7 @@ def run_experiment(spec: ExperimentSpec,
     cached: Dict[int, SweepTaskResult] = {}
     if use_cache:
         keys = plan.cell_keys()
-        for task, key in zip(plan.tasks, keys):
-            payload = store.get(key)
-            if payload is None:
-                continue
-            rehydrated = _result_from_payload(task, payload)
-            if rehydrated is not None:
-                cached[task.index] = rehydrated
+        cached = _lookup(plan.tasks, keys, store)
     missing = [task for task in plan.tasks if task.index not in cached]
 
     # -- execute -----------------------------------------------------------

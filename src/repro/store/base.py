@@ -18,7 +18,7 @@ from __future__ import annotations
 import contextlib
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.store.keys import CellKey
 
@@ -82,16 +82,6 @@ class ResultStore(ABC):
         """
 
     # -- conveniences shared by all implementations ------------------------
-    def get_many(self, keys: Iterable[CellKey]
-                 ) -> Dict[str, Dict[str, Any]]:
-        """``{digest: payload}`` for every key that hits."""
-        found: Dict[str, Dict[str, Any]] = {}
-        for key in keys:
-            payload = self.get(key)
-            if payload is not None:
-                found[key.digest] = payload
-        return found
-
     @contextlib.contextmanager
     def batch(self) -> Iterator[None]:
         """Commit the ``put`` calls of the block together, or none of them.

@@ -21,7 +21,11 @@ those inputs:
   numbers invalidates the whole store instead of serving stale results.
 
 Two keys are equal iff their canonical JSON payloads are equal; the digest
-is the SHA-256 of that payload.
+is the SHA-256 of that payload.  The payload's sorted keys put the platform
+and the salt first, so the hash is fed in two pieces: a per-platform-point
+prefix (:func:`platform_key_state`) and a per-(trace, variant) suffix
+(:func:`variant_key_bytes`).  A grid hashes each platform point's prefix
+once and finishes every cell key from a copy of it.
 """
 
 from __future__ import annotations
@@ -93,6 +97,26 @@ def variant_id(pattern: Optional[str] = None, mechanism: Optional[str] = None,
             f"chunking={chunking or 'default'}")
 
 
+def platform_key_state(platform: Platform, salt: Optional[str] = None) -> Any:
+    """A SHA-256 state fed the key payload's JSON up to the trace digest.
+
+    That is ``{"platform":<fingerprint>,"salt":<salt>,"trace":`` -- the
+    canonical JSON of a cell key's payload, whose sorted keys put the two
+    per-platform-point fields first.  Finish a key from a ``copy()`` of it
+    with :func:`variant_key_bytes`.
+    """
+    salt = salt if salt is not None else simulator_salt()
+    return hashlib.sha256(
+        f'{{"platform":{canonical_json(platform_fingerprint(platform))},'
+        f'"salt":{canonical_json(salt)},"trace":'.encode("utf-8"))
+
+
+def variant_key_bytes(trace_digest: str, variant: str) -> bytes:
+    """The rest of a key payload's JSON after :func:`platform_key_state`."""
+    return (f'{canonical_json(trace_digest)},'
+            f'"variant":{canonical_json(variant)}}}').encode("utf-8")
+
+
 @dataclass(frozen=True)
 class CellKey:
     """The content address of one replay cell.
@@ -109,15 +133,10 @@ class CellKey:
     def compute(cls, trace_digest: str, platform: Platform, variant: str,
                 salt: Optional[str] = None) -> "CellKey":
         """Derive the key of (trace content, variant derivation, platform)."""
-        payload = {
-            "salt": salt if salt is not None else simulator_salt(),
-            "trace": trace_digest,
-            "variant": variant,
-            "platform": platform_fingerprint(platform),
-        }
-        digest = hashlib.sha256(
-            canonical_json(payload).encode("utf-8")).hexdigest()
-        return cls(digest=digest, trace_digest=trace_digest, variant=variant)
+        state = platform_key_state(platform, salt)
+        state.update(variant_key_bytes(trace_digest, variant))
+        return cls(digest=state.hexdigest(), trace_digest=trace_digest,
+                   variant=variant)
 
     def short(self) -> str:
         """A 12-character prefix for tables and logs."""

@@ -35,6 +35,7 @@ CACHED_RESULT_FIELDS = (
     "collective_bytes",
     "collective_share",
 )
+_CACHED_FIELD_SET = frozenset(CACHED_RESULT_FIELDS)
 
 
 def payload_of(result: Any) -> Dict[str, Any]:
@@ -43,16 +44,10 @@ def payload_of(result: Any) -> Dict[str, Any]:
 
 
 def is_valid_payload(payload: Any) -> bool:
-    """True if ``payload`` carries every cached field (integrity check)."""
-    return (isinstance(payload, dict)
-            and all(field in payload for field in CACHED_RESULT_FIELDS))
+    """True if ``payload`` is a dict carrying every cached field.
 
-
-def result_kwargs(payload: Dict[str, Any]) -> Dict[str, Any]:
-    """Constructor kwargs a payload contributes to a ``SweepTaskResult``.
-
-    Unknown keys (from a future format) are dropped rather than passed
-    through, so minor forward-compatible payload growth does not break old
-    readers; missing keys raise ``KeyError`` (callers treat that as a miss).
+    Unknown keys (from a future format) are allowed: a reader binds only
+    the cached fields, so minor forward-compatible payload growth does not
+    break old readers.
     """
-    return {field: payload[field] for field in CACHED_RESULT_FIELDS}
+    return isinstance(payload, dict) and _CACHED_FIELD_SET.issubset(payload)

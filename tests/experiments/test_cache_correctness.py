@@ -3,13 +3,23 @@ cache disabled, cold and warm, at any jobs count; warm runs simulate
 nothing; interrupted sweeps resume from the finished units."""
 
 import dataclasses
+import os
+import pickle
 
 import pytest
 
 from repro.core import executor as executor_module
+from repro.core.executor import SweepTaskResult
 from repro.errors import StoreError
-from repro.experiments import ExperimentSpec, run_experiment
+from repro.experiments import (
+    ExperimentSpec,
+    plan_experiment,
+    preview_experiment,
+    run_experiment,
+)
+from repro.experiments.runner import _lookup
 from repro.store import FileResultStore
+from repro.store.serde import CACHED_RESULT_FIELDS
 
 SPEC = ExperimentSpec(
     apps=("sancho-loop",),
@@ -214,6 +224,71 @@ class TestFullResultsBypass:
         assert rerun.cache_stats()["hits"] == 8
         assert stable_rows(rerun) == stable_rows(cold)
         assert store.verify() == (9, [])  # the entry was rewritten
+
+
+class TestLookup:
+    """What a run serves from the store, and how a hit is rebuilt."""
+
+    def test_preview_reports_what_the_run_serves(self, store, store_rows):
+        run_experiment(SPEC, store=store)
+        victim = next(store.keys())
+        # A damaged row still exists, but its checksum no longer holds.
+        store_rows(store.root).execute(
+            "UPDATE entries SET checksum = 'damaged' WHERE digest = ?",
+            (victim,))
+        preview = preview_experiment(SPEC, store=store, precheck=False)
+        rerun = run_experiment(SPEC, store=store)
+        assert preview.statuses == ["hit" if entry.cached else "miss"
+                                    for entry in rerun.provenance]
+        assert (preview.hits, preview.misses) == (8, 1)
+        assert [key.digest for key, status
+                in zip(preview.keys, preview.statuses)
+                if status == "miss"] == [victim]
+
+    def test_a_hit_equals_the_constructed_result(self, store):
+        run_experiment(SPEC, store=store)
+        plan = plan_experiment(SPEC)
+        keys = plan.cell_keys()
+        served = _lookup(plan.tasks, keys, store)
+        assert sorted(served) == list(range(len(plan.tasks)))
+        for task, key in zip(plan.tasks, keys):
+            payload = store.get(key)
+            built = SweepTaskResult(
+                index=task.index, variant=task.variant, point=task.point,
+                worker_pid=os.getpid(),
+                **{field: payload[field] for field in CACHED_RESULT_FIELDS})
+            hit = served[task.index]
+            assert hit == built and repr(hit) == repr(built)
+            # Same attributes in the same order: the same pickle bytes.
+            assert pickle.dumps(hit) == pickle.dumps(built)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                hit.total_time = 0.0
+
+    def test_a_hit_carries_the_readers_pid(self, tmp_path):
+        # Pool workers fill the store; the reading process binds its pid.
+        run_experiment(dataclasses.replace(SPEC, jobs=2), cache_dir=tmp_path)
+        plan = plan_experiment(SPEC)
+        with FileResultStore(tmp_path) as store:
+            served = _lookup(plan.tasks, plan.cell_keys(), store)
+        assert len(served) == len(plan.tasks)
+        assert {hit.worker_pid for hit in served.values()} == {os.getpid()}
+
+    def test_unknown_payload_keys_are_ignored(self, store):
+        cold = run_experiment(SPEC, store=store)
+        plan = plan_experiment(SPEC)
+        keys = plan.cell_keys()
+        before = _lookup(plan.tasks, keys, store)
+        for key in keys:
+            store.put(key, {**store.get(key), "from_a_later_format": [1]})
+        after = _lookup(plan.tasks, keys, store)
+        assert after == before and len(after) == len(plan.tasks)
+        fields = {field.name for field in dataclasses.fields(SweepTaskResult)}
+        for hit in after.values():
+            assert not hasattr(hit, "from_a_later_format")
+            assert vars(hit).keys() == fields
+        warm = run_experiment(SPEC, store=store)
+        assert warm.cache_stats()["hits"] == len(plan.tasks)
+        assert warm.to_rows() == cold.to_rows()
 
 
 class TestSharedNamespace:

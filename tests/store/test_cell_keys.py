@@ -1,10 +1,16 @@
 """Key-sensitivity tests: every simulation-relevant input must move the
-cell digest, and nothing cosmetic may."""
+cell digest, and nothing cosmetic may; and the digests a plan hashes from
+shared per-point and per-variant pieces are those of the whole payload."""
+
+import hashlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.dimemas.platform import Platform
 from repro.errors import ConfigurationError
+from repro.experiments import ExperimentSpec, plan_experiment
 from repro.store import (
     ORIGINAL_VARIANT,
     CellKey,
@@ -12,9 +18,18 @@ from repro.store import (
     simulator_salt,
     variant_id,
 )
+from repro.store.keys import canonical_json
 
 TRACE_DIGEST = "a" * 64
 OTHER_TRACE_DIGEST = "b" * 64
+
+
+def reference_digest(trace_digest, platform, variant, salt):
+    """A key's digest the way it was first defined: the SHA-256 of one
+    canonical JSON document holding every input."""
+    payload = {"salt": salt, "trace": trace_digest, "variant": variant,
+               "platform": platform_fingerprint(platform)}
+    return hashlib.sha256(canonical_json(payload).encode("utf-8")).hexdigest()
 
 
 def digest_of(platform=None, variant=ORIGINAL_VARIANT,
@@ -131,3 +146,87 @@ class TestVariantId:
     def test_missing_chunking_defaults(self):
         assert variant_id(pattern="real", mechanism="full").endswith(
             "chunking=default")
+
+
+#: One spec over every platform axis a grid can sweep, both seeds of a
+#: generated workload and four overlapped variants.
+RICH_SPEC = ExperimentSpec(
+    apps=("random-exchange",),
+    app_options={"num_ranks": 4, "iterations": 2},
+    seeds=(1, 2),
+    bandwidths=(50.0, 500.0),
+    latencies=(1e-06, 5e-05),
+    topologies=("tree:radix=2,links=1", "torus:links=2,torus_width=2"),
+    collective_models=("analytical", "decomposed:bcast=ring"),
+    node_mappings=(1, 2),
+    eager_thresholds=(0, 65536),
+    cpu_speeds=(1.0, 2.0),
+    patterns=("real", "ideal"),
+    mechanisms=("full", "early-send"),
+    chunking={"policy": "fixed-count", "count": 4})
+
+#: Text that JSON must escape: quotes, backslashes, control and non-ASCII.
+AWKWARD_TEXT = st.text(
+    alphabet=st.sampled_from('"\\/,:{}ab=\n\t\x00\x7f\u00e9\u4e2d\u2028') | st.characters(),
+    max_size=24)
+
+
+@st.composite
+def platforms(draw):
+    return Platform(
+        name=draw(AWKWARD_TEXT),
+        bandwidth_mbps=draw(st.floats(min_value=0.0, max_value=1e6)),
+        latency=draw(st.sampled_from((0.0, 1e-06, 5e-05, 1 / 3))),
+        relative_cpu_speed=draw(st.floats(min_value=0.01, max_value=64.0)),
+        eager_threshold=draw(st.integers(min_value=0, max_value=2 ** 40)),
+        processors_per_node=draw(st.integers(min_value=1, max_value=8)),
+        num_buses=draw(st.integers(min_value=0, max_value=3)),
+        input_links=draw(st.integers(min_value=0, max_value=3)),
+        output_links=draw(st.integers(min_value=0, max_value=3)),
+        topology=draw(st.sampled_from(
+            ("flat", "tree:radix=4,links=2", "torus:links=1,torus_width=4"))),
+        collective_model=draw(st.sampled_from(
+            ("analytical", "decomposed:allreduce=binomial,bcast=ring"))),
+        replay_backend=draw(st.sampled_from(("event", "adaptive"))))
+
+
+class TestKeyBytes:
+    """Hashing a key from a platform prefix and a variant suffix must give
+    the digest of the whole canonical payload, byte for byte: a store
+    filled before the split keeps serving every cell."""
+
+    @pytest.mark.parametrize("salt", [None, "pin"])
+    def test_plan_keys_equal_the_whole_payload_digests(self, salt):
+        plan = plan_experiment(RICH_SPEC)
+        assert "real+early-send" in plan.variant_labels
+        ids = plan.variant_ids()
+        digests = {label: plan.original_trace(label).digest()
+                   for label in plan.app_labels}
+        keys = plan.cell_keys(salt=salt)
+        assert len(keys) == len(plan.tasks) == 2 * 128 * 5
+        for task, key in zip(plan.tasks, keys):
+            app_label = task.trace_key.rpartition("/")[0]
+            trace_digest, variant = digests[app_label], ids[task.variant]
+            assert (key.trace_digest, key.variant) == (trace_digest, variant)
+            assert key.digest == reference_digest(
+                trace_digest, task.platform, variant,
+                simulator_salt() if salt is None else salt)
+        assert len({key.digest for key in keys}) == len(keys)
+
+    @settings(max_examples=200, deadline=None)
+    @given(salt=AWKWARD_TEXT,
+           trace_digest=st.one_of(
+               st.text(alphabet="0123456789abcdef", min_size=64,
+                       max_size=64),
+               AWKWARD_TEXT),
+           variant=st.one_of(
+               st.just(ORIGINAL_VARIANT),
+               st.builds(variant_id, pattern=AWKWARD_TEXT,
+                         mechanism=AWKWARD_TEXT, chunking=AWKWARD_TEXT),
+               AWKWARD_TEXT),
+           platform=platforms())
+    def test_compute_equals_the_whole_payload_digest(self, salt, trace_digest,
+                                                     variant, platform):
+        key = CellKey.compute(trace_digest, platform, variant, salt=salt)
+        assert key.digest == reference_digest(trace_digest, platform,
+                                              variant, salt)

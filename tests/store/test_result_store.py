@@ -54,12 +54,6 @@ class TestRoundtrip:
         with FileResultStore(tmp_path) as reopened:
             assert reopened.get(make_key()) == make_payload()
 
-    def test_get_many(self, store):
-        hit, miss = make_key(100.0), make_key(200.0)
-        store.put(hit, make_payload())
-        found = store.get_many([hit, miss])
-        assert found == {hit.digest: make_payload()}
-
     def test_store_is_picklable(self, store):
         store.put(make_key(), make_payload())
         with pickle.loads(pickle.dumps(store)) as clone:
@@ -126,6 +120,15 @@ class TestCorruption:
                 other.digest)
         assert store.get(other) is None
         assert store.verify() == (0, [other.digest])
+
+    @pytest.mark.parametrize("shape", [list, " ".join])
+    def test_checksummed_non_dict_payload_is_a_miss(self, store, shape):
+        # The checksum holds (put wrote these bytes), but a list or string
+        # naming every cached field is no payload.
+        key = make_key()
+        store.put(key, shape(CACHED_RESULT_FIELDS))
+        assert store.get(key) is None
+        assert store.verify() == (0, [key.digest])
 
     def test_incomplete_payload_is_invalid(self):
         partial = make_payload()
