@@ -15,12 +15,11 @@ x applications), and every replay is independent of the others.  The
    platform point and sorted in bandwidth order, so a parallel sweep is
    bit-identical to the serial one.
 
-Variant traces are transformed once in the parent process, serialised once
-(:meth:`Trace.to_dict`) and shipped to every worker at pool start-up via the
-pool initializer; each worker deserialises a variant at most once and caches
-the :class:`Trace` for all the tasks it runs.  Tasks therefore only carry a
-key into the variant table, which keeps the per-task pickling cost constant
-regardless of the trace size.
+Variant traces are transformed and prepared once, in the parent process,
+and the serial loop and the pool read the same ``{trace key: Trace}`` dict
+(:meth:`SweepExecutor.execute` says how it reaches pool workers under each
+start method).  Tasks carry only a key into it, which keeps the per-task
+pickling cost constant regardless of the trace size.
 """
 
 from __future__ import annotations
@@ -270,66 +269,34 @@ def _lookup_trace(traces: Dict[str, Any], key: str) -> Any:
 
 
 # -- worker side --------------------------------------------------------------
-# The serialised variant table is installed once per worker process through
-# the pool initializer, so it is pickled once per worker rather than once per
-# task; tasks reference it by key, and each worker deserialises a variant at
-# most once.  The serial path never touches these globals, so in-process
-# execution is reentrant.
+# The trace table is installed once per worker process through the pool
+# initializer, so it crosses to a worker once rather than once per task.
+# The serial path never touches these globals, so in-process execution is
+# reentrant.
 
-_TRACE_TABLE: Dict[str, Dict[str, Any]] = {}
-_TRACE_CACHE: Dict[str, Trace] = {}
-_TRACE_DIGESTS: Dict[str, str] = {}
+_TRACES: Dict[str, Trace] = {}
 _STORE: Optional["ResultStore"] = None
 _CACHE_KEYS: Dict[int, "CellKey"] = {}
 
 
-def _init_worker(table: Dict[str, Dict[str, Any]],
+def _init_worker(traces: Dict[str, Trace],
                  store: Optional["ResultStore"] = None,
-                 cache_keys: Optional[Dict[int, "CellKey"]] = None,
-                 digests: Optional[Dict[str, str]] = None,
-                 facts: Optional[List[Tuple[Any, ...]]] = None) -> None:
-    global _TRACE_TABLE, _TRACE_CACHE, _TRACE_DIGESTS, _STORE, _CACHE_KEYS
+                 cache_keys: Optional[Dict[int, "CellKey"]] = None) -> None:
+    global _TRACES, _STORE, _CACHE_KEYS
     # A worker lives for one ``execute`` call and, like the parent inside
     # :func:`collector_paused`, makes no reference cycles.  Disable the
     # collector here rather than rely on fork: spawn and forkserver workers
     # start from a fresh interpreter with it enabled.
     gc.disable()
-    _TRACE_TABLE = table
-    _TRACE_CACHE = {}
-    _TRACE_DIGESTS = digests or {}
+    _TRACES = traces
     _STORE = store
     _CACHE_KEYS = cache_keys or {}
-    if facts:
-        # Classification facts the parent already proved, keyed by
-        # content digest: seeding them means no worker re-runs the
-        # symbolic matchability proof for a trace the parent classified.
-        from repro.dimemas.windows import seed_facts
-        seed_facts(facts)
-
-
-def _worker_trace(key: str) -> Trace:
-    trace = _TRACE_CACHE.get(key)
-    if trace is None:
-        serialized = _lookup_trace(_TRACE_TABLE, key)
-        trace = Trace.from_dict(serialized)
-        # Adopt the content digest the parent already computed (store-backed
-        # runs ship it): preparation is then shared by content, so a worker
-        # that sees the same trace content again -- under another variant
-        # key or across resumed sweeps -- never recompiles it.
-        digest = _TRACE_DIGESTS.get(key)
-        if digest is not None:
-            trace.adopt_digest(digest)
-        # Normalise once per worker: every task this worker runs against the
-        # variant reuses the prepared (opcode-tagged) record stream.
-        trace.prepared()
-        _TRACE_CACHE[key] = trace
-    return trace
 
 
 def _run_pooled_unit(unit: Union[SweepTask, CohortTask],
                      full_results: bool) -> List[Any]:
     """The one pool worker entry: :func:`_run_unit` on this worker's tables."""
-    return _run_unit(unit, _worker_trace(unit.trace_key), full_results,
+    return _run_unit(unit, _TRACES[unit.trace_key], full_results,
                      _STORE, _CACHE_KEYS)
 
 
@@ -393,6 +360,19 @@ class SweepExecutor:
         resumable.  Full-result replays are never written through
         (timelines are not cached).
 
+        Every trace a unit references is prepared here, in this process,
+        before the first unit runs, so no unit is charged for the
+        normalisation of another's trace.  The serial loop and the pool
+        then read the same ``traces`` dict.  A pool hands it to each worker
+        once, through the initializer: under ``fork`` the workers inherit
+        the parent's trace objects and every memo on them (prepared
+        streams, message plans, lint verdicts, window facts), so they
+        rebuild nothing; under ``spawn`` or ``forkserver`` the dict is
+        pickled without those memos (:meth:`Trace.__getstate__`) and a
+        worker rebuilds what its units use.  Nothing here hashes trace
+        content: cell keys need only the originals' digests, which the
+        plan computes.
+
         Metric results come back sorted by task index -- batch execution
         order is a scheduling detail, never an output order -- and
         parallel runs submit units largest-first (estimated trace records
@@ -407,14 +387,9 @@ class SweepExecutor:
             raise AnalysisError(
                 "cohort batch tasks are metric-only; expand them into "
                 "per-cell tasks for full results")
+        for unit in units:
+            _lookup_trace(traces, unit.trace_key).prepared()
         if self.jobs == 1 or len(units) <= 1:
-            # Warm the preparation cache up front so the first task of a
-            # variant is not charged for the normalisation of all of them.
-            # Nothing here hashes trace content: cell keys need only the
-            # originals' digests (the plan computes those), and within one
-            # run every memo lives on the trace objects themselves.
-            for unit in units:
-                _lookup_trace(traces, unit.trace_key).prepared()
             batches = [_run_unit(unit, traces[unit.trace_key], full_results,
                                  store, cache_keys)
                        for unit in units]
@@ -422,34 +397,6 @@ class SweepExecutor:
             from concurrent.futures import ProcessPoolExecutor
             from itertools import repeat
 
-            from repro.dimemas.windows import export_facts
-
-            table = {key: trace.to_dict() for key, trace in traces.items()}
-            # Ship the classification facts the parent has (or can cheaply
-            # re-derive from its memo) for every adaptive cell, so no worker
-            # re-proves what the parent already proved.  Facts are
-            # digest-keyed, so shipping them requires shipping digests too.
-            facts_rows: List[Tuple[Any, ...]] = []
-            facts_seen = set()
-            if not full_results:
-                for unit in units:
-                    for task in getattr(unit, "tasks", (unit,)):
-                        platform = task.platform
-                        if platform.replay_backend != "adaptive":
-                            continue
-                        fact_key = (task.trace_key, platform.eager_threshold,
-                                    platform.processors_per_node)
-                        if fact_key in facts_seen:
-                            continue
-                        facts_seen.add(fact_key)
-                        trace = _lookup_trace(traces, task.trace_key)
-                        trace.digest()
-                        row = export_facts(trace, platform.eager_threshold,
-                                           platform.processors_per_node)
-                        if row is not None:
-                            facts_rows.append(row)
-            digests = ({key: trace.digest() for key, trace in traces.items()}
-                       if store is not None or facts_rows else None)
             if store is not None:
                 # A store connection must not cross fork: workers open
                 # their own.
@@ -457,13 +404,12 @@ class SweepExecutor:
             sizes = {key: sum(len(rank_trace) for rank_trace in trace)
                      for key, trace in traces.items()}
             order = sorted(range(len(units)), key=lambda position: (
-                -sizes.get(units[position].trace_key, 1)
+                -sizes[units[position].trace_key]
                 * getattr(units[position], "width", 1), position))
             with ProcessPoolExecutor(
                     max_workers=min(self.jobs, len(units)),
                     initializer=_init_worker,
-                    initargs=(table, store, cache_keys, digests, facts_rows)
-                    ) as pool:
+                    initargs=(traces, store, cache_keys)) as pool:
                 done = dict(zip(order, pool.map(
                     _run_pooled_unit, [units[position] for position in order],
                     repeat(full_results))))

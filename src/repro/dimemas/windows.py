@@ -35,19 +35,21 @@ streams (:meth:`repro.tracing.trace.Trace.prepared`):
   times equal the event backend's (checked by the differential tests and
   the accuracy harness, ``benchmarks/bench_adaptive.py``).
 
-Classification is cheap (one pass plus the symbolic replay) and memoized
-per trace object -- and by content digest when one is known -- so a
-bandwidth sweep classifies each trace once, not once per platform point.
-The symbolic replay itself is shared with lint: its verdict is memoized on
-the trace per eager threshold (:func:`repro.analysis.tracelint.symbolic_verdict`),
-so a prechecked run replays each (trace, eager threshold) once.
+Classification is cheap (one pass plus the symbolic replay) and its facts
+are memoized on the trace object per (eager threshold, ranks per node), so
+a bandwidth sweep classifies each trace once, not once per platform point,
+and a forked pool worker inherits what the parent proved while grouping
+cohorts.  The symbolic replay itself is shared with lint: its verdict is
+memoized on the trace per eager threshold
+(:func:`repro.analysis.tracelint.symbolic_verdict`), so a prechecked run
+replays each (trace, eager threshold) once.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.analysis.structure import first_defect
 from repro.analysis.tracelint import symbolic_verdict
@@ -86,13 +88,6 @@ class _TraceFacts:
         self.defect = defect
         self.internode_messages = internode_messages
         self.message_sizes = message_sizes
-
-
-#: Facts keyed by (trace content digest, eager threshold, ranks per node).
-#: Bounded like the prepared-trace memo: a hit is a fast path, never a
-#: correctness dependency.
-_FACTS_MEMO: Dict[Tuple[str, int, int], _TraceFacts] = {}
-_FACTS_MEMO_LIMIT = 256
 
 
 def _compute_facts(trace: Trace, eager_threshold: int,
@@ -165,33 +160,18 @@ def _compute_facts(trace: Trace, eager_threshold: int,
 
 def _trace_facts(trace: Trace, eager_threshold: int,
                  processors_per_node: int) -> _TraceFacts:
-    # Per-instance cache first: a platform sweep classifies the same trace
+    # Memoized on the trace: a platform sweep classifies the same trace
     # object once per (eager threshold, mapping) pair, not once per
-    # bandwidth point -- and without requiring anyone to have computed the
-    # content digest.
-    instance_memo = getattr(trace, "_window_facts", None)
-    if instance_memo is None:
-        instance_memo = {}
-        trace._window_facts = instance_memo
-    instance_key = (eager_threshold, processors_per_node)
-    facts = instance_memo.get(instance_key)
-    if facts is not None:
-        return facts
-    digest = getattr(trace, "_digest", None)
-    if digest is None:
-        # No content digest known (one-off simulate): skip the cross-object
-        # memo rather than paying a full content hash for a single use.
-        facts = _compute_facts(trace, eager_threshold, processors_per_node)
-        instance_memo[instance_key] = facts
-        return facts
-    key = (digest, eager_threshold, processors_per_node)
-    facts = _FACTS_MEMO.get(key)
+    # bandwidth point.
+    memo = getattr(trace, "_window_facts", None)
+    if memo is None:
+        memo = {}
+        trace._window_facts = memo
+    key = (eager_threshold, processors_per_node)
+    facts = memo.get(key)
     if facts is None:
         facts = _compute_facts(trace, eager_threshold, processors_per_node)
-        if len(_FACTS_MEMO) >= _FACTS_MEMO_LIMIT:
-            _FACTS_MEMO.clear()
-        _FACTS_MEMO[key] = facts
-    instance_memo[instance_key] = facts
+        memo[key] = facts
     return facts
 
 
@@ -211,39 +191,6 @@ def protocol_class(trace: Trace, eager_threshold: int,
     if facts.defect is not None:
         return -1
     return bisect_right(facts.message_sizes, eager_threshold)
-
-
-def export_facts(trace: Trace, eager_threshold: int,
-                 processors_per_node: int) -> Optional[Tuple[Any, ...]]:
-    """A picklable row of this cell's window facts, or None without a digest.
-
-    The row round-trips through :func:`seed_facts` so a sweep parent can
-    classify each (trace, threshold, mapping) once and ship the proof to
-    every pool worker instead of each worker re-running the symbolic replay.
-    """
-    digest = getattr(trace, "_digest", None)
-    if digest is None:
-        return None
-    facts = _trace_facts(trace, eager_threshold, processors_per_node)
-    return (digest, eager_threshold, processors_per_node, facts.defect,
-            facts.internode_messages, facts.message_sizes)
-
-
-def seed_facts(rows) -> None:
-    """Adopt facts rows from :func:`export_facts` into the process memo."""
-    for row in rows:
-        if row is None:
-            continue
-        (digest, eager_threshold, processors_per_node, defect, internode,
-         message_sizes) = row
-        key = (digest, int(eager_threshold), int(processors_per_node))
-        if key in _FACTS_MEMO:
-            continue
-        if len(_FACTS_MEMO) >= _FACTS_MEMO_LIMIT:
-            _FACTS_MEMO.clear()
-        _FACTS_MEMO[key] = _TraceFacts(
-            defect=defect, internode_messages=int(internode),
-            message_sizes=tuple(message_sizes))
 
 
 def network_uncontended(platform: Platform) -> bool:

@@ -54,10 +54,6 @@ class ResultStore(ABC):
         """Store ``payload`` under ``key`` (atomically replacing any entry)."""
 
     @abstractmethod
-    def __contains__(self, key: CellKey) -> bool:
-        """True if an entry exists under ``key`` (no payload validation)."""
-
-    @abstractmethod
     def keys(self) -> Iterator[str]:
         """Digests of every stored entry (unspecified order)."""
 
@@ -82,6 +78,10 @@ class ResultStore(ABC):
         """
 
     # -- conveniences shared by all implementations ------------------------
+    def __contains__(self, key: CellKey) -> bool:
+        """True if :meth:`get` returns a payload: a damaged entry is not in."""
+        return self.get(key) is not None
+
     @contextlib.contextmanager
     def batch(self) -> Iterator[None]:
         """Commit the ``put`` calls of the block together, or none of them.

@@ -159,10 +159,6 @@ class FileResultStore(ResultStore):
                 connection.rollback()
             raise
 
-    def __contains__(self, key: CellKey) -> bool:
-        return self._execute("SELECT 1 FROM entries WHERE digest = ?",
-                             (key.digest,), "read").fetchone() is not None
-
     def close(self) -> None:
         """Close this process's connection; a later call opens a new one."""
         connection, self._connected = self._connected, None

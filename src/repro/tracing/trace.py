@@ -227,39 +227,12 @@ class PreparedTrace:
 
         The trace-time checks, lint, the symbolic replay and every walk
         read it.  It is kept on the prepared trace, so all of them share
-        one plan per trace content.
+        one plan per trace.
         """
         plan = self._message_plan
         if plan is None:
             plan = self._message_plan = MessagePlan.compile(self.ops)
         return plan
-
-
-# -- digest-keyed preparation sharing ------------------------------------------
-# Prepared record streams shared *by content* across Trace objects.  A sweep
-# worker (or a long-running experiment process) that deserialises the same
-# trace content repeatedly -- one Trace object per run -- reuses the prepared
-# stream instead of recompiling it, as long as the content digest is known
-# (either computed via :meth:`Trace.digest` or adopted from the producer of
-# the serialized form via :meth:`Trace.adopt_digest`).  Records are never
-# mutated after construction, so sharing by content is safe.
-_PREPARED_BY_DIGEST: Dict[str, PreparedTrace] = {}
-
-#: Cap on the shared-preparation memo; a long-running service replaying many
-#: distinct traces must not grow it without bound (reset, not LRU -- the
-#: memo is a fast-path, correctness never depends on a hit).
-_PREPARED_MEMO_LIMIT = 128
-
-
-def _share_prepared(digest: str, prepared: PreparedTrace) -> PreparedTrace:
-    """Register (or return the already-shared) preparation for ``digest``."""
-    shared = _PREPARED_BY_DIGEST.get(digest)
-    if shared is not None:
-        return shared
-    if len(_PREPARED_BY_DIGEST) >= _PREPARED_MEMO_LIMIT:
-        _PREPARED_BY_DIGEST.clear()
-    _PREPARED_BY_DIGEST[digest] = prepared
-    return prepared
 
 
 @dataclass
@@ -383,19 +356,14 @@ class Trace:
 
         The first call compiles the record lists; later calls -- e.g. every
         further platform point of a sweep -- return the cached object.  The
-        cache lives on the :class:`Trace` instance (records are never
-        mutated after construction), so any executor or worker that keeps a
-        trace alive reuses its preparation for free.
+        cache lives on this :class:`Trace` object only (records are never
+        mutated after construction), so any executor or worker that keeps
+        the object alive reuses its preparation, and a forked pool worker
+        inherits it; two objects with equal content compile separately.
         """
         prepared = getattr(self, "_prepared", None)
         if prepared is None:
-            digest = getattr(self, "_digest", None)
-            if digest is not None:
-                prepared = _PREPARED_BY_DIGEST.get(digest)
-            if prepared is None:
-                prepared = PreparedTrace.compile(self)
-                if digest is not None:
-                    prepared = _share_prepared(digest, prepared)
+            prepared = PreparedTrace.compile(self)
             self._prepared = prepared
         return prepared
 
@@ -408,10 +376,8 @@ class Trace:
         determine replay results -- and *not* from ``metadata`` (labels,
         provenance) or object identity: two traces with equal records hash
         equally no matter how they were built.  The digest is cached on the
-        instance, and computing it registers this trace's prepared record
-        stream in a process-wide content-keyed memo, so later objects with
-        the same content (e.g. re-deserialised sweep variants) skip
-        recompilation (see :meth:`adopt_digest`).
+        instance.  It addresses result-store cells only: a run hashes its
+        originals, never a variant, and no memo is keyed by it.
         """
         digest = getattr(self, "_digest", None)
         if digest is None:
@@ -423,21 +389,13 @@ class Trace:
             text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
             digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
             self._digest = digest
-            self._prepared = _share_prepared(digest, self._prepared)
         return digest
 
-    def adopt_digest(self, digest: str) -> "Trace":
-        """Adopt a digest computed by the producer of this trace's content.
-
-        Sweep workers receive serialized traces whose digest the parent
-        process already computed; adopting it (instead of re-hashing) lets
-        :meth:`prepared` reuse a content-identical prepared stream and makes
-        the later :meth:`digest` call free.  The caller asserts the digest
-        matches the content -- adopt only digests produced by
-        :meth:`digest` on an equal trace.
-        """
-        self._digest = digest
-        return self
+    def __getstate__(self) -> Dict[str, Any]:
+        # Pickling (a spawn or forkserver pool's trace table) ships the
+        # fields only: the underscore memos are rebuilt where they are used.
+        return {name: value for name, value in self.__dict__.items()
+                if not name.startswith("_")}
 
     # -- (de)serialisation -------------------------------------------------
     def to_dict(self) -> Dict[str, Any]:

@@ -6,11 +6,18 @@ and the merge step only depends on task metadata, never on completion order.
 """
 
 import gc
+import json
+import multiprocessing
+import os
 import random
+import subprocess
+import sys
 from contextlib import contextmanager
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.apps import NasBT, NasCG
 from repro.core.analysis import ORIGINAL
 from repro.core.executor import (
@@ -25,6 +32,8 @@ from repro.core.study import batch_study
 from repro.dimemas.platform import Platform
 from repro.errors import AnalysisError, ConfigurationError
 from repro.experiments import ExperimentSpec, run_experiment
+from repro.experiments.plan import group_cohorts, plan_experiment
+from repro.tracing.trace import Trace
 
 BANDWIDTHS = [10.0, 100.0, 1000.0]
 
@@ -214,6 +223,98 @@ class TestUnitRunner:
         assert [result.index for result in results] == [0, 1, 2, 3]
 
 
+#: One app on two topologies: the tree without link limits is proven, so
+#: its cells replay as cohort units, and the flat bus is contended, so its
+#: cells replay one by one.
+START_METHOD_SPEC = ExperimentSpec(
+    apps=("nas-cg",), app_options={"num_ranks": 4, "iterations": 2},
+    bandwidths=(50.0, 500.0), topologies=("flat", "tree:links=0"),
+    chunking={"policy": "fixed-count", "count": 4})
+
+#: Runs in a fresh interpreter (``-c``, so spawn and forkserver workers do
+#: not run it again) under the start method ``argv[1]``: the spec
+#: ``argv[3]`` at jobs=2 and at jobs=1, each into its own store below
+#: ``argv[2]``.  Prints, per jobs count, the tidy rows without
+#: ``task_seconds`` and the store's rows without ``elapsed_seconds``.
+START_METHOD_RUN = """
+import contextlib, json, multiprocessing, sqlite3, sys
+from dataclasses import replace
+from pathlib import Path
+
+multiprocessing.set_start_method(sys.argv[1])
+from repro.experiments import ExperimentSpec, run_experiment
+from repro.store import STORE_FORMAT, FileResultStore
+
+spec = ExperimentSpec.from_dict(json.loads(sys.argv[3]))
+runs = {}
+for jobs in (2, 1):
+    root = Path(sys.argv[2]) / str(jobs)
+    with FileResultStore(root) as store:
+        result = run_experiment(replace(spec, jobs=jobs), store=store)
+    database = root / f"v{STORE_FORMAT}" / "results.sqlite"
+    with contextlib.closing(sqlite3.connect(database)) as connection:
+        entries = connection.execute(
+            "SELECT digest, variant, trace_digest, payload FROM entries "
+            "ORDER BY digest").fetchall()
+    stored = []
+    for digest, variant, trace_digest, payload in entries:
+        payload = json.loads(payload)
+        del payload["elapsed_seconds"]
+        stored.append([digest, variant, trace_digest, payload])
+    rows = [{key: value for key, value in row.items()
+             if key != "task_seconds"} for row in result.to_rows()]
+    runs[jobs] = {"rows": rows, "stored": stored}
+print(json.dumps(runs))
+"""
+
+
+class TestStartMethods:
+    """The pool gives jobs=1's results under every start method; under
+    fork its workers inherit the parent's traces instead of rebuilding
+    them."""
+
+    def test_the_spec_runs_cohort_and_per_cell_units(self):
+        plan = plan_experiment(START_METHOD_SPEC)
+        units = group_cohorts(plan.tasks, plan.traces_for(plan.tasks))
+        assert {type(unit) for unit in units} == {CohortTask, SweepTask}
+
+    @pytest.mark.parametrize("method", ["spawn", "forkserver"])
+    def test_a_pooled_run_matches_the_serial_one(self, tmp_path, method):
+        if method not in multiprocessing.get_all_start_methods():
+            pytest.skip(f"{method} is not available on this platform")
+        source = str(Path(repro.__file__).resolve().parents[1])
+        paths = [source, os.environ.get("PYTHONPATH", "")]
+        completed = subprocess.run(
+            [sys.executable, "-c", START_METHOD_RUN, method, str(tmp_path),
+             json.dumps(START_METHOD_SPEC.to_dict())],
+            capture_output=True, text=True, timeout=120,
+            env=dict(os.environ,
+                     PYTHONPATH=os.pathsep.join(filter(None, paths))))
+        assert completed.returncode == 0, completed.stderr
+        runs = json.loads(completed.stdout)
+        assert len(runs["1"]["rows"]) == len(runs["1"]["stored"]) == 12
+        assert runs["2"] == runs["1"]
+
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="only forked workers inherit the traces")
+    def test_forked_workers_rebuild_no_trace(self, small_cg, environment,
+                                             monkeypatch):
+        trace = environment.trace(small_cg)
+        variants = {ORIGINAL: trace, "ideal": environment.overlap(trace)}
+        tasks = SweepExecutor.expand(
+            variants, [Platform(bandwidth_mbps=bandwidth)
+                       for bandwidth in BANDWIDTHS])
+        serial = SweepExecutor().execute(tasks, variants)
+
+        def rebuilt(cls, data):
+            raise AssertionError("a pool worker rebuilt a trace")
+
+        monkeypatch.setattr(Trace, "from_dict", classmethod(rebuilt))
+        pooled = SweepExecutor(jobs=2).execute(tasks, variants)
+        assert ([result.total_time for result in pooled]
+                == [result.total_time for result in serial])
+
+
 class TestSerialReentrancy:
     def test_serial_execution_ignores_worker_globals(
             self, small_bt, environment, platform):
@@ -229,7 +330,7 @@ class TestSerialReentrancy:
                 SweepExecutor.expand({ORIGINAL: trace}, [platform]),
                 {ORIGINAL: trace})
             assert results[0].total_time > 0
-            assert executor_module._TRACE_TABLE == {ORIGINAL: {"bogus": "table"}}
+            assert executor_module._TRACES == {ORIGINAL: {"bogus": "table"}}
         finally:
             executor_module._init_worker({})
             gc.enable()

@@ -25,7 +25,6 @@ from repro.apps.registry import APPLICATIONS, create_application
 from repro.core.chunking import FixedCountChunking
 from repro.core.environment import OverlapStudyEnvironment
 from repro.core.executor import CohortTask, SweepExecutor, SweepTask
-from repro.dimemas import windows
 from repro.dimemas.gridreplay import cohort_signature, replay_cohort
 from repro.dimemas.platform import Platform
 from repro.dimemas.simulator import DimemasSimulator
@@ -241,37 +240,6 @@ class TestCohortGrouping:
         other = dataclasses.replace(tasks[1], trace_key="other:original")
         with pytest.raises(AnalysisError):
             CohortTask(tasks=(tasks[0], other))
-
-
-class TestFactsShipping:
-    """Window-classification facts survive the trip to pool workers."""
-
-    def test_export_seed_round_trip(self):
-        trace = _trace("nas-cg")
-        trace.digest()  # facts are only exportable once the digest is pinned
-        row = windows.export_facts(trace, 65536, 1)
-        assert row is not None
-        key = (row[0], 65536, 1)
-        memo = dict(windows._FACTS_MEMO)
-        try:
-            windows._FACTS_MEMO.clear()
-            windows.seed_facts([row, None])
-            assert key in windows._FACTS_MEMO
-            seeded = windows._FACTS_MEMO[key]
-        finally:
-            windows._FACTS_MEMO.clear()
-            windows._FACTS_MEMO.update(memo)
-        recomputed = windows._trace_facts(trace, 65536, 1)
-        assert seeded.defect == recomputed.defect
-        assert seeded.internode_messages == recomputed.internode_messages
-        assert seeded.message_sizes == recomputed.message_sizes
-
-    def test_export_requires_digest(self):
-        environment = OverlapStudyEnvironment(
-            chunking=FixedCountChunking(count=4))
-        trace = environment.trace(create_application(
-            "nas-cg", num_ranks=4, iterations=1))
-        assert windows.export_facts(trace, 65536, 1) is None
 
 
 SWEEP_SPEC = ExperimentSpec(

@@ -3,17 +3,17 @@ eager threshold), shared by lint and classification; one content digest per
 app, none per overlapped variant; and one message plan per trace, shared by
 the trace-time checks, lint and every cell."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.analysis import tracelint
 from repro.core.overlap import OverlapTransformer
-from repro.dimemas import windows
 from repro.dimemas.platform import Platform
 from repro.dimemas.replay import ReplayEngine
 from repro.experiments import ExperimentSpec, run_experiment
 from repro.experiments.plan import ExperimentPlan
 from repro.store import FileResultStore
-from repro.tracing import trace as trace_module
 from repro.tracing.machine import TracingVirtualMachine
 from repro.tracing.trace import MessagePlan, Trace
 
@@ -26,13 +26,6 @@ SPEC = ExperimentSpec(
     platform={"input_links": 0, "output_links": 0},
     chunking={"policy": "fixed-count", "count": 4},
 )
-
-
-@pytest.fixture(autouse=True)
-def fresh_facts_memo(monkeypatch):
-    """Classify from scratch: the process-wide facts memo is keyed by content,
-    so an earlier run of the same spec would otherwise serve the original."""
-    monkeypatch.setattr(windows, "_FACTS_MEMO", {})
 
 
 @pytest.fixture
@@ -79,9 +72,10 @@ def replayed_traces(monkeypatch):
     return tables
 
 
-def _run(tmp_path, precheck=True):
+def _run(tmp_path, precheck=True, jobs=1):
     with FileResultStore(tmp_path / "cache") as store:
-        result = run_experiment(SPEC, store=store, precheck=precheck)
+        result = run_experiment(replace(SPEC, jobs=jobs), store=store,
+                                precheck=precheck)
     assert result.cache_stats()["misses"] == 6
     return result
 
@@ -110,9 +104,10 @@ class TestOneSymbolicReplayPerTraceAndThreshold:
 
 
 class TestNoVariantHashing:
-    def test_a_serial_store_backed_run_hashes_only_the_original(
-            self, tmp_path, computed_digests):
-        _run(tmp_path)
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_a_store_backed_run_hashes_only_the_original(
+            self, tmp_path, computed_digests, jobs):
+        _run(tmp_path, jobs=jobs)
         assert len(computed_digests) == 1
         assert computed_digests[0].metadata.get("variant") is None
 
@@ -123,8 +118,6 @@ class TestOneMessagePlanPerTrace:
 
     @pytest.fixture
     def plans_built(self, monkeypatch):
-        # Prepared streams are shared by content across runs; start empty.
-        monkeypatch.setattr(trace_module, "_PREPARED_BY_DIGEST", {})
         built = []
         original = MessagePlan.compile.__func__
 

@@ -113,6 +113,14 @@ class TestCorruption:
                 json.dumps(payload).encode("utf-8"))
         assert store.get(key) is None
 
+    def test_a_row_with_a_damaged_checksum_is_not_in_the_store(
+            self, store, store_rows):
+        key = make_key()
+        store.put(key, make_payload())
+        _damage(store_rows, store, "UPDATE entries SET checksum = ?",
+                "0" * 64)
+        assert key not in store
+
     def test_entry_under_a_foreign_name_is_rejected(self, store, store_rows):
         key, other = make_key(100.0), make_key(200.0)
         store.put(key, make_payload())

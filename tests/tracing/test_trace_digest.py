@@ -1,21 +1,14 @@
-"""Trace content digests: stability, content-addressing and the
-digest-keyed preparation memo."""
+"""Trace content digests: stability and content-addressing; preparation
+stays per trace object."""
+
+import pickle
 
 import pytest
 
 from repro.apps import SanchoLoop
 from repro.apps.registry import create_application
 from repro.core import FixedCountChunking, OverlapStudyEnvironment
-from repro.tracing import trace as trace_module
 from repro.tracing.trace import Trace
-
-
-@pytest.fixture(autouse=True)
-def clean_memo():
-    """Isolate the process-wide preparation memo per test."""
-    trace_module._PREPARED_BY_DIGEST.clear()
-    yield
-    trace_module._PREPARED_BY_DIGEST.clear()
 
 
 @pytest.fixture
@@ -81,31 +74,15 @@ class TestDigest:
 
 
 class TestPreparationSharing:
-    def test_digest_registers_the_compiled_stream(self, environment):
-        first = small_loop_trace(environment)
-        second = small_loop_trace(environment)
-        first.digest()
-        second.digest()
-        assert second.prepared() is first.prepared()
-
-    def test_adopt_digest_skips_recompilation(self, environment):
-        producer = small_loop_trace(environment)
-        digest = producer.digest()
-        consumer = Trace.from_dict(producer.to_dict()).adopt_digest(digest)
-        assert consumer.digest() == digest
-        assert consumer.prepared() is producer.prepared()
-
     def test_without_a_digest_preparation_is_per_object(self, environment):
         first = small_loop_trace(environment)
         second = small_loop_trace(environment)
         assert first.prepared() is not second.prepared()
 
-    def test_memo_reset_at_the_limit(self, environment):
+    def test_a_pickled_trace_leaves_its_memos_behind(self, environment):
         trace = small_loop_trace(environment)
-        trace_module._PREPARED_BY_DIGEST.update(
-            {f"{index:064d}": None
-             for index in range(trace_module._PREPARED_MEMO_LIMIT)})
-        trace.digest()
-        assert len(trace_module._PREPARED_BY_DIGEST) == 1
-        assert trace_module._PREPARED_BY_DIGEST[trace.digest()] \
-            is trace.prepared()
+        digest = trace.digest()
+        clone = pickle.loads(pickle.dumps(trace))
+        assert not [name for name in vars(clone) if name.startswith("_")]
+        assert clone.digest() == digest
+        assert clone.prepared() is not trace.prepared()
