@@ -14,11 +14,16 @@ bandwidth grid of uncontended flat platforms, two ways:
   one clock vector per rank (one lane per grid cell).
 
 Both paths promise results bit-identical to the ``event`` backend, so
-every cell's total time is additionally checked against it: the reported
-``max_relative_error`` covers all cells and must be 0.  ``--min-speedup``
-(grid over per-cell, aggregate wall time) and ``--max-error`` (CI passes
-``0``) turn the run into the CI gate that keeps the batching honest:
-evaluating lanes together may not change what any lane computes.
+every cell's whole result -- total time, every ``RankStats`` field and the
+network dict, key order included -- is compared between the grid path,
+the per-cell path and the event walk, and any difference fails the run.
+The reported ``max_relative_error`` of the total times covers all cells.
+Both paths are timed with the cyclic garbage collector paused, as
+``run_experiment`` runs them.
+``--min-speedup`` (grid over per-cell, aggregate wall time) and
+``--max-error`` (CI passes ``0``) turn the run into the CI gate that keeps
+the batching honest: evaluating lanes together may not change what any
+lane computes.
 
 The results are printed as a table and written to ``BENCH_gridsweep.json``
 (committed, with a provenance stamp) so the trajectory is recorded per PR.
@@ -39,6 +44,7 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import astuple
 from pathlib import Path
 
 # The benchmarks are plain scripts, but tests load them by file path
@@ -48,6 +54,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from _provenance import provenance  # noqa: E402
 from bench_replay_core import DEFAULT_APPS
+from repro._collector import collector_paused
 from repro.apps.registry import create_application
 from repro.core.analysis import geometric_bandwidths
 from repro.core.chunking import FixedCountChunking
@@ -82,38 +89,44 @@ def _build_workload(apps, ranks, iterations, width):
     return workload, platforms
 
 
+def _whole(total_time, ranks, network):
+    """One cell's result as a value compared with ``==``: the total time,
+    every ``RankStats`` field and the network dict, key order included."""
+    return (total_time, [astuple(stats) for stats in ranks],
+            json.dumps(network))
+
+
 def _run_per_cell(variants, platforms):
-    """Replay every cell through the stock simulator; (seconds, times)."""
+    """Replay every cell through the stock simulator; (seconds, results)."""
     start = time.perf_counter()
-    times = []
+    results = []
     for _label, trace in variants:
         simulator = DimemasSimulator(collect_timeline=False)
         for platform in platforms:
-            result = simulator.simulate(trace, platform=platform)
-            times.append(result.total_time)
-    return time.perf_counter() - start, times
+            results.append(simulator.simulate(trace, platform=platform))
+    return time.perf_counter() - start, results
 
 
 def _run_grid(variants, platforms):
-    """Replay every variant as one cohort batch; (seconds, times)."""
+    """Replay every variant as one cohort batch; (seconds, results)."""
     start = time.perf_counter()
-    times = []
+    results = []
     for _label, trace in variants:
-        for result in replay_cohort(trace, platforms):
-            times.append(result.total_time)
-    return time.perf_counter() - start, times
+        results.extend(replay_cohort(trace, platforms))
+    return time.perf_counter() - start, results
 
 
-def _event_times(variants, platforms):
-    """Exact per-cell reference times from the event backend."""
-    times = []
+def _event_cells(variants, platforms):
+    """Exact per-cell reference results (see :func:`_whole`) of the event
+    backend."""
+    cells = []
     for _label, trace in variants:
         for platform in platforms:
-            engine = ReplayEngine(trace,
-                                  platform.with_replay_backend("event"),
-                                  collect_timeline=False)
-            times.append(engine.run()[0])
-    return times
+            total_time, ranks, _timeline, network = ReplayEngine(
+                trace, platform.with_replay_backend("event"),
+                collect_timeline=False).run()
+            cells.append(_whole(total_time, ranks, network))
+    return cells
 
 
 def _relative_errors(grid_times, event_times):
@@ -161,7 +174,8 @@ def main(argv=None) -> int:
             "ranks": args.ranks,
             "iterations": args.iterations,
             "grid_width": args.width,
-            "platform_grid": [platform.name for platform in platforms],
+            "bandwidths_mbps": [platform.bandwidth_mbps
+                                for platform in platforms],
             "variants": ["original", "ideal"],
             "repeat": args.repeat,
         },
@@ -169,31 +183,40 @@ def main(argv=None) -> int:
     }
     total_cell = total_grid = 0.0
     worst_error = 0.0
-    total_cells = exact_cells = 0
+    total_cells = exact_cells = identical_cells = 0
     for name, variants in workload.items():
         cell_seconds = grid_seconds = float("inf")
-        for _ in range(max(1, args.repeat)):
-            # Interleave the paths inside every repeat so machine drift
-            # hits both comparably.
-            seconds, cell_times = _run_per_cell(variants, platforms)
-            cell_seconds = min(cell_seconds, seconds)
-            seconds, grid_times = _run_grid(variants, platforms)
-            grid_seconds = min(grid_seconds, seconds)
-        if grid_times != cell_times:
-            raise SystemExit(
-                f"{name}: grid path diverged from per-cell adaptive "
-                f"({grid_times} != {cell_times})")
-        errors = _relative_errors(grid_times, _event_times(variants, platforms))
+        # Paused as in run_experiment: the kept results would otherwise
+        # trigger collections that walk every trace, inside the timings.
+        with collector_paused():
+            for _ in range(max(1, args.repeat)):
+                # Interleave the paths inside every repeat so machine
+                # drift hits both comparably.
+                seconds, cell_results = _run_per_cell(variants, platforms)
+                cell_seconds = min(cell_seconds, seconds)
+                seconds, grid_results = _run_grid(variants, platforms)
+                grid_seconds = min(grid_seconds, seconds)
+        event_cells = _event_cells(variants, platforms)
+        identical = sum(
+            1 for grid, cell, event in zip(grid_results, cell_results,
+                                           event_cells)
+            if _whole(grid.total_time, grid.ranks, grid.network)
+            == _whole(cell.total_time, cell.ranks, cell.network) == event)
+        errors = _relative_errors([result.total_time
+                                   for result in grid_results],
+                                  [cell[0] for cell in event_cells])
         app_worst = max(errors)
         worst_error = max(worst_error, app_worst)
         total_cells += len(errors)
         exact_cells += sum(1 for error in errors if error == 0.0)
+        identical_cells += identical
         total_cell += cell_seconds
         total_grid += grid_seconds
         speedup = cell_seconds / grid_seconds if grid_seconds else float("inf")
         report["apps"][name] = {
             "cells": len(errors),
             "exact_cells": sum(1 for error in errors if error == 0.0),
+            "identical_cells": identical,
             "per_cell_seconds": cell_seconds,
             "grid_seconds": grid_seconds,
             "speedup_vs_per_cell": speedup,
@@ -207,6 +230,7 @@ def main(argv=None) -> int:
     report["aggregate"] = {
         "cells": total_cells,
         "exact_cells": exact_cells,
+        "identical_cells": identical_cells,
         "per_cell_seconds": total_cell,
         "grid_seconds": total_grid,
         "speedup_vs_per_cell": aggregate,
@@ -219,13 +243,19 @@ def main(argv=None) -> int:
     print(f"\naggregate speedup: grid {aggregate:.2f}x over per-cell "
           f"adaptive ({total_cell:.3f} s -> {total_grid:.3f} s); "
           f"max relative error {worst_error:.2e} over {total_cells} cells "
-          f"({exact_cells} bit-exact)")
+          f"({exact_cells} bit-exact); {identical_cells} whole results "
+          f"identical across the grid path, the per-cell path and the "
+          f"event walk")
 
     path = Path(args.output)
     path.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
     print(f"wrote {path}")
 
-    failed = False
+    failed = identical_cells < total_cells
+    if failed:
+        print(f"EXACTNESS GATE FAILED: {total_cells - identical_cells} of "
+              f"{total_cells} cells differ between the grid path, the "
+              f"per-cell path and the event walk")
     if args.min_speedup is not None and aggregate < args.min_speedup:
         print(f"PERF GATE FAILED: grid speedup over per-cell adaptive "
               f"{aggregate:.2f}x < required {args.min_speedup:.2f}x")

@@ -47,14 +47,18 @@ class NasCG(ApplicationModel):
         return info
 
     def _partners(self, rank: int) -> List[int]:
-        """Butterfly (transpose) partners; falls back to a ring when needed."""
-        partners = []
-        for stride in (1, 2):
-            partner = rank ^ stride
-            if partner < self.num_ranks and partner != rank:
-                partners.append(partner)
-        if not partners:
-            partners = [(rank + 1) % self.num_ranks]
+        """Butterfly (transpose) partners, a symmetric relation.
+
+        At ``4m + 1`` ranks the last rank has no partner in range; it
+        exchanges with rank 0 (its ring successor), and rank 0 with it.
+        """
+        last = self.num_ranks - 1
+        partners = [rank ^ stride for stride in (1, 2) if rank ^ stride <= last]
+        if last % 4 == 0:
+            if rank == last:
+                return [0]
+            if rank == 0:
+                partners.append(last)
         return partners
 
     def run(self, ctx: RankContext) -> None:

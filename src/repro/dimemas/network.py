@@ -49,7 +49,9 @@ class NetworkStatistics:
     (:func:`math.fsum`) of its recorded values, so it does not depend on
     the order the transfers were recorded in: the event walk records them
     in completion order, the adaptive walks in their own orders, and all
-    report the same bytes.
+    report the same bytes.  For the same reason the per-hop dicts are keyed
+    in sorted hop-name order, not in the order a walk first crossed each
+    hop class.
     """
 
     def __init__(self) -> None:
@@ -74,9 +76,9 @@ class NetworkStatistics:
 
         Equal to calling :meth:`record` once per entry of
         ``transfer_times`` and :meth:`record_hop` once per crossing, all
-        with a zero queue time.  ``hop_crossings`` maps hop names, in
-        first-crossing order, to their crossing counts; ``transfer_times``
-        is taken over, not copied.
+        with a zero queue time.  ``hop_crossings`` maps hop names, in any
+        order, to their crossing counts; ``transfer_times`` is taken over,
+        not copied.
         """
         statistics = cls()
         statistics.bytes_transferred = bytes_transferred
@@ -125,14 +127,15 @@ class NetworkStatistics:
 
     @property
     def hop_transfers(self) -> Dict[str, int]:
-        """Crossings per hop class."""
-        return {name: len(times) for name, times in self.hop_queue_times.items()}
+        """Crossings per hop class, keyed in sorted name order."""
+        return {name: len(times)
+                for name, times in sorted(self.hop_queue_times.items())}
 
     @property
     def hop_queue_time(self) -> Dict[str, float]:
-        """Total queueing per hop class."""
+        """Total queueing per hop class, keyed in sorted name order."""
         return {name: math.fsum(times)
-                for name, times in self.hop_queue_times.items()}
+                for name, times in sorted(self.hop_queue_times.items())}
 
     @property
     def mean_queue_time(self) -> float:

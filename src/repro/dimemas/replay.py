@@ -54,7 +54,7 @@ and a slot holds its message only while one side has posted.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from heapq import heappop, heappush
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -1399,12 +1399,22 @@ def _vector_walk(trace: Trace, platforms: Sequence[Platform]
     the same program order per lane, which makes each lane bit-identical
     to the event backend's replay of its cell in time and rank statistics.
 
+    Transfer physics is bound once per hop class.  All lanes share one
+    topology shape, so a node pair's route crosses the same hop names in
+    every lane, and within one network model a hop's name fixes its
+    latency and bandwidth (see :class:`~repro.dimemas.topology.Hop`).  So
+    the first lane's model names each node pair's hops, the lane hops are
+    looked up once per tuple of hop names (routing one node pair of that
+    class through every lane's model), and each lane vector of hop
+    durations is computed once per ``(hop names, size)``.
+
     Network statistics follow from the same structure.  No transfer ever
     queues, and every transfer's size, intranode flag and hop crossings
     are the same in every lane; only its duration differs.  So the byte
     total, intranode count and per-hop crossing counts are taken once per
-    walk, and each lane's :class:`NetworkStatistics` is built from them
-    and that lane's transfer times alone
+    walk, the per-transfer lane durations are transposed once into one
+    column per lane, and each lane's :class:`NetworkStatistics` is built
+    from those counts and its column alone
     (:meth:`NetworkStatistics.unqueued`).  Its aggregates are exact sums,
     so they equal the event walk's whatever order it recorded in.
     Returns one ``(total_time, rank stats, network stats)`` tuple per
@@ -1432,11 +1442,14 @@ def _vector_walk(trace: Trace, platforms: Sequence[Platform]
     # proven cells no resource is ever contended).
     models = [build_network_model(Environment(), platform, num_ranks)
               for platform in platforms]
+    names_model = models[0]
 
     intranode_memo: Dict[int, List[float]] = {}
-    #: (src node, dst node) -> one tuple of lane hops per route position.
-    route_memo: Dict[Tuple[int, int], List[Tuple[Hop, ...]]] = {}
-    internode_memo: Dict[Tuple[int, int, int], Tuple[Any, ...]] = {}
+    #: (src node, dst node) -> the names of the hops its route crosses.
+    names_memo: Dict[Tuple[int, int], Tuple[str, ...]] = {}
+    #: Hop names -> one tuple of lane hops per route position.
+    hops_memo: Dict[Tuple[str, ...], List[Tuple[Hop, ...]]] = {}
+    internode_memo: Dict[Tuple[Tuple[str, ...], int], Tuple[Any, ...]] = {}
     burst_memo: Dict[Any, List[float]] = {}
     collective_memo: Dict[Tuple[str, int], List[float]] = {}
 
@@ -1457,13 +1470,17 @@ def _vector_walk(trace: Trace, platforms: Sequence[Platform]
 
     def internode_durations(src_node: int, dst_node: int, size: int):
         """(hop names, lane total durations, one lane vector per hop)."""
-        key = (src_node, dst_node, size)
+        pair = (src_node, dst_node)
+        names = names_memo.get(pair)
+        if names is None:
+            names = names_memo[pair] = tuple(
+                hop.name for hop in names_model.route(src_node, dst_node))
+        key = (names, size)
         entry = internode_memo.get(key)
         if entry is None:
-            pair = (src_node, dst_node)
-            hops_by_position = route_memo.get(pair)
+            hops_by_position = hops_memo.get(names)
             if hops_by_position is None:
-                hops_by_position = route_memo[pair] = list(zip(*[
+                hops_by_position = hops_memo[names] = list(zip(*[
                     model.route(src_node, dst_node) for model in models]))
             hop_vectors = [[hop.transfer_time(size) for hop in lane_hops]
                            for lane_hops in hops_by_position]
@@ -1471,7 +1488,6 @@ def _vector_walk(trace: Trace, platforms: Sequence[Platform]
             totals = [0.0] * width
             for durations in hop_vectors:
                 totals = [t + d for t, d in zip(totals, durations)]
-            names = tuple(lane_hops[0].name for lane_hops in hops_by_position)
             entry = internode_memo[key] = (names, totals, hop_vectors)
         return entry
 
@@ -1791,22 +1807,22 @@ def _vector_walk(trace: Trace, platforms: Sequence[Platform]
             f"grid replay deadlocked: ranks {stuck} blocked "
             f"(pcs {[pcs[rank] for rank in stuck]})")
 
-    bytes_transferred = 0
-    intranode_transfers = 0
+    sizes, lane_durations, routes = (zip(*stat_buffer) if stat_buffer
+                                     else ((), (), ()))
+    bytes_transferred = sum(sizes)
+    route_counts = Counter(routes)
+    intranode_transfers = route_counts.pop(None, 0)
     hop_crossings: Dict[str, int] = {}
-    for size, _durations, names in stat_buffer:
-        bytes_transferred += size
-        if names is None:
-            intranode_transfers += 1
-        else:
-            for name in names:
-                hop_crossings[name] = hop_crossings.get(name, 0) + 1
+    for names, count in route_counts.items():
+        for name in names:
+            hop_crossings[name] = hop_crossings.get(name, 0) + count
+    # One transpose: each lane's transfer times as one column.
+    columns = list(zip(*lane_durations)) or [()] * width
     results = []
     for i in lanes:
-        # One lane's statistics at a time: a cohort may be wide.
         statistics = NetworkStatistics.unqueued(
             bytes_transferred, intranode_transfers, hop_crossings,
-            [entry[1][i] for entry in stat_buffer])
+            list(columns[i]))
         network_stats = _network_summary(statistics, matched, platforms[i])
         rank_stats = []
         total_time = 0.0

@@ -168,6 +168,12 @@ class Hop:
     ``resources`` are acquired in tuple order (the fabric never reorders
     them, so a model's fixed ordering is preserved) and all released before
     the next hop is requested.
+
+    ``name`` is the hop's class: within one :class:`NetworkModel`, every
+    hop of one name has the same ``latency`` and
+    ``bandwidth_bytes_per_second`` (only its resources differ), so the
+    name alone fixes the hop's :meth:`transfer_time`.  Network statistics
+    are kept per name, and the lane walk binds hop physics per name.
     """
 
     name: str
@@ -187,6 +193,12 @@ class NetworkModel:
 
     Subclasses build their DES resources lazily (first use) so constructing
     a model never schedules events, and implement :meth:`_build_route`.
+
+    A model must name its hops by class: two hops of one name, on any two
+    routes of the model, have equal ``latency`` and
+    ``bandwidth_bytes_per_second``.  The flat bus has one class (``net``),
+    a tree one per direction and level (``up{L}``, ``down{L}``), a torus
+    one per direction (``x+``, ``x-``, ``y+``, ``y-``).
     """
 
     kind: str = "abstract"

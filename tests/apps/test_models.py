@@ -91,6 +91,25 @@ class TestRegistry:
         with pytest.raises(ConfigurationError):
             paper_applications(scale=0.0)
 
+    @pytest.mark.parametrize("name", sorted(APPLICATIONS))
+    def test_traces_at_every_rank_count(self, name):
+        # From the smallest count the constructor accepts up to 40 ranks,
+        # every count traces: tracing fails on any send or receive that
+        # finds no counterpart.
+        traced = []
+        for num_ranks in range(1, 41):
+            try:
+                app = create_application(name, num_ranks=num_ranks,
+                                         iterations=1)
+            except ConfigurationError:
+                assert not traced, (
+                    f"{name} refuses {num_ranks} ranks but accepts "
+                    f"{traced[-1]}")
+                continue
+            TracingVirtualMachine().trace(app)
+            traced.append(num_ranks)
+        assert traced and traced[0] <= 3
+
 
 class TestModelValidation:
     def test_too_few_ranks_rejected(self):

@@ -30,9 +30,10 @@ class TestNasBT:
 
 
 class TestNasCG:
-    def test_partners_are_symmetric(self):
-        app = NasCG(num_ranks=8)
-        for rank in range(8):
+    @pytest.mark.parametrize("num_ranks", range(2, 41))
+    def test_partners_are_symmetric(self, num_ranks):
+        app = NasCG(num_ranks=num_ranks)
+        for rank in range(num_ranks):
             for partner in app._partners(rank):
                 assert rank in app._partners(partner)
 

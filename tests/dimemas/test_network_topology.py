@@ -8,6 +8,7 @@ from repro.dimemas.messages import Message
 from repro.dimemas.network import NetworkFabric
 from repro.dimemas.platform import Platform
 from repro.dimemas.topology import (
+    TOPOLOGIES,
     FlatBus,
     HierarchicalTree,
     TopologySpec,
@@ -213,6 +214,46 @@ class TestTorus2D:
     def test_unlimited_links(self, env):
         model = self._model(env, 16, links=0)
         assert isinstance(model.route(0, 1)[0].resources[0], InfiniteResource)
+
+
+#: Every model shape: the flat bus, trees of radix 2-4 whose levels narrow,
+#: keep or widen their bandwidth, with the platform's latency or a hop
+#: latency of their own, and tori of automatic and fixed width.
+SHAPES = ([TopologySpec()]
+          + [TopologySpec(kind="tree", radix=radix, bandwidth_scale=scale,
+                          hop_latency=hop_latency)
+             for radix in (2, 3, 4) for scale in (0.5, 1.0, 2.0)
+             for hop_latency in (None, 3e-6)]
+          + [TopologySpec(kind="torus", torus_width=width)
+             for width in (0, 3)])
+
+
+class TestHopNames:
+    """Within one model, a hop's name fixes its latency and bandwidth.
+
+    The lane walk binds hop durations once per tuple of hop names, so a
+    model that gave two hops of one name different physics would replay
+    some lanes to wrong times."""
+
+    def test_every_model_has_a_shape(self):
+        assert {spec.kind for spec in SHAPES} == set(TOPOLOGIES)
+
+    @pytest.mark.parametrize("spec", SHAPES, ids=TopologySpec.to_string)
+    def test_one_name_one_physics(self, spec):
+        for platform in (Platform(bandwidth_mbps=100.0, latency=5e-6,
+                                  topology=spec),
+                         Platform(bandwidth_mbps=0.0, topology=spec)):
+            for num_nodes in (1, 2, 5, 9, 16):
+                model = build_network_model(Environment(), platform,
+                                            num_nodes)
+                physics = {}
+                for src in range(num_nodes):
+                    for dst in range(num_nodes):
+                        for hop in model.route(src, dst):
+                            physics.setdefault(hop.name, set()).add(
+                                (hop.latency, hop.bandwidth_bytes_per_second))
+                assert all(len(values) == 1 for values in physics.values()), (
+                    num_nodes, physics)
 
 
 class TestMultiHopTransfers:

@@ -27,6 +27,8 @@ shared with the differential property test.  Timeline exports do not see
 that difference: ``to_prv`` writes the same file on both backends.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.analysis import analyze_trace
@@ -528,3 +530,38 @@ class TestParallelSweepDeterminism:
         first_parallel = rows(2)
         assert first_parallel == rows(2)  # deterministic across runs
         assert first_parallel == rows(1)  # and identical to serial
+
+
+class TestHopKeyOrder:
+    """Every walk keys ``hop_queue_time`` and ``hop_transfers`` in sorted
+    hop-name order.  The walks first cross the hop classes in different
+    orders (the lane walk resolves messages in program order, the event
+    and paced walks in time order, which moves with the platform point),
+    so an order taken from the walk would differ between walks."""
+
+    @staticmethod
+    def _hop_keys(trace, platform, backend, collect_timeline):
+        network = ReplayEngine(trace, platform.with_replay_backend(backend),
+                               collect_timeline=collect_timeline).run()[3]
+        return [list(network["hop_queue_time"]),
+                list(network["hop_transfers"])]
+
+    @pytest.mark.parametrize("topology", ("tree:radix=2", "tree:radix=3",
+                                          "torus"))
+    @pytest.mark.parametrize("overlap", (None, "ideal"))
+    @pytest.mark.parametrize("app", ALL_APPS)
+    def test_every_walk_lists_hop_keys_alike(self, app, overlap, topology):
+        trace = _trace(app, overlap=overlap, ranks=8)
+        spec = TopologySpec.parse(topology)
+        proven = Platform(bandwidth_mbps=100.0, topology=replace(spec, links=0))
+        contended = Platform(bandwidth_mbps=100.0,
+                             topology=replace(spec, links=1))
+        # Adaptive with a timeline is the paced walk; a proven cell that
+        # records none rides the lane walk.
+        for platform, timelines in ((proven, (True, False)),
+                                    (contended, (True,))):
+            event = self._hop_keys(trace, platform, "event", True)
+            for collect_timeline in timelines:
+                assert self._hop_keys(trace, platform, "adaptive",
+                                      collect_timeline) == event
+            assert event == [sorted(keys) for keys in event]
